@@ -6,9 +6,10 @@ returning a shared null object.  This benchmark holds the serving tier
 to that promise with an A/B ablation on the seeded Table 1 workload:
 
 * **Baseline** — the pre-tracing request path, reconstructed at runtime
-  by bypassing the server's trace wrapper and traced-submit branch
-  (``_handle_analysis_core`` / the bare ``run_in_executor`` call), i.e.
-  exactly the code that ran before the observability layer landed.
+  by bypassing the pipeline's trace wrapper and the daemon's
+  traced-submit branch (``_pipeline`` / the bare ``run_in_executor``
+  call), i.e. exactly the code that ran before the observability layer
+  landed.
 * **Tracing off** — the stock server with tracing disabled (the
   default): the wrapper checks ``request.trace`` once and falls
   through.
@@ -26,6 +27,7 @@ The run writes ``BENCH_observability.json`` with the gate embedded as
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
 import types
@@ -52,21 +54,22 @@ CONCURRENCY = 12
 JSON_PATH = Path("BENCH_observability.json")
 
 
-def _bare_submit(self, loop, session, request):
+def _bare_submit(self, fn, *args):
     """The pre-tracing submit path: no branch, no context copy."""
-    return loop.run_in_executor(self._executor, self._execute, session, request)
+    return asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
 
 
 def _strip_instrumentation(server_thread: ServerThread) -> None:
     """Rebuild the pre-tracing request path on a live server.
 
-    Binding ``_handle_analysis`` straight to the core handler and
-    ``_submit`` to the bare executor call removes the trace wrapper and
-    the traced-submit branch entirely — the remaining code is the
-    request path as it existed before the observability layer.
+    Binding ``_handle`` (the pipeline's trace wrapper) straight to
+    ``_pipeline`` and ``_submit`` to the bare executor call removes the
+    trace wrapper and the traced-submit branch entirely — the remaining
+    code is the request path as it existed before the observability
+    layer.
     """
     server = server_thread.server
-    server._handle_analysis = server._handle_analysis_core
+    server._handle = server._pipeline
     server._submit = types.MethodType(_bare_submit, server)
 
 

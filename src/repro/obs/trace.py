@@ -1,6 +1,6 @@
 """Trace contexts and span trees for the audit service.
 
-One *trace* covers one request end to end — router, coalescer, worker,
+One *trace* covers one request end to end — router, worker,
 session, engine, SQL — as a tree of named *spans*.  The design goals,
 in order:
 
@@ -14,7 +14,7 @@ in order:
 2. **Fork- and thread-safety.**  The active span lives in a
    :class:`contextvars.ContextVar`; crossing into a worker thread is
    explicit (``contextvars.copy_context().run(...)`` — see
-   ``AuditServer._handle_analysis``), so concurrent requests on one
+   ``AuditServer._submit``), so concurrent requests on one
    event loop or thread pool never see each other's spans.  A forked
    fleet worker starts with no open traces (the armed flag and the
    open-trace counter are plain module state, copied by fork but only
@@ -31,8 +31,8 @@ Span taxonomy (what the instrumented layers emit):
 =====================  =====================================================
 ``router.route``       shard selection (rendezvous hashing) in the router
 ``router.forward``     router → worker round trip (worker subtree grafted)
-``coalesce.claim``     negotiating the fleet coalescer table
-``coalesce.follow``    awaiting a twin computation (link to leader instead)
+``coalesce.follow``    awaiting an in-flight twin (router or server; the
+                       follower links to the leader's trace instead)
 ``server.queue_wait``  time between arrival and a worker thread picking up
 ``server.execute``     the analysis on the worker thread
 ``session.<op>``       one session analysis (decide, collusion, ...)

@@ -9,20 +9,22 @@ deployments front their engines with a query interface:
 
 * :mod:`repro.service.protocol` — the wire format: one JSON document per
   line, typed request/response envelopes, structured error codes;
+* :mod:`repro.service.pipeline` — the request pipeline both front doors
+  share (its table is :mod:`repro.service.coalesce`);
 * :mod:`repro.service.server` — the asyncio daemon: one shared
   :class:`~repro.session.AnalysisSession` per (schema, dictionary,
-  engine, criticality-engine) fingerprint, coalescing of identical
-  in-flight requests, a bounded worker pool with explicit load shedding;
+  engine, criticality-engine) fingerprint, a bounded thread pool as
+  the executor;
 * :mod:`repro.service.client` — sync and asyncio clients;
 * :mod:`repro.service.metrics` — per-operation counters and latency
   percentiles served through the ``stats`` operation, with a mergeable
   snapshot form so a fleet can aggregate per-worker metrics;
 * :mod:`repro.service.fleet` — the pre-forked multi-process fleet: a
-  router that shards requests over worker processes by rendezvous
-  hashing of the request fingerprint, with fleet-wide coalescing
-  (:mod:`repro.service.coalesce`), worker supervision and aggregated
-  stats.  ``repro-audit serve --workers N`` (N ≥ 2) boots this instead
-  of the single-process daemon;
+  router whose pipeline executor forwards each request to a worker
+  process chosen by rendezvous hashing of the request fingerprint, so
+  its table coalesces fleet-wide; plus worker supervision and
+  aggregated stats.  ``repro-audit serve --workers N`` (N ≥ 2) boots
+  this instead of the single-process daemon;
 * :mod:`repro.service.health` — the per-shard circuit breaker behind
   the fleet's graceful-degradation ladder (healthy → degraded →
   quarantined with half-open probing);
@@ -31,11 +33,11 @@ deployments front their engines with a query interface:
 
 Resilience: requests may carry a ``deadline_ms`` budget (expiry is a
 structured ``deadline-exceeded`` error and overrunning computations are
-abandoned, not leaked), both clients take a :class:`RetryPolicy`
-(seeded decorrelated-jitter backoff over retryable errors), and the
-fleet's shared coalescer rows are owner-liveness-checked and
-boot-namespaced so crashes and restarts never wedge followers or serve
-stale verdicts.
+abandoned, not leaked), and both clients take a :class:`RetryPolicy`
+(seeded decorrelated-jitter backoff over retryable errors).  Cached
+answers are keyed by the version of the state they describe, so a
+``live-audit`` answer is never served once a delta or a re-created
+session has replaced that state.
 
 Quick start::
 

@@ -1,34 +1,35 @@
 """The pre-forked sharded audit fleet: a router in front of worker processes.
 
-The PR 4 daemon (:class:`~repro.service.server.AuditServer`) runs every
-analysis on one interpreter, so exact-kernel and crit_D computations
-contend on one GIL no matter how many threads the pool holds.  This
-module scales the service with *cores* instead:
+The single-process daemon (:class:`~repro.service.server.AuditServer`)
+runs every analysis on one interpreter, so exact-kernel and crit_D
+computations contend on one GIL no matter how many threads the pool
+holds.  This module scales the service with *cores* instead:
 
 * **Workers** are pre-forked OS processes, each running the unmodified
   :class:`AuditServer` core on a private unix domain socket — its own
   session pool, kernel memos, result cache and thread pool, untouched by
   any other worker.
 
-* **The router** is a lightweight asyncio process that accepts the same
-  JSON-lines-over-TCP protocol clients already speak, computes the
-  request fingerprint (:func:`~repro.service.protocol.request_key` —
-  which embeds the (schema, dictionary, eval-engine, criticality-engine)
-  session fingerprint the server already derives) and routes each
-  request to a fixed shard by **rendezvous hashing**.  A given question
-  always lands on the same worker, so its session, kernel memos and
-  cached result live exactly once — zero cross-process cache churn.
-  (Hashing the full request fingerprint rather than the bare session
-  fingerprint is deliberate: whole workloads often share one schema and
-  dictionary, and session-only routing would pin them all to a single
-  shard.)
+* **The router** is the forwarding side of the shared request pipeline
+  (:mod:`repro.service.pipeline`): it accepts the same JSON-lines-over-
+  TCP protocol clients already speak, computes the request fingerprint
+  (:func:`~repro.service.protocol.request_key` — which embeds the
+  (schema, dictionary, eval-engine, criticality-engine) session
+  fingerprint the server already derives) and routes each request to a
+  fixed shard by **rendezvous hashing**.  A given question always lands
+  on the same worker, so its session, kernel memos and cached result
+  live exactly once — zero cross-process cache churn.  (Hashing the full
+  request fingerprint rather than the bare session fingerprint is
+  deliberate: whole workloads often share one schema and dictionary,
+  and session-only routing would pin them all to a single shard.)
 
-* **Fleet-wide coalescing**: a shared pending-request table
-  (:class:`~repro.service.coalesce.FleetCoalescer`, a small sqlite WAL
-  file keyed by the fingerprint) plus in-router subscription futures
-  guarantee that a burst of N identical requests arriving on different
-  connections costs exactly one computation across the whole fleet —
-  the other N−1 subscribe to the owner's result.
+* **Fleet-wide coalescing**: every request passes through the one
+  router, so its in-memory pipeline table
+  (:class:`~repro.service.coalesce.FleetCoalescer`) makes a burst of N
+  identical requests on different connections cost exactly one
+  computation across the whole fleet.  Live operations route by session
+  name to the worker holding the session and are never cached here:
+  only that worker sees the session's version (and its eviction).
 
 * **Fleet load shedding**: the router tracks per-shard queue depth
   (in-flight + waiting-for-a-pooled-connection) and answers with a
@@ -46,7 +47,7 @@ module scales the service with *cores* instead:
   from every worker's mergeable metrics snapshot
   (:func:`~repro.service.metrics.merge_snapshots` — true percentiles
   over the union of latency reservoirs, not averages), per-shard queue
-  depths, restart counts and the coalescer table state.
+  depths, restart counts and the router's table state.
 
 ``shutdown`` (or :meth:`FleetServer.stop`) drains: the listener closes,
 in-flight requests finish and are answered, then every worker is asked
@@ -67,45 +68,40 @@ import signal
 import tempfile
 import threading
 import time
-import uuid
 from collections import OrderedDict
-from typing import Any, Awaitable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ReproError
 from ..obs import (
     CONTENT_TYPE,
     TRACES,
     Span,
-    SlowLog,
     current_trace,
     merge_trace_snapshots,
     render_prometheus,
-    slow_log_from_env,
     span,
-    start_trace,
 )
-from ..obs import install_from_env as install_tracing_from_env
 from . import faults
-from .coalesce import DEFAULT_CLAIM_TTL, FleetCoalescer
+from .coalesce import DEFAULT_CACHE_SIZE, Core
 from .health import CircuitBreaker
-from .metrics import ServiceMetrics, merge_snapshots
+from .metrics import merge_snapshots
+from .pipeline import (
+    Overloaded,
+    RequestPipeline,
+    ServiceThread,
+    failure,
+    fingerprint,
+    pump,
+    run_service,
+)
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
-    ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
-    ERROR_OVERLOADED,
-    ERROR_PAYLOAD_TOO_LARGE,
     ERROR_WORKER_CRASHED,
-    OPERATIONS,
     PROTOCOL_VERSION,
     AuditRequest,
-    ProtocolError,
-    decode_message,
     encode_message,
-    error_response,
     ok_response,
-    parse_request,
-    request_key,
     routing_key,
 )
 
@@ -125,9 +121,6 @@ DEFAULT_WORKER_THREADS = 2
 
 #: Default number of recent distinct requests replayed to a restarted worker.
 DEFAULT_REWARM_REQUESTS = 8
-
-#: Default bound on fleet-wide cached results in the coalescer table.
-DEFAULT_FLEET_RESULT_CACHE = 1024
 
 #: The request id used for router-originated traffic to workers.
 _ROUTER_ID = "__fleet__"
@@ -170,12 +163,7 @@ def _fleet_worker_main(
 
     from .server import AuditServer
 
-    async def _amain() -> None:
-        server = AuditServer(path=socket_path, **options)
-        await server.start()
-        await server.serve_until_stopped()
-
-    asyncio.run(_amain())
+    run_service(AuditServer(path=socket_path, **options))
 
 
 class _Connection:
@@ -208,6 +196,7 @@ class _Shard:
         "warm",
         "breaker",
         "diverted",
+        "ready",
     )
 
     def __init__(self, index: int, path: str, breaker: CircuitBreaker):
@@ -227,9 +216,11 @@ class _Shard:
         self.breaker = breaker
         #: Requests this shard owned but lost to rerouting while quarantined.
         self.diverted = 0
+        #: Whether the current worker process accepts connections yet.
+        self.ready = False
 
 
-class FleetServer:
+class FleetServer(RequestPipeline):
     """The multi-worker audit service: router + pre-forked shard fleet.
 
     Parameters
@@ -249,18 +240,10 @@ class FleetServer:
         Pooled router→worker connections (each carries one request at a
         time, so this bounds per-worker concurrency).
     result_cache_size:
-        Bound on fleet-wide cached results (the coalescer table) *and*
-        each worker's own result cache.
+        Bound on the router's cached results *and* each worker's own
+        result cache.
     rewarm_requests:
         Recent distinct requests replayed to a restarted worker.
-    coalesce_path:
-        Path of the shared coalescer table (default: a file in the
-        fleet's private temp directory).  Point two boots at one path
-        and the boot-id namespace keeps their rows apart; stale rows
-        from dead boots are purged on start.
-    claim_ttl:
-        Seconds before a pending coalescer claim may be stolen by a
-        follower (owner-death reclamation is immediate regardless).
     breaker_options:
         :class:`~repro.service.health.CircuitBreaker` keyword arguments
         applied to every shard (``degrade_after``, ``quarantine_after``,
@@ -277,6 +260,13 @@ class FleetServer:
         (e.g. ``max_sessions``, ``session_cache_size``).
     """
 
+    root_span = "router.route"
+    hit_prefix = "fleet_"
+    #: The worker enforces the deadline itself; the router lets go of a
+    #: forward only once the worker has also missed this grace.
+    execute_grace = 0.5
+    counts_executions = False
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -286,11 +276,9 @@ class FleetServer:
         worker_threads: int = DEFAULT_WORKER_THREADS,
         shard_queue_limit: int = DEFAULT_SHARD_QUEUE_LIMIT,
         connections_per_worker: int = DEFAULT_CONNECTIONS_PER_WORKER,
-        result_cache_size: int = DEFAULT_FLEET_RESULT_CACHE,
+        result_cache_size: int = DEFAULT_CACHE_SIZE,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         rewarm_requests: int = DEFAULT_REWARM_REQUESTS,
-        coalesce_path: Optional[str] = None,
-        claim_ttl: float = DEFAULT_CLAIM_TTL,
         breaker_options: Optional[Mapping[str, Any]] = None,
         watchdog_seconds: Optional[float] = None,
         slow_ms: Optional[float] = None,
@@ -303,20 +291,20 @@ class FleetServer:
             raise ReproError("shard_queue_limit must be at least 1")
         if connections_per_worker < 1:
             raise ReproError("connections_per_worker must be at least 1")
-        self._host = host
-        self._port = port
+        super().__init__(
+            host,
+            port,
+            max_payload=max_payload,
+            stream_limit=max(4 * max_payload, 1 << 20),
+            result_cache_size=result_cache_size,
+            slow_ms=slow_ms,
+        )
         self._workers = workers or DEFAULT_FLEET_WORKERS
         self._shard_queue_limit = shard_queue_limit
         self._connections_per_worker = connections_per_worker
-        self._result_cache_size = max(0, result_cache_size)
-        self._max_payload = max_payload
         self._rewarm_requests = max(0, rewarm_requests)
-        self._coalesce_path = coalesce_path
-        self._claim_ttl = claim_ttl
         self._breaker_options = dict(breaker_options or {})
-        self._boot_id = ""
         self._diverted = 0
-        self._stream_limit = max(4 * max_payload, 1 << 20)
         method = start_method or os.environ.get("REPRO_FLEET_START_METHOD")
         if method is None and "fork" in multiprocessing.get_all_start_methods():
             method = "fork"
@@ -326,7 +314,7 @@ class FleetServer:
         self._worker_options: Dict[str, Any] = {
             "workers": worker_threads,
             "queue_limit": max(2 * connections_per_worker, 16),
-            "result_cache_size": self._result_cache_size,
+            "result_cache_size": result_cache_size,
             "max_payload": max_payload,
         }
         if watchdog_seconds is not None:
@@ -335,48 +323,20 @@ class FleetServer:
             self._worker_options["slow_ms"] = slow_ms
         if worker_options:
             self._worker_options.update(worker_options)
-        self._slow_ms = slow_ms
-        self._slow_log: SlowLog = SlowLog(slow_ms)
 
-        self._metrics = ServiceMetrics()
         self._shards: List[_Shard] = []
-        self._subscribers: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        #: live name -> fleet-cached ``live-audit`` fingerprints; each is
-        #: ``forget``-ten from the coalescer when a delta hits the session.
-        self._live_cached: Dict[str, set] = {}
         self._live_relays = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._stopping = False
-        self._active = 0
         self._rewarmed = 0
         self._directory: Optional[str] = None
-        self._coalescer: Optional[FleetCoalescer] = None
         self._supervisors: List[asyncio.Task] = []
-        self._connection_tasks: "set[asyncio.Task]" = set()
         self._started_at = time.time()
 
     # -- lifecycle ---------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Fork the workers, wait for them, bind the router socket."""
-        if self._server is not None:
-            raise ReproError("the fleet is already running")
+    async def _open_executor(self) -> None:
+        """Fork the workers, wait until they serve, start supervising."""
         if not hasattr(asyncio.get_running_loop(), "create_unix_connection"):
             raise ReproError("the worker fleet needs unix domain sockets")  # pragma: no cover
-        faults.install_from_env()
-        install_tracing_from_env()
-        self._slow_log = slow_log_from_env(self._slow_ms)
-        self._stopping = False
-        self._stop_event = asyncio.Event()
-        self._boot_id = uuid.uuid4().hex[:16]
         self._directory = tempfile.mkdtemp(prefix="repro-fleet-")
-        self._coalescer = FleetCoalescer(
-            self._coalesce_path or os.path.join(self._directory, "coalesce.db"),
-            owner=os.getpid(),
-            boot=self._boot_id,
-            cache_size=self._result_cache_size,
-            claim_ttl=self._claim_ttl,
-        )
         self._shards = [
             _Shard(
                 index,
@@ -385,100 +345,38 @@ class FleetServer:
             )
             for index in range(self._workers)
         ]
-        try:
-            await asyncio.gather(*(self._spawn(shard) for shard in self._shards))
-            await asyncio.gather(*(self._wait_ready(shard) for shard in self._shards))
-            try:
-                self._server = await asyncio.start_server(
-                    self._on_connection,
-                    self._host,
-                    self._port,
-                    limit=self._stream_limit,
-                )
-            except OSError as error:
-                import errno
-
-                if error.errno == errno.EADDRINUSE:
-                    raise ReproError(
-                        f"cannot bind {self._host}:{self._port}: address already in "
-                        "use (is another daemon running on this port?)"
-                    ) from error
-                raise ReproError(
-                    f"cannot bind {self._host}:{self._port}: {error.strerror or error}"
-                ) from error
-        except BaseException:
-            await self._halt_workers()
-            self._cleanup()
-            raise
+        await asyncio.gather(*(self._spawn(shard) for shard in self._shards))
+        await asyncio.gather(*(self._wait_ready(shard) for shard in self._shards))
         self._supervisors = [
             asyncio.get_running_loop().create_task(self._supervise(shard))
             for shard in self._shards
         ]
-        return self.address
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The router's bound ``(host, port)``."""
-        if self._server is None or not self._server.sockets:
-            raise ReproError("the fleet is not running")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    @property
-    def metrics(self) -> ServiceMetrics:
-        """The router-level metrics (shed / coalesced / cached / errors)."""
-        return self._metrics
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """Live worker process ids, by shard index."""
-        return [
-            shard.process.pid if shard.process is not None and shard.process.pid else -1
-            for shard in self._shards
-        ]
-
-    async def serve_until_stopped(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) arrives."""
-        if self._stop_event is None:
-            raise ReproError("call start() first")
-        await self._stop_event.wait()
-        await self.stop()
-
-    async def stop(self, drain_timeout: float = 60.0) -> None:
-        """Drain-then-stop: finish in-flight work, then stop the fleet."""
-        if self._stopping and self._server is None:
-            return
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Drain: every request already accepted is answered first.
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + drain_timeout
-        while self._active and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        await asyncio.sleep(0.05)  # let just-resolved subscribers flush
+    async def _close_executor(self) -> None:
+        """Stop supervising, halt every worker, remove the socket directory."""
+        self._stopping = True  # the supervisors must not restart anyone
         for task in self._supervisors:
             task.cancel()
         if self._supervisors:
             await asyncio.gather(*self._supervisors, return_exceptions=True)
         self._supervisors = []
-        await self._halt_workers()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        self._cleanup()
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    async def _halt_workers(self) -> None:
-        """Ask every worker to shut down; escalate to terminate/kill."""
+        # Ask every worker to shut down; each escalates to terminate/kill.
         await asyncio.gather(
-            *(self._stop_worker(shard) for shard in self._shards),
-            return_exceptions=True,
+            *(self._stop_worker(shard) for shard in self._shards), return_exceptions=True
         )
+        for shard in self._shards:
+            self._drain_pool(shard)
+        if self._directory is not None:
+            shutil.rmtree(self._directory, ignore_errors=True)
+            self._directory = None
+
+    @property
+    def worker_pids(self) -> List[int]:
+        """Serving worker process ids, by shard index (-1 while restarting)."""
+        return [
+            shard.process.pid if shard.ready and shard.process is not None else -1
+            for shard in self._shards
+        ]
 
     async def _stop_worker(self, shard: _Shard, timeout: float = 10.0) -> None:
         process = shard.process
@@ -500,17 +398,6 @@ class FleetServer:
                 await loop.run_in_executor(None, functools.partial(process.join, 5.0))
         else:
             await loop.run_in_executor(None, functools.partial(process.join, 1.0))
-        self._drain_pool(shard)
-
-    def _cleanup(self) -> None:
-        for shard in self._shards:
-            self._drain_pool(shard)
-        if self._coalescer is not None:
-            self._coalescer.close()
-            self._coalescer = None
-        if self._directory is not None:
-            shutil.rmtree(self._directory, ignore_errors=True)
-            self._directory = None
 
     # -- worker processes --------------------------------------------------------
     async def _spawn(self, shard: _Shard) -> None:
@@ -542,10 +429,8 @@ class FleetServer:
                     f"{process.exitcode} during startup"
                 )
             try:
-                reader, writer = await asyncio.open_unix_connection(
-                    shard.path, limit=self._stream_limit
-                )
-            except (FileNotFoundError, ConnectionRefusedError, OSError):
+                reader, writer = await self._connect(shard)
+            except OSError:
                 if loop.time() >= deadline:
                     raise ReproError(
                         f"fleet worker {shard.index} did not come up within {timeout}s"
@@ -554,6 +439,7 @@ class FleetServer:
                 continue
             shard.created += 1
             shard.pool.put_nowait(_Connection(reader, writer, shard.generation))
+            shard.ready = True
             return
 
     async def _supervise(self, shard: _Shard) -> None:
@@ -563,6 +449,7 @@ class FleetServer:
             if process is None:
                 return
             await self._wait_exit(process)
+            shard.ready = False
             if self._stopping:
                 return
             shard.restarts += 1
@@ -617,6 +504,10 @@ class FleetServer:
             self._rewarmed += 1
 
     # -- connection pool ---------------------------------------------------------
+    def _connect(self, shard: _Shard) -> Awaitable[Tuple[Any, Any]]:
+        """Open a fresh stream to a worker's socket (reader, writer)."""
+        return asyncio.open_unix_connection(shard.path, limit=self._stream_limit)
+
     async def _acquire(self, shard: _Shard) -> _Connection:
         while True:
             try:
@@ -625,9 +516,7 @@ class FleetServer:
                 if shard.created < self._connections_per_worker:
                     shard.created += 1
                     try:
-                        reader, writer = await asyncio.open_unix_connection(
-                            shard.path, limit=self._stream_limit
-                        )
+                        reader, writer = await self._connect(shard)
                     except Exception as error:
                         shard.created -= 1
                         raise ReproError(
@@ -721,92 +610,9 @@ class FleetServer:
                 return shard
         return primary
 
-    # -- the client-facing protocol ----------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._metrics.observe("unknown", "error")
-                    writer.write(
-                        encode_message(
-                            error_response(
-                                None,
-                                ERROR_PAYLOAD_TOO_LARGE,
-                                "request line exceeded the stream buffer; "
-                                "connection closed",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._handle_line(line)
-                dropped = False
-                for rule in faults.fire("server.respond", op=response.get("op")):
-                    if rule.action == "drop":
-                        dropped = True
-                    elif rule.action == "delay":
-                        await asyncio.sleep(rule.delay)
-                if dropped:
-                    # Simulate a connection lost mid-response: close
-                    # without answering (the client sees EOF and retries).
-                    break
-                relay = response.pop("_subscribe_relay", None)
-                writer.write(encode_message(response))
-                await writer.drain()
-                if relay is not None:
-                    # The connection is now a notification stream relayed
-                    # from the owning worker (dedicated, non-pooled).
-                    await self._relay_stream(relay, reader, writer)
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._connection_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        request_id = None
-        op = "unknown"
-        try:
-            document = decode_message(line, self._max_payload)
-            if isinstance(document, Mapping):
-                candidate = document.get("id")
-                if isinstance(candidate, (str, int, float)):
-                    request_id = candidate
-                named = document.get("op")
-                if isinstance(named, str) and named in OPERATIONS:
-                    op = named
-            request = parse_request(document)
-        except ProtocolError as error:
-            self._metrics.observe(op, "error")
-            return error_response(request_id, error.code, str(error))
-        if request.is_control:
-            return await self._handle_control(request)
-        self._active += 1
-        try:
-            if request.is_live:
-                return await self._handle_live(request, line)
-            return await self._handle_analysis(request, line)
-        finally:
-            self._active -= 1
-
-    async def _handle_control(self, request: AuditRequest) -> Dict[str, Any]:
+    # -- control operations -------------------------------------------------------
+    async def _control(self, request: AuditRequest) -> Dict[str, Any]:
         if request.op == "ping":
-            self._metrics.observe("ping", "computed")
             return ok_response(
                 request.id,
                 "ping",
@@ -823,387 +629,129 @@ class FleetServer:
         if request.op == "metrics":
             return await self._fleet_metrics(request)
         # shutdown: acknowledge, then drain-then-stop via serve_until_stopped.
-        self._metrics.observe("shutdown", "computed")
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self.request_stop()
         return ok_response(
             request.id, "shutdown", {"stopping": True, "workers": len(self._shards)}
         )
 
-    @staticmethod
-    async def _await_within(
-        awaitable: Awaitable[Any], deadline: Optional[float]
-    ) -> Any:
-        """Await (shielded) until ``deadline`` (perf_counter clock)."""
-        if deadline is None:
-            return await asyncio.shield(awaitable)
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            raise asyncio.TimeoutError
-        return await asyncio.wait_for(asyncio.shield(awaitable), timeout=remaining)
-
-    def _deadline_error(
-        self, request: AuditRequest, started: float, where: str
-    ) -> Dict[str, Any]:
-        elapsed = time.perf_counter() - started
-        self._metrics.observe(request.op, "deadline", elapsed)
-        return error_response(
-            request.id,
-            ERROR_DEADLINE_EXCEEDED,
-            f"deadline of {request.deadline_ms:g}ms exceeded {where}",
-        )
-
-    async def _handle_analysis(
-        self, request: AuditRequest, raw: bytes
-    ) -> Dict[str, Any]:
-        if not request.trace:
-            return await self._handle_analysis_core(request, raw)
-        # The router owns the distributed trace: its root covers routing,
-        # coalescer negotiation and the forward; the worker's own span
-        # tree (returned inline in the worker response) is grafted under
-        # the ``router.forward`` span before the tree goes back out.
-        spec = request.trace
-        trace_id = spec.get("id")
-        parent_id = spec.get("parent")
-        with start_trace(
-            "router.route",
-            trace_id=trace_id if isinstance(trace_id, str) else None,
-            parent_id=parent_id if isinstance(parent_id, str) else None,
-        ) as trace:
-            trace.root.set("op", request.op)
-            response = await self._handle_analysis_core(request, raw)
-        document = trace.to_dict()
-        TRACES.record(document)
-        self._slow_log.maybe_log(document, op=request.op)
-        server = response.get("server")
-        if isinstance(server, dict):
-            server["trace"] = document
-        return response
-
-    async def _handle_analysis_core(
-        self, request: AuditRequest, raw: bytes
-    ) -> Dict[str, Any]:
-        fingerprint = hashlib.sha256(request_key(request).encode("utf8")).hexdigest()
-        started = time.perf_counter()
-        deadline = (
-            started + request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else None
-        )
-        coalescer = self._coalescer
-        assert coalescer is not None
-
-        # 1. Subscribe to an identical in-flight computation (same router).
-        waiter = self._subscribers.get(fingerprint)
-        if waiter is not None:
-            try:
-                with span("coalesce.follow"):
-                    core = await self._await_within(waiter, deadline)
-            except asyncio.TimeoutError:
-                return self._deadline_error(
-                    request, started, "while awaiting a twin computation"
-                )
-            self._link_leader(core, "coalesced-leader")
-            elapsed = time.perf_counter() - started
-            self._metrics.observe(request.op, "coalesced", elapsed)
-            return self._respond(request, core, elapsed, fleet="coalesced")
-
-        # 2. Claim the fingerprint on the shared fleet table.
-        for _ in range(3):
-            if deadline is not None and time.perf_counter() >= deadline:
-                return self._deadline_error(
-                    request, started, "while negotiating the fleet coalescer"
-                )
-            with span("coalesce.claim"):
-                claimed = coalescer.claim(fingerprint)
-            if claimed is None:
-                break  # we own the computation
-            if claimed:
-                core = json.loads(claimed)
-                self._link_leader(core, "fleet-cache")
-                elapsed = time.perf_counter() - started
-                self._metrics.observe(request.op, "cached", elapsed)
-                return self._respond(request, core, elapsed, fleet="cached")
-            # Pending, but owned by a process without a local future (e.g.
-            # another router sharing the table, or an abandon race): wait
-            # for the row to resolve, then retry the claim.  A dead or
-            # over-TTL owner is reclaimed by claim() itself on the retry.
-            with span("coalesce.follow"):
-                core = await self._await_remote(
-                    coalescer, fingerprint, deadline=deadline
-                )
-            if core is not None:
-                self._link_leader(core, "coalesced-leader")
-                elapsed = time.perf_counter() - started
-                self._metrics.observe(request.op, "coalesced", elapsed)
-                return self._respond(request, core, elapsed, fleet="coalesced")
-        else:
-            claimed = None  # claim churn: compute without a table entry
-
-        # 2b. The budget may have been consumed waiting for the claim.
-        if deadline is not None and time.perf_counter() >= deadline:
-            coalescer.abandon(fingerprint)
-            return self._deadline_error(request, started, "in the router queue")
-
-        # 3. Route to the fingerprint's shard; shed when it is saturated.
-        shard = self._shard_for(fingerprint)
+    # -- the executor: forwarding to a shard --------------------------------------
+    def _admit(self, request: AuditRequest, key: Optional[str]) -> _Shard:
+        # Live operations route by session name (see routing_key).
+        route = key if key is not None else fingerprint(routing_key(request))
+        shard = self._shard_for(route)
         if shard.outstanding >= self._shard_queue_limit:
             fleet_saturated = all(
                 other.outstanding >= self._shard_queue_limit for other in self._shards
             )
-            coalescer.abandon(fingerprint)
             shard.shed += 1
-            self._metrics.observe(request.op, "shed")
             scope = "all shards are" if fleet_saturated else f"shard {shard.index} is"
-            return error_response(
-                request.id,
-                ERROR_OVERLOADED,
+            raise Overloaded(
                 f"{scope} saturated ({shard.outstanding} in flight, "
-                f"limit {self._shard_queue_limit}); retry later",
+                f"limit {self._shard_queue_limit}); retry later"
             )
+        return shard
 
-        # 4. Own the computation; twins subscribe to this future.  With a
-        # deadline, the forwarded copy carries only the *remaining*
-        # budget (the worker enforces it), and the router adds a small
-        # grace before abandoning the worker connection outright.
+    async def _execute(
+        self,
+        request: AuditRequest,
+        raw: bytes,
+        key: Optional[str],
+        shard: _Shard,
+        deadline: Optional[float],
+    ) -> Core:
+        if request.op == "subscribe":
+            return await self._subscribe_upstream(shard, raw)
+        # With a deadline, the forwarded copy carries only the *remaining*
+        # budget (the worker enforces it); with a trace, the context the
+        # worker opens its subtree under.
         trace = current_trace()
-        forward_raw = raw
-        warm_raw = raw
+        forward_raw = warm_raw = raw
         document: Optional[Dict[str, Any]] = None
         if deadline is not None or trace is not None:
-            document = request.to_document()
+            document = json.loads(raw)
             # Rewarm replays must be undeadlined and untraced: a restarted
             # worker warms its caches, it does not re-answer anyone.
             document.pop("trace", None)
+            document.pop("deadline_ms", None)
             warm_raw = encode_message(document)
             if deadline is not None:
                 remaining_ms = max(1.0, (deadline - time.perf_counter()) * 1000.0)
                 document["deadline_ms"] = round(remaining_ms, 3)
             forward_raw = encode_message(document)
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._subscribers[fingerprint] = future
-        try:
-            try:
-                for rule in faults.fire("router.forward", op=request.op):
-                    if rule.action == "delay":
-                        await asyncio.sleep(rule.delay)
-                    elif rule.action == "error":
-                        raise ReproError(
-                            rule.message or "injected fault at router.forward"
-                        )
-                forward_span: Optional[Span] = None
-                with span("router.forward") as fwd:
-                    if isinstance(fwd, Span):
-                        forward_span = fwd
-                        fwd.set("shard", shard.index)
-                    if trace is not None and document is not None:
-                        # Forward the trace context so the worker opens
-                        # its subtree under this very span.
-                        document["trace"] = {
-                            "id": trace.trace_id,
-                            "parent": forward_span.span_id if forward_span else None,
-                            "return": True,
-                        }
-                        forward_raw = encode_message(document)
-                    if deadline is not None:
-                        grace = max(0.0, deadline - time.perf_counter()) + 0.5
-                        response = await asyncio.wait_for(
-                            self._forward(shard, forward_raw), timeout=grace
-                        )
-                    else:
-                        response = await self._forward(shard, forward_raw)
-                shard.breaker.record_success()
-                core = {
-                    key: response[key]
-                    for key in ("ok", "op", "result", "error", "server")
-                    if key in response
+        for rule in faults.fire("router.forward", op=request.op):
+            if rule.action == "delay":
+                await asyncio.sleep(rule.delay)
+            elif rule.action == "error":
+                raise ReproError(rule.message or "injected fault at router.forward")
+        forward_span: Optional[Span] = None
+        with span("router.forward") as fwd:
+            if isinstance(fwd, Span):
+                forward_span = fwd
+                fwd.set("shard", shard.index)
+            if trace is not None and document is not None:
+                document["trace"] = {
+                    "id": trace.trace_id,
+                    "parent": forward_span.span_id if forward_span else None,
+                    "return": True,
                 }
-                core["shard"] = shard.index
-                worker_trace = None
-                server_doc = core.get("server")
-                if isinstance(server_doc, Mapping):
-                    server_doc = dict(server_doc)
-                    worker_trace = server_doc.pop("trace", None)
-                    core["server"] = server_doc
-                if trace is not None:
-                    # Stamped so coalesced twins and fleet-cache hits can
-                    # link to this computation's trace.
-                    core["trace_id"] = trace.trace_id
-                    if isinstance(worker_trace, Mapping):
-                        # The worker answers with a whole trace document;
-                        # its root span subtree is what grafts under the
-                        # forward span (links/dropped ride along as attrs).
-                        subtree = worker_trace.get("root")
-                        if isinstance(subtree, Mapping):
-                            subtree = dict(subtree)
-                            for extra in ("links", "dropped"):
-                                value = worker_trace.get(extra)
-                                if value:
-                                    attrs = dict(subtree.get("attrs") or {})
-                                    attrs[extra] = value
-                                    subtree["attrs"] = attrs
-                            trace.attach_child_doc(forward_span, subtree)
-            except asyncio.TimeoutError:
-                # The worker missed the deadline *and* the grace: the
-                # cancelled _forward discarded its connection, so the
-                # router-side slot is reclaimed even if the worker is
-                # wedged mid-computation.
-                shard.breaker.record_failure()
-                core = {
-                    "ok": False,
-                    "shard": shard.index,
-                    "error": {
-                        "code": ERROR_DEADLINE_EXCEEDED,
-                        "message": f"deadline of {request.deadline_ms:g}ms "
-                        f"exceeded awaiting worker {shard.index}",
-                    },
-                }
-            except ReproError as error:
-                shard.breaker.record_failure()
-                core = {
-                    "ok": False,
-                    "shard": shard.index,
-                    "error": {
-                        "code": ERROR_WORKER_CRASHED,
-                        "message": f"{error}; the request is safe to retry",
-                    },
-                }
-        finally:
-            self._subscribers.pop(fingerprint, None)
-            if not future.done():
-                future.set_result(core)
-        elapsed = time.perf_counter() - started
-        if core.get("ok"):
-            coalescer.publish(
-                fingerprint, json.dumps(core, separators=(",", ":"), default=str)
-            )
-            if self._rewarm_requests:
-                shard.warm[fingerprint] = warm_raw
-                shard.warm.move_to_end(fingerprint)
-                while len(shard.warm) > self._rewarm_requests:
-                    shard.warm.popitem(last=False)
-        else:
-            coalescer.abandon(fingerprint)
-            code = (core.get("error") or {}).get("code")
-            if code == ERROR_WORKER_CRASHED:
-                self._metrics.observe(request.op, "error", elapsed)
-            elif code == ERROR_DEADLINE_EXCEEDED:
-                self._metrics.observe(request.op, "deadline", elapsed)
-        return self._respond(request, core, elapsed)
+                forward_raw = encode_message(document)
+            response = await self._forward(shard, forward_raw)
+        shard.breaker.record_success()
+        core = self._core_of(shard, response)
+        worker_trace = core.get("server", {}).pop("trace", None)
+        if trace is not None and isinstance(worker_trace, Mapping):
+            # The worker answers with a whole trace document; its root
+            # span subtree is what grafts under the forward span
+            # (links/dropped ride along as attrs).
+            subtree = worker_trace.get("root")
+            if isinstance(subtree, Mapping):
+                subtree = dict(subtree)
+                for extra in ("links", "dropped"):
+                    value = worker_trace.get(extra)
+                    if value:
+                        subtree["attrs"] = {**(subtree.get("attrs") or {}), extra: value}
+                trace.attach_child_doc(forward_span, subtree)
+        if core.get("ok") and not request.is_live and self._rewarm_requests:
+            shard.warm[key] = warm_raw
+            shard.warm.move_to_end(key)
+            while len(shard.warm) > self._rewarm_requests:
+                shard.warm.popitem(last=False)
+        return core
 
-    # -- live audit sessions ------------------------------------------------------
-    async def _handle_live(self, request: AuditRequest, raw: bytes) -> Dict[str, Any]:
-        """Route one live operation to the shard owning its session.
-
-        Every operation of one live session shares a routing
-        fingerprint derived from the session *name*
-        (:func:`~repro.service.protocol.routing_key`), so creates,
-        deltas, audits and subscriptions all land on the worker holding
-        the warm incremental state.  Mutations bypass coalescing and
-        caching entirely; ``live-audit`` answers are published to the
-        fleet result table and **forgotten**
-        (:meth:`~repro.service.coalesce.FleetCoalescer.forget`) the
-        moment a delta lands on their session, so no router in the
-        fleet can serve a verdict for a database that no longer exists.
-        """
-        started = time.perf_counter()
-        name = request.live or ""
-        route_fp = hashlib.sha256(routing_key(request).encode("utf8")).hexdigest()
-        coalescer = self._coalescer
-        assert coalescer is not None
-
-        owns_claim = False
-        fingerprint: Optional[str] = None
-        if request.op == "live-audit":
-            fingerprint = hashlib.sha256(request_key(request).encode("utf8")).hexdigest()
-            with span("coalesce.claim"):
-                claimed = coalescer.claim(fingerprint)
-            if claimed:
-                core = json.loads(claimed)
-                self._link_leader(core, "fleet-cache")
-                elapsed = time.perf_counter() - started
-                self._metrics.observe(request.op, "cached", elapsed)
-                return self._respond(request, core, elapsed, fleet="cached")
-            # None → we own the row (publish/abandon below); "" → someone
-            # else is computing, but a snapshot is cheap and a delta may
-            # be racing the pending row — just compute our own copy.
-            owns_claim = claimed is None
-
-        shard = self._shard_for(route_fp)
-        if shard.outstanding >= self._shard_queue_limit:
-            if owns_claim and fingerprint is not None:
-                coalescer.abandon(fingerprint)
-            shard.shed += 1
-            self._metrics.observe(request.op, "shed")
-            return error_response(
-                request.id,
-                ERROR_OVERLOADED,
-                f"shard {shard.index} is saturated ({shard.outstanding} in flight, "
-                f"limit {self._shard_queue_limit}); retry later",
-            )
-
-        if request.op == "subscribe":
-            return await self._subscribe_upstream(shard, request, raw)
-
-        try:
-            with span("router.forward") as fwd:
-                if isinstance(fwd, Span):
-                    fwd.set("shard", shard.index)
-                response = await self._forward(shard, raw)
-            shard.breaker.record_success()
-        except ReproError as error:
-            shard.breaker.record_failure()
-            if owns_claim and fingerprint is not None:
-                coalescer.abandon(fingerprint)
-            elapsed = time.perf_counter() - started
-            self._metrics.observe(request.op, "error", elapsed)
-            if request.is_live_mutation:
-                # A lost delta is NOT safe to retry blindly: the worker
-                # may have applied it before crashing, and the restarted
-                # worker has lost the session either way.
-                return error_response(
-                    request.id,
-                    ERROR_WORKER_CRASHED,
-                    f"{error}; the live session {name!r} must be recreated",
-                    retryable=False,
-                )
-            return error_response(
-                request.id,
-                ERROR_WORKER_CRASHED,
-                f"{error}; the request is safe to retry",
-            )
-
-        core = {
-            key: response[key]
-            for key in ("ok", "op", "result", "error", "server")
-            if key in response
-        }
+    @staticmethod
+    def _core_of(shard: _Shard, response: Mapping[str, Any]) -> Core:
+        """A worker response as a core tagged with its shard."""
+        core = {key: response[key] for key in ("ok", "result", "error") if key in response}
+        server = response.get("server")
+        if isinstance(server, Mapping):
+            core["server"] = dict(server)
         core["shard"] = shard.index
-        elapsed = time.perf_counter() - started
-        if core.get("ok"):
-            if request.op == "live-audit" and fingerprint is not None:
-                if owns_claim:
-                    coalescer.publish(
-                        fingerprint,
-                        json.dumps(core, separators=(",", ":"), default=str),
-                    )
-                self._live_cached.setdefault(name, set()).add(fingerprint)
-            elif request.op == "apply-delta":
-                # Fleet-wide cache invalidation: drop every live-audit
-                # answer this delta just made stale.
-                for stale in self._live_cached.pop(name, ()):
-                    coalescer.forget(stale)
-            self._metrics.observe(request.op, "computed", elapsed)
-        else:
-            if owns_claim and fingerprint is not None:
-                coalescer.abandon(fingerprint)
-            self._metrics.observe(request.op, "error", elapsed)
-        return self._respond(request, core, elapsed)
+        return core
 
-    async def _subscribe_upstream(
-        self, shard: _Shard, request: AuditRequest, raw: bytes
-    ) -> Dict[str, Any]:
+    def _abandon(self, key: Optional[str], work: "asyncio.Future[Core]", shard: _Shard) -> str:
+        # The worker missed the deadline *and* the grace: cancelling the
+        # forward discards its connection, so the router-side slot is
+        # reclaimed even if the worker is wedged mid-computation.
+        work.cancel()
+        shard.breaker.record_failure()
+        return f"awaiting worker {shard.index}"
+
+    def _failure_of(self, request: AuditRequest, shard: _Shard, error: Exception) -> Core:
+        if not isinstance(error, ReproError):
+            return failure(ERROR_INTERNAL, f"{type(error).__name__}: {error}")
+        shard.breaker.record_failure()
+        if request.is_live_mutation:
+            # A lost delta is NOT safe to retry blindly: the worker may
+            # have applied it before crashing, and the restarted worker
+            # has lost the session either way.
+            return failure(
+                ERROR_WORKER_CRASHED,
+                f"{error}; the live session {request.live!r} must be recreated",
+                retryable=False,
+            )
+        return failure(ERROR_WORKER_CRASHED, f"{error}; the request is safe to retry")
+
+    async def _subscribe_upstream(self, shard: _Shard, raw: bytes) -> Core:
         """Open a dedicated worker connection for a notification stream.
 
         Pooled connections are strictly one-line-in-one-line-out; a
@@ -1211,182 +759,60 @@ class FleetServer:
         upstream connection for as long as the client stays.
         """
         try:
-            reader, writer = await asyncio.open_unix_connection(
-                shard.path, limit=self._stream_limit
-            )
-        except Exception as error:
-            self._metrics.observe("subscribe", "error")
-            return error_response(
-                request.id,
-                ERROR_WORKER_CRASHED,
-                f"cannot reach worker {shard.index}: {error}; retry later",
-            )
+            reader, writer = await self._connect(shard)
+        except OSError as error:
+            raise ReproError(f"cannot reach worker {shard.index}: {error}") from error
         try:
             writer.write(raw)
             await writer.drain()
             line = await asyncio.wait_for(reader.readline(), timeout=30.0)
             if not line:
                 raise ReproError(f"worker {shard.index} closed the connection")
-            response = json.loads(line)
-        except Exception as error:
-            with contextlib.suppress(Exception):
-                writer.close()
-            self._metrics.observe("subscribe", "error")
-            return error_response(
-                request.id,
-                ERROR_WORKER_CRASHED,
-                f"subscribe failed on worker {shard.index}: {error}",
-            )
-        if not response.get("ok"):
-            with contextlib.suppress(Exception):
-                writer.close()
-            self._metrics.observe("subscribe", "error")
-            return response
+            core = self._core_of(shard, json.loads(line))
+        except (OSError, ValueError, asyncio.TimeoutError, ReproError) as error:
+            writer.close()
+            raise ReproError(f"subscribe failed on worker {shard.index}: {error}") from error
+        if not core.get("ok"):
+            writer.close()
+            return core
         shard.forwarded += 1
-        self._metrics.observe("subscribe", "computed")
-        server_doc = response.get("server")
-        if isinstance(server_doc, dict):
-            server_doc["shard"] = shard.index
-        response["_subscribe_relay"] = (reader, writer)
-        return response
+        core["stream"] = (functools.partial(self._relay, reader, writer), writer.close)
+        return core
 
-    async def _relay_stream(
+    async def _relay(
         self,
-        relay: Tuple[asyncio.StreamReader, asyncio.StreamWriter],
-        client_reader: asyncio.StreamReader,
-        client_writer: asyncio.StreamWriter,
+        upstream: asyncio.StreamReader,
+        upstream_writer: asyncio.StreamWriter,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
-        """Pump worker notification lines to the client until either side ends."""
-        worker_reader, worker_writer = relay
+        """Pump a worker's notification lines to the subscribed client."""
         self._live_relays += 1
-        eof = asyncio.ensure_future(client_reader.read(1))
-        getter: Optional["asyncio.Future"] = None
         try:
-            while True:
-                getter = asyncio.ensure_future(worker_reader.readline())
-                done, _ = await asyncio.wait(
-                    {getter, eof}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if eof in done:
-                    break
-                line = getter.result()
-                getter = None
-                if not line:  # the worker died or was restarted
-                    break
-                client_writer.write(line)
-                await client_writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            await pump(upstream.readline, reader, writer)
         finally:
             self._live_relays -= 1
-            eof.cancel()
-            if getter is not None:
-                getter.cancel()
-            with contextlib.suppress(Exception):
-                worker_writer.close()
-
-    async def _await_remote(
-        self,
-        coalescer: FleetCoalescer,
-        fingerprint: str,
-        timeout: float = 120.0,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Poll a pending row owned by another process until it resolves.
-
-        Returns ``None`` when the row went away (the caller retries its
-        claim) or the budget ran out (the caller's expiry check fires).
-        """
-        loop = asyncio.get_running_loop()
-        stop = loop.time() + timeout
-        if deadline is not None:
-            stop = min(stop, loop.time() + max(0.0, deadline - time.perf_counter()))
-        while loop.time() < stop:
-            await asyncio.sleep(0.01)
-            waiter = self._subscribers.get(fingerprint)
-            if waiter is not None:
-                try:
-                    return await self._await_within(waiter, deadline)
-                except asyncio.TimeoutError:
-                    return None
-            published = coalescer.lookup(fingerprint)
-            if published is not None:
-                return json.loads(published)
-            if coalescer.claim(fingerprint) is None:
-                # The owner abandoned; we inherited the claim.
-                coalescer.abandon(fingerprint)
-                return None
-            # Our claim attempt re-coalesced (row still pending): keep waiting.
-        return None
-
-    @staticmethod
-    def _link_leader(core: Mapping[str, Any], relation: str) -> None:
-        """Record, on a follower's trace, a link to the leader's trace."""
-        trace = current_trace()
-        if trace is None:
-            return
-        leader = core.get("trace_id")
-        if isinstance(leader, str) and leader != trace.trace_id:
-            trace.link(leader, relation)
-
-    def _respond(
-        self,
-        request: AuditRequest,
-        core: Mapping[str, Any],
-        elapsed: float,
-        *,
-        fleet: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        shard = core.get("shard")
-        if not core.get("ok"):
-            error_doc = core.get("error") or {}
-            return error_response(
-                request.id,
-                error_doc.get("code", ERROR_INTERNAL),
-                error_doc.get("message", "unknown fleet error"),
-            )
-        server: Dict[str, Any] = dict(core.get("server") or {})
-        if fleet == "coalesced":
-            server["coalesced"] = True
-            server["fleet_coalesced"] = True
-        elif fleet == "cached":
-            server["cached"] = True
-            server["fleet_cached"] = True
-        if shard is not None:
-            server["shard"] = shard
-        server["elapsed_ms"] = round(elapsed * 1000.0, 3)
-        return {
-            "id": request.id,
-            "ok": True,
-            "op": request.op,
-            "result": core.get("result"),
-            "server": server,
-        }
+            upstream_writer.close()
 
     # -- fleet stats -------------------------------------------------------------
-    async def _worker_control(
-        self, shard: _Shard, op: str, options: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        document: Dict[str, Any] = {"id": _ROUTER_ID, "op": op}
-        if options:
-            document["options"] = options
-        response = await asyncio.wait_for(
-            self._forward(shard, encode_message(document)), timeout=15.0
-        )
-        if not response.get("ok"):
-            raise ReproError(f"worker {shard.index} {op} failed: {response!r}")
-        return response.get("result") or {}
+    async def _ask_workers(self, op: str, **options: Any) -> List[Any]:
+        """One control operation on every worker: each result or exception."""
 
-    async def _worker_stats(self, shard: _Shard) -> Dict[str, Any]:
-        return await self._worker_control(shard, "stats", {"mergeable": True})
+        async def ask(shard: _Shard) -> Dict[str, Any]:
+            document = {"id": _ROUTER_ID, "op": op, "options": options}
+            response = await asyncio.wait_for(
+                self._forward(shard, encode_message(document)), timeout=15.0
+            )
+            if not response.get("ok"):
+                raise ReproError(f"worker {shard.index} {op} failed: {response!r}")
+            return response.get("result") or {}
+
+        return await asyncio.gather(
+            *(ask(shard) for shard in self._shards), return_exceptions=True
+        )
 
     async def _fleet_stats(self, request: AuditRequest) -> Dict[str, Any]:
-        self._metrics.observe("stats", "computed")
-        payloads = await asyncio.gather(
-            *(self._worker_stats(shard) for shard in self._shards),
-            return_exceptions=True,
-        )
+        payloads = await self._ask_workers("stats", mergeable=True)
         mergeables = [self._metrics.mergeable_snapshot()]
         shards_doc = []
         for shard, payload in zip(self._shards, payloads):
@@ -1431,22 +857,17 @@ class FleetServer:
                 mergeables.append(None)
             shards_doc.append(entry)
         merged = merge_snapshots(mergeables)
-        coalescer = self._coalescer
         merged["fleet"] = {
             "workers": len(self._shards),
             "routing": "rendezvous/request-fingerprint",
-            "boot_id": self._boot_id,
             "shard_queue_limit": self._shard_queue_limit,
             "connections_per_worker": self._connections_per_worker,
             "active_requests": self._active,
             "rewarmed": self._rewarmed,
             "diverted": self._diverted,
             "live_relays": self._live_relays,
-            "live_cached_fingerprints": sum(
-                len(keys) for keys in self._live_cached.values()
-            ),
             "uptime_seconds": round(time.time() - self._started_at, 3),
-            "coalescer": coalescer.stats() if coalescer is not None else None,
+            "coalescer": self._table.stats(),
             "shards": shards_doc,
         }
         fault_stats = faults.stats()
@@ -1456,11 +877,7 @@ class FleetServer:
 
     async def _fleet_traces(self, request: AuditRequest) -> Dict[str, Any]:
         """Merge every worker's trace-buffer snapshot with the router's."""
-        self._metrics.observe("traces", "computed")
-        payloads = await asyncio.gather(
-            *(self._worker_control(shard, "traces") for shard in self._shards),
-            return_exceptions=True,
-        )
+        payloads = await self._ask_workers("traces")
         parts: List[Any] = [TRACES.snapshot()]
         parts.extend(
             payload if isinstance(payload, Mapping) else None for payload in payloads
@@ -1471,14 +888,7 @@ class FleetServer:
 
     async def _fleet_metrics(self, request: AuditRequest) -> Dict[str, Any]:
         """One Prometheus exposition over router + every worker's counters."""
-        self._metrics.observe("metrics", "computed")
-        payloads = await asyncio.gather(
-            *(
-                self._worker_control(shard, "metrics", {"mergeable": True})
-                for shard in self._shards
-            ),
-            return_exceptions=True,
-        )
+        payloads = await self._ask_workers("metrics", mergeable=True)
         mergeables: List[Any] = [self._metrics.mergeable_snapshot()]
         gauges: Dict[str, Any] = {
             "fleet_workers": len(self._shards),
@@ -1505,33 +915,12 @@ class FleetServer:
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
-def run_fleet(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    *,
-    announce=None,
-    **fleet_options,
-) -> None:
+def run_fleet(host: str = "127.0.0.1", port: int = 8765, *, announce=None, **options) -> None:
     """Run a fleet until ``shutdown`` / Ctrl-C (the CLI entry point)."""
-
-    async def _amain() -> None:
-        fleet = FleetServer(host, port, **fleet_options)
-        bound = await fleet.start()
-        if announce is not None:
-            announce(bound)
-        try:
-            await fleet.serve_until_stopped()
-        except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
-            await fleet.stop()
-            raise
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+    run_service(FleetServer(host, port, **options), announce)
 
 
-class FleetThread:
+class FleetThread(ServiceThread):
     """A fleet running on a background thread (tests, benchmarks, demos).
 
     Usage::
@@ -1540,74 +929,11 @@ class FleetThread:
             client = AuditServiceClient(*fleet.address)
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, **fleet_options):
-        self._fleet = FleetServer(host, port, **fleet_options)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._address: Optional[Tuple[str, int]] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The router's bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._address is None:
-            raise ReproError("the fleet thread is not running")
-        return self._address
+    factory = FleetServer
+    start_timeout = 120.0
+    thread_name = "repro-fleet-router"
 
     @property
     def fleet(self) -> FleetServer:
         """The wrapped :class:`FleetServer` (e.g. for ``worker_pids``)."""
-        return self._fleet
-
-    def start(self) -> "FleetThread":
-        """Boot the router loop thread and wait until the fleet listens."""
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def _main() -> None:
-                try:
-                    self._address = await self._fleet.start()
-                except BaseException as error:
-                    self._error = error
-                    self._started.set()
-                    return
-                self._started.set()
-                await self._fleet.serve_until_stopped()
-
-            try:
-                loop.run_until_complete(_main())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(target=_run, name="repro-fleet-router", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=120)
-        if self._error is not None:
-            raise ReproError(f"the fleet failed to start: {self._error}")
-        if self._address is None:
-            raise ReproError("the fleet did not come up within 120s")
-        return self
-
-    def stop(self, timeout: float = 60) -> None:
-        """Request a drain-then-stop and join the router thread."""
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(
-                    lambda: self._fleet._stop_event is not None
-                    and self._fleet._stop_event.set()
-                )
-            except RuntimeError:
-                pass  # the loop already stopped (e.g. a client sent shutdown)
-            thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> "FleetThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self._service

@@ -32,7 +32,7 @@ held by the server (the ``live`` field carries the name):
 * ``apply-delta`` — add/remove facts and publish/retract views, get the
   incremental re-verdict notification back;
 * ``live-audit`` — the current verdict snapshot (cacheable: the server
-  invalidates the cached result when a delta lands);
+  holding the session caches it under the session's version);
 * ``subscribe`` — dedicate this connection to the session's
   notification stream: after the acknowledgement, every subsequent
   line pushed by the server is the notification of one mutation.
@@ -236,44 +236,6 @@ class AuditRequest:
     def is_live_mutation(self) -> bool:
         """True for live operations that change server-side state."""
         return self.op in LIVE_MUTATION_OPERATIONS
-
-    def to_document(self) -> Dict[str, Any]:
-        """The request as a wire document (round-trips through
-        :func:`parse_request` with an identical :func:`request_key`).
-
-        The fleet router uses this to rewrite ``deadline_ms`` to the
-        *remaining* budget before forwarding to a worker.
-        """
-        document: Dict[str, Any] = {"op": self.op, "id": self.id}
-        for key in (
-            "schema",
-            "secret",
-            "views",
-            "secrets",
-            "dictionary",
-            "knowledge",
-            "live",
-            "facts",
-            "add",
-            "remove",
-            "publish",
-            "retract",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                document[key] = value
-        document["engine"] = self.engine
-        if self.criticality_engine is not None:
-            document["criticality_engine"] = self.criticality_engine
-        if self.eval_engine is not None:
-            document["eval_engine"] = self.eval_engine
-        if self.options:
-            document["options"] = dict(self.options)
-        if self.deadline_ms is not None:
-            document["deadline_ms"] = self.deadline_ms
-        if self.trace is not None:
-            document["trace"] = dict(self.trace)
-        return document
 
 
 def _require(document: Mapping[str, Any], key: str, op: str) -> Any:
@@ -682,15 +644,10 @@ def ok_response(
     request_id: RequestId,
     op: str,
     result: Mapping[str, Any],
-    *,
-    coalesced: bool = False,
-    cached: bool = False,
-    elapsed_ms: Optional[float] = None,
+    server: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """A success envelope."""
-    server: Dict[str, Any] = {"coalesced": coalesced, "cached": cached}
-    if elapsed_ms is not None:
-        server["elapsed_ms"] = round(elapsed_ms, 3)
+    """A success envelope; ``server`` adds to the serving tier's flags."""
+    server = {"coalesced": False, "cached": False, **(server or {})}
     return {"id": request_id, "ok": True, "op": op, "result": result, "server": server}
 
 

@@ -2,10 +2,10 @@
 
 Architecture
 ------------
-The event loop owns all bookkeeping — the session pool, the in-flight
-table, the result cache and the pending counter — so none of it needs a
-lock; only the analyses themselves leave the loop, onto a bounded
-:class:`~concurrent.futures.ThreadPoolExecutor`.  Three mechanisms keep
+The event loop owns all bookkeeping — the session pool, the live
+sessions and the request pipeline's table (:mod:`repro.service.pipeline`)
+— so none of it needs a lock; only the analyses leave the loop, onto a
+bounded :class:`~concurrent.futures.ThreadPoolExecutor`.  Three mechanisms keep
 the daemon healthy under heavy, repetitive traffic:
 
 * **Session sharing.**  Requests are fingerprinted on (schema document,
@@ -35,34 +35,28 @@ session analyses are otherwise read-only over immutable queries.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import contextvars
-import errno
 import functools
 import hashlib
+import itertools
 import os
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..audit.auditor import SecurityAuditor
 from ..exceptions import ReproError
 from ..obs import (
     CONTENT_TYPE,
     TRACES,
-    SlowLog,
     current_trace,
     record_span,
     render_prometheus,
-    slow_log_from_env,
     span,
-    start_trace,
     tracing_enabled,
 )
-from ..obs import install_from_env as install_tracing_from_env
 from . import faults
 from ..io import dictionary_from_dict, schema_from_dict
 from ..session import (
@@ -80,25 +74,25 @@ from ..session.results import (
     PlanAuditResult,
     VerificationResult,
 )
-from .metrics import ServiceMetrics
+from .coalesce import DEFAULT_CACHE_SIZE, Core
+from .pipeline import (
+    Overloaded,
+    RequestPipeline,
+    ServiceThread,
+    failure,
+    pump,
+    run_service,
+)
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
     ERROR_ANALYSIS,
-    ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
-    ERROR_OVERLOADED,
-    ERROR_PAYLOAD_TOO_LARGE,
-    OPERATIONS,
     PROTOCOL_VERSION,
     AuditRequest,
     ProtocolError,
-    decode_message,
     encode_message,
-    error_response,
     knowledge_from_dict,
     ok_response,
-    parse_request,
-    request_key,
     session_key,
 )
 
@@ -109,9 +103,6 @@ DEFAULT_QUEUE_LIMIT = 64
 
 #: Default number of shared sessions kept (LRU).
 DEFAULT_MAX_SESSIONS = 32
-
-#: Default number of completed request payloads memoized (LRU).
-DEFAULT_RESULT_CACHE = 1024
 
 #: Default number of live audit sessions kept (LRU; oldest is dropped).
 DEFAULT_MAX_LIVE = 32
@@ -126,6 +117,13 @@ def _fraction_fields(value: Optional[Fraction]) -> Dict[str, Any]:
 def _cache_delta(result: AnalysisResult) -> Dict[str, int]:
     used = result.cache_used
     return {"hits": used.hits, "misses": used.misses, "evictions": used.evictions}
+
+
+def _schema_and_dictionary(request: AuditRequest) -> Tuple[Any, Any]:
+    """A request's schema and dictionary (a ``dictionary`` override wins)."""
+    schema = schema_from_dict(request.schema)
+    source = request.dictionary if request.dictionary is not None else request.schema
+    return schema, dictionary_from_dict(source, schema)
 
 
 def result_payload(result: AnalysisResult) -> Dict[str, Any]:
@@ -180,7 +178,7 @@ def result_payload(result: AnalysisResult) -> Dict[str, Any]:
     return payload
 
 
-class AuditServer:
+class AuditServer(RequestPipeline):
     """The JSON-lines-over-TCP audit daemon.
 
     Parameters
@@ -217,6 +215,8 @@ class AuditServer:
         get a ``deadline-exceeded`` error, and if the stray thread
         eventually finishes its result still lands in the result cache
         so the work is not wasted.
+    max_live:
+        Live sessions kept (LRU; the oldest is dropped).
     """
 
     def __init__(
@@ -228,7 +228,7 @@ class AuditServer:
         workers: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
-        result_cache_size: int = DEFAULT_RESULT_CACHE,
+        result_cache_size: int = DEFAULT_CACHE_SIZE,
         session_cache_size: int = 512,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         watchdog_seconds: Optional[float] = None,
@@ -237,217 +237,52 @@ class AuditServer:
     ):
         if queue_limit < 1:
             raise ReproError("queue_limit must be at least 1")
-        if watchdog_seconds is not None and watchdog_seconds <= 0:
-            raise ReproError("watchdog_seconds must be positive (or None)")
-        self._host = host
-        self._port = port
-        self._path = path
+        super().__init__(
+            host,
+            port,
+            max_payload=max_payload,
+            # Above max_payload, so an oversized-but-bounded line is
+            # still read whole and answered with a structured error.
+            stream_limit=max(2 * max_payload, 1 << 16),
+            result_cache_size=result_cache_size,
+            slow_ms=slow_ms,
+            watchdog_seconds=watchdog_seconds,
+            path=path,
+        )
         self._workers = workers or min(8, os.cpu_count() or 1)
         self._queue_limit = queue_limit
         self._max_sessions = max(1, max_sessions)
-        self._result_cache_size = max(0, result_cache_size)
         self._session_cache_size = session_cache_size
-        self._max_payload = max_payload
-        self._watchdog_seconds = watchdog_seconds
-        self._slow_ms = slow_ms
-        self._slow_log: SlowLog = SlowLog(slow_ms)
         self._abandoned_total = 0
         self._abandoned_running = 0
-        self._metrics = ServiceMetrics()
         self._sessions: "OrderedDict[str, AnalysisSession]" = OrderedDict()
-        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._max_live = max(1, max_live)
-        self._live: "OrderedDict[str, LiveAuditSession]" = OrderedDict()
+        #: live name -> (incarnation id, session); the id versions the
+        #: session's cached answers across re-creation under one name.
+        self._live: "OrderedDict[str, Tuple[int, LiveAuditSession]]" = OrderedDict()
+        self._incarnations = itertools.count(1)
         #: live name -> subscriber notification queues (loop thread only).
         self._live_subscribers: Dict[str, list] = {}
-        #: live name -> result-cache keys its ``live-audit`` answers occupy;
-        #: popped (cache invalidation) whenever a delta lands on the session.
-        self._live_result_keys: Dict[str, set] = {}
-        self._pending = 0
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._connections = 0
-        self._connection_tasks: "set[asyncio.Task]" = set()
 
     # -- lifecycle ---------------------------------------------------------------
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start accepting connections; returns the bound address."""
-        if self._server is not None:
-            raise ReproError("the server is already running")
-        faults.install_from_env()
-        install_tracing_from_env()
-        self._slow_log = slow_log_from_env(self._slow_ms)
-        self._stop_event = asyncio.Event()
+    async def _open_executor(self) -> None:
         self._executor = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="repro-audit"
         )
-        # The stream limit sits above max_payload so an oversized-but-bounded
-        # line is still read whole and answered with a structured error.
-        limit = max(2 * self._max_payload, 1 << 16)
-        try:
-            if self._path is not None:
-                self._server = await asyncio.start_unix_server(
-                    self._on_connection, path=self._path, limit=limit
-                )
-            else:
-                self._server = await asyncio.start_server(
-                    self._on_connection, self._host, self._port, limit=limit
-                )
-        except OSError as error:
-            self._executor.shutdown(wait=False)
-            self._executor = None
-            where = self._path if self._path is not None else f"{self._host}:{self._port}"
-            if error.errno == errno.EADDRINUSE:
-                raise ReproError(
-                    f"cannot bind {where}: address already in use "
-                    "(is another daemon running on this port?)"
-                ) from error
-            raise ReproError(
-                f"cannot bind {where}: {error.strerror or error}"
-            ) from error
-        return self.address
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — or ``(path, 0)`` on a unix socket."""
-        if self._server is None or not self._server.sockets:
-            raise ReproError("the server is not running")
-        if self._path is not None:
-            return self._path, 0
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    @property
-    def metrics(self) -> ServiceMetrics:
-        """The live metrics object."""
-        return self._metrics
-
-    async def serve_until_stopped(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) arrives."""
-        if self._stop_event is None:
-            raise ReproError("call start() first")
-        await self._stop_event.wait()
-        await self.stop()
-
-    async def stop(self) -> None:
-        """Stop accepting, drain pending work, release the worker pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Let in-flight analyses finish so clients waiting on coalesced
-        # futures are answered before the pool disappears.
-        while self._pending:
-            await asyncio.sleep(0.01)
-        # Then drop connections idling in readline().
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+    async def _close_executor(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._stop_event is not None:
-            self._stop_event.set()
 
-    # -- connection handling ------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line overran the stream buffer: the framing is
-                    # lost, so answer once and drop only this connection.
-                    self._metrics.observe("unknown", "error")
-                    writer.write(
-                        encode_message(
-                            error_response(
-                                None,
-                                ERROR_PAYLOAD_TOO_LARGE,
-                                "request line exceeded the stream buffer; "
-                                "connection closed",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._handle_line(line)
-                dropped = False
-                for rule in faults.fire("server.respond", op=response.get("op")):
-                    if rule.action == "drop":
-                        dropped = True
-                    elif rule.action == "delay":
-                        await asyncio.sleep(rule.delay)
-                if dropped:
-                    # Simulate a connection lost mid-response: close
-                    # without answering (the client sees EOF and retries).
-                    break
-                subscribed = response.pop("_subscribe_live", None)
-                writer.write(encode_message(response))
-                await writer.drain()
-                if subscribed is not None:
-                    # The connection now belongs to the notification
-                    # stream: every further line we write is one
-                    # mutation's re-verdict document.
-                    await self._stream_notifications(subscribed, reader, writer)
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client vanished
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown; fall through to close the transport
-        finally:
-            self._connections -= 1
-            if task is not None:
-                self._connection_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        request_id = None
-        op = "unknown"
-        try:
-            document = decode_message(line, self._max_payload)
-            if isinstance(document, Mapping):
-                candidate = document.get("id")
-                if isinstance(candidate, (str, int, float)):
-                    request_id = candidate
-                # Attribute envelope errors to the named operation so the
-                # per-op error counters stay meaningful.  The op may be
-                # any JSON value here (an unhashable one must not kill
-                # the connection); parse_request rejects non-strings.
-                named = document.get("op")
-                if isinstance(named, str) and named in OPERATIONS:
-                    op = named
-            request = parse_request(document)
-        except ProtocolError as error:
-            self._metrics.observe(op, "error")
-            return error_response(request_id, error.code, str(error))
-        if request.is_control:
-            return self._handle_control(request)
-        if request.is_live:
-            return await self._handle_live(request)
-        return await self._handle_analysis(request)
-
-    def _handle_control(self, request: AuditRequest) -> Dict[str, Any]:
+    # -- control operations -------------------------------------------------------
+    async def _control(self, request: AuditRequest) -> Dict[str, Any]:
         if request.op == "ping":
-            self._metrics.observe("ping", "computed")
             return ok_response(
                 request.id, "ping", {"pong": True, "version": PROTOCOL_VERSION}
             )
         if request.op == "stats":
-            self._metrics.observe("stats", "computed")
             payload = self._stats_payload()
             if request.options.get("mergeable"):
                 # The raw counters + latency reservoirs, so a fleet router
@@ -456,27 +291,21 @@ class AuditServer:
                 payload["mergeable"] = self._metrics.mergeable_snapshot()
             return ok_response(request.id, "stats", payload)
         if request.op == "traces":
-            self._metrics.observe("traces", "computed")
             return ok_response(request.id, "traces", TRACES.snapshot())
         if request.op == "metrics":
-            self._metrics.observe("metrics", "computed")
             if request.options.get("mergeable"):
                 # The fleet router merges per-worker parts and renders once.
-                payload: Dict[str, Any] = {
+                payload = {
                     "mergeable": self._metrics.mergeable_snapshot(),
                     "gauges": self._gauges(),
                 }
             else:
-                merged = self._metrics.snapshot()
                 payload = {
                     "content_type": CONTENT_TYPE,
-                    "text": render_prometheus(merged, self._gauges()),
+                    "text": render_prometheus(self._metrics.snapshot(), self._gauges()),
                 }
             return ok_response(request.id, "metrics", payload)
-        # shutdown
-        self._metrics.observe("shutdown", "computed")
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self.request_stop()  # shutdown
         return ok_response(request.id, "shutdown", {"stopping": True})
 
     def _gauges(self) -> Dict[str, Any]:
@@ -485,7 +314,7 @@ class AuditServer:
             "pending_analyses": self._pending,
             "connections": self._connections,
             "sessions": len(self._sessions),
-            "result_cache_entries": len(self._results),
+            "result_cache_entries": len(self._table),
             "workers": self._workers,
             "queue_limit": self._queue_limit,
             "live_sessions": len(self._live),
@@ -516,7 +345,7 @@ class AuditServer:
             "queue_limit": self._queue_limit,
             "workers": self._workers,
             "connections": self._connections,
-            "result_cache_entries": len(self._results),
+            "result_cache_entries": len(self._table),
             "abandoned": {
                 "total": self._abandoned_total,
                 "running": self._abandoned_running,
@@ -532,7 +361,7 @@ class AuditServer:
                     "subscribers": len(self._live_subscribers.get(name, ())),
                     "stats": dict(live.stats),
                 }
-                for name, live in self._live.items()
+                for name, (_, live) in self._live.items()
             },
             "tracing": {
                 "enabled": tracing_enabled(),
@@ -546,195 +375,29 @@ class AuditServer:
             payload["faults"] = fault_stats
         return payload
 
-    # -- analysis dispatch --------------------------------------------------------
-    def _deadline_of(self, request: AuditRequest, started: float) -> Optional[float]:
-        """Absolute expiry (perf_counter clock) of one request, if any."""
-        deadline = None
-        if request.deadline_ms is not None:
-            deadline = started + request.deadline_ms / 1000.0
-        if self._watchdog_seconds is not None:
-            cap = started + self._watchdog_seconds
-            deadline = cap if deadline is None else min(deadline, cap)
-        return deadline
-
-    def _budget_text(self, request: AuditRequest) -> str:
-        if request.deadline_ms is not None:
-            return f"deadline of {request.deadline_ms:g}ms"
-        return f"watchdog of {self._watchdog_seconds:g}s"
-
-    def _deadline_expired(
-        self, request: AuditRequest, started: float, where: str
-    ) -> Dict[str, Any]:
-        elapsed = time.perf_counter() - started
-        self._metrics.observe(request.op, "deadline", elapsed)
-        return error_response(
-            request.id,
-            ERROR_DEADLINE_EXCEEDED,
-            f"{self._budget_text(request)} exceeded {where}",
-        )
-
-    @staticmethod
-    async def _await_within(
-        awaitable: Awaitable[Any], deadline: Optional[float]
-    ) -> Any:
-        """Await (shielded) until ``deadline``; raises ``TimeoutError``.
-
-        Shielding matters twice over: an impatient client must not
-        cancel a computation twins are awaiting, and a deadline expiry
-        must abandon — not cancel — the executor future so the eventual
-        result can still be harvested into the cache.
-        """
-        if deadline is None:
-            return await asyncio.shield(awaitable)
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            raise asyncio.TimeoutError
-        return await asyncio.wait_for(asyncio.shield(awaitable), timeout=remaining)
-
-    def _reap_abandoned(self, key: str, task: "asyncio.Future") -> None:
-        """An abandoned computation finished: harvest it (loop thread)."""
-        self._abandoned_running -= 1
-        try:
-            payload = task.result()
-        except BaseException:  # noqa: BLE001 - late failures are uninteresting
-            return
-        if self._result_cache_size:
-            self._results[key] = {"ok": True, "result": payload}
-            self._results.move_to_end(key)
-            while len(self._results) > self._result_cache_size:
-                self._results.popitem(last=False)
-
-    async def _handle_analysis(self, request: AuditRequest) -> Dict[str, Any]:
-        if not request.trace:
-            return await self._handle_analysis_core(request)
-        # Open a server-side trace for this request.  The router passes
-        # ``id``/``parent`` so the worker's spans graft under its own
-        # ``router.forward`` span; a bare ``{"return": true}`` from a
-        # client opens a fresh trace here.
-        spec = request.trace
-        trace_id = spec.get("id")
-        parent_id = spec.get("parent")
-        with start_trace(
-            "server.handle",
-            trace_id=trace_id if isinstance(trace_id, str) else None,
-            parent_id=parent_id if isinstance(parent_id, str) else None,
-        ) as trace:
-            trace.root.set("op", request.op)
-            response = await self._handle_analysis_core(request)
-        document = trace.to_dict()
-        TRACES.record(document)
-        self._slow_log.maybe_log(document, op=request.op)
-        server = response.get("server")
-        if isinstance(server, dict):
-            server["trace"] = document
-        return response
-
-    async def _handle_analysis_core(self, request: AuditRequest) -> Dict[str, Any]:
-        key = request_key(request)
-        started = time.perf_counter()
-        deadline = self._deadline_of(request, started)
-
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            # Coalesce: await the twin computation (shielded so one
-            # impatient client cannot cancel it from under the others).
-            try:
-                with span("coalesce.follow"):
-                    response_core = await self._await_within(inflight, deadline)
-            except asyncio.TimeoutError:
-                return self._deadline_expired(
-                    request, started, "while awaiting a twin computation"
-                )
-            self._link_leader(response_core, "coalesced-leader")
-            elapsed = time.perf_counter() - started
-            self._metrics.observe(request.op, "coalesced", elapsed)
-            return self._finish(request, response_core, elapsed, coalesced=True)
-
-        cached = self._results.get(key)
-        if cached is not None:
-            self._results.move_to_end(key)
-            self._link_leader(cached, "result-cache")
-            elapsed = time.perf_counter() - started
-            self._metrics.observe(request.op, "cached", elapsed)
-            return self._finish(request, cached, elapsed, cached=True)
-
-        if deadline is not None and time.perf_counter() >= deadline:
-            # The budget was spent upstream (router queue, network):
-            # answer structurally instead of starting doomed work.
-            return self._deadline_expired(request, started, "before computation started")
-
+    # -- the executor: the thread pool --------------------------------------------
+    def _admit(self, request: AuditRequest, key: Optional[str]) -> None:
         if self._pending >= self._queue_limit:
-            self._metrics.observe(request.op, "shed")
-            return error_response(
-                request.id,
-                ERROR_OVERLOADED,
+            raise Overloaded(
                 f"worker queue is full ({self._pending} pending, "
-                f"limit {self._queue_limit}); retry later",
+                f"limit {self._queue_limit}); retry later"
             )
 
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._inflight[key] = future
-        self._pending += 1
-        work: Optional["asyncio.Future"] = None
-        abandoned = False
-        try:
-            try:
-                session = self._session_for(request)
-                work = self._submit(loop, session, request)
-                payload = await self._await_within(work, deadline)
-                response_core = {"ok": True, "result": payload}
-            except asyncio.TimeoutError:
-                # Watchdog: reclaim the slot now, let the stray thread
-                # run to completion in the background (harvested below).
-                abandoned = True
-                response_core = {
-                    "ok": False,
-                    "code": ERROR_DEADLINE_EXCEEDED,
-                    "message": f"{self._budget_text(request)} exceeded "
-                    "mid-computation; the computation was abandoned",
-                }
-            except ProtocolError as error:
-                response_core = {"ok": False, "code": error.code, "message": str(error)}
-            except ReproError as error:
-                response_core = {"ok": False, "code": ERROR_ANALYSIS, "message": str(error)}
-            except Exception as error:  # noqa: BLE001 - the daemon must survive
-                response_core = {
-                    "ok": False,
-                    "code": ERROR_INTERNAL,
-                    "message": f"{type(error).__name__}: {error}",
-                }
-            trace = current_trace()
-            if trace is not None:
-                # Stamped before the future resolves so coalesced twins
-                # (and later cache hits) can link to this computation.
-                response_core["trace_id"] = trace.trace_id
-        finally:
-            self._pending -= 1
-            self._inflight.pop(key, None)
-            if not future.done():
-                future.set_result(response_core)
-        if abandoned and work is not None:
-            self._abandoned_total += 1
-            self._abandoned_running += 1
-            work.add_done_callback(functools.partial(self._reap_abandoned, key))
-        elapsed = time.perf_counter() - started
-        if response_core["ok"] and self._result_cache_size:
-            self._results[key] = response_core
-            self._results.move_to_end(key)
-            while len(self._results) > self._result_cache_size:
-                self._results.popitem(last=False)
-        self._metrics.observe(
-            request.op,
-            "deadline" if abandoned else "computed" if response_core["ok"] else "error",
-            elapsed,
-        )
-        return self._finish(request, response_core, elapsed)
+    async def _execute(
+        self,
+        request: AuditRequest,
+        raw: bytes,
+        key: Optional[str],
+        slot: None,
+        deadline: Optional[float],
+    ) -> Core:
+        if request.is_live:
+            return await self._execute_live(request)
+        session = self._session_for(request)
+        return {"ok": True, "result": await self._submit(self._analyse, session, request)}
 
-    def _submit(
-        self, loop: asyncio.AbstractEventLoop, session: AnalysisSession, request: AuditRequest
-    ) -> "asyncio.Future":
-        """Schedule one analysis on the worker pool.
+    def _submit(self, fn: Callable[..., Any], *args: Any) -> "asyncio.Future":
+        """Schedule one call on the worker pool.
 
         With a trace open, the contextvars context is copied into the
         worker thread so engine-level spans land under this request's
@@ -742,170 +405,105 @@ class AuditServer:
         its own span.  Untraced requests take the bare path — no
         context copy, no extra closure.
         """
+        loop = asyncio.get_running_loop()
         if current_trace() is None:
-            return loop.run_in_executor(self._executor, self._execute, session, request)
+            return loop.run_in_executor(self._executor, fn, *args)
         enqueued = time.perf_counter()
         context = contextvars.copy_context()
 
-        def _traced() -> Dict[str, Any]:
+        def _traced() -> Any:
             record_span("server.queue_wait", (time.perf_counter() - enqueued) * 1000.0)
             with span("server.execute"):
-                return self._execute(session, request)
+                return fn(*args)
 
         return loop.run_in_executor(self._executor, context.run, _traced)
 
-    def _link_leader(self, response_core: Mapping[str, Any], relation: str) -> None:
-        """Record, on a follower's trace, a link to the leader's trace."""
-        trace = current_trace()
-        if trace is None:
-            return
-        leader = response_core.get("trace_id")
-        if isinstance(leader, str) and leader != trace.trace_id:
-            trace.link(leader, relation)
+    def _abandon(self, key: Optional[str], work: "asyncio.Future[Core]", slot: None) -> str:
+        # The thread cannot be cancelled: the slot is reclaimed now and
+        # the stray result is harvested into the cache when it lands.
+        self._abandoned_total += 1
+        self._abandoned_running += 1
+        work.add_done_callback(functools.partial(self._reap_abandoned, key))
+        return "mid-computation; the computation was abandoned"
 
-    def _finish(
-        self,
-        request: AuditRequest,
-        response_core: Mapping[str, Any],
-        elapsed: float,
-        *,
-        coalesced: bool = False,
-        cached: bool = False,
-    ) -> Dict[str, Any]:
-        if response_core["ok"]:
-            return ok_response(
-                request.id,
-                request.op,
-                response_core["result"],
-                coalesced=coalesced,
-                cached=cached,
-                elapsed_ms=elapsed * 1000.0,
-            )
-        return error_response(request.id, response_core["code"], response_core["message"])
+    def _reap_abandoned(self, key: Optional[str], work: "asyncio.Future[Core]") -> None:
+        """An abandoned computation finished: harvest it (loop thread)."""
+        self._abandoned_running -= 1
+        if key is not None and not work.cancelled() and work.exception() is None:
+            self._table.publish(key, work.result())
+
+    def _failure_of(self, request: AuditRequest, slot: None, error: Exception) -> Core:
+        if isinstance(error, ProtocolError):
+            return failure(error.code, str(error))
+        if isinstance(error, ReproError):
+            return failure(ERROR_ANALYSIS, str(error))
+        return failure(ERROR_INTERNAL, f"{type(error).__name__}: {error}")
 
     # -- live audit sessions ------------------------------------------------------
-    async def _handle_live(self, request: AuditRequest) -> Dict[str, Any]:
-        """Dispatch one live operation (loop thread; see protocol docs).
+    def _live_version(self, request: AuditRequest) -> Optional[Tuple[int, int]]:
+        """Only ``live-audit`` answers are cached, keyed by the session version."""
+        entry = self._live.get(request.live or "") if request.op == "live-audit" else None
+        return None if entry is None else (entry[0], entry[1].revision)
 
-        Mutations (``live-create``, ``apply-delta``) bypass coalescing
-        and the result cache — applying a delta twice is a different
-        database — and run to completion even past a deadline (an
-        abandoned half-applied delta would corrupt the session).
-        ``live-audit`` answers *are* cached: the keys are remembered per
-        session and invalidated the moment a delta lands.
+    async def _execute_live(self, request: AuditRequest) -> Core:
+        """Run one live operation (see the protocol docs).
+
+        Registration, eviction and notification fan-out happen here, on
+        the loop thread that owns the bookkeeping; building, snapshots
+        and deltas run on the pool.
         """
-        started = time.perf_counter()
         name = request.live or ""
-        try:
-            if request.op == "subscribe":
-                if name not in self._live:
-                    raise ReproError(f"no live session named {name!r}")
-                self._metrics.observe("subscribe", "computed")
-                live = self._live[name]
-                response = ok_response(
-                    request.id,
-                    "subscribe",
-                    {"live": name, "revision": live.revision, "subscribed": True},
-                    elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                )
-                # Sentinel for _on_connection: after this ack the
-                # connection is dedicated to the notification stream.
-                response["_subscribe_live"] = name
-                return response
-
-            if request.op == "live-audit":
-                key = request_key(request)
-                cached = self._results.get(key)
-                if cached is not None:
-                    self._results.move_to_end(key)
-                    elapsed = time.perf_counter() - started
-                    self._metrics.observe("live-audit", "cached", elapsed)
-                    return self._finish(request, cached, elapsed, cached=True)
-
-            if self._pending >= self._queue_limit:
-                self._metrics.observe(request.op, "shed")
-                return error_response(
-                    request.id,
-                    ERROR_OVERLOADED,
-                    f"worker queue is full ({self._pending} pending, "
-                    f"limit {self._queue_limit}); retry later",
-                )
-            loop = asyncio.get_running_loop()
-            self._pending += 1
-            try:
-                if request.op == "live-create":
-                    if name in self._live:
-                        raise ReproError(
-                            f"a live session named {name!r} already exists"
-                        )
-                    live, payload = await loop.run_in_executor(
-                        self._executor, self._live_create, request
-                    )
-                    if name in self._live:  # lost a create race mid-build
-                        raise ReproError(
-                            f"a live session named {name!r} already exists"
-                        )
-                    self._live[name] = live
-                    while len(self._live) > self._max_live:
-                        dropped, _ = self._live.popitem(last=False)
-                        self._live_subscribers.pop(dropped, None)
-                        self._invalidate_live_results(dropped)
-                elif request.op == "apply-delta":
-                    if name not in self._live:
-                        raise ReproError(f"no live session named {name!r}")
-                    live = self._live[name]
-                    self._live.move_to_end(name)
-                    notifications = await loop.run_in_executor(
-                        self._executor, self._live_delta, live, request
-                    )
-                    self._invalidate_live_results(name)
-                    self._fan_out(name, notifications)
-                    payload = dict(notifications[-1])
-                    payload["events"] = len(notifications)
-                else:  # live-audit (cache miss)
-                    live = self._live[name] if name in self._live else None
-                    if live is None:
-                        raise ReproError(f"no live session named {name!r}")
-                    self._live.move_to_end(name)
-                    payload = await loop.run_in_executor(
-                        self._executor, self._live_snapshot, live
-                    )
-            finally:
-                self._pending -= 1
-        except ReproError as error:
-            self._metrics.observe(request.op, "error")
-            return error_response(request.id, ERROR_ANALYSIS, str(error))
-        except Exception as error:  # noqa: BLE001 - the daemon must survive
-            self._metrics.observe(request.op, "error")
-            return error_response(
-                request.id, ERROR_INTERNAL, f"{type(error).__name__}: {error}"
+        if request.op == "live-create":
+            if name in self._live:
+                raise ReproError(f"a live session named {name!r} already exists")
+            live, payload = await self._submit(self._live_create, request)
+            if name in self._live:  # lost a create race mid-build
+                raise ReproError(f"a live session named {name!r} already exists")
+            self._live[name] = (next(self._incarnations), live)
+            while len(self._live) > self._max_live:
+                dropped, (incarnation, old) = self._live.popitem(last=False)
+                self._live_subscribers.pop(dropped, None)
+                self._table.forget(self._version_key(dropped, incarnation, old.revision))
+            return {"ok": True, "result": payload}
+        if name not in self._live:
+            raise ReproError(f"no live session named {name!r}")
+        incarnation, live = self._live[name]
+        self._live.move_to_end(name)
+        if request.op == "subscribe":
+            # Registered before the acknowledgement, and filtered by its
+            # revision, so the stream holds exactly the notifications
+            # after the acknowledged state (a delta applied on the pool
+            # may fan out after this point).
+            queue: "asyncio.Queue[Dict[str, Any]]" = asyncio.Queue()
+            self._live_subscribers.setdefault(name, []).append(queue)
+            return {
+                "ok": True,
+                "result": {"live": name, "revision": live.revision, "subscribed": True},
+                "stream": (
+                    functools.partial(self._stream_notifications, name, queue, live.revision),
+                    functools.partial(self._unsubscribe, name, queue),
+                ),
+            }
+        if request.op == "live-audit":
+            return {"ok": True, "result": await self._submit(live.snapshot)}
+        notifications = await self._submit(self._live_delta, live, request)
+        for notification in notifications:
+            # The superseded version's answer can never be asked for again.
+            self._table.forget(
+                self._version_key(name, incarnation, notification["revision"] - 1)
             )
-        elapsed = time.perf_counter() - started
-        response_core = {"ok": True, "result": payload}
-        if request.op == "live-audit" and self._result_cache_size:
-            key = request_key(request)
-            self._results[key] = response_core
-            self._results.move_to_end(key)
-            self._live_result_keys.setdefault(name, set()).add(key)
-            while len(self._results) > self._result_cache_size:
-                self._results.popitem(last=False)
-        self._metrics.observe(request.op, "computed", elapsed)
-        return self._finish(request, response_core, elapsed)
+            for queue in self._live_subscribers.get(name, ()):
+                queue.put_nowait(notification)
+        payload = dict(notifications[-1])
+        payload["events"] = len(notifications)
+        return {"ok": True, "result": payload}
 
     def _live_create(self, request: AuditRequest) -> Tuple[LiveAuditSession, Dict[str, Any]]:
-        """Build a live session and its initial snapshot (worker thread).
-
-        Registration stays on the loop thread (`_handle_live`), which
-        owns all bookkeeping.
-        """
+        """Build a live session and its initial snapshot (worker thread)."""
         for rule in faults.fire("server.execute", op=request.op):
             faults.perform(rule)
         name = request.live or ""
-        schema = schema_from_dict(request.schema)
-        if request.dictionary is not None:
-            dictionary = dictionary_from_dict(request.dictionary, schema)
-        else:
-            dictionary = dictionary_from_dict(request.schema, schema)
+        schema, dictionary = _schema_and_dictionary(request)
         secrets = request.secrets
         if not isinstance(secrets, Mapping):
             secrets = {f"secret-{i}": q for i, q in enumerate(secrets)}
@@ -959,60 +557,33 @@ class AuditServer:
             notifications.append(live.apply_delta(added=added, removed=removed))
         return notifications
 
-    @staticmethod
-    def _live_snapshot(live: LiveAuditSession) -> Dict[str, Any]:
-        return live.snapshot()
-
-    def _invalidate_live_results(self, name: str) -> None:
-        """Drop cached ``live-audit`` answers made stale by a delta."""
-        for key in self._live_result_keys.pop(name, ()):
-            self._results.pop(key, None)
-
-    def _fan_out(self, name: str, notifications: list) -> None:
-        """Push a delta's notifications to every subscriber (loop thread)."""
-        queues = self._live_subscribers.get(name)
-        if not queues:
-            return
-        for queue in list(queues):
-            for notification in notifications:
-                queue.put_nowait(notification)
-
     async def _stream_notifications(
-        self, name: str, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        name: str,
+        queue: "asyncio.Queue[Dict[str, Any]]",
+        after: int,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
-        """Dedicate this connection to a live session's re-verdict stream.
+        """Stream a live session's notifications past revision ``after``."""
 
-        Ends when the client closes its side (EOF) or the server stops;
-        the subscription is torn down either way.
-        """
-        queue: "asyncio.Queue" = asyncio.Queue()
-        self._live_subscribers.setdefault(name, []).append(queue)
-        eof = asyncio.ensure_future(reader.read(1))
-        getter: Optional["asyncio.Future"] = None
-        try:
+        async def next_line() -> bytes:
             while True:
-                getter = asyncio.ensure_future(queue.get())
-                done, _ = await asyncio.wait(
-                    {getter, eof}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if eof in done:
-                    break
-                notification = getter.result()
-                getter = None
-                writer.write(encode_message(notification))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+                notification = await queue.get()
+                if notification["revision"] > after:
+                    return encode_message(notification)
+
+        try:
+            await pump(next_line, reader, writer)
         finally:
-            eof.cancel()
-            if getter is not None:
-                getter.cancel()
-            queues = self._live_subscribers.get(name)
-            if queues is not None:
-                with contextlib.suppress(ValueError):
-                    queues.remove(queue)
-                if not queues:
-                    self._live_subscribers.pop(name, None)
+            self._unsubscribe(name, queue)
+
+    def _unsubscribe(self, name: str, queue: "asyncio.Queue[Dict[str, Any]]") -> None:
+        queues = self._live_subscribers.get(name)
+        if queues is not None and queue in queues:
+            queues.remove(queue)
+            if not queues:
+                self._live_subscribers.pop(name, None)
 
     # -- session pool -------------------------------------------------------------
     def _session_for(self, request: AuditRequest) -> AnalysisSession:
@@ -1020,11 +591,7 @@ class AuditServer:
         key = session_key(request)
         session = self._sessions.get(key)
         if session is None:
-            schema = schema_from_dict(request.schema)
-            if request.dictionary is not None:
-                dictionary = dictionary_from_dict(request.dictionary, schema)
-            else:
-                dictionary = dictionary_from_dict(request.schema, schema)
+            schema, dictionary = _schema_and_dictionary(request)
             session = AnalysisSession(
                 schema,
                 dictionary=dictionary,
@@ -1040,7 +607,7 @@ class AuditServer:
         return session
 
     # -- the worker-side execution ------------------------------------------------
-    def _execute(self, session: AnalysisSession, request: AuditRequest) -> Dict[str, Any]:
+    def _analyse(self, session: AnalysisSession, request: AuditRequest) -> Dict[str, Any]:
         """Run one analysis (worker thread; session state is thread-safe)."""
         for rule in faults.fire("server.execute", op=request.op):
             faults.perform(rule)
@@ -1090,37 +657,12 @@ class AuditServer:
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
-def run_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    *,
-    announce=None,
-    **server_options,
-) -> None:
-    """Run a daemon until ``shutdown`` / Ctrl-C (the CLI entry point).
-
-    ``announce`` is called with the bound ``(host, port)`` once the
-    socket is listening.
-    """
-
-    async def _amain() -> None:
-        server = AuditServer(host, port, **server_options)
-        bound = await server.start()
-        if announce is not None:
-            announce(bound)
-        try:
-            await server.serve_until_stopped()
-        except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
-            await server.stop()
-            raise
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+def run_server(host: str = "127.0.0.1", port: int = 8765, *, announce=None, **options) -> None:
+    """Run a daemon until ``shutdown`` / Ctrl-C (the CLI entry point)."""
+    run_service(AuditServer(host, port, **options), announce)
 
 
-class ServerThread:
+class ServerThread(ServiceThread):
     """A daemon running on a background thread (tests, benchmarks, demos).
 
     Usage::
@@ -1129,74 +671,9 @@ class ServerThread:
             client = AuditServiceClient(*server.address)
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, **server_options):
-        self._server = AuditServer(host, port, **server_options)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._address: Optional[Tuple[str, int]] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._address is None:
-            raise ReproError("the server thread is not running")
-        return self._address
+    factory = AuditServer
 
     @property
     def server(self) -> AuditServer:
         """The wrapped :class:`AuditServer` (e.g. for ``metrics``)."""
-        return self._server
-
-    def start(self) -> "ServerThread":
-        """Boot the loop thread and wait until the socket is listening."""
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def _main() -> None:
-                try:
-                    self._address = await self._server.start()
-                except BaseException as error:  # pragma: no cover - bind failure
-                    self._error = error
-                    self._started.set()
-                    return
-                self._started.set()
-                await self._server.serve_until_stopped()
-
-            try:
-                loop.run_until_complete(_main())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(target=_run, name="repro-audit-server", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._error is not None:
-            raise ReproError(f"server failed to start: {self._error}")
-        if self._address is None:
-            raise ReproError("server did not come up within 30s")
-        return self
-
-    def stop(self, timeout: float = 30) -> None:
-        """Request a stop and join the loop thread."""
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(
-                    lambda: self._server._stop_event is not None
-                    and self._server._stop_event.set()
-                )
-            except RuntimeError:
-                pass  # the loop already stopped (e.g. a client sent shutdown)
-            thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self._service

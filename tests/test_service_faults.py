@@ -17,8 +17,6 @@ covering the PR's hard guarantees:
   → half-open → closed;
 * a sqlite I/O error inside the ``sql`` evaluation engine degrades to
   the compiled engine with an identical verdict (counted, not silent);
-* stale coalescer claims are reclaimed (dead owner, TTL) and rows are
-  boot-namespaced so a restarted fleet never serves stale verdicts;
 * the chaos gate: a 64-request mixed workload through retrying clients
   completes 100% successfully under a plan that SIGKILLs a worker
   mid-burst and injects a sqlite error, with verdicts identical to a
@@ -29,12 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
 import queue
-import sqlite3
 import threading
-import time
 
 import pytest
 
@@ -50,7 +44,6 @@ from repro.service import (
     CircuitBreaker,
     FaultPlan,
     FaultRule,
-    FleetCoalescer,
     FleetThread,
     RetryPolicy,
     ServerThread,
@@ -91,14 +84,6 @@ def _no_leaked_plan():
     yield
     faults.uninstall()
     faults.set_context(shard=None)
-
-
-def _dead_pid() -> int:
-    """A pid guaranteed to belong to no live process."""
-    process = multiprocessing.Process(target=lambda: None)
-    process.start()
-    process.join()
-    return process.pid
 
 
 def _primary_shard(document: dict, workers: int = 2) -> int:
@@ -300,56 +285,6 @@ class TestCircuitBreaker:
             CircuitBreaker(quarantine_after=0)
         with pytest.raises(ReproError):
             CircuitBreaker(cooldown_seconds=-1.0)
-
-
-# ---------------------------------------------------------------------------
-# Coalescer crash recovery
-# ---------------------------------------------------------------------------
-class TestCoalescerRecovery:
-    def test_dead_owner_claim_is_reclaimed(self, tmp_path):
-        path = str(tmp_path / "coalesce.db")
-        dead = _dead_pid()
-        with FleetCoalescer(path, owner=dead, boot="b1") as crashed:
-            assert crashed.claim("fp") is None  # the soon-dead owner
-        with FleetCoalescer(path, owner=os.getpid(), boot="b1") as survivor:
-            # Not a subscribe: the dead owner's claim is stolen outright.
-            assert survivor.claim("fp") is None
-            assert survivor.stats()["reclaimed"] == 1
-
-    def test_overdue_claim_is_reclaimed_by_ttl(self, tmp_path):
-        path = str(tmp_path / "coalesce.db")
-        with FleetCoalescer(
-            path, owner=os.getpid(), boot="b1", claim_ttl=0.05
-        ) as table:
-            assert table.claim("fp") is None
-            assert table.claim("fp") == ""  # fresh claim: still coalesces
-            time.sleep(0.08)
-            assert table.claim("fp") is None  # overdue: stolen
-            assert table.stats()["reclaimed"] == 1
-
-    def test_boots_are_namespaced(self, tmp_path):
-        path = str(tmp_path / "coalesce.db")
-        with FleetCoalescer(path, owner=os.getpid(), boot="gen1") as first:
-            assert first.claim("fp") is None
-            first.publish("fp", '{"ok": true, "gen": 1}')
-            with FleetCoalescer(path, owner=os.getpid(), boot="gen2") as second:
-                # The restarted generation neither sees the old verdict
-                # nor coalesces against the old row.
-                assert second.lookup("fp") is None
-                assert second.claim("fp") is None
-
-    def test_dead_boot_rows_are_purged_on_start(self, tmp_path):
-        path = str(tmp_path / "coalesce.db")
-        dead = _dead_pid()
-        with FleetCoalescer(path, owner=dead, boot="old") as stale:
-            assert stale.claim("fp") is None
-            stale.publish("fp", '{"ok": true}')
-        with FleetCoalescer(path, owner=os.getpid(), boot="new"):
-            pass  # init purges the dead generation
-        rows = sqlite3.connect(path).execute(
-            "SELECT COUNT(*) FROM fleet_requests WHERE boot = 'old'"
-        ).fetchone()[0]
-        assert rows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +588,8 @@ class TestFleetChaos:
                 client.request("decide", schema=SCHEMA, secret=SECRET, views=VIEWS)
                 stats = client.request("stats")["result"]
         doc = stats["fleet"]
-        assert doc["boot_id"]
         assert doc["diverted"] == 0
         assert doc["faults"]["rules"] == []
-        assert doc["coalescer"]["boot"] == doc["boot_id"]
         for shard in doc["shards"]:
             assert shard["health"] == STATE_HEALTHY
             assert shard["breaker"]["failures"] == 0

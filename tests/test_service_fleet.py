@@ -5,7 +5,7 @@ These boot a real router plus real worker processes
 sockets, covering the PR's hard guarantees:
 
 * a burst of identical requests on distinct connections costs exactly
-  one computation *fleet-wide* (router coalescing + shared table);
+  one computation *fleet-wide* (the router's in-flight table and cache);
 * routing is deterministic: one fingerprint, one shard;
 * ``stats`` aggregates every worker's mergeable metrics into one
   document with per-shard queue depths;
@@ -19,6 +19,7 @@ sockets, covering the PR's hard guarantees:
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import os
@@ -396,51 +397,59 @@ class TestBindErrors:
 
 
 class TestFleetCoalescerTable:
-    def test_claim_publish_cache_hit(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
-            assert table.claim("fp") is None  # first caller owns
-            assert table.claim("fp") == ""  # second subscribes
-            table.publish("fp", '{"ok": true}')
-            assert table.claim("fp") == '{"ok": true}'
-            assert table.lookup("fp") == '{"ok": true}'
+    """The pipeline's in-memory table (one per serving process)."""
 
-    def test_abandon_reopens_the_claim(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
+    @staticmethod
+    def _on_loop(body):
+        async def _run():
+            return body(FleetCoalescer(cache_size=3))
+
+        return asyncio.run(_run())
+
+    def test_claim_publish_cache_hit(self):
+        def body(table):
+            assert table.claim("fp") is None  # first caller owns
+            leader = table.claim("fp")  # second follows the owner
+            assert leader is not None and not leader.done()
+            table.publish("fp", {"ok": True})
+            assert leader.result() == {"ok": True}
+            assert table.lookup("fp") == {"ok": True}
+            assert table.claim("fp") is None  # nothing in flight any more
+
+        self._on_loop(body)
+
+    def test_abandon_reopens_the_claim(self):
+        def body(table):
             assert table.claim("fp") is None
-            table.abandon("fp")
+            leader = table.claim("fp")
+            table.abandon("fp", {"ok": False})
+            assert leader.result() == {"ok": False}  # followers still answered
+            assert table.lookup("fp") is None  # ...but nothing is cached
             assert table.claim("fp") is None  # ownership is claimable again
 
-    def test_result_cache_is_bounded(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1, cache_size=3) as table:
+        self._on_loop(body)
+
+    def test_result_cache_is_bounded(self):
+        def body(table):
             for index in range(6):
                 assert table.claim(f"fp{index}") is None
-                table.publish(f"fp{index}", f'"{index}"')
-            stats = table.stats()
-            assert stats["cached_results"] == 3
+                table.publish(f"fp{index}", {"ok": True, "result": index})
+            assert table.stats()["cached_results"] == 3
             assert table.lookup("fp5") is not None
             assert table.lookup("fp0") is None
 
-    def test_forget_drops_a_published_result(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
+        self._on_loop(body)
+
+    def test_forget_drops_a_published_result(self):
+        def body(table):
             assert table.claim("fp") is None
-            table.publish("fp", '{"ok": true}')
-            assert table.lookup("fp") is not None
-            assert table.forget("fp") == 1
+            table.publish("fp", {"ok": True})
+            assert table.forget("fp") is True
             assert table.lookup("fp") is None
-            # The row is gone outright: the next caller owns a fresh claim.
-            assert table.claim("fp") is None
-            table.abandon("fp")
-            assert table.forget("missing") == 0
+            assert table.forget("missing") is False
             assert table.stats()["forgotten"] == 1
 
-    def test_forget_drops_a_pending_claim(self, tmp_path):
-        # A delta can land while a live-audit is still being computed;
-        # forget must remove the pending row too, whatever its state.
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
-            assert table.claim("fp") is None  # pending, never published
-            assert table.forget("fp") == 1
-            assert table.claim("fp") is None  # claimable again
-            assert table.stats()["forgotten"] == 1
+        self._on_loop(body)
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +484,20 @@ class TestFleetLive:
         shards.add(delta["server"]["shard"])
         assert len(shards) == 1
 
-    def test_delta_forgets_fleet_cached_audits(self, fleet, client):
+    def test_repeat_audit_is_cached_by_the_worker_not_the_router(self, fleet, client):
         self._create(client, "fleet-invalidate")
         first = client.request("live-audit", live="fleet-invalidate")
-        assert first["ok"] and not first["server"].get("fleet_cached")
+        assert first["ok"] and not first["server"]["cached"]
         with AuditServiceClient(*fleet.address) as other:
             second = other.request("live-audit", live="fleet-invalidate")
-        assert second["server"]["fleet_cached"] is True
+        # Only the worker holding the session sees its version.
+        assert second["server"]["cached"] is True
+        assert not second["server"].get("fleet_cached")
         assert second["result"]["fact_count"] == 1
-        forgotten_before = fleet.fleet._coalescer.stats()["forgotten"]
         client.call("apply-delta", live="fleet-invalidate", add=[LIVE_OTHER])
-        # The router forgot every fleet-cached answer of this session…
-        assert fleet.fleet._coalescer.stats()["forgotten"] > forgotten_before
-        # …so the next audit is recomputed against the new database.
+        # The delta moved the session to a new version: a fresh answer.
         third = client.request("live-audit", live="fleet-invalidate")
-        assert not third["server"].get("fleet_cached")
+        assert not third["server"]["cached"]
         assert third["result"]["fact_count"] == 2
         assert third["result"]["revision"] == 1
 

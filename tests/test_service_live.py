@@ -3,20 +3,25 @@
 These boot a real single-process daemon (:class:`ServerThread`) and
 exercise ``live-create`` / ``apply-delta`` / ``live-audit`` /
 ``subscribe`` over real sockets: session lifecycle, per-delta
-notification fan-out, result-cache invalidation the moment a delta
-lands, and the error contract for unknown or duplicate sessions.
+notification fan-out, cached audits keyed by the session version, and
+the error contract for unknown or duplicate sessions.  The stale-answer
+regressions run against the fleet (:class:`FleetThread`) as well.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+from repro import faults
 from repro.bench import employee_schema
 from repro.io import schema_to_dict
 from repro.service import (
     AuditServiceClient,
+    FaultPlan,
+    FleetThread,
     ProtocolError,
     ServerThread,
     ServiceError,
@@ -294,3 +299,70 @@ class TestSubscribe:
             }
 
         assert _verdict(last) == _verdict(final)
+
+
+# ---------------------------------------------------------------------------
+# A live-audit answer describes one database state; it must never be
+# served once that state is gone (both front doors)
+# ---------------------------------------------------------------------------
+def _boot(kind: str, *, fleet_workers: int, **worker_options):
+    if kind == "server":
+        return ServerThread(workers=2, **worker_options)
+    return FleetThread(
+        workers=fleet_workers, worker_threads=2, worker_options=worker_options
+    )
+
+
+@pytest.mark.parametrize("kind", ["server", "fleet"])
+class TestStaleLiveAnswers:
+    def test_audit_in_flight_across_a_delta_is_not_served_after_it(self, kind):
+        # The first live-audit answer is held back 0.6s on its way out;
+        # a delta is acknowledged meanwhile.  At revision 1 the database
+        # holds two facts, so no later audit may describe revision 0.
+        faults.install(FaultPlan.from_spec({"seed": 0, "faults": [
+            {"point": "server.respond", "action": "delay", "op": "live-audit",
+             "delay": 0.6, "count": 1},
+        ]}))
+        try:
+            with _boot(kind, fleet_workers=2) as service:
+                with AuditServiceClient(*service.address, timeout=30) as client:
+                    _create(client, name="race", facts=[FACT])
+                    held = {}
+
+                    def audit() -> None:
+                        with AuditServiceClient(*service.address, timeout=30) as other:
+                            held["first"] = other.request("live-audit", live="race")
+
+                    thread = threading.Thread(target=audit)
+                    thread.start()
+                    time.sleep(0.2)  # the first audit is in flight
+                    delta = client.call("apply-delta", live="race", add=[OTHER_FACT])
+                    assert (delta["revision"], delta["fact_count"]) == (1, 2)
+                    thread.join(timeout=30)
+                    fresh = client.request("live-audit", live="race")
+            assert held["first"]["ok"] and held["first"]["result"]["revision"] == 0
+            assert fresh["ok"] is True
+            assert fresh["result"]["revision"] == 1
+            assert fresh["result"]["fact_count"] == 2
+            assert not fresh["server"].get("fleet_cached")
+        finally:
+            faults.uninstall()
+
+    def test_evicted_and_recreated_session_is_never_answered_from_cache(self, kind):
+        with _boot(kind, fleet_workers=1, max_live=1) as service:
+            with AuditServiceClient(*service.address, timeout=30) as client:
+                _create(client, name="x", facts=[FACT])
+                assert client.call("live-audit", live="x")["fact_count"] == 1
+                assert client.call("live-audit", live="x")["fact_count"] == 1
+                _create(client, name="y")  # max_live=1: evicts x
+                with pytest.raises(ServiceError) as excinfo:
+                    client.call("live-audit", live="x")
+                assert excinfo.value.code == ERROR_ANALYSIS
+                assert "no live session named 'x'" in str(excinfo.value)
+                _create(client, name="x", facts=[FACT, OTHER_FACT])
+                again = client.request("live-audit", live="x")
+        assert again["ok"] is True
+        assert again["result"]["fact_count"] == 2
+        assert again["result"]["revision"] == 0
+        assert not again["server"]["cached"]
+        assert not again["server"].get("fleet_cached")
