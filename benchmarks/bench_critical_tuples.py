@@ -17,9 +17,9 @@ from repro.bench import binary_schema
 from repro.core import (
     candidate_critical_facts,
     critical_tuples,
-    critical_tuples_naive,
     is_critical,
 )
+from repro.reference import critical_tuples_naive
 from repro.relational import Domain, Fact, RelationSchema, Schema
 
 SCHEMA = binary_schema(("a", "b"))

@@ -2,7 +2,7 @@
 
 The compiled :class:`~repro.probability.kernel.ProbabilityKernel` must
 return *Fraction-identical* joint answer distributions to the seed
-:class:`~repro.probability.engine.NaiveExactEngine` while being at
+:class:`~repro.reference.NaiveExactEngine` while being at
 least 5x faster on the Definition 4.1 exact-verification workloads —
 joint answer distributions (plus the Eq. (4) verdict derived from them)
 on supports of at least 12 facts.  This is the acceptance gate wired
@@ -34,7 +34,8 @@ from pathlib import Path
 
 from repro.bench import employee_schema
 from repro.cq.parser import parse_query
-from repro.probability import Dictionary, NaiveExactEngine, ProbabilityKernel
+from repro.probability import Dictionary, ProbabilityKernel
+from repro.reference import NaiveExactEngine
 from repro.relational import Domain, RelationSchema, Schema
 
 #: Required speedup of the kernel over the seed path (acceptance criterion).

@@ -26,7 +26,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.cq import evaluate, eval_engine_scope, q
+from repro.cq import evaluate, q
 from repro.io import schema_from_dict
 from repro.relational import Domain, Fact, RelationSchema, Schema
 from repro.session import LiveAuditSession, fact_from_document
@@ -75,7 +75,7 @@ def _delta_plan(facts):
     return deltas
 
 
-def _run_variant(name, live, engine, facts, report):
+def _run_variant(name, live, facts, report):
     """Time incremental deltas vs. from-scratch recomputation.
 
     Returns the row for the JSON pack.  Every delta is followed by an
@@ -87,9 +87,8 @@ def _run_variant(name, live, engine, facts, report):
     warm = Fact("R", (99_999, 99_999))
     live.apply_delta(added=[warm])
     live.apply_delta(removed=[warm])
-    with eval_engine_scope(engine):
-        for query in _tracked_queries().values():
-            evaluate(query, live.state)
+    for query in _tracked_queries().values():
+        evaluate(query, live.state)
 
     incremental_total = full_total = 0.0
     for added, removed in _delta_plan(facts):
@@ -103,13 +102,12 @@ def _run_variant(name, live, engine, facts, report):
         # objects, so plan compilation is included) over the new state.
         fresh_queries = _tracked_queries()
         gc.collect()
-        with eval_engine_scope(engine):
-            started = time.perf_counter()
-            fresh = {
-                qname: evaluate(query, live.state)
-                for qname, query in fresh_queries.items()
-            }
-            full_total += time.perf_counter() - started
+        started = time.perf_counter()
+        fresh = {
+            qname: evaluate(query, live.state)
+            for qname, query in fresh_queries.items()
+        }
+        full_total += time.perf_counter() - started
 
         check = live.self_check()
         assert check["consistent"], check["mismatches"]
@@ -154,14 +152,14 @@ def test_incremental_reaudit_speedup(experiment_report):
     memory_live = LiveAuditSession(
         schema, secrets=SECRETS, views=VIEWS, facts=facts
     )
-    rows.append(_run_variant("in-memory/compiled", memory_live, None, facts, report))
+    rows.append(_run_variant("in-memory/compiled", memory_live, facts, report))
 
     store = SQLiteFactStore()
     try:
         store_live = LiveAuditSession(
             schema, secrets=SECRETS, views=VIEWS, facts=facts, store=store
         )
-        store_row = _run_variant("store-backed/sql", store_live, "sql", facts, report)
+        store_row = _run_variant("store-backed/sql", store_live, facts, report)
     finally:
         store.close()
     # The ISSUE gate is the store-backed 10^4-fact workload.

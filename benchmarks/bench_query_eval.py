@@ -1,8 +1,8 @@
 """Query-evaluation ablation: naive backtracking vs. compiled plans.
 
 Two workloads gate the compiled evaluation layer (``repro.cq.plan`` +
-``repro.cq.compiled``) against the surviving seed evaluator
-(``repro.cq.evaluation.naive_*``):
+``repro.cq.compiled``) against the seed evaluator kept as an oracle
+(``repro.reference.naive_*``):
 
 * **Indexed join plans** — 3-atom chain joins over instances of 240
   facts.  The naive evaluator scans every fact of the relation per
@@ -12,10 +12,10 @@ Two workloads gate the compiled evaluation layer (``repro.cq.plan`` +
 * **Criticality delta ablation** — ``crit_D(Q)`` over the Definition 4.4
   instance enumeration, where every (instance, fact) pair asks
   ``Q(I) ≠ Q(I − t)``.  With delta evaluation only derivations using the
-  removed fact are re-derived; the ablated configuration
-  (``REPRO_EVAL_ENGINE=naive``) re-evaluates the query twice in full.
-  Must be ≥ :data:`MIN_DELTA_SPEEDUP` faster, and the run also times PR
-  2's pruned engine on the same secrets to show the two optimisations
+  removed fact are re-derived; the ablated configuration re-evaluates
+  the query twice in full with the reference evaluator.  Must be
+  ≥ :data:`MIN_DELTA_SPEEDUP` faster, and the run also times the pruned
+  production engine on the same secrets to show the two optimisations
   compound (pruning removes most of the work delta would otherwise
   re-derive).
 
@@ -34,8 +34,9 @@ import time
 from pathlib import Path
 
 from repro.bench import employee_schema
-from repro.core.criticality import create_criticality_engine
-from repro.cq import EVAL_ENGINE_ENV, naive_evaluate, plan_for, q
+from repro.core.criticality import critical_tuples
+from repro.cq import delta_changes, plan_for, q
+from repro.reference import critical_tuples_naive, naive_evaluate
 from repro.relational import Fact, Instance
 
 #: Required speedup of compiled evaluation on the join workload.
@@ -62,16 +63,9 @@ def _join_workload(seed: int, per_relation: int = 80, domain_size: int = 30):
     return Instance(facts)
 
 
-def _with_eval_engine(engine: str, thunk):
-    previous = os.environ.get(EVAL_ENGINE_ENV)
-    os.environ[EVAL_ENGINE_ENV] = engine
-    try:
-        return thunk()
-    finally:
-        if previous is None:
-            os.environ.pop(EVAL_ENGINE_ENV, None)
-        else:
-            os.environ[EVAL_ENGINE_ENV] = previous
+def _full_reevaluation(query, instance, fact):
+    """``Q(I) ≠ Q(I − t)`` by evaluating both instances in full."""
+    return naive_evaluate(query, instance) != naive_evaluate(query, instance.remove(fact))
 
 
 def test_compiled_join_evaluation_speedup(experiment_report):
@@ -161,18 +155,18 @@ def test_criticality_delta_ablation(experiment_report):
     workers = os.environ.get("REPRO_CRITICALITY_WORKERS")
     os.environ["REPRO_CRITICALITY_WORKERS"] = "0"  # serial: deterministic timing
     try:
-        def run(engine_name: str, eval_engine: str):
-            def thunk():
-                engine = create_criticality_engine(engine_name)
-                started = time.perf_counter()
-                results = [engine.critical_tuples(s, schema) for s in secrets]
-                return time.perf_counter() - started, results
+        def run(compute):
+            started = time.perf_counter()
+            results = [compute(s, schema) for s in secrets]
+            return time.perf_counter() - started, results
 
-            return _with_eval_engine(eval_engine, thunk)
-
-        full_elapsed, full_results = run("naive", "naive")
-        delta_elapsed, delta_results = run("naive", "compiled")
-        pruned_elapsed, pruned_results = run("pruned-parallel", "compiled")
+        full_elapsed, full_results = run(
+            lambda s, schema: critical_tuples_naive(s, schema, changes=_full_reevaluation)
+        )
+        delta_elapsed, delta_results = run(
+            lambda s, schema: critical_tuples_naive(s, schema, changes=delta_changes)
+        )
+        pruned_elapsed, pruned_results = run(critical_tuples)
     finally:
         if workers is None:
             os.environ.pop("REPRO_CRITICALITY_WORKERS", None)

@@ -22,9 +22,9 @@ import pytest
 from repro.bench import WorkloadConfig, scaling_workload
 from repro.core import (
     critical_tuples,
-    critical_tuples_naive,
     practical_security_check,
 )
+from repro.reference import critical_tuples_naive
 
 CONFIG = WorkloadConfig(
     relations=1,

@@ -5,11 +5,12 @@ Two workloads gate the sql engine (``repro.storage`` +
 in-memory :class:`Instance` can hold:
 
 * **50k-fact selective join** — a constant-anchored two-atom join over
-  50,000 store-resident facts.  Both engines are handed the same
-  :class:`SQLiteFactStore`: the naive evaluator must materialise the
-  instance in memory and then scan a full relation per subgoal; the sql
-  engine compiles the plan into one indexed SQLite statement and pushes
-  it down.  Must be ≥ :data:`MIN_SQL_SPEEDUP` faster (the CI acceptance
+  50,000 store-resident facts.  Both engines start from the same
+  :class:`SQLiteFactStore`: the reference evaluator
+  (:func:`repro.reference.naive_evaluate`) must materialise the instance
+  in memory and then scan a full relation per subgoal; the sql engine
+  compiles the plan into one indexed SQLite statement and pushes it
+  down.  Must be ≥ :data:`MIN_SQL_SPEEDUP` faster (the CI acceptance
   gate).
 * **Million-fact instance** — 10^6 facts streamed into a file-backed
   :class:`SQLiteFactStore`, then evaluated in place: a selective join,
@@ -29,7 +30,8 @@ import json
 import time
 from pathlib import Path
 
-from repro.cq import answer_contains, delta_changes, evaluate, eval_engine_scope, q
+from repro.cq import answer_contains, delta_changes, evaluate, q
+from repro.reference import naive_evaluate
 from repro.storage import SQLiteFactStore
 from repro.workload import InstanceSpec, generate_facts
 
@@ -60,9 +62,8 @@ def test_sql_join_speedup_at_50k(experiment_report):
     warmup = SQLiteFactStore.mirror(
         generate_facts(InstanceSpec(seed=3, facts=200, relations={"R": 2, "S": 2}))
     )
-    for engine in ("naive", "sql"):
-        with eval_engine_scope(engine):
-            evaluate(q(QUERY_TEXT), warmup)
+    naive_evaluate(q(QUERY_TEXT), warmup.to_instance())
+    evaluate(q(QUERY_TEXT), warmup)
 
     naive_total = sql_total = 0.0
     rows = []
@@ -73,20 +74,18 @@ def test_sql_join_speedup_at_50k(experiment_report):
 
         naive_query = q(QUERY_TEXT)
         gc.collect()  # keep a deferred collection out of the timed region
-        with eval_engine_scope("naive"):
-            started = time.perf_counter()
-            naive_answer = evaluate(naive_query, store)
-            naive_elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        naive_answer = naive_evaluate(naive_query, store.to_instance())
+        naive_elapsed = time.perf_counter() - started
 
         # A fresh query object per timed run, so the timed region
         # includes plan compilation and index creation — the honest
         # cold cost of the sql path.
         sql_query = q(QUERY_TEXT)
         gc.collect()
-        with eval_engine_scope("sql"):
-            started = time.perf_counter()
-            sql_answer = evaluate(sql_query, store)
-            sql_elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        sql_answer = evaluate(sql_query, store)
+        sql_elapsed = time.perf_counter() - started
 
         assert sql_answer == naive_answer
         naive_total += naive_elapsed
@@ -145,23 +144,22 @@ def test_million_fact_workload(experiment_report, tmp_path):
         stored = len(store)
         report.add_row("bulk load", f"{load_elapsed:.2f}", f"{stored} facts")
 
-        with eval_engine_scope("sql"):
-            started = time.perf_counter()
-            answers = evaluate(q(QUERY_TEXT), store)
-            query_elapsed = time.perf_counter() - started
-            report.add_row("selective join", f"{query_elapsed:.3f}", f"{len(answers)} answers")
+        started = time.perf_counter()
+        answers = evaluate(q(QUERY_TEXT), store)
+        query_elapsed = time.perf_counter() - started
+        report.add_row("selective join", f"{query_elapsed:.3f}", f"{len(answers)} answers")
 
-            row = sorted(answers)[0]
-            started = time.perf_counter()
-            contained = answer_contains(q(QUERY_TEXT), store, row)
-            contains_elapsed = time.perf_counter() - started
-            report.add_row("answer_contains", f"{contains_elapsed:.3f}", str(contained))
+        row = sorted(answers)[0]
+        started = time.perf_counter()
+        contained = answer_contains(q(QUERY_TEXT), store, row)
+        contains_elapsed = time.perf_counter() - started
+        report.add_row("answer_contains", f"{contains_elapsed:.3f}", str(contained))
 
-            delta_query = q(f"Q(y) :- {probe_fact.relation}(x, y)")
-            started = time.perf_counter()
-            changed = delta_changes(delta_query, store, probe_fact)
-            delta_elapsed = time.perf_counter() - started
-            report.add_row("delta_changes", f"{delta_elapsed:.3f}", str(changed))
+        delta_query = q(f"Q(y) :- {probe_fact.relation}(x, y)")
+        started = time.perf_counter()
+        changed = delta_changes(delta_query, store, probe_fact)
+        delta_elapsed = time.perf_counter() - started
+        report.add_row("delta_changes", f"{delta_elapsed:.3f}", str(changed))
     finally:
         store.close()
 

@@ -65,10 +65,8 @@ from .core import (
     analyse_collusion,
     analysis_domain,
     asymptotic_order,
-    available_criticality_engines,
     classify_practical_security,
     common_critical_tuples,
-    create_criticality_engine,
     critical_tuples,
     decide_security,
     decide_with_knowledge,
@@ -77,7 +75,6 @@ from .core import (
     is_secure,
     positive_leakage,
     practical_security_check,
-    register_criticality_engine,
     verify_security_probabilistically,
     verify_with_knowledge,
 )
@@ -107,7 +104,6 @@ from .probability import (
     Dictionary,
     ExactEngine,
     MonteCarloSampler,
-    NaiveExactEngine,
     ProbabilityKernel,
     query_polynomial,
 )
@@ -120,8 +116,6 @@ from .session import (
     CriticalTupleCache,
     PlanAuditResult,
     PublishingPlan,
-    available_engines,
-    register_engine,
 )
 
 __version__ = "1.0.0"
@@ -147,7 +141,6 @@ __all__ = [
     # probability
     "Dictionary",
     "ExactEngine",
-    "NaiveExactEngine",
     "ProbabilityKernel",
     "MonteCarloSampler",
     "query_polynomial",
@@ -156,9 +149,6 @@ __all__ = [
     "is_critical",
     "common_critical_tuples",
     "CriticalityEngine",
-    "register_criticality_engine",
-    "available_criticality_engines",
-    "create_criticality_engine",
     "SecurityDecision",
     "decide_security",
     "is_secure",
@@ -191,8 +181,6 @@ __all__ = [
     "PublishingPlan",
     "AnalysisResult",
     "PlanAuditResult",
-    "register_engine",
-    "available_engines",
     # audit layer
     "SecurityAuditor",
     "DisclosureLevel",

@@ -74,15 +74,6 @@ class SecurityAuditor:
         (shares its critical-tuple cache); one is created otherwise.
     engine:
         Verification-engine name forwarded to the session.
-    criticality_engine:
-        Criticality-engine name forwarded to the session (see
-        :mod:`repro.core.criticality`); ignored when a pre-built
-        ``session`` is supplied.
-    eval_engine:
-        Query-evaluation engine forwarded to the session
-        (``"compiled"``, ``"naive"`` or ``"sql"``; ``None`` defers to
-        ``REPRO_EVAL_ENGINE``); ignored when a pre-built ``session`` is
-        supplied, whose own pin applies instead.
     """
 
     def __init__(
@@ -92,8 +83,6 @@ class SecurityAuditor:
         domain: Optional[Domain] = None,
         session: Optional[AnalysisSession] = None,
         engine: str = "exact",
-        criticality_engine: Optional[str] = None,
-        eval_engine: Optional[str] = None,
     ):
         if session is None:
             session = AnalysisSession(
@@ -101,8 +90,6 @@ class SecurityAuditor:
                 dictionary=dictionary,
                 engine=engine,
                 domain=domain,
-                criticality_engine=criticality_engine,
-                eval_engine=eval_engine,
             )
         elif schema_fingerprint(session.schema) != schema_fingerprint(schema):
             raise SecurityAnalysisError(
@@ -149,16 +136,10 @@ class SecurityAuditor:
         """
         from ..cq.compiled import evaluation_stats
 
-        with self._session.eval_scope():
-            query_evaluation = evaluation_stats()
         document = {
             "critical_tuple_cache": self._session.cache_stats.to_dict(),
-            "engines": {
-                "verification": self._session.engine_name,
-                "criticality": self._session.criticality_engine_name,
-                "evaluation": query_evaluation["engine"],
-            },
-            "query_evaluation": query_evaluation,
+            "engines": {"verification": self._session.engine_name},
+            "query_evaluation": evaluation_stats(),
             "tracing": {"enabled": tracing_enabled()},
         }
         kernels = self.kernel_stats_for(self._dictionary)
@@ -175,22 +156,20 @@ class SecurityAuditor:
 
     def quick_check(self, secret: QueryLike, views: Sequence[QueryLike] | QueryLike):
         """The practical subgoal-unification check (Section 4.2)."""
-        with self._session.eval_scope():
-            return practical_security_check(_as_query(secret), self._as_views(views))
+        return practical_security_check(_as_query(secret), self._as_views(views))
 
     def classify(
         self, secret: QueryLike, views: Sequence[QueryLike] | QueryLike
     ) -> DisclosureAssessment:
         """Grade the pair on the Total/Partial/Minute/None spectrum."""
-        with self._session.eval_scope():
-            return classify_disclosure(
-                _as_query(secret),
-                self._as_views(views),
-                self._schema,
-                dictionary=self._dictionary,
-                domain=self._domain,
-                critical_fn=self._session.critical_fn,
-            )
+        return classify_disclosure(
+            _as_query(secret),
+            self._as_views(views),
+            self._schema,
+            dictionary=self._dictionary,
+            domain=self._domain,
+            critical_fn=self._session.critical_fn,
+        )
 
     def measure_leakage(
         self,
@@ -246,22 +225,21 @@ class SecurityAuditor:
             raise SecurityAnalysisError("at least one view is required")
 
         timings: Dict[str, float] = {}
-        with self._session.eval_scope():
-            started = time.perf_counter()
-            with span("audit.classify"):
-                assessment = classify_disclosure(
-                    secret_query,
-                    view_list,
-                    self._schema,
-                    dictionary=self._dictionary,
-                    domain=self._domain,
-                    critical_fn=self._session.critical_fn,
-                )
-            timings["classify"] = time.perf_counter() - started
-            started = time.perf_counter()
-            with span("audit.practical"):
-                practical = practical_security_check(secret_query, view_list)
-            timings["practical"] = time.perf_counter() - started
+        started = time.perf_counter()
+        with span("audit.classify"):
+            assessment = classify_disclosure(
+                secret_query,
+                view_list,
+                self._schema,
+                dictionary=self._dictionary,
+                domain=self._domain,
+                critical_fn=self._session.critical_fn,
+            )
+        timings["classify"] = time.perf_counter() - started
+        started = time.perf_counter()
+        with span("audit.practical"):
+            practical = practical_security_check(secret_query, view_list)
+        timings["practical"] = time.perf_counter() - started
         finding = AuditFinding(
             secret_name=secret_query.name,
             view_names=tuple(v.name for v in view_list),
@@ -303,16 +281,15 @@ class SecurityAuditor:
         findings: List[AuditFinding] = []
         for secret in secrets:
             secret_query = _as_query(secret)
-            with self._session.eval_scope():
-                assessment = classify_disclosure(
-                    secret_query,
-                    view_list,
-                    self._schema,
-                    dictionary=self._dictionary,
-                    domain=self._domain,
-                    critical_fn=self._session.critical_fn,
-                )
-                practical = practical_security_check(secret_query, view_list)
+            assessment = classify_disclosure(
+                secret_query,
+                view_list,
+                self._schema,
+                dictionary=self._dictionary,
+                domain=self._domain,
+                critical_fn=self._session.critical_fn,
+            )
+            practical = practical_security_check(secret_query, view_list)
             findings.append(
                 AuditFinding(
                     secret_name=secret_query.name,
@@ -339,14 +316,13 @@ class SecurityAuditor:
     ) -> Tuple[ConjunctiveQuery, ...]:
         """The largest subset of candidate views publishable without any
         disclosure about the secret (Theorem 4.5 makes this per-view)."""
-        with self._session.eval_scope():
-            return largest_safe_view_set(
-                _as_query(secret),
-                [_as_query(v) for v in candidate_views],
-                self._schema,
-                domain=self._domain,
-                critical_fn=self._session.critical_fn,
-            )
+        return largest_safe_view_set(
+            _as_query(secret),
+            [_as_query(v) for v in candidate_views],
+            self._schema,
+            domain=self._domain,
+            critical_fn=self._session.critical_fn,
+        )
 
     # -- helpers --------------------------------------------------------------------
     def _as_views(self, views: Sequence[QueryLike] | QueryLike) -> List[ConjunctiveQuery]:

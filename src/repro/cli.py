@@ -104,22 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="uniform tuple probability for quantitative measures (e.g. 1/4)",
         )
-        subparser.add_argument(
-            "--criticality-engine",
-            default=None,
-            help=(
-                "critical-tuple computation engine: pruned-parallel (default), "
-                "minimal, or naive"
-            ),
-        )
-        subparser.add_argument(
-            "--eval-engine",
-            default=None,
-            help=(
-                "query-evaluation engine: compiled (default), naive, or sql "
-                "(defaults to $REPRO_EVAL_ENGINE)"
-            ),
-        )
 
     decide = subparsers.add_parser("decide", help="dictionary-independent decision (Theorem 4.5)")
     add_common(decide, multi_view_names=False)
@@ -157,22 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="exact",
         help="verification engine for the session (default: exact)",
-    )
-    plan.add_argument(
-        "--criticality-engine",
-        default=None,
-        help=(
-            "critical-tuple computation engine: pruned-parallel (default), "
-            "minimal, or naive"
-        ),
-    )
-    plan.add_argument(
-        "--eval-engine",
-        default=None,
-        help=(
-            "query-evaluation engine: compiled (default), naive, or sql "
-            "(defaults to $REPRO_EVAL_ENGINE)"
-        ),
     )
     plan.add_argument(
         "--show-cache-stats",
@@ -276,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     request.add_argument("--engine", default=None, help="verification engine name")
     request.add_argument(
-        "--criticality-engine", default=None, help="criticality engine name"
-    )
-    request.add_argument(
-        "--eval-engine", default=None, help="query-evaluation engine name"
-    )
-    request.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
@@ -336,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--probability", default=None, help="uniform tuple probability (e.g. 1/4)"
         )
         flag_parser.add_argument("--engine", default=None, help="verification engine name")
-        flag_parser.add_argument(
-            "--criticality-engine", default=None, help="criticality engine name"
-        )
-        flag_parser.add_argument(
-            "--eval-engine", default=None, help="query-evaluation engine name"
-        )
         flag_parser.add_argument("--deadline-ms", type=float, default=None, help=argparse.SUPPRESS)
         flag_parser.add_argument("--retries", type=int, default=None, help=argparse.SUPPRESS)
     trace.add_argument(
@@ -494,10 +450,6 @@ def _request_parts(args, parser: argparse.ArgumentParser):
             document["dictionary"] = {"tuple_probability": args.probability}
         if args.engine is not None:
             document["engine"] = args.engine
-        if args.criticality_engine is not None:
-            document["criticality_engine"] = args.criticality_engine
-        if args.eval_engine is not None:
-            document["eval_engine"] = args.eval_engine
 
     if args.deadline_ms is not None:
         if args.deadline_ms <= 0:
@@ -662,13 +614,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "plan":
             schema, dictionary, plan = load_publishing_plan(args.plan)
-            session = AnalysisSession(
-                schema,
-                dictionary=dictionary,
-                engine=args.engine,
-                criticality_engine=args.criticality_engine,
-                eval_engine=args.eval_engine,
-            )
+            session = AnalysisSession(schema, dictionary=dictionary, engine=args.engine)
             result = session.audit_plan(plan)
             print(result.render())
             if args.show_cache_stats:
@@ -677,12 +623,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         schema, configured_dictionary = load_audit_configuration(args.schema)
         dictionary = _dictionary_for(args, schema) or configured_dictionary
-        auditor = SecurityAuditor(
-            schema,
-            dictionary=dictionary,
-            criticality_engine=args.criticality_engine,
-            eval_engine=args.eval_engine,
-        )
+        auditor = SecurityAuditor(schema, dictionary=dictionary)
         named_views = _parse_views(args.view)
         view_queries = list(named_views.values())
 

@@ -2,8 +2,7 @@
 
 Modules
 -------
-``criticality``   pluggable ``crit_D`` engines (minimal / naive / pruned-parallel)
-``critical``      compatibility shim re-exporting the minimal engine
+``criticality``   the ``crit_D`` engine (pruned, symmetry-reduced, parallel)
 ``security``      Theorem 4.5 decisions and Definition 4.1 verification
 ``practical``     the subgoal-unification quick check (Section 4.2)
 ``domain_bounds`` Proposition 4.9 analysis domains
@@ -30,23 +29,13 @@ from .asymptotic import (
     empirical_mu,
 )
 from .collusion import CollusionReport, analyse_collusion, largest_safe_view_set
-from .critical import (
+from .criticality import (
+    CriticalityEngine,
+    PrunedParallelEngine,
     candidate_critical_facts,
     common_critical_tuples,
     critical_tuples,
-    critical_tuples_naive,
     is_critical,
-    is_critical_naive,
-)
-from .criticality import (
-    DEFAULT_CRITICALITY_ENGINE,
-    CriticalityEngine,
-    MinimalEngine,
-    NaiveEngine,
-    PrunedParallelEngine,
-    available_criticality_engines,
-    create_criticality_engine,
-    register_criticality_engine,
 )
 from .domain_bounds import (
     analysis_domain,
@@ -97,19 +86,11 @@ __all__ = [
     "posterior_answer_distribution",
     "row_posteriors",
     "critical_tuples",
-    "critical_tuples_naive",
     "is_critical",
-    "is_critical_naive",
     "candidate_critical_facts",
     "common_critical_tuples",
     "CriticalityEngine",
-    "MinimalEngine",
-    "NaiveEngine",
     "PrunedParallelEngine",
-    "DEFAULT_CRITICALITY_ENGINE",
-    "register_criticality_engine",
-    "available_criticality_engines",
-    "create_criticality_engine",
     "SecurityDecision",
     "decide_security",
     "is_secure",

@@ -125,7 +125,6 @@ def analyse_collusion(
     domain: Optional[Domain] = None,
     *,
     critical_fn=None,
-    criticality_engine=None,
 ) -> CollusionReport:
     """Analyse which recipients/coalitions violate the secret's security.
 
@@ -135,14 +134,13 @@ def analyse_collusion(
     Without an explicit ``critical_fn`` the call delegates to the
     default :class:`~repro.session.AnalysisSession`, whose cache makes
     the per-view loop compute the secret's critical tuples once instead
-    of once per view; ``criticality_engine`` selects which engine that
-    session computes with (see :mod:`repro.core.criticality`).
+    of once per view.
     """
     if critical_fn is None:
         from ..session.default import default_session
 
         return (
-            default_session(schema, criticality_engine)
+            default_session(schema)
             .collusion(secret, views, domain=domain)
             .report
         )
@@ -180,7 +178,6 @@ def largest_safe_view_set(
     domain: Optional[Domain] = None,
     *,
     critical_fn=None,
-    criticality_engine=None,
 ) -> Tuple[ConjunctiveQuery, ...]:
     """The largest subset of candidate views that can be published safely.
 
@@ -202,6 +199,5 @@ def largest_safe_view_set(
             schema,
             domain=domain,
             critical_fn=critical_fn,
-            criticality_engine=criticality_engine,
         ).secure
     )

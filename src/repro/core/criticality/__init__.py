@@ -1,62 +1,34 @@
-"""Pluggable criticality engines: named strategies for computing ``crit_D(Q)``.
+"""The ``crit_D(Q)`` computation (Definition 4.4).
 
-The registry mirrors :mod:`repro.session.engines`:
+Production runs one engine, :class:`PrunedParallelEngine`: the
+Appendix A minimal-instance search with early comparison/constant
+propagation, symmetry reduction over interchangeable domain values, and
+an optional process-pool fan-out over candidate facts (serial fallback
+via ``REPRO_CRITICALITY_WORKERS=0``).  :func:`critical_tuples` and
+:func:`is_critical` are its per-query functions.
 
-* ``minimal`` — the Appendix A minimal-instance search (the historical
-  behaviour of :mod:`repro.core.critical`, behaviour-identical);
-* ``naive`` — literal Definition 4.4 instance enumeration (ablation and
-  cross-validation only);
-* ``pruned-parallel`` — the default: early comparison/constant
-  propagation, symmetry reduction over interchangeable domain values,
-  and an optional process-pool fan-out over candidate facts (serial
-  fallback via ``REPRO_CRITICALITY_WORKERS=0``).
-
-All engines return identical critical-tuple sets; the test suite
-cross-validates them against each other.  Select one with
-``AnalysisSession(criticality_engine=...)``, the ``criticality_engine``
-keyword of the core decision procedures, or the CLI's
-``--criticality-engine`` flag.
+The unpruned Appendix A search and the literal Definition 4.4
+enumeration live on as test oracles in :mod:`repro.reference`; the test
+suite cross-validates this engine against both.
 """
 
 from .base import (
-    DEFAULT_CRITICALITY_ENGINE,
     DEFAULT_MAX_VALUATIONS,
     CriticalityEngine,
     InstanceConstraint,
-    available_criticality_engines,
-    create_criticality_engine,
-    register_criticality_engine,
+    candidate_critical_facts,
 )
 from .common import common_critical_tuples
-from .minimal import (
-    MinimalEngine,
-    candidate_critical_facts,
-    critical_tuples,
-    is_critical,
-)
-from .naive import NaiveEngine, critical_tuples_naive, is_critical_naive
-from .pruned import WORKERS_ENV, PrunedParallelEngine
+from .pruned import WORKERS_ENV, PrunedParallelEngine, critical_tuples, is_critical
 
 __all__ = [
     "CriticalityEngine",
-    "MinimalEngine",
-    "NaiveEngine",
     "PrunedParallelEngine",
     "InstanceConstraint",
     "DEFAULT_MAX_VALUATIONS",
-    "DEFAULT_CRITICALITY_ENGINE",
     "WORKERS_ENV",
-    "register_criticality_engine",
-    "available_criticality_engines",
-    "create_criticality_engine",
     "candidate_critical_facts",
     "is_critical",
-    "is_critical_naive",
     "critical_tuples",
-    "critical_tuples_naive",
     "common_critical_tuples",
 ]
-
-register_criticality_engine(MinimalEngine.name, MinimalEngine)
-register_criticality_engine(NaiveEngine.name, NaiveEngine)
-register_criticality_engine(PrunedParallelEngine.name, PrunedParallelEngine)

@@ -1,47 +1,36 @@
-"""The criticality-engine interface and registry.
+"""The criticality-engine interface and the homomorphic-image helpers.
 
 Every verdict this library produces — Theorem 4.5 security, collusion,
 prior knowledge, leakage bounds, practical security — funnels through
 the computation of critical-tuple sets ``crit_D(Q)`` (Definition 4.4).
-That computation is therefore a *pluggable engine*, mirroring the
-verification-engine registry of :mod:`repro.session.engines`:
+:class:`CriticalityEngine` names that computation's interface; the
+production engine is :class:`~repro.core.criticality.pruned.
+PrunedParallelEngine`.
 
-* ``minimal`` — the Appendix A minimal-instance search, scanning every
-  candidate fact with a full valuation enumeration (the historical
-  behaviour of :func:`repro.core.critical.critical_tuples`);
-* ``naive`` — the literal Definition 4.4 instance enumeration, kept for
-  cross-validation and ablation benchmarks;
-* ``pruned-parallel`` — the default: the minimal-instance search with
-  early comparison/constant propagation, symmetry reduction over
-  interchangeable domain values, and an optional process-pool fan-out
-  over candidate facts (see :mod:`repro.core.criticality.pruned`).
-
-Engines are selected by name — ``AnalysisSession(criticality_engine=
-"minimal")``, ``decide_security(..., criticality_engine="naive")``, or
-``repro-audit --criticality-engine pruned-parallel`` — and third
-parties can plug in their own with :func:`register_criticality_engine`.
-All registered engines must return *identical* critical-tuple sets;
-only their cost profile may differ.
+The helpers below decide which facts are homomorphic images of a
+query's subgoals.  The production engine and the reference oracles of
+:mod:`repro.reference` share them, so the engines can never diverge on
+what counts as a candidate critical tuple.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Union
+import itertools
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
 
-from ...exceptions import SecurityAnalysisError
+from ...cq.atoms import Atom
+from ...cq.query import ConjunctiveQuery
+from ...cq.terms import Variable, is_constant
 from ...relational.domain import Domain
 from ...relational.instance import Instance
 from ...relational.schema import Schema
-from ...relational.tuples import Fact
+from ...relational.tuples import Fact, tuple_space
 
 __all__ = [
     "InstanceConstraint",
     "DEFAULT_MAX_VALUATIONS",
-    "DEFAULT_CRITICALITY_ENGINE",
     "CriticalityEngine",
-    "register_criticality_engine",
-    "available_criticality_engines",
-    "create_criticality_engine",
+    "candidate_critical_facts",
 ]
 
 #: Predicate on instances used to relativise criticality (must be closed
@@ -51,23 +40,16 @@ InstanceConstraint = Callable[[Instance], bool]
 #: Guard on the number of valuations explored per subgoal.
 DEFAULT_MAX_VALUATIONS = 2_000_000
 
-#: Engine used when no explicit selection is made anywhere in the stack.
-DEFAULT_CRITICALITY_ENGINE = "pruned-parallel"
-
 
 class CriticalityEngine:
     """Interface of a ``crit_D(Q)`` computation strategy.
 
     Subclasses implement :meth:`is_critical` and :meth:`critical_tuples`
     with the exact semantics of Definition 4.4 (relativised to an
-    instance constraint when one is given).  Engines are interchangeable
-    — the test suite cross-validates them against each other — and a
-    bound :meth:`critical_tuples` is a valid ``critical_fn`` provider
-    for every core decision procedure.
+    instance constraint when one is given).  A bound
+    :meth:`critical_tuples` is a valid ``critical_fn`` provider for
+    every core decision procedure.
     """
-
-    #: Registry name; subclasses override.
-    name = "abstract"
 
     def is_critical(
         self,
@@ -98,48 +80,88 @@ class CriticalityEngine:
         """``crit_D(Q)`` (or ``crit_D(Q, K)`` when a constraint is given)."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        """Human-readable one-liner used in reports."""
-        return f"{self.name} criticality engine"
+
+def _tuple_space_set(schema: Schema, domain: Optional[Domain]) -> FrozenSet[Fact]:
+    return frozenset(tuple_space(schema, domain))
 
 
-_REGISTRY: Dict[str, Callable[[], CriticalityEngine]] = {}
+def _subgoal_groundings(
+    atom: Atom, domain: Domain, allowed: FrozenSet[Fact]
+) -> Iterator[Fact]:
+    """All facts of ``tup(D)`` that are homomorphic images of one subgoal."""
+    positions_by_variable: Dict[Variable, List[int]] = {}
+    fixed: Dict[int, object] = {}
+    for index, term in enumerate(atom.terms):
+        if is_constant(term):
+            fixed[index] = term.value
+        else:
+            positions_by_variable.setdefault(term, []).append(index)
+    variables = sorted(positions_by_variable)
+    for combo in itertools.product(domain.values, repeat=len(variables)):
+        values: List[object] = [None] * atom.arity
+        for index, value in fixed.items():
+            values[index] = value
+        for variable, value in zip(variables, combo):
+            for index in positions_by_variable[variable]:
+                values[index] = value
+        fact = Fact(atom.relation, values)
+        if fact in allowed:
+            yield fact
 
 
-def register_criticality_engine(
-    name: str, factory: Callable[[], CriticalityEngine]
-) -> None:
-    """Register (or replace) a criticality-engine factory under ``name``."""
-    if not name:
-        raise SecurityAnalysisError("criticality engine name must be non-empty")
-    _REGISTRY[name] = factory
+def candidate_critical_facts(
+    query: ConjunctiveQuery,
+    schema: Schema,
+    domain: Optional[Domain] = None,
+    *,
+    allowed: Optional[FrozenSet[Fact]] = None,
+) -> FrozenSet[Fact]:
+    """Facts that are homomorphic images of some subgoal of the query.
 
+    Every critical tuple must be such an image (a minimal witnessing
+    instance is an image of the body), so this set is a superset of
+    ``crit_D(Q)`` and is the candidate pool every engine scans.  The
+    converse fails in general — the paper's example
+    ``Q():-R(x,y,z,z,u),R(x,x,x,y,y)`` has the non-critical image
+    ``R(a,a,b,b,c)`` — which is exactly why each candidate still needs
+    the full witness check.
 
-def available_criticality_engines() -> List[str]:
-    """The registered criticality-engine names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def create_criticality_engine(
-    engine: Union[str, CriticalityEngine, None] = None,
-) -> CriticalityEngine:
-    """Instantiate a criticality engine.
-
-    ``None`` selects :data:`DEFAULT_CRITICALITY_ENGINE`; an existing
-    :class:`CriticalityEngine` instance passes through unchanged; a
-    string is looked up in the registry, raising a
-    :class:`SecurityAnalysisError` listing the available names when
-    unknown.
+    ``allowed`` lets a caller that already materialised the tuple space
+    pass it in instead of paying for a second enumeration.
     """
-    if engine is None:
-        engine = DEFAULT_CRITICALITY_ENGINE
-    if isinstance(engine, CriticalityEngine):
-        return engine
-    try:
-        factory = _REGISTRY[engine]
-    except (KeyError, TypeError):
-        raise SecurityAnalysisError(
-            f"unknown criticality engine {engine!r}; available engines: "
-            f"{', '.join(available_criticality_engines())}"
-        ) from None
-    return factory()
+    domain = domain or schema.domain
+    if allowed is None:
+        allowed = _tuple_space_set(schema, domain)
+    candidates: Set[Fact] = set()
+    for atom in query.body:
+        candidates.update(_subgoal_groundings(atom, domain, allowed))
+    return frozenset(candidates)
+
+
+def _seed_valuation(atom: Atom, fact: Fact) -> Optional[Dict[Variable, object]]:
+    """The partial valuation mapping ``atom`` onto ``fact`` (None on mismatch).
+
+    Shared by every engine's subgoal-to-fact matching so the engines can
+    never diverge on what counts as a homomorphic image.
+    """
+    if atom.relation != fact.relation or atom.arity != fact.arity:
+        return None
+    seed: Dict[Variable, object] = {}
+    for term, value in zip(atom.terms, fact.values):
+        if is_constant(term):
+            if term.value != value:
+                return None
+        else:
+            bound = seed.get(term, _UNBOUND)
+            if bound is _UNBOUND:
+                seed[term] = value
+            elif bound != value:
+                return None
+    return seed
+
+
+class _Unbound:
+    __repr__ = lambda self: "<unbound>"  # noqa: E731  # pragma: no cover
+
+
+_UNBOUND = _Unbound()

@@ -12,9 +12,10 @@ from ...relational.tuples import Fact
 from .base import (
     DEFAULT_MAX_VALUATIONS,
     InstanceConstraint,
-    create_criticality_engine,
+    _tuple_space_set,
+    candidate_critical_facts,
 )
-from .minimal import _tuple_space_set, candidate_critical_facts
+from .pruned import critical_tuples, is_critical
 
 __all__ = ["common_critical_tuples"]
 
@@ -27,7 +28,6 @@ def common_critical_tuples(
     constraint: Optional[InstanceConstraint] = None,
     *,
     critical_fn=None,
-    criticality_engine=None,
     max_valuations: int = DEFAULT_MAX_VALUATIONS,
 ) -> FrozenSet[Fact]:
     """``crit_D(S) ∩ crit_D(V̄)`` where ``crit_D(V̄) = ∪_i crit_D(V_i)``.
@@ -36,12 +36,11 @@ def common_critical_tuples(
     (Theorem 4.5); it is also the set of tuples whose status must be
     disclosed to *restore* security via Corollary 5.4.
 
-    ``critical_fn`` (same signature as the engines'
-    :meth:`~repro.core.criticality.CriticalityEngine.critical_tuples`)
-    lets a session supply its cached provider for the full-set
-    computations; ``criticality_engine`` names the engine used for the
-    per-fact candidate filtering (and for the full sets when no
-    ``critical_fn`` is given).  ``max_valuations`` bounds the valuation
+    ``critical_fn`` (same signature as
+    :func:`~repro.core.criticality.critical_tuples`, the default) lets a
+    session supply its cached provider for the full-set computations;
+    the per-fact candidate filtering always runs on the production
+    engine.  ``max_valuations`` bounds the valuation
     space of *every* criticality check performed here — the full secret
     set and the per-view re-checks alike.  (When ``critical_fn`` is a
     session's cached provider, a warm cache may serve the secret's set
@@ -50,9 +49,8 @@ def common_critical_tuples(
     """
     if not views:
         raise SecurityAnalysisError("at least one view is required")
-    engine = create_criticality_engine(criticality_engine)
     if critical_fn is None:
-        critical_fn = engine.critical_tuples
+        critical_fn = critical_tuples
     secret_critical = critical_fn(
         secret, schema, domain, constraint, max_valuations=max_valuations
     )
@@ -67,7 +65,7 @@ def common_critical_tuples(
         view_candidates = candidate_critical_facts(view, schema, domain, allowed=allowed)
         overlap = secret_critical & view_candidates
         for fact in overlap:
-            if engine.is_critical(
+            if is_critical(
                 fact,
                 view,
                 schema,

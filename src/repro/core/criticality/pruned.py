@@ -1,6 +1,8 @@
-"""The ``pruned-parallel`` criticality engine (the default).
+"""The production criticality engine: pruned, symmetry-reduced, parallel.
 
-Three optimisations over the ``minimal`` engine, all verdict-preserving:
+Three optimisations over the Appendix A minimal-instance search (kept
+as the oracle :func:`repro.reference.critical_tuples`), all
+verdict-preserving:
 
 1. **Early comparison/constant propagation.**  Instead of materialising
    every total valuation (``|D|^{#remaining}``) and checking the
@@ -47,10 +49,16 @@ from ...relational.domain import Domain
 from ...relational.instance import Instance
 from ...relational.schema import Schema
 from ...relational.tuples import Fact
-from .base import DEFAULT_MAX_VALUATIONS, CriticalityEngine, InstanceConstraint
-from .minimal import _seed_valuation, _tuple_space_set, candidate_critical_facts
+from .base import (
+    DEFAULT_MAX_VALUATIONS,
+    CriticalityEngine,
+    InstanceConstraint,
+    _seed_valuation,
+    _tuple_space_set,
+    candidate_critical_facts,
+)
 
-__all__ = ["PrunedParallelEngine", "WORKERS_ENV"]
+__all__ = ["PrunedParallelEngine", "WORKERS_ENV", "critical_tuples", "is_critical"]
 
 #: Environment variable selecting the worker count (0/1 = serial).
 WORKERS_ENV = "REPRO_CRITICALITY_WORKERS"
@@ -63,7 +71,7 @@ _MAX_AUTO_WORKERS = 8
 #: Bound on the per-search witness memo: duplicate witnesses are worth
 #: caching (repeated subgoals, symmetric joins), but a search near the
 #: max_valuations bound with mostly-distinct groundings must stay at
-#: bounded memory like the minimal engine's streaming enumeration.
+#: bounded memory like the reference minimal search's streaming enumeration.
 _WITNESS_CACHE_LIMIT = 4096
 
 
@@ -99,9 +107,10 @@ def _pruned_witness_search(
 ) -> bool:
     """Backtracking search for a witnessing valuation extending ``seed``.
 
-    Explores the same valuation space as the minimal engine (raising the
-    same :class:`IntractableAnalysisError` on the same pre-enumeration
-    bound), but checks each comparison — and, on typed schemas, each
+    Explores the same valuation space as the reference minimal search
+    (raising the same :class:`IntractableAnalysisError` on the same
+    pre-enumeration bound), but checks each comparison — and, on typed
+    schemas, each
     subgoal's tuple-space membership — at the earliest point where all
     of its variables are bound, so failing branches are cut before the
     remaining variables are enumerated.
@@ -323,8 +332,6 @@ def _is_critical_batch(payload) -> List[bool]:
 class PrunedParallelEngine(CriticalityEngine):
     """Pruned + symmetry-reduced + optionally parallel minimal-instance search."""
 
-    name = "pruned-parallel"
-
     def __init__(self, parallel: bool = True):
         self._parallel = parallel
 
@@ -434,3 +441,35 @@ class PrunedParallelEngine(CriticalityEngine):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_is_critical_batch, payloads))
         return [verdict for batch in batches for verdict in batch]
+
+
+def critical_tuples(
+    query,
+    schema: Schema,
+    domain: Optional[Domain] = None,
+    constraint: Optional[InstanceConstraint] = None,
+    max_valuations: int = DEFAULT_MAX_VALUATIONS,
+) -> FrozenSet[Fact]:
+    """``crit_D(Q)`` (or ``crit_D(Q, K)`` when a constraint is given)."""
+    return PrunedParallelEngine().critical_tuples(
+        query, schema, domain, constraint, max_valuations
+    )
+
+
+def is_critical(
+    fact: Fact,
+    query,
+    schema: Schema,
+    domain: Optional[Domain] = None,
+    constraint: Optional[InstanceConstraint] = None,
+    max_valuations: int = DEFAULT_MAX_VALUATIONS,
+    *,
+    allowed: Optional[FrozenSet[Fact]] = None,
+) -> bool:
+    """Decide ``fact ∈ crit_D(Q)`` (or ``crit_D(Q, K)``).
+
+    ``allowed`` lets a batch caller pass a pre-materialised ``tup(D)``.
+    """
+    return PrunedParallelEngine().is_critical(
+        fact, query, schema, domain, constraint, max_valuations, allowed=allowed
+    )

@@ -37,7 +37,7 @@ from ..probability.events import Event, query_support
 from ..relational.instance import Instance
 from ..relational.schema import RelationSchema, Schema
 from ..relational.tuples import Fact, facts_of_relation
-from .criticality import create_criticality_engine
+from .criticality import critical_tuples
 
 __all__ = [
     "EncryptedView",
@@ -171,7 +171,7 @@ def encrypted_view_security(
     secret with a critical tuple in that relation is insecure; secrets
     that do not depend on the encrypted relation at all remain secure.
     """
-    crit = create_criticality_engine().critical_tuples(secret, schema)
+    crit = critical_tuples(secret, schema)
     touches_relation = any(fact.relation == view.relation for fact in crit)
     if not crit:
         return EncryptedSecurityReport(

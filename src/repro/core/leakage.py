@@ -33,7 +33,7 @@ from ..probability.engine import ExactEngine
 from ..probability.events import And, Event, FactPresent, Or, QueryContains, query_support
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
-from .criticality import create_criticality_engine
+from .criticality import critical_tuples
 
 __all__ = [
     "LeakageResult",
@@ -114,8 +114,6 @@ def positive_leakage(
     max_secret_rows: int = 1,
     max_view_rows: int = 1,
     max_support_size: Optional[int] = None,
-    *,
-    criticality_engine=None,
 ) -> LeakageResult:
     """Compute ``leak(S, V̄)`` of Eq. (9) by exhaustive search.
 
@@ -125,15 +123,12 @@ def positive_leakage(
 
     Delegates to the default :class:`~repro.session.AnalysisSession`
     (see :meth:`~repro.session.AnalysisSession.leakage` for the
-    session-native form with timing and cache accounting);
-    ``criticality_engine`` selects that session's critical-tuple engine
-    — the Eq. (9) search itself is probabilistic, but the keyword keeps
-    engine selection uniform across the legacy entry points.
+    session-native form with timing and cache accounting).
     """
     from ..session.default import default_session
 
     return (
-        default_session(dictionary.schema, criticality_engine)
+        default_session(dictionary.schema)
         .leakage(
             secret,
             views,
@@ -224,7 +219,7 @@ def epsilon_of_theorem_6_1(
     the boolean specialisations.  The probabilities are computed over the
     dictionary's own domain.
     """
-    critical_fn = critical_fn or create_criticality_engine().critical_tuples
+    critical_fn = critical_fn or critical_tuples
     if isinstance(views, (ConjunctiveQuery, UnionQuery)):
         views = [views]
     views = list(views)

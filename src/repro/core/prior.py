@@ -47,7 +47,7 @@ from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import Schema
 from ..relational.tuples import Fact, facts_of_relation
-from .criticality import InstanceConstraint, common_critical_tuples, create_criticality_engine
+from .criticality import InstanceConstraint, common_critical_tuples, critical_tuples
 from .domain_bounds import analysis_domain, analysis_schema, untyped_schema
 
 __all__ = [
@@ -334,7 +334,7 @@ def decide_with_key_constraints(
     ``crit_D(S, K)`` is key-equivalent (``≡_K``) to a tuple of
     ``crit_D(V̄, K)``.
     """
-    critical_fn = critical_fn or create_criticality_engine().critical_tuples
+    critical_fn = critical_fn or critical_tuples
     if isinstance(views, (ConjunctiveQuery, UnionQuery)):
         views = [views]
     views = list(views)
@@ -392,7 +392,7 @@ def decide_with_cardinality_constraint(
     fails unless the secret or the views are trivial (constant over all
     instances, i.e. have no critical tuples).
     """
-    critical_fn = critical_fn or create_criticality_engine().critical_tuples
+    critical_fn = critical_fn or critical_tuples
     if isinstance(views, (ConjunctiveQuery, UnionQuery)):
         views = [views]
     views = list(views)
@@ -428,7 +428,6 @@ def decide_with_tuple_status(
     domain: Optional[Domain] = None,
     *,
     critical_fn=None,
-    criticality_engine=None,
 ) -> KnowledgeDecision:
     """Corollary 5.4: disclosing the status of common critical tuples protects.
 
@@ -450,7 +449,6 @@ def decide_with_tuple_status(
         working_schema,
         domain,
         critical_fn=critical_fn,
-        criticality_engine=criticality_engine,
     )
     uncovered = frozenset(t for t in common if not knowledge.covers(t))
     if not common:
@@ -554,7 +552,7 @@ def decide_with_prior_view(
     ``U2 ⇒ V2``.  Finding such splits certifies ``U : S | V`` for every
     distribution; exhausting them without success reports insecurity.
     """
-    critical_fn = critical_fn or create_criticality_engine().critical_tuples
+    critical_fn = critical_fn or critical_tuples
     for query, label in ((secret, "secret"), (view, "view"), (prior, "prior view")):
         if not query.is_boolean:
             raise KnowledgeError(
@@ -632,7 +630,6 @@ def decide_with_knowledge(
     domain: Optional[Domain] = None,
     *,
     critical_fn=None,
-    criticality_engine=None,
 ) -> KnowledgeDecision:
     """Dispatch to the appropriate syntactic decision procedure.
 
@@ -640,15 +637,13 @@ def decide_with_knowledge(
     knowledge classes without a syntactic rule (use
     :func:`verify_with_knowledge` in that case).  Without an explicit
     ``critical_fn`` the call delegates to the default
-    :class:`~repro.session.AnalysisSession` for critical-tuple caching;
-    ``criticality_engine`` selects which engine that session computes
-    with (see :mod:`repro.core.criticality`).
+    :class:`~repro.session.AnalysisSession` for critical-tuple caching.
     """
     if critical_fn is None:
         from ..session.default import default_session
 
         return (
-            default_session(schema, criticality_engine)
+            default_session(schema)
             .with_knowledge(secret, views, knowledge, domain=domain)
             .decision
         )
@@ -668,7 +663,6 @@ def decide_with_knowledge(
             schema,
             domain,
             critical_fn=critical_fn,
-            criticality_engine=criticality_engine,
         )
     if isinstance(knowledge, PriorViewKnowledge):
         view_list = (

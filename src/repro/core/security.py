@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..cq.query import ConjunctiveQuery
 from ..cq.union import UnionQuery
@@ -125,7 +125,6 @@ def decide_security(
     domain: Optional[Domain] = None,
     *,
     critical_fn=None,
-    criticality_engine=None,
 ) -> SecurityDecision:
     """Dictionary-independent security decision via Theorem 4.5.
 
@@ -141,27 +140,17 @@ def decide_security(
         Analysis domain.  When omitted, a domain satisfying
         Proposition 4.9 is synthesised from the queries' constants.
     critical_fn:
-        Critical-tuple provider with the signature of the engines'
-        :meth:`~repro.core.criticality.CriticalityEngine.critical_tuples`.
-        When omitted the call delegates to the module-level default
+        Critical-tuple provider with the signature of
+        :func:`~repro.core.criticality.critical_tuples`.  When omitted
+        the call delegates to the module-level default
         :class:`~repro.session.AnalysisSession`, which memoizes every
         ``crit_D(Q)`` in a shared LRU cache; sessions pass their own
         cached provider here.
-    criticality_engine:
-        Name of the criticality engine (see
-        :mod:`repro.core.criticality`) the default session should
-        compute with; ignored when an explicit ``critical_fn`` is given
-        (selection precedence: call-level provider → session engine →
-        package default).
     """
     if critical_fn is None:
         from ..session.default import default_session
 
-        return (
-            default_session(schema, criticality_engine)
-            .decide(secret, views, domain=domain)
-            .decision
-        )
+        return default_session(schema).decide(secret, views, domain=domain).decision
 
     _require_query(secret, "secret")
     if isinstance(views, (ConjunctiveQuery, UnionQuery)):
@@ -206,30 +195,24 @@ def is_secure(
     views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
     schema: Schema,
     domain: Optional[Domain] = None,
-    *,
-    criticality_engine=None,
 ) -> bool:
     """Convenience wrapper returning only the boolean verdict of
     :func:`decide_security`."""
-    return decide_security(
-        secret, views, schema, domain, criticality_engine=criticality_engine
-    ).secure
+    return decide_security(secret, views, schema, domain).secure
 
 
-def verify_security_probabilistically(
+def _independence_terms(
     secret: ConjunctiveQuery,
     views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
     dictionary: Dictionary,
-    max_support_size: Optional[int] = None,
-) -> bool:
-    """Literal Definition 4.1 check for one concrete dictionary.
+    max_support_size: Optional[int],
+) -> Iterator[Tuple[Fraction, Fraction]]:
+    """``(P[S=s ∧ V̄=v̄], P[S=s]·P[V̄=v̄])`` for every answer pair of Eq. (4).
 
-    Uses Eq. (4): for every pair of answers ``(s, v̄)`` attained over the
-    support, check ``P[S=s ∧ V̄=v̄] = P[S=s]·P[V̄=v̄]`` exactly.  The
-    joint answer distribution comes from the compiled kernel shared per
-    dictionary, so repeated verification of the same pair — or a
-    follow-up :func:`independence_gap` on it — enumerates the support
-    only once.
+    The joint answer distribution comes from the kernel shared per
+    dictionary; the marginals are summed from it once.  Raises
+    :class:`SecurityAnalysisError` without views: Definition 4.1 needs
+    at least one.
     """
     if isinstance(views, (ConjunctiveQuery, UnionQuery)):
         views = [views]
@@ -255,9 +238,30 @@ def verify_security_probabilistically(
     for secret_answer, p_secret in secret_marginal.items():
         for view_answers, p_views in views_marginal.items():
             p_joint = joint.get((secret_answer, *view_answers), Fraction(0))
-            if p_joint != p_secret * p_views:
-                return False
-    return True
+            yield p_joint, p_secret * p_views
+
+
+def verify_security_probabilistically(
+    secret: ConjunctiveQuery,
+    views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
+    dictionary: Dictionary,
+    max_support_size: Optional[int] = None,
+) -> bool:
+    """Literal Definition 4.1 check for one concrete dictionary.
+
+    Uses Eq. (4): for every pair of answers ``(s, v̄)`` attained over the
+    support, check ``P[S=s ∧ V̄=v̄] = P[S=s]·P[V̄=v̄]`` exactly.  The
+    joint answer distribution comes from the compiled kernel shared per
+    dictionary, so repeated verification of the same pair — or a
+    follow-up :func:`independence_gap` on it — enumerates the support
+    only once.
+    """
+    return all(
+        p_joint == p_product
+        for p_joint, p_product in _independence_terms(
+            secret, views, dictionary, max_support_size
+        )
+    )
 
 
 def independence_gap(
@@ -272,30 +276,12 @@ def independence_gap(
     is secure for this dictionary.  Useful for quantifying *how far* an
     insecure pair is from independence under a specific distribution.
     Shares the kernel's memoized joint distribution with
-    :func:`verify_security_probabilistically`.
+    :func:`verify_security_probabilistically`, and like it needs at
+    least one view.
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    kernel = ProbabilityKernel.shared(dictionary)
-    joint = kernel.joint_answer_distribution(
-        [secret, *views], max_support_size=max_support_size
+    return max(
+        abs(p_joint - p_product)
+        for p_joint, p_product in _independence_terms(
+            secret, views, dictionary, max_support_size
+        )
     )
-
-    secret_marginal: Dict[FrozenSet, Fraction] = {}
-    views_marginal: Dict[Tuple, Fraction] = {}
-    for key, probability in joint.items():
-        secret_answer, view_answers = key[0], key[1:]
-        secret_marginal[secret_answer] = (
-            secret_marginal.get(secret_answer, Fraction(0)) + probability
-        )
-        views_marginal[view_answers] = (
-            views_marginal.get(view_answers, Fraction(0)) + probability
-        )
-
-    gap = Fraction(0)
-    for secret_answer, p_secret in secret_marginal.items():
-        for view_answers, p_views in views_marginal.items():
-            p_joint = joint.get((secret_answer, *view_answers), Fraction(0))
-            gap = max(gap, abs(p_joint - p_secret * p_views))
-    return gap

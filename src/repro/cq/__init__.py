@@ -10,19 +10,13 @@ from .compiled import CompiledPlan, evaluation_stats, plan_for, reset_evaluation
 from .compose import conjoin, conjoin_all
 from .containment import are_equivalent, determines, is_answerable_from, is_contained_in
 from .evaluation import (
-    EVAL_ENGINE_ENV,
     answer_contains,
     delta_apply,
     delta_apply_many,
     delta_changes,
     delta_with,
-    eval_engine_scope,
     evaluate,
     evaluate_boolean,
-    evaluation_engine,
-    naive_evaluate,
-    naive_evaluate_boolean,
-    naive_satisfying_assignments,
     possible_answers,
     satisfying_assignments,
 )
@@ -66,12 +60,6 @@ __all__ = [
     "delta_with",
     "delta_apply",
     "delta_apply_many",
-    "evaluation_engine",
-    "eval_engine_scope",
-    "EVAL_ENGINE_ENV",
-    "naive_evaluate",
-    "naive_evaluate_boolean",
-    "naive_satisfying_assignments",
     "CompiledPlan",
     "plan_for",
     "plan_atom_order",

@@ -71,7 +71,6 @@ STATS = StatCounters(
         "row_checks",
         "delta_calls",
         "delta_unification_skips",
-        "naive_evaluations",
         "index_probes",
         "relation_scans",
     )
@@ -375,20 +374,18 @@ class CompiledPlan:
 def evaluation_stats() -> Dict[str, object]:
     """One JSON-serialisable snapshot of the evaluator counters.
 
-    Includes the active engine name, the compiled-plan and delta
-    counters above, and the instance-index build/reuse counts from the
-    relational layer.  Counters are process-wide, monotone and bumped
+    Includes the compiled-plan and delta counters above, the sql-engine
+    and storage counters, and the instance-index build/reuse counts from
+    the relational layer.  Counters are process-wide, monotone and bumped
     under a lock (:class:`~repro.obs.counters.StatCounters`), so counts
     are exact even under concurrent evaluation on server worker
     threads.  Reset with :func:`reset_evaluation_stats` (tests and
     benchmarks only).
     """
-    from .evaluation import evaluation_engine  # lazy: avoids an import cycle
     from .sql import SQL_STATS  # lazy: sql imports plan/compiled machinery
     from ..storage.sqlite import STORAGE_STATS
 
-    document: Dict[str, object] = {"engine": evaluation_engine()}
-    document.update(STATS)
+    document: Dict[str, object] = dict(STATS)
     document["index_builds"] = INDEX_STATS["builds"]
     document["index_reuses"] = INDEX_STATS["reuses"]
     document["index_patched"] = INDEX_STATS["patched"]

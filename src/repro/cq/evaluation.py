@@ -1,37 +1,23 @@
 """Evaluation of conjunctive queries over database instances.
 
-Three engines share this module's public entry points:
+Two engines share this module's public entry points, and the target
+picks between them (:func:`_sql_engine` is the only place that does):
 
-* ``compiled`` (the default) — :mod:`repro.cq.compiled` plans each query
-  once (greedy join ordering, per-instance hash-index probes, slot-array
-  bindings, earliest-point comparison checks) and also answers the
-  restricted *delta* questions the criticality engines ask
-  (:func:`answer_contains`, :func:`delta_changes`).
-* ``naive`` — the seed backtracking evaluator, preserved verbatim in
-  spirit as ``naive_*`` for cross-validation and ablation benchmarks.
-  It scans every fact of the matching relation per subgoal, in body
-  order, extending one shared assignment dict in place.
-* ``sql`` — :mod:`repro.cq.sql` compiles the same join plans into
-  parameterized sqlite3 statements against a
-  :class:`~repro.storage.sqlite.SQLiteFactStore` (plain instances are
-  mirrored transparently).  This is the engine for 10^5–10^6-fact
-  stores the in-memory engines cannot hold comfortably.
+* ``sql`` — for a :class:`~repro.storage.sqlite.SQLiteFactStore`,
+  :mod:`repro.cq.sql` compiles the join plans into parameterized
+  sqlite3 statements and runs them against the store in place.  This is
+  the engine for 10^5–10^6-fact stores the in-memory engine cannot hold
+  comfortably.
+* ``compiled`` — for every other target, :mod:`repro.cq.compiled` plans
+  each query once (greedy join ordering, per-instance hash-index
+  probes, slot-array bindings, earliest-point comparison checks) and
+  also answers the restricted *delta* questions the criticality engine
+  asks (:func:`answer_contains`, :func:`delta_changes`).
 
-The engine is selected by the ``REPRO_EVAL_ENGINE`` environment variable
-(``compiled``/unset → compiled; ``naive``/``sql`` as named; any other
-value raises :class:`~repro.exceptions.EvaluationError`).  Each distinct
-raw value is validated once and memoized, and the variable present at
-import time is validated immediately, so a bad deployment fails fast
-rather than on the first query.  :func:`eval_engine_scope` overrides the
-selection for the current thread of control (a
-:class:`contextvars.ContextVar`, so concurrent service sessions can pin
-different engines).  The ``naive_*`` functions bypass the dispatch
-entirely.
-
-The in-memory engines accept any fact iterable (a
-:class:`~repro.storage.base.FactStore` included) by materialising it
-into an :class:`Instance` first — correct, but re-materialised per call;
-evaluate large stores with the ``sql`` engine.
+The compiled engine accepts any fact iterable by materialising it into
+an :class:`Instance` first — correct, but re-materialised per call.  The
+seed backtracking evaluator survives as a test oracle in
+:mod:`repro.reference`.
 
 The answer of a query of arity ``k`` is a frozenset of ``k``-tuples; a
 boolean query answers ``frozenset({()})`` when true and ``frozenset()``
@@ -40,24 +26,17 @@ when false (the two possible answers of an arity-0 query).
 
 from __future__ import annotations
 
-import contextvars
-import os
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+import sys
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
-from ..exceptions import EvaluationError
 from ..obs import span
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
-from .atoms import Atom, Comparison
-from .compiled import STATS as _EVAL_STATS, plan_for
+from .compiled import plan_for
 from .query import ConjunctiveQuery
 from .terms import Variable, is_constant
 
 __all__ = [
-    "EVAL_ENGINE_ENV",
-    "evaluation_engine",
-    "eval_engine_scope",
     "evaluate",
     "evaluate_boolean",
     "satisfying_assignments",
@@ -68,216 +47,41 @@ __all__ = [
     "delta_apply",
     "delta_apply_many",
     "possible_answers",
-    "naive_evaluate",
-    "naive_evaluate_boolean",
-    "naive_satisfying_assignments",
 ]
 
 Assignment = Dict[Variable, object]
 
-#: Environment variable selecting the evaluation engine.
-EVAL_ENGINE_ENV = "REPRO_EVAL_ENGINE"
 
-_ENGINE_NAMES = ("compiled", "naive", "sql")
+def _sql_engine(target):
+    """The sql engine module when ``target`` is a SQLite store, else ``None``.
 
-#: Per-context engine override (None → fall back to the environment).
-_ENGINE_OVERRIDE: "contextvars.ContextVar[Optional[str]]" = contextvars.ContextVar(
-    "repro_eval_engine_override", default=None
-)
-
-#: Raw value → validated engine name.  Only successes are memoized, so a
-#: value is validated exactly once while a bad value keeps raising.
-_VALIDATED: Dict[str, str] = {}
-
-
-def _validate_engine(raw: str) -> str:
-    name = _VALIDATED.get(raw)
-    if name is None:
-        name = raw.strip().lower() or "compiled"
-        if name not in _ENGINE_NAMES:
-            raise EvaluationError(
-                "evaluation engine must be one of "
-                f"{list(_ENGINE_NAMES)}, got {raw!r} "
-                f"(selected via {EVAL_ENGINE_ENV} or eval_engine_scope)"
-            )
-        _VALIDATED[raw] = name
-    return name
-
-
-def evaluation_engine() -> str:
-    """The active engine name (``"compiled"``, ``"naive"`` or ``"sql"``).
-
-    Resolution order: an :func:`eval_engine_scope` override for the
-    current context, then ``REPRO_EVAL_ENGINE`` when set and non-empty
-    (case-insensitive), otherwise the compiled default.  An unrecognised
-    value raises :class:`EvaluationError` rather than silently running
-    the wrong engine.
+    A store must be evaluated in place: the compiled engine would
+    materialise it and detach from it.  Every other target runs on the
+    compiled engine.  A store can only exist once its class does, so
+    in-memory work never pays for importing the sql engine.
     """
-    override = _ENGINE_OVERRIDE.get()
-    if override is not None:
-        return override
-    raw = os.environ.get(EVAL_ENGINE_ENV)
-    if raw is None:
-        return "compiled"
-    return _validate_engine(raw)
+    # The module may be in sys.modules but still executing its body on
+    # another thread; until the class exists, no store can either.
+    storage = sys.modules.get("repro.storage.sqlite")
+    store_type = getattr(storage, "SQLiteFactStore", None)
+    if store_type is None or not isinstance(target, store_type):
+        return None
+    from . import sql
 
-
-@contextmanager
-def eval_engine_scope(engine: Optional[str]) -> Iterator[str]:
-    """Pin the evaluation engine for the current thread of control.
-
-    ``None`` pins nothing (the ambient selection applies) — convenient
-    for callers threading through an optional engine parameter.  The
-    override lives in a :class:`contextvars.ContextVar`, so concurrent
-    sessions in one process can run different engines; it does **not**
-    propagate into process-pool workers (the parallel criticality
-    engine), which inherit the environment variable instead — safe,
-    because criticality verdicts are engine-independent.
-    """
-    if engine is None:
-        yield evaluation_engine()
-        return
-    name = _validate_engine(engine)
-    token = _ENGINE_OVERRIDE.set(name)
-    try:
-        yield name
-    finally:
-        _ENGINE_OVERRIDE.reset(token)
+    return sql
 
 
 def _memory(instance) -> Instance:
     """An in-memory instance over the target's facts.
 
-    The compiled and naive engines work on :class:`Instance`; any other
-    fact store is materialised (never cached — stores are mutable).
+    The compiled engine works on :class:`Instance`; any other fact
+    iterable is materialised (never cached — stores are mutable).
     """
     if isinstance(instance, Instance):
         return instance
     return Instance(instance)
 
 
-class _Unbound:
-    """Sentinel distinguishing 'unbound' from a bound ``None`` value."""
-
-    __repr__ = lambda self: "<unbound>"  # noqa: E731  # pragma: no cover
-
-
-_UNBOUND = _Unbound()
-
-
-def _match_atom(
-    atom: Atom, fact: Fact, assignment: Assignment
-) -> Optional[List[Variable]]:
-    """Extend the shared ``assignment`` in place so ``atom`` maps onto ``fact``.
-
-    Returns the list of variables newly bound by this match — the caller
-    deletes them once the branch is exhausted — or ``None`` when the
-    match fails (partial bindings are undone before returning).  The
-    seed copied the whole dict per candidate fact; extend/undo keeps the
-    ablation baseline honest about *algorithmic* cost, not dict churn.
-    """
-    if atom.relation != fact.relation or atom.arity != fact.arity:
-        return None
-    bound_here: List[Variable] = []
-    for term, value in zip(atom.terms, fact.values):
-        if is_constant(term):
-            if term.value == value:
-                continue
-        else:
-            bound = assignment.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                assignment[term] = value
-                bound_here.append(term)
-                continue
-            if bound == value:
-                continue
-        for variable in bound_here:
-            del assignment[variable]
-        return None
-    return bound_here
-
-
-def _comparisons_consistent(
-    comparisons: Sequence[Comparison], assignment: Assignment
-) -> bool:
-    """Check every comparison whose variables are all bound."""
-    for comparison in comparisons:
-        if all(v in assignment for v in comparison.variables):
-            if not comparison.evaluate(assignment):
-                return False
-    return True
-
-
-def naive_satisfying_assignments(
-    query: ConjunctiveQuery, instance: Instance
-) -> Iterator[Assignment]:
-    """The seed backtracking enumeration (body order, full relation scans).
-
-    Yields every assignment of the query's variables that satisfies it,
-    total over the body variables.  Comparisons are verified
-    incrementally (as soon as both sides are bound) and re-verified once
-    the assignment is total, which also covers comparisons between two
-    constants.  For a :class:`~repro.cq.union.UnionQuery` the
-    assignments of every disjunct are yielded in turn.
-    """
-    disjuncts = getattr(query, "disjuncts", None)
-    if disjuncts is not None:
-        for disjunct in disjuncts:
-            yield from naive_satisfying_assignments(disjunct, instance)
-        return
-    _EVAL_STATS.bump("naive_evaluations")
-    body = list(query.body)
-    comparisons = list(query.comparisons)
-    assignment: Assignment = {}
-
-    def extend(index: int) -> Iterator[Assignment]:
-        if index == len(body):
-            if _comparisons_consistent(comparisons, assignment) and all(
-                comparison.evaluate(assignment)
-                for comparison in comparisons
-                if not comparison.variables
-            ):
-                yield dict(assignment)
-            return
-        atom = body[index]
-        for fact in instance.relation(atom.relation):
-            bound_here = _match_atom(atom, fact, assignment)
-            if bound_here is None:
-                continue
-            if _comparisons_consistent(comparisons, assignment):
-                yield from extend(index + 1)
-            for variable in bound_here:
-                del assignment[variable]
-
-    yield from extend(0)
-
-
-def naive_evaluate(
-    query: ConjunctiveQuery, instance: Instance
-) -> FrozenSet[Tuple[object, ...]]:
-    """Evaluate with the seed backtracking engine (set semantics)."""
-    disjuncts = getattr(query, "disjuncts", None)
-    if disjuncts is not None:
-        answers: set = set()
-        for disjunct in disjuncts:
-            answers |= naive_evaluate(disjunct, instance)
-        return frozenset(answers)
-    answers = set()
-    for assignment in naive_satisfying_assignments(query, instance):
-        answers.add(answer_tuple(query, assignment))
-    return frozenset(answers)
-
-
-def naive_evaluate_boolean(query: ConjunctiveQuery, instance: Instance) -> bool:
-    """Boolean evaluation with the seed backtracking engine."""
-    for _ in naive_satisfying_assignments(query, instance):
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Engine-dispatching public API
-# ---------------------------------------------------------------------------
 def satisfying_assignments(
     query: ConjunctiveQuery, instance: Instance
 ) -> Iterator[Assignment]:
@@ -288,14 +92,9 @@ def satisfying_assignments(
     For a :class:`~repro.cq.union.UnionQuery` the assignments of every
     disjunct are yielded in turn.
     """
-    engine = evaluation_engine()
-    if engine == "naive":
-        yield from naive_satisfying_assignments(query, _memory(instance))
-        return
-    if engine == "sql":
-        from . import sql as _sql
-
-        yield from _sql.satisfying_assignments(query, instance)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        yield from sql.satisfying_assignments(query, instance)
         return
     instance = _memory(instance)
     disjuncts = getattr(query, "disjuncts", None)
@@ -326,13 +125,9 @@ def evaluate(query: ConjunctiveQuery, instance: Instance) -> FrozenSet[Tuple[obj
 
 
 def _evaluate(query: ConjunctiveQuery, instance: Instance) -> FrozenSet[Tuple[object, ...]]:
-    engine = evaluation_engine()
-    if engine == "naive":
-        return naive_evaluate(query, _memory(instance))
-    if engine == "sql":
-        from . import sql as _sql
-
-        return _sql.evaluate(query, instance)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        return sql.evaluate(query, instance)
     instance = _memory(instance)
     disjuncts = getattr(query, "disjuncts", None)
     if disjuncts is not None:
@@ -351,13 +146,9 @@ def evaluate_boolean(query: ConjunctiveQuery, instance: Instance) -> bool:
 
 
 def _evaluate_boolean(query: ConjunctiveQuery, instance: Instance) -> bool:
-    engine = evaluation_engine()
-    if engine == "naive":
-        return naive_evaluate_boolean(query, _memory(instance))
-    if engine == "sql":
-        from . import sql as _sql
-
-        return _sql.evaluate_boolean(query, instance)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        return sql.evaluate_boolean(query, instance)
     instance = _memory(instance)
     disjuncts = getattr(query, "disjuncts", None)
     if disjuncts is not None:
@@ -370,20 +161,15 @@ def answer_contains(
 ) -> bool:
     """Decide ``row ∈ Q(instance)`` without materialising the full answer.
 
-    On the compiled engine the head slots are seeded with the row's
-    values (:meth:`~repro.cq.compiled.CompiledPlan.derives_row`), so the
-    search is keyed to that single answer; the naive engine evaluates
-    the whole query — the honest ablation baseline.  Rows of the wrong
-    arity simply return ``False``.
+    The head slots are seeded with the row's values
+    (:meth:`~repro.cq.compiled.CompiledPlan.derives_row`), so the search
+    is keyed to that single answer.  Rows of the wrong arity simply
+    return ``False``.
     """
     row = tuple(row)
-    engine = evaluation_engine()
-    if engine == "naive":
-        return row in naive_evaluate(query, _memory(instance))
-    if engine == "sql":
-        from . import sql as _sql
-
-        return _sql.answer_contains(query, instance, row)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        return sql.answer_contains(query, instance, row)
     instance = _memory(instance)
     disjuncts = getattr(query, "disjuncts", None) or (query,)
     return any(plan_for(disjunct).derives_row(instance, row) for disjunct in disjuncts)
@@ -397,24 +183,16 @@ def delta_changes(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bo
     re-derives only the answer rows whose derivations *use* the fact
     (:meth:`~repro.cq.compiled.CompiledPlan.delta_without`) and checks
     those against the shrunken instance.  A fact outside the instance,
-    or unifying with no subgoal, costs nothing.  The naive engine
-    evaluates the query twice in full — the ablation baseline.
+    or unifying with no subgoal, costs nothing.
     """
     with span("cq.delta"):
         return _delta_changes(query, instance, fact)
 
 
 def _delta_changes(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
-    engine = evaluation_engine()
-    if engine == "naive":
-        instance = _memory(instance)
-        return naive_evaluate(query, instance) != naive_evaluate(
-            query, instance.remove(fact)
-        )
-    if engine == "sql":
-        from . import sql as _sql
-
-        return _sql.delta_changes(query, instance, fact)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        return sql.delta_changes(query, instance, fact)
     instance = _memory(instance)
     if fact not in instance:
         return False
@@ -443,23 +221,16 @@ def delta_with(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
     new fact.  The compiled engine re-derives only the pinned-atom
     candidates over the grown instance and checks each against the
     original; a fact already present, or unifying with no subgoal,
-    costs nothing.  The naive engine evaluates both states in full.
+    costs nothing.
     """
     with span("cq.delta"):
         return _delta_with(query, instance, fact)
 
 
 def _delta_with(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
-    engine = evaluation_engine()
-    if engine == "naive":
-        instance = _memory(instance)
-        return naive_evaluate(query, instance.add(fact)) != naive_evaluate(
-            query, instance
-        )
-    if engine == "sql":
-        from . import sql as _sql
-
-        return _sql.delta_with(query, instance, fact)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        return sql.delta_with(query, instance, fact)
     instance = _memory(instance)
     if fact in instance:
         return False
@@ -490,11 +261,11 @@ def delta_apply(
     The post-state is ``after = (instance − removed) ∪ added`` (a fact
     listed in both sets ends up present).  Returns ``(after, gained,
     lost)`` where ``gained = Q(after) − Q(instance)`` and ``lost =
-    Q(instance) − Q(after)``.  On the in-memory engines ``after`` is a
-    new :class:`~repro.relational.instance.Instance` (derived through
-    the cache-patching single-fact ``add``/``remove``); on the sql
-    engine a :class:`~repro.storage.sqlite.SQLiteFactStore` target is
-    mutated *in place* and returned.
+    Q(instance) − Q(after)``.  A
+    :class:`~repro.storage.sqlite.SQLiteFactStore` target is mutated
+    *in place* and returned; for any other target ``after`` is a new
+    :class:`~repro.relational.instance.Instance` (derived through the
+    cache-patching single-fact ``add``/``remove``).
 
     The compiled engine is semi-naive throughout: only answer rows with
     a derivation using a changed fact are ever re-checked — removal
@@ -512,17 +283,11 @@ def _delta_apply(
     added: Tuple[Fact, ...],
     removed: Tuple[Fact, ...],
 ):
-    engine = evaluation_engine()
-    if engine == "sql":
-        from . import sql as _sql
-
-        return _sql.delta_apply(query, instance, added, removed)
+    sql = _sql_engine(instance)
+    if sql is not None:
+        return sql.delta_apply(query, instance, added, removed)
     before = _memory(instance)
     after, truly_added, truly_removed = _memory_delta(before, added, removed)
-    if engine == "naive":
-        before_answer = naive_evaluate(query, before)
-        after_answer = naive_evaluate(query, after)
-        return after, after_answer - before_answer, before_answer - after_answer
     gained, lost = _compiled_change(query, before, after, truly_added, truly_removed)
     return after, gained, lost
 
@@ -600,7 +365,7 @@ def delta_apply_many(
     in-place store mutation — and every query's ``(gained, lost)`` change
     is computed against that single delta.  Returns ``(after, changes)``
     with ``changes[i]`` the i-th query's answer change; the state
-    semantics (patched instance vs. in-place store) match
+    semantics (in-place store vs. patched instance) match
     :func:`delta_apply`.  This is the primitive a live audit session
     uses: it classifies which of its tracked queries a delta can touch
     and passes only those here, so untouched queries cost nothing at all.
@@ -609,25 +374,15 @@ def delta_apply_many(
         queries = tuple(queries)
         added = tuple(added)
         removed = tuple(removed)
-        engine = evaluation_engine()
-        if engine == "sql":
-            from . import sql as _sql
-
-            return _sql.delta_apply_many(queries, instance, added, removed)
+        sql = _sql_engine(instance)
+        if sql is not None:
+            return sql.delta_apply_many(queries, instance, added, removed)
         before = _memory(instance)
         after, truly_added, truly_removed = _memory_delta(before, added, removed)
-        changes = []
-        for query in queries:
-            if engine == "naive":
-                before_answer = naive_evaluate(query, before)
-                after_answer = naive_evaluate(query, after)
-                changes.append(
-                    (after_answer - before_answer, before_answer - after_answer)
-                )
-            else:
-                changes.append(
-                    _compiled_change(query, before, after, truly_added, truly_removed)
-                )
+        changes = [
+            _compiled_change(query, before, after, truly_added, truly_removed)
+            for query in queries
+        ]
         return after, changes
 
 
@@ -641,9 +396,3 @@ def possible_answers(
     """
     return frozenset(evaluate(query, instance) for instance in instances)
 
-
-# Validate the engine selection present at import time, so a
-# misconfigured deployment fails when the dispatcher loads rather than
-# on its first query.  Values set *after* import (tests, scopes) are
-# still validated — once each — on first use.
-evaluation_engine()

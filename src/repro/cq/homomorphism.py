@@ -112,31 +112,17 @@ def homomorphisms_into_instance(
     is head-agnostic; it is re-exported here for symmetry and used by the
     critical-tuple machinery.  Comparisons are honoured.
 
-    The subgoals are explored in the planner's greedy join order
-    (:func:`repro.cq.plan.plan_atom_order`) on *both* engines — the
-    compiled evaluator orders atoms natively, and on the naive engine
-    the body is reordered explicitly — so the enumeration cost no longer
-    depends on how the caller happened to spell the body.  The set of
-    homomorphisms is order-invariant either way.
+    The compiled evaluator explores the subgoals in the planner's greedy
+    join order (:func:`repro.cq.plan.plan_atom_order`), so the
+    enumeration cost does not depend on how the caller happened to
+    spell the body.
     """
-    from .evaluation import evaluation_engine, naive_satisfying_assignments, satisfying_assignments
+    from .evaluation import satisfying_assignments
 
     disjuncts = getattr(query, "disjuncts", None)
     if disjuncts is not None:
         for disjunct in disjuncts:
             yield from homomorphisms_into_instance(disjunct, instance)
-        return
-    if evaluation_engine() == "naive":
-        from .plan import plan_atom_order
-
-        order = plan_atom_order(query)
-        reordered = ConjunctiveQuery(
-            query.head,
-            tuple(query.body[i] for i in order),
-            query.comparisons,
-            name=query.name,
-        )
-        yield from naive_satisfying_assignments(reordered, instance)
         return
     yield from satisfying_assignments(query, instance)
 

@@ -1,9 +1,10 @@
 """Compilation of conjunctive-query join plans into parameterized SQL.
 
-The third evaluation engine (``REPRO_EVAL_ENGINE=sql``) pushes query
-evaluation into sqlite3 — the practical path for database-security
+The evaluation engine of a :class:`~repro.storage.sqlite.SQLiteFactStore`
+target (:mod:`repro.cq.evaluation` dispatches every store here) pushes
+query evaluation into sqlite3 — the practical path for database-security
 analyses at the scale the paper's hospital/census scenarios describe,
-where the in-memory engines stop fitting.  One :class:`SQLPlan` is
+where the in-memory engine stops fitting.  One :class:`SQLPlan` is
 compiled per query object (cached on the query, exactly like
 :func:`repro.cq.compiled.plan_for`):
 
@@ -26,16 +27,11 @@ compiled engine, expressed as equality predicates) and re-checks each
 against ``Q(I − t)`` by *excluding* the fact with per-alias
 ``NOT (tᵢ.c0 = ? AND …)`` predicates — no second store, no reload.
 
-Evaluating against a plain in-memory
-:class:`~repro.relational.instance.Instance` transparently builds a
-per-instance in-memory sqlite mirror, cached on the instance for its
-lifetime (instances are immutable, mirroring the hash-index cache).
-
 Known divergence: SQLite totally orders values across storage classes,
 so an order comparison (``<``/``<=``/``>``/``>=``) between, say, an int
 and a str silently decides where the Python engines raise
 ``QueryError``.  Order predicates over type-uniform columns — the only
-ones with well-defined answers — agree across all three engines.
+ones with well-defined answers — agree with the compiled engine.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .. import faults
 from ..exceptions import EvaluationError, QueryError, ReproError
 from ..obs import span
 from ..obs.counters import StatCounters
-from ..relational.instance import Instance
 from ..relational.tuples import Fact
 from ..storage.sqlite import SQLiteFactStore
 from .atoms import COMPARISON_OPS
@@ -58,7 +53,6 @@ from .terms import Variable, is_constant
 __all__ = [
     "SQLPlan",
     "sql_plan_for",
-    "store_for",
     "SQL_STATS",
     "evaluate",
     "evaluate_boolean",
@@ -80,7 +74,6 @@ SQL_STATS = StatCounters(
         "sql_plan_cache_hits",
         "sql_statements_executed",
         "sql_rows_fetched",
-        "sql_mirrors_built",
         "sql_delta_calls",
         "sql_fallbacks",
         "sql_io_fallbacks",
@@ -89,21 +82,18 @@ SQL_STATS = StatCounters(
 
 
 class UnstorableError(EvaluationError):
-    """A value in the instance or query cannot live in a SQL store.
+    """A value in the query or a probed fact cannot live in a SQL store.
 
-    sqlite holds int, float and str; the decision procedure's canonical
-    instances also carry *symbolic* values (labeled nulls such as the
-    asymptotic engine's fresh blocks) that only exist in memory.  Those
-    instances are tiny by construction, so the public entry points catch
-    this and fall back to the compiled engine — counted in
+    sqlite holds int, float and str; queries and facts may also carry
+    *symbolic* values (labeled nulls such as the asymptotic engine's
+    fresh blocks) that only exist in memory.  No stored row can match
+    such a value, so the public entry points catch this and answer on
+    the compiled engine over the materialised store — counted in
     ``SQL_STATS["sql_fallbacks"]``, never silent.
     """
 
 #: Attribute under which a query's SQL plan is cached on the query object.
 _SQL_PLAN_ATTRIBUTE = "_sql_plan"
-
-#: Instance slot holding the lazily-built sqlite mirror.
-_MIRROR_ATTRIBUTE = "_sqlite_mirror"
 
 
 def sql_plan_for(query: ConjunctiveQuery) -> "SQLPlan":
@@ -119,37 +109,6 @@ def sql_plan_for(query: ConjunctiveQuery) -> "SQLPlan":
     else:
         SQL_STATS.bump("sql_plan_cache_hits")
     return plan
-
-
-def store_for(instance) -> SQLiteFactStore:
-    """The SQL store behind an evaluation target.
-
-    A :class:`SQLiteFactStore` is used directly.  A plain
-    :class:`Instance` gets an in-memory mirror, built once and cached on
-    the instance (immutable, so never invalidated; a concurrent first
-    use may benignly build twice).  Any other fact iterable gets an
-    uncached transient mirror.
-    """
-    if isinstance(instance, SQLiteFactStore):
-        return instance
-    mirror = getattr(instance, _MIRROR_ATTRIBUTE, None)
-    if mirror is not None:
-        return mirror
-    try:
-        # Prefer the raw frozenset over Instance.__iter__, which sorts —
-        # and sorting raises on mixed-type domains.
-        mirror = SQLiteFactStore.mirror(getattr(instance, "facts", instance))
-    except ReproError as error:
-        raise UnstorableError(
-            f"the sql engine cannot mirror this instance: {error}"
-        ) from error
-    SQL_STATS.bump("sql_mirrors_built")
-    if isinstance(instance, Instance):
-        try:
-            setattr(instance, _MIRROR_ATTRIBUTE, mirror)
-        except AttributeError:  # pragma: no cover - exotic subclass
-            pass
-    return mirror
 
 
 def _execute(
@@ -562,10 +521,12 @@ class SQLPlan:
 # ---------------------------------------------------------------------------
 # Engine entry points (called by the repro.cq.evaluation dispatcher)
 # ---------------------------------------------------------------------------
-def _fallback(entry: str, *args, counter: str = "sql_fallbacks"):
-    """Re-dispatch one call through the compiled engine.
+def _fallback(
+    entry: str, query, store: SQLiteFactStore, *args, counter: str = "sql_fallbacks"
+):
+    """Answer one call on the compiled engine over the materialised store.
 
-    Taken when the instance or query holds symbolic (unstorable)
+    Taken when the query or a probed fact holds symbolic (unstorable)
     values (see :class:`UnstorableError`), and — under ``counter=
     "sql_io_fallbacks"`` — when sqlite itself fails with an I/O-class
     :class:`sqlite3.OperationalError` (disk error, corrupt page,
@@ -576,47 +537,43 @@ def _fallback(entry: str, *args, counter: str = "sql_fallbacks"):
     SQL_STATS.bump(counter)
     from . import evaluation
 
-    with evaluation.eval_engine_scope("compiled"):
-        result = getattr(evaluation, entry)(*args)
-        # Generators must be drained while the scope is pinned.
-        return list(result) if entry == "satisfying_assignments" else result
+    return getattr(evaluation, entry)(query, store.to_instance(), *args)
 
 
-def evaluate(query, instance) -> FrozenSet[Tuple[object, ...]]:
+def evaluate(query, store: SQLiteFactStore) -> FrozenSet[Tuple[object, ...]]:
     """Evaluate a conjunctive query or a union of them (set semantics)."""
     try:
         disjuncts = getattr(query, "disjuncts", None)
         if disjuncts is not None:
             answers: set = set()
             for disjunct in disjuncts:
-                answers |= sql_plan_for(disjunct).evaluate(store_for(instance))
+                answers |= sql_plan_for(disjunct).evaluate(store)
             return frozenset(answers)
-        return sql_plan_for(query).evaluate(store_for(instance))
+        return sql_plan_for(query).evaluate(store)
     except UnstorableError:
-        return _fallback("evaluate", query, instance)
+        return _fallback("evaluate", query, store)
     except sqlite3.OperationalError:
-        return _fallback("evaluate", query, instance, counter="sql_io_fallbacks")
+        return _fallback("evaluate", query, store, counter="sql_io_fallbacks")
 
 
-def evaluate_boolean(query, instance) -> bool:
+def evaluate_boolean(query, store: SQLiteFactStore) -> bool:
     """True iff the query (or some disjunct) is satisfiable on the store."""
     try:
         disjuncts = getattr(query, "disjuncts", None)
         if disjuncts is not None:
-            return any(
-                sql_plan_for(d).evaluate_boolean(store_for(instance))
-                for d in disjuncts
-            )
-        return sql_plan_for(query).evaluate_boolean(store_for(instance))
+            return any(sql_plan_for(d).evaluate_boolean(store) for d in disjuncts)
+        return sql_plan_for(query).evaluate_boolean(store)
     except UnstorableError:
-        return _fallback("evaluate_boolean", query, instance)
+        return _fallback("evaluate_boolean", query, store)
     except sqlite3.OperationalError:
         return _fallback(
-            "evaluate_boolean", query, instance, counter="sql_io_fallbacks"
+            "evaluate_boolean", query, store, counter="sql_io_fallbacks"
         )
 
 
-def satisfying_assignments(query, instance) -> Iterator[Dict[Variable, object]]:
+def satisfying_assignments(
+    query, store: SQLiteFactStore
+) -> Iterator[Dict[Variable, object]]:
     """The distinct satisfying assignments (per disjunct for unions)."""
     # The whole answer is drained inside the try: a fallback trigger
     # (unstorable values up front, or a sqlite I/O error on any
@@ -625,47 +582,44 @@ def satisfying_assignments(query, instance) -> Iterator[Dict[Variable, object]]:
     try:
         disjuncts = getattr(query, "disjuncts", None) or (query,)
         plans = [sql_plan_for(disjunct) for disjunct in disjuncts]
-        store = store_for(instance)
         produced = [
             assignment for plan in plans for assignment in plan.assignments(store)
         ]
     except UnstorableError:
-        yield from _fallback("satisfying_assignments", query, instance)
+        yield from _fallback("satisfying_assignments", query, store)
         return
     except sqlite3.OperationalError:
         yield from _fallback(
-            "satisfying_assignments", query, instance, counter="sql_io_fallbacks"
+            "satisfying_assignments", query, store, counter="sql_io_fallbacks"
         )
         return
     yield from produced
 
 
-def answer_contains(query, instance, row: Sequence[object]) -> bool:
-    """Decide ``row ∈ Q(instance)`` with a head-seeded SQL probe."""
+def answer_contains(query, store: SQLiteFactStore, row: Sequence[object]) -> bool:
+    """Decide ``row ∈ Q(store)`` with a head-seeded SQL probe."""
     try:
-        store = store_for(instance)
         disjuncts = getattr(query, "disjuncts", None) or (query,)
         return any(
             sql_plan_for(disjunct).derives_row(store, row)
             for disjunct in disjuncts
         )
     except UnstorableError:
-        return _fallback("answer_contains", query, instance, row)
+        return _fallback("answer_contains", query, store, row)
     except sqlite3.OperationalError:
         return _fallback(
-            "answer_contains", query, instance, row, counter="sql_io_fallbacks"
+            "answer_contains", query, store, row, counter="sql_io_fallbacks"
         )
 
 
-def delta_changes(query, instance, fact: Fact) -> bool:
-    """Decide ``Q(instance) ≠ Q(instance − fact)`` with delta-seeded SQL.
+def delta_changes(query, store: SQLiteFactStore, fact: Fact) -> bool:
+    """Decide ``Q(store) ≠ Q(store − fact)`` with delta-seeded SQL.
 
     For a union, a candidate row must vanish from the *whole* union's
     answer — it is re-checked (with the fact excluded) against every
     disjunct.
     """
     try:
-        store = store_for(instance)
         if fact not in store:
             return False
         disjuncts = getattr(query, "disjuncts", None)
@@ -685,10 +639,10 @@ def delta_changes(query, instance, fact: Fact) -> bool:
                     return True
         return False
     except UnstorableError:
-        return _fallback("delta_changes", query, instance, fact)
+        return _fallback("delta_changes", query, store, fact)
     except sqlite3.OperationalError:
         return _fallback(
-            "delta_changes", query, instance, fact, counter="sql_io_fallbacks"
+            "delta_changes", query, store, fact, counter="sql_io_fallbacks"
         )
 
 
@@ -697,32 +651,21 @@ def _storable_fact(fact: Fact) -> bool:
     return all(isinstance(v, (bool, int, float, str)) for v in fact.values)
 
 
-def _invalidate_mirror(instance) -> None:
-    """Drop an instance's cached sqlite mirror (it may be torn after an
-    I/O failure mid-mutation); the next use rebuilds it from the facts."""
-    if isinstance(instance, Instance):
-        try:
-            setattr(instance, _MIRROR_ATTRIBUTE, None)
-        except AttributeError:  # pragma: no cover - exotic subclass
-            pass
-
-
-def delta_with(query, instance, fact: Fact) -> bool:
-    """Decide ``Q(instance ∪ {fact}) ≠ Q(instance)`` with delta-seeded SQL.
+def delta_with(query, store: SQLiteFactStore, fact: Fact) -> bool:
+    """Decide ``Q(store ∪ {fact}) ≠ Q(store)`` with delta-seeded SQL.
 
     The fact is inserted temporarily, the pinned-atom candidates are
     enumerated over the grown store, and each is checked against the
     original state by *excluding* the fact — then the insertion is
-    rolled back, so the target (a store or an instance's cached mirror)
-    is restored.  Unstorable facts fall back to the compiled engine:
-    the question is pure, so the verdict is the same.
+    rolled back, so the store is restored.  Unstorable facts fall back
+    to the compiled engine: the question is pure, so the verdict is the
+    same.
     """
     try:
         if not _storable_fact(fact):
             raise UnstorableError(
                 f"fact {fact!r} holds values the sql engine cannot store"
             )
-        store = store_for(instance)
         if fact in store:
             return False
         SQL_STATS.bump("sql_delta_calls")
@@ -744,34 +687,30 @@ def delta_with(query, instance, fact: Fact) -> bool:
         finally:
             store.remove(fact)
     except UnstorableError:
-        return _fallback("delta_with", query, instance, fact)
+        return _fallback("delta_with", query, store, fact)
     except sqlite3.OperationalError:
-        _invalidate_mirror(instance)
         return _fallback(
-            "delta_with", query, instance, fact, counter="sql_io_fallbacks"
+            "delta_with", query, store, fact, counter="sql_io_fallbacks"
         )
 
 
-def delta_apply(query, instance, added: Sequence[Fact] = (), removed: Sequence[Fact] = ()):
+def delta_apply(query, store: SQLiteFactStore, added: Sequence[Fact] = (), removed: Sequence[Fact] = ()):
     """Apply a batched fact delta in place and report the answer change.
 
-    Returns ``(after, gained, lost)``.  A :class:`SQLiteFactStore`
-    target is mutated in place and returned as ``after``; an
-    :class:`Instance` target gets its cached mirror mutated and rolled
-    back, with ``after`` a new patched instance.  The candidate
-    enumeration is semi-naive: removal candidates over the pre-state,
-    insertion candidates over the grown mid-state (with their pre-state
-    membership answered by excluding every added fact), and one final
-    membership probe per candidate over the post-state.
+    Returns ``(store, gained, lost)``: the store is mutated in place.
+    The candidate enumeration is semi-naive: removal candidates over the
+    pre-state, insertion candidates over the grown mid-state (with their
+    pre-state membership answered by excluding every added fact), and
+    one final membership probe per candidate over the post-state.
     """
-    after, changes = delta_apply_many((query,), instance, added, removed)
+    after, changes = delta_apply_many((query,), store, added, removed)
     gained, lost = changes[0]
     return after, gained, lost
 
 
 def delta_apply_many(
     queries: Sequence,
-    instance,
+    store: SQLiteFactStore,
     added: Sequence[Fact] = (),
     removed: Sequence[Fact] = (),
 ):
@@ -780,12 +719,11 @@ def delta_apply_many(
     The store advances through the mid- and post-states exactly once;
     each query's candidates are enumerated and settled against those
     shared states, so a delta over N tracked queries costs one mutation
-    plus N candidate sweeps.  Returns ``(after, [(gained, lost), ...])``
-    with the same state semantics as :func:`delta_apply`.
+    plus N candidate sweeps.  Returns ``(store, [(gained, lost), ...])``.
+    A sqlite I/O error mid-delta propagates: the store may be torn, so
+    no answer computed elsewhere could describe it.
     """
     try:
-        store = store_for(instance)
-        is_store = isinstance(instance, SQLiteFactStore)
         added_set = set(added)
         truly_removed = [
             f
@@ -795,102 +733,59 @@ def delta_apply_many(
         truly_added = [f for f in dict.fromkeys(added) if f not in store]
         for fact in truly_added:
             if not _storable_fact(fact):
-                if is_store:
-                    raise ReproError(
-                        f"cannot apply delta: fact {fact!r} holds values a "
-                        "SQL-backed store cannot hold"
-                    )
-                raise UnstorableError(
-                    f"fact {fact!r} holds values the sql engine cannot store"
+                raise ReproError(
+                    f"cannot apply delta: fact {fact!r} holds values a "
+                    "SQL-backed store cannot hold"
                 )
         SQL_STATS.bump("sql_delta_calls")
         per_query_plans = [
             [sql_plan_for(d) for d in (getattr(query, "disjuncts", None) or (query,))]
             for query in queries
         ]
-        try:
-            # Phase 1: removal candidates over the pre-state (all of
-            # them are in Q(before) by construction).
-            lost_candidates: List[Set[Tuple[object, ...]]] = [
-                set() for _ in per_query_plans
-            ]
-            for fact in truly_removed:
-                for candidates, plans in zip(lost_candidates, per_query_plans):
-                    for plan in plans:
-                        candidates.update(plan.delta_candidates(store, fact))
-            # Phase 2: grow to the mid-state; insertion candidates are
-            # in Q(mid), and their membership in Q(before) is answered
-            # by excluding every added fact (mid − added = before).
-            if truly_added:
-                store.add(*truly_added)
-            in_before: List[Dict[Tuple[object, ...], bool]] = [
-                {} for _ in per_query_plans
-            ]
-            for fact in truly_added:
-                for candidates, membership, plans in zip(
-                    lost_candidates, in_before, per_query_plans
-                ):
-                    for plan in plans:
-                        for row in plan.delta_candidates(store, fact):
-                            if row in candidates or row in membership:
-                                continue
-                            membership[row] = any(
-                                p.derives_row(store, row, excluding=truly_added)
-                                for p in plans
-                            )
-            # Phase 3: shrink to the post-state; settle every candidate
-            # with one membership probe against it.
-            if truly_removed:
-                store.remove(*truly_removed)
-            changes = []
-            for candidates, membership, plans in zip(
-                lost_candidates, in_before, per_query_plans
-            ):
-                lost = frozenset(
-                    row
-                    for row in candidates
-                    if not any(p.derives_row(store, row) for p in plans)
-                )
-                gained = frozenset(
-                    row
-                    for row, before in membership.items()
-                    if not before and any(p.derives_row(store, row) for p in plans)
-                )
-                changes.append((gained, lost))
-        except BaseException:
-            _invalidate_mirror(instance)
-            raise
-        if is_store:
-            return store, changes
-        # Roll the instance's cached mirror back to the pre-state and
-        # derive the post-state instance through the patching add/remove.
-        try:
-            if truly_added:
-                store.remove(*truly_added)
-            if truly_removed:
-                store.add(*truly_removed)
-        except BaseException:
-            _invalidate_mirror(instance)
-            raise
-        after = _memory_after(instance, truly_added, truly_removed)
-        return after, changes
     except UnstorableError:
-        return _fallback("delta_apply_many", queries, instance, added, removed)
-    except sqlite3.OperationalError:
-        if isinstance(instance, SQLiteFactStore):
-            raise
-        _invalidate_mirror(instance)
-        return _fallback(
-            "delta_apply_many", queries, instance, added, removed,
-            counter="sql_io_fallbacks",
-        )
-
-
-def _memory_after(instance, truly_added: Sequence[Fact], truly_removed: Sequence[Fact]):
-    """The post-state of an in-memory target, via the patching deltas."""
-    after = instance if isinstance(instance, Instance) else Instance(instance)
+        return _fallback("delta_apply_many", queries, store, added, removed)
+    # Phase 1: removal candidates over the pre-state (all of them are in
+    # Q(before) by construction).
+    lost_candidates: List[Set[Tuple[object, ...]]] = [set() for _ in per_query_plans]
     for fact in truly_removed:
-        after = after.remove(fact)
+        for candidates, plans in zip(lost_candidates, per_query_plans):
+            for plan in plans:
+                candidates.update(plan.delta_candidates(store, fact))
+    # Phase 2: grow to the mid-state; insertion candidates are in
+    # Q(mid), and their membership in Q(before) is answered by excluding
+    # every added fact (mid − added = before).
+    if truly_added:
+        store.add(*truly_added)
+    in_before: List[Dict[Tuple[object, ...], bool]] = [{} for _ in per_query_plans]
     for fact in truly_added:
-        after = after.add(fact)
-    return after
+        for candidates, membership, plans in zip(
+            lost_candidates, in_before, per_query_plans
+        ):
+            for plan in plans:
+                for row in plan.delta_candidates(store, fact):
+                    if row in candidates or row in membership:
+                        continue
+                    membership[row] = any(
+                        p.derives_row(store, row, excluding=truly_added)
+                        for p in plans
+                    )
+    # Phase 3: shrink to the post-state; settle every candidate with one
+    # membership probe against it.
+    if truly_removed:
+        store.remove(*truly_removed)
+    changes = []
+    for candidates, membership, plans in zip(
+        lost_candidates, in_before, per_query_plans
+    ):
+        lost = frozenset(
+            row
+            for row in candidates
+            if not any(p.derives_row(store, row) for p in plans)
+        )
+        gained = frozenset(
+            row
+            for row, before in membership.items()
+            if not before and any(p.derives_row(store, row) for p in plans)
+        )
+        changes.append((gained, lost))
+    return store, changes

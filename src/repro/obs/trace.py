@@ -38,7 +38,7 @@ Span taxonomy (what the instrumented layers emit):
 ``session.<op>``       one session analysis (decide, collusion, ...)
 ``criticality.compute``  one crit_D computation (cache miss)
 ``kernel.query_table`` / ``kernel.distribution``  probability-kernel work
-``cq.evaluate`` / ``cq.delta``  query evaluation (compiled or naive)
+``cq.evaluate`` / ``cq.delta``  query evaluation (compiled or sql)
 ``sql.execute``        one sqlite statement of the sql engine
 ``storage.load``       bulk fact ingestion into a sqlite store
 =====================  =====================================================

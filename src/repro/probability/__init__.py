@@ -8,7 +8,7 @@ query polynomials ``f_Q`` of Section 4.3.
 
 from .compiled_event import CompiledQueryTable, compile_query_table, query_truth_bits
 from .dictionary import Dictionary, Probability
-from .engine import DEFAULT_MAX_SUPPORT, ExactEngine, NaiveExactEngine
+from .engine import DEFAULT_MAX_SUPPORT, ExactEngine
 from .events import (
     And,
     Event,
@@ -31,7 +31,6 @@ __all__ = [
     "Dictionary",
     "Probability",
     "ExactEngine",
-    "NaiveExactEngine",
     "ProbabilityKernel",
     "MassTable",
     "CompiledQueryTable",

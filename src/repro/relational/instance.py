@@ -41,7 +41,7 @@ INDEX_STATS = StatCounters(("builds", "reuses", "patched"))
 class Instance:
     """An immutable database instance (a set of facts)."""
 
-    __slots__ = ("_facts", "_by_relation", "_indexes", "_sqlite_mirror")
+    __slots__ = ("_facts", "_by_relation", "_indexes")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         self._facts: FrozenSet[Fact] = frozenset(facts)
@@ -49,15 +49,10 @@ class Instance:
         self._indexes: dict[
             Tuple[str, Tuple[int, ...]], Dict[Tuple[object, ...], Tuple[Fact, ...]]
         ] = {}
-        # Lazily-populated sqlite mirror used by the sql evaluation
-        # engine (repro.cq.sql.store_for); a cache like _indexes, but
-        # holding a connection — which cannot cross process boundaries,
-        # hence the custom pickling below.
-        self._sqlite_mirror = None
 
     def __getstate__(self) -> FrozenSet[Fact]:
         # Only the facts travel (e.g. into criticality process-pool
-        # workers); caches and the sqlite mirror are rebuilt on demand.
+        # workers); the caches are rebuilt on demand.
         return self._facts
 
     def __setstate__(self, facts: FrozenSet[Fact]) -> None:

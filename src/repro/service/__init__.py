@@ -13,8 +13,8 @@ deployments front their engines with a query interface:
   share (its table is :mod:`repro.service.coalesce`);
 * :mod:`repro.service.server` — the asyncio daemon: one shared
   :class:`~repro.session.AnalysisSession` per (schema, dictionary,
-  engine, criticality-engine) fingerprint, a bounded thread pool as
-  the executor;
+  verification engine) fingerprint, a bounded thread pool as the
+  executor;
 * :mod:`repro.service.client` — sync and asyncio clients;
 * :mod:`repro.service.metrics` — per-operation counters and latency
   percentiles served through the ``stats`` operation, with a mergeable

@@ -14,8 +14,8 @@ holds.  This module scales the service with *cores* instead:
   (:mod:`repro.service.pipeline`): it accepts the same JSON-lines-over-
   TCP protocol clients already speak, computes the request fingerprint
   (:func:`~repro.service.protocol.request_key` — which embeds the
-  (schema, dictionary, eval-engine, criticality-engine) session
-  fingerprint the server already derives) and routes each request to a
+  (schema, dictionary, verification engine) session fingerprint the
+  server already derives) and routes each request to a
   fixed shard by **rendezvous hashing**.  A given question always lands
   on the same worker, so its session, kernel memos and cached result
   live exactly once — zero cross-process cache churn.  (Hashing the full

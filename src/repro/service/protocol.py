@@ -203,8 +203,6 @@ class AuditRequest:
     dictionary: Optional[Mapping[str, Any]] = None
     knowledge: Optional[Mapping[str, Any]] = None
     engine: str = "exact"
-    criticality_engine: Optional[str] = None
-    eval_engine: Optional[str] = None
     options: Mapping[str, Any] = field(default_factory=dict)
     #: Wall-clock budget (queue wait + computation) in milliseconds.
     deadline_ms: Optional[float] = None
@@ -336,12 +334,6 @@ def parse_request(document: Any) -> AuditRequest:
     engine = document.get("engine", "exact")
     if not isinstance(engine, str):
         raise ProtocolError(ERROR_INVALID_REQUEST, "'engine' must be a string")
-    criticality_engine = document.get("criticality_engine")
-    if criticality_engine is not None and not isinstance(criticality_engine, str):
-        raise ProtocolError(ERROR_INVALID_REQUEST, "'criticality_engine' must be a string")
-    eval_engine = document.get("eval_engine")
-    if eval_engine is not None and not isinstance(eval_engine, str):
-        raise ProtocolError(ERROR_INVALID_REQUEST, "'eval_engine' must be a string")
 
     secret: Optional[str] = None
     views: Optional[Queries] = None
@@ -372,8 +364,6 @@ def parse_request(document: Any) -> AuditRequest:
         dictionary=dict(dictionary) if dictionary is not None else None,
         knowledge=dict(knowledge) if knowledge is not None else None,
         engine=engine,
-        criticality_engine=criticality_engine,
-        eval_engine=eval_engine,
         options=dict(options),
         deadline_ms=deadline_ms,
         trace=trace,
@@ -431,14 +421,6 @@ def _parse_live_request(
                     ERROR_INVALID_REQUEST, "'dictionary' must be a JSON object"
                 )
             fields["dictionary"] = dict(dictionary)
-        for key in ("criticality_engine", "eval_engine"):
-            value = document.get(key)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise ProtocolError(
-                        ERROR_INVALID_REQUEST, f"'{key}' must be a string"
-                    )
-                fields[key] = value
     elif op == "apply-delta":
         if document.get("add") is not None:
             fields["add"] = _check_fact_list(document["add"], "add")
@@ -515,8 +497,6 @@ def session_key(request: AuditRequest) -> str:
         "schema": _canonical(request.schema),
         "dictionary": dictionary_spec(request),
         "engine": request.engine,
-        "criticality_engine": request.criticality_engine,
-        "eval_engine": request.eval_engine,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
@@ -539,8 +519,6 @@ def request_key(request: AuditRequest) -> str:
         "dictionary": dictionary_spec(request),
         "knowledge": _canonical(request.knowledge),
         "engine": request.engine,
-        "criticality_engine": request.criticality_engine,
-        "eval_engine": request.eval_engine,
         "options": _canonical(request.options),
     }
     if request.is_live:

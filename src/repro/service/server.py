@@ -329,8 +329,6 @@ class AuditServer(RequestPipeline):
             entry: Dict[str, Any] = {
                 "fingerprint": hashlib.sha256(key.encode("utf8")).hexdigest()[:12],
                 "engine": session.engine_name,
-                "criticality_engine": session.criticality_engine_name,
-                "eval_engine": session.eval_engine,
                 "cache": session.cache_stats.to_dict(),
             }
             kernel_stats = SecurityAuditor.kernel_stats_for(session.dictionary)
@@ -527,8 +525,6 @@ class AuditServer(RequestPipeline):
             facts=facts,
             store=store,
             dictionary=dictionary,
-            eval_engine=request.eval_engine,
-            criticality_engine=request.criticality_engine,
             cache_size=self._session_cache_size,
         )
         snapshot = live.snapshot()
@@ -596,8 +592,6 @@ class AuditServer(RequestPipeline):
                 schema,
                 dictionary=dictionary,
                 engine=request.engine,
-                criticality_engine=request.criticality_engine,
-                eval_engine=request.eval_engine,
                 cache_size=self._session_cache_size,
             )
             while len(self._sessions) >= self._max_sessions:

@@ -14,11 +14,9 @@ operations over the cached artifacts):
 * :class:`LiveAuditSession` — a pinned (schema, instance, views) state
   re-audited incrementally as facts and views change (delta classifier,
   targeted cache invalidation; see :mod:`repro.session.live`).
-* :mod:`~repro.session.engines` — named per-dictionary verification
-  engines (``"exact"``, ``"sampling"``).
-* :mod:`repro.core.criticality` — named ``crit_D`` computation engines
-  (``"pruned-parallel"`` — the default — ``"minimal"``, ``"naive"``),
-  selected per session via ``AnalysisSession(criticality_engine=...)``.
+* :mod:`~repro.session.engines` — the two per-dictionary verification
+  engines (``"exact"``, ``"sampling"``); every ``crit_D`` runs on the
+  one production engine of :mod:`repro.core.criticality`.
 * :mod:`~repro.session.results` — the unified :class:`AnalysisResult`
   hierarchy every session method returns.
 """
@@ -31,9 +29,7 @@ from .engines import (
     ExactVerificationEngine,
     SamplingVerificationEngine,
     VerificationEngine,
-    available_engines,
     create_engine,
-    register_engine,
 )
 from .plan import PublishingPlan
 from .results import (
@@ -70,9 +66,7 @@ __all__ = [
     "VerificationEngine",
     "ExactVerificationEngine",
     "SamplingVerificationEngine",
-    "register_engine",
     "create_engine",
-    "available_engines",
     "AnalysisResult",
     "DecisionResult",
     "CollusionResult",

@@ -14,15 +14,13 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from ..core.criticality import DEFAULT_CRITICALITY_ENGINE
 from ..relational.schema import Schema
 from .cache import CriticalTupleCache, schema_fingerprint
 from .session import AnalysisSession
 
 __all__ = ["default_session", "default_cache", "reset_default_sessions"]
 
-#: Bound on the number of (schema, criticality engine) pairs with a live
-#: default session.
+#: Bound on the number of schemas with a live default session.
 _MAX_DEFAULT_SESSIONS = 16
 
 _lock = threading.Lock()
@@ -39,30 +37,21 @@ def default_cache() -> CriticalTupleCache:
         return _shared_cache
 
 
-def default_session(
-    schema: Schema, criticality_engine: Optional[str] = None
-) -> AnalysisSession:
+def default_session(schema: Schema) -> AnalysisSession:
     """The default :class:`AnalysisSession` for ``schema``.
 
-    Sessions are keyed by (schema fingerprint, criticality engine) and
-    bounded LRU; they all share :func:`default_cache`, so even schema
-    churn keeps the underlying critical-tuple sets hot (the shared cache
-    keys embed the engine name, so engines never mix).
-    ``criticality_engine`` defaults to the package default
-    (``pruned-parallel``); the legacy free functions pass their
-    ``criticality_engine`` keyword through here.
+    Sessions are keyed by schema fingerprint and bounded LRU; they all
+    share :func:`default_cache`, so even schema churn keeps the
+    underlying critical-tuple sets hot.
     """
-    engine_name = criticality_engine or DEFAULT_CRITICALITY_ENGINE
-    key = (schema_fingerprint(schema), engine_name)
+    key = schema_fingerprint(schema)
     cache = default_cache()
     with _lock:
         session = _sessions.get(key)
         if session is not None:
             _sessions.move_to_end(key)
             return session
-        session = AnalysisSession(
-            schema, cache=cache, criticality_engine=engine_name
-        )
+        session = AnalysisSession(schema, cache=cache)
         if len(_sessions) >= _MAX_DEFAULT_SESSIONS:
             _sessions.popitem(last=False)
         _sessions[key] = session

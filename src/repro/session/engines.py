@@ -1,21 +1,20 @@
-"""The verification-engine registry.
+"""The two per-dictionary verification engines.
 
 Qualitative security verdicts (Theorem 4.5) are dictionary-independent,
 but the library also ships *verifiers* that check Definition 4.1 against
 one concrete dictionary: the exact rational engine (enumerates the joint
-answer distribution) and the Monte-Carlo sampling verifier (estimates
-independence from random instances).  Sessions select one by name::
+answer distribution; a proof) and the Monte-Carlo sampling verifier
+(estimates independence from random instances; a screening test).
+Sessions select one by name::
 
     AnalysisSession(schema, dictionary=d, engine="exact")
     AnalysisSession(schema, dictionary=d, engine="sampling")
-
-Third parties can plug in their own with :func:`register_engine`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
@@ -27,16 +26,14 @@ __all__ = [
     "VerificationEngine",
     "ExactVerificationEngine",
     "SamplingVerificationEngine",
-    "register_engine",
     "create_engine",
-    "available_engines",
 ]
 
 
 class VerificationEngine:
     """Interface of a per-dictionary security verifier."""
 
-    #: Registry name; subclasses override.
+    #: The name sessions select the engine by; subclasses override.
     name = "abstract"
 
     def verify(
@@ -144,36 +141,23 @@ class SamplingVerificationEngine(VerificationEngine):
         return True
 
 
-_REGISTRY: Dict[str, Callable[[], VerificationEngine]] = {}
-
-
-def register_engine(name: str, factory: Callable[[], VerificationEngine]) -> None:
-    """Register (or replace) an engine factory under ``name``."""
-    if not name:
-        raise SecurityAnalysisError("engine name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def available_engines() -> List[str]:
-    """The registered engine names, sorted."""
-    return sorted(_REGISTRY)
+_ENGINES = {
+    engine.name: engine
+    for engine in (ExactVerificationEngine, SamplingVerificationEngine)
+}
 
 
 def create_engine(name: str) -> VerificationEngine:
-    """Instantiate the engine registered under ``name``.
+    """Instantiate the engine named ``name`` (``"exact"`` or ``"sampling"``).
 
-    Raises :class:`SecurityAnalysisError` listing the available names
-    when ``name`` is unknown.
+    Raises :class:`SecurityAnalysisError` listing both names when
+    ``name`` is unknown.
     """
     try:
-        factory = _REGISTRY[name]
+        engine = _ENGINES[name]
     except KeyError:
         raise SecurityAnalysisError(
             f"unknown verification engine {name!r}; available engines: "
-            f"{', '.join(available_engines())}"
+            f"{', '.join(sorted(_ENGINES))}"
         ) from None
-    return factory()
-
-
-register_engine(ExactVerificationEngine.name, ExactVerificationEngine)
-register_engine(SamplingVerificationEngine.name, SamplingVerificationEngine)
+    return engine()

@@ -44,7 +44,7 @@ from collections import OrderedDict
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..cq import evaluate, match_atom_to_fact
-from ..cq.evaluation import delta_apply_many, eval_engine_scope
+from ..cq.evaluation import delta_apply_many
 from ..exceptions import SecurityAnalysisError
 from ..obs import span
 from ..obs.counters import StatCounters
@@ -122,11 +122,12 @@ class LiveAuditSession:
         The initial database.
     store:
         A :class:`~repro.storage.sqlite.SQLiteFactStore` to audit *in
-        place* (``facts`` are loaded into it); deltas then run on the
-        sql engine against the store itself.  Without a store, facts
-        live in an immutable :class:`~repro.relational.instance.Instance`
-        advanced through the cache-patching single-fact deltas.
-    dictionary / session / eval_engine / criticality_engine / cache_size:
+        place* (``facts`` are loaded into it); every evaluation and delta
+        then runs on the sql engine against the store itself.  Without a
+        store, facts live in an immutable
+        :class:`~repro.relational.instance.Instance` advanced through the
+        cache-patching single-fact deltas.
+    dictionary / session / cache_size:
         Forwarded to (or overriding) the underlying
         :class:`AnalysisSession`; pass ``session`` to share an existing
         one (and its critical-tuple cache) with other consumers.
@@ -142,19 +143,13 @@ class LiveAuditSession:
         store: Optional[Any] = None,
         dictionary: Optional[Dictionary] = None,
         session: Optional[AnalysisSession] = None,
-        eval_engine: Optional[str] = None,
-        criticality_engine: Optional[str] = None,
         cache_size: int = 512,
     ):
         if not secrets:
             raise SecurityAnalysisError("a live audit session needs at least one secret")
         if session is None:
             session = AnalysisSession(
-                schema,
-                dictionary=dictionary,
-                eval_engine=eval_engine,
-                criticality_engine=criticality_engine,
-                cache_size=cache_size,
+                schema, dictionary=dictionary, cache_size=cache_size
             )
         self._session = session
         self._lock = threading.RLock()
@@ -197,7 +192,7 @@ class LiveAuditSession:
         self._view_answers: Dict[str, FrozenSet[Tuple[object, ...]]] = {}
         self._decisions: Dict[str, Dict[str, bool]] = {}
         self._exposed: Dict[str, bool] = {}
-        with self._lock, self._eval_scope():
+        with self._lock:
             for name, query in self._secrets.items():
                 self._secret_answers[name] = evaluate(query, self._state)
             for name, query in self._views.items():
@@ -234,17 +229,6 @@ class LiveAuditSession:
     def secret_names(self) -> Tuple[str, ...]:
         """Tracked secret names."""
         return tuple(self._secrets)
-
-    def _eval_scope(self):
-        """Engine scope of every evaluation over the pinned state.
-
-        A store-backed state must run on the sql engine (the other
-        engines would materialise the store and quietly detach from
-        it); in-memory states follow the session's pin.
-        """
-        if isinstance(self._state, Instance):
-            return self._session.eval_scope()
-        return eval_engine_scope("sql")
 
     # -- verdict bookkeeping -----------------------------------------------------
     def _decide_pair(self, secret_name: str, view_name: str) -> bool:
@@ -342,10 +326,9 @@ class LiveAuditSession:
                 if any(may_affect(entry[2], fact) for fact in changed_facts)
             ]
             retained = len(tracked) - len(affected)
-            with self._eval_scope():
-                after, changes = delta_apply_many(
-                    [query for _, _, query in affected], self._state, added, removed
-                )
+            after, changes = delta_apply_many(
+                [query for _, _, query in affected], self._state, added, removed
+            )
             fact_delta = len(after) - self.fact_count
             self._state = after
             self.revision += 1
@@ -390,8 +373,7 @@ class LiveAuditSession:
                 self.retract(name)
             query = as_query(view, f"view {name!r}")
             self._views[name] = query
-            with self._eval_scope():
-                self._view_answers[name] = evaluate(query, self._state)
+            self._view_answers[name] = evaluate(query, self._state)
             for secret_name in self._secrets:
                 self._decide_pair(secret_name, name)
             self._invalidate_kernel(query)
@@ -415,7 +397,7 @@ class LiveAuditSession:
                 decisions.pop(name, None)
             key = canonical_query_key(query)
             dropped = self._session.cache.invalidate(
-                lambda entry: isinstance(entry, tuple) and len(entry) >= 3 and entry[2] == key
+                lambda entry: isinstance(entry, tuple) and len(entry) >= 2 and entry[1] == key
             )
             self.stats.bump("crit_invalidated", dropped)
             self._invalidate_kernel(query)
@@ -474,7 +456,7 @@ class LiveAuditSession:
         maintained answers (and hence every verdict derived from them)
         must equal what a fresh audit of the current state computes.
         """
-        with self._lock, self._eval_scope():
+        with self._lock:
             mismatches = []
             for kind, answers, queries in (
                 ("secret", self._secret_answers, self._secrets),

@@ -27,10 +27,9 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core import domain_bounds
-from ..core.criticality import CriticalityEngine, create_criticality_engine
+from ..core.criticality import critical_tuples
 from ..core.practical import practical_security_check
 from ..core.prior import PriorKnowledge
-from ..cq.evaluation import eval_engine_scope
 from ..exceptions import SecurityAnalysisError
 from ..obs import span
 from ..probability.dictionary import Dictionary
@@ -38,7 +37,7 @@ from ..relational.domain import Domain
 from ..relational.schema import Schema
 from .cache import CacheStats, CriticalTupleCache, schema_fingerprint
 from .compile import AnyQuery, CompiledQuery, QueryLike, as_query, canonical_query_key
-from .engines import VerificationEngine, available_engines, create_engine
+from .engines import VerificationEngine, create_engine
 from .plan import PublishingPlan
 from .results import (
     AnalysisResult,
@@ -71,29 +70,16 @@ class AnalysisSession:
     engine:
         Name of the per-dictionary verification engine (``"exact"`` or
         ``"sampling"``; see :mod:`repro.session.engines`).
-    criticality_engine:
-        Name (or instance) of the critical-tuple computation engine
-        (``"pruned-parallel"`` — the default — ``"minimal"`` or
-        ``"naive"``; see :mod:`repro.core.criticality`).  Every
-        ``crit_D(Q)`` this session computes, including those behind the
-        legacy free functions, goes through it; cache entries are keyed
-        by the engine name so sessions with different engines never
-        share (potentially engine-specific) results.
     domain:
         Optional analysis-domain override applied to every analysis
         (defaults to per-analysis Proposition 4.9 domains).
     cache / cache_size:
         Share an existing :class:`CriticalTupleCache` or size a fresh
         one.
-    eval_engine:
-        Query-evaluation engine pinned for this session's analyses
-        (``"compiled"``, ``"naive"`` or ``"sql"``; see
-        :mod:`repro.cq.evaluation`).  ``None`` — the default — defers to
-        the ambient ``REPRO_EVAL_ENGINE`` selection.  The pin is a
-        context-variable scope around each analysis, so concurrent
-        sessions in one service process can run different engines; it
-        does not reach criticality process-pool workers, which inherit
-        the environment instead (verdicts are engine-independent).
+
+    Every ``crit_D(Q)`` the session computes, including those behind
+    the legacy free functions, runs on the production engine
+    (:func:`repro.core.criticality.critical_tuples`).
     """
 
     def __init__(
@@ -104,8 +90,6 @@ class AnalysisSession:
         domain: Optional[Domain] = None,
         cache: Optional[CriticalTupleCache] = None,
         cache_size: int = 512,
-        criticality_engine: Union[str, CriticalityEngine, None] = None,
-        eval_engine: Optional[str] = None,
     ):
         if not isinstance(schema, Schema):
             raise SecurityAnalysisError(
@@ -116,16 +100,7 @@ class AnalysisSession:
         self._dictionary = dictionary
         self._engine_name = engine
         self._engine: VerificationEngine = create_engine(engine)
-        self._criticality_engine: CriticalityEngine = create_criticality_engine(
-            criticality_engine
-        )
         self._domain = domain
-        # Validate eagerly (a bad name should fail at construction, not
-        # on the first analysis); the scope itself is applied per call.
-        if eval_engine is not None:
-            with eval_engine_scope(eval_engine) as resolved:
-                eval_engine = resolved
-        self._eval_engine = eval_engine
         self._cache = cache if cache is not None else CriticalTupleCache(cache_size)
         self._compiled: Dict[Tuple, CompiledQuery] = {}
         # Sessions are shared across the audit service's worker threads;
@@ -151,32 +126,8 @@ class AnalysisSession:
 
     @property
     def engine_name(self) -> str:
-        """Registry name of the verification engine."""
+        """Name of the verification engine (``"exact"`` or ``"sampling"``)."""
         return self._engine_name
-
-    @property
-    def criticality_engine(self) -> CriticalityEngine:
-        """The configured critical-tuple computation engine."""
-        return self._criticality_engine
-
-    @property
-    def criticality_engine_name(self) -> str:
-        """Registry name of the criticality engine."""
-        return self._criticality_engine.name
-
-    @property
-    def eval_engine(self) -> Optional[str]:
-        """The pinned query-evaluation engine (``None`` → ambient)."""
-        return self._eval_engine
-
-    def eval_scope(self):
-        """The evaluation-engine scope this session's analyses run under.
-
-        A no-op scope when no engine is pinned; used internally around
-        every analysis and exposed so the audit layer can wrap its own
-        direct evaluation work in the same pin.
-        """
-        return eval_engine_scope(self._eval_engine)
 
     @property
     def cache(self) -> CriticalTupleCache:
@@ -192,7 +143,7 @@ class AnalysisSession:
     def critical_fn(self):
         """The cached critical-tuple provider of this session.
 
-        A drop-in for :func:`repro.core.critical.critical_tuples`; the
+        A drop-in for :func:`repro.core.criticality.critical_tuples`; the
         core decision procedures accept it via their ``critical_fn``
         parameter, which is how the audit layer shares this session's
         cache.
@@ -238,13 +189,11 @@ class AnalysisSession:
         return as_query(query, role)
 
     def _critical_fn(self, query, schema, domain=None, constraint=None, **options):
-        """The cached drop-in for the engines' ``critical_tuples``.
+        """The cached drop-in for the engine's ``critical_tuples``.
 
         Constraint-relative sets (``crit_D(Q, K)``) are computed directly:
         constraints are opaque callables and cannot be part of a sound
-        cache key.  The key includes the criticality-engine name so a
-        (hypothetically buggy or third-party) engine can never poison a
-        cache shared with sessions running a different engine.
+        cache key.
 
         Cost-guard options such as ``max_valuations`` are deliberately
         *not* part of the key: they bound the computation, not the
@@ -252,15 +201,14 @@ class AnalysisSession:
         would have refused to compute under a tighter bound.
         """
         def compute(*args, **kwargs):
-            with span("criticality.compute"), self.eval_scope():
-                return self._criticality_engine.critical_tuples(*args, **kwargs)
+            with span("criticality.compute"):
+                return critical_tuples(*args, **kwargs)
 
         if constraint is not None:
             return compute(query, schema, domain, constraint, **options)
         if domain is None:
             domain = schema.domain
         key = (
-            self._criticality_engine.name,
             schema_fingerprint(schema),
             canonical_query_key(query),
             tuple(domain.values),
@@ -323,7 +271,7 @@ class AnalysisSession:
         view_list = self._normalise_views(views)
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.decide"), self.eval_scope():
+        with span("session.decide"):
             decision = decide_security(
                 secret_query,
                 view_list,
@@ -357,7 +305,7 @@ class AnalysisSession:
         view_list = self._normalise_views(views)
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.leakage"), self.eval_scope():
+        with span("session.leakage"):
             measurement = _positive_leakage(
                 secret_query,
                 view_list,
@@ -395,7 +343,7 @@ class AnalysisSession:
             normalised = [self._unwrap(views, "view")]
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.collusion"), self.eval_scope():
+        with span("session.collusion"):
             report = analyse_collusion(
                 secret_query,
                 normalised,
@@ -431,7 +379,7 @@ class AnalysisSession:
         view_list = self._normalise_views((views,))
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.with-knowledge"), self.eval_scope():
+        with span("session.with-knowledge"):
             decision = decide_with_knowledge(
                 secret_query,
                 view_list,
@@ -439,7 +387,6 @@ class AnalysisSession:
                 self._schema,
                 domain=domain or self._domain,
                 critical_fn=self._critical_fn,
-                criticality_engine=self._criticality_engine,
             )
         return self._finish(
             KnowledgeResult,
@@ -464,7 +411,7 @@ class AnalysisSession:
         view_query = self._unwrap(view, "view")
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.practical"), self.eval_scope():
+        with span("session.practical"):
             report = classify_practical_security(
                 secret_query,
                 view_query,
@@ -486,7 +433,7 @@ class AnalysisSession:
         view_list = self._normalise_views(views)
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.quick-check"), self.eval_scope():
+        with span("session.quick-check"):
             check = practical_security_check(secret_query, view_list)
         verdict = True if check.certainly_secure else None
         return self._finish(
@@ -513,7 +460,7 @@ class AnalysisSession:
             raise SecurityAnalysisError("at least one view is required")
         before = self._cache.stats()
         started = time.perf_counter()
-        with span("session.verify"), self.eval_scope():
+        with span("session.verify"):
             verdict = self._engine.verify(secret_query, view_list, dictionary, **options)
         return self._finish(
             VerificationResult,
@@ -563,7 +510,7 @@ class AnalysisSession:
         entries: List[PlanEntry] = []
         for secret_name, secret_query in secrets.items():
             for recipient, view_query in views.items():
-                with span("session.audit-plan"), self.eval_scope():
+                with span("session.audit-plan"):
                     decision = decide_security(
                         secret_query,
                         view_query,
@@ -595,6 +542,5 @@ class AnalysisSession:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AnalysisSession(schema={self._schema!r}, engine={self._engine_name!r}, "
-            f"criticality_engine={self._criticality_engine.name!r}, "
             f"cache={self._cache.stats()!r})"
         )

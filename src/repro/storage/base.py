@@ -7,7 +7,9 @@ sqlite3-backed :class:`~repro.storage.sqlite.SQLiteFactStore` is
 another, sized for the million-fact instances the hospital/census
 scenarios describe.  :class:`FactStore` names the minimal surface the
 engines rely on, so code can be written against "a store" and run
-against either.
+against either: :mod:`repro.cq.evaluation` runs a
+:class:`~repro.storage.sqlite.SQLiteFactStore` on the sql engine in
+place, and every other store on the compiled engine.
 
 ``Instance`` is registered as a virtual subclass rather than inheriting:
 the relational layer predates this module and must not depend on it.
@@ -55,7 +57,7 @@ class FactStore(ABC):
 
         Convenient for small stores and cross-validation; for stores in
         the 10^5–10^6-fact range this defeats the point of the store —
-        evaluate against the store itself (``REPRO_EVAL_ENGINE=sql``).
+        evaluate against the store itself, which runs the sql engine.
         """
         return Instance(self)
 

@@ -355,7 +355,6 @@ class DeltaStreamSpec:
     )
     views: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_DELTA_VIEWS))
     publish_pool: Sequence[str] = DEFAULT_PUBLISH_POOL
-    eval_engine: Optional[str] = None
 
 
 def _fact_key(document: Sequence[Any]) -> Tuple[str, Tuple[Any, ...]]:
@@ -410,8 +409,6 @@ def generate_delta_stream(spec: DeltaStreamSpec) -> List[Dict[str, Any]]:
         "views": dict(spec.views),
         "facts": initial,
     }
-    if spec.eval_engine is not None:
-        create["eval_engine"] = spec.eval_engine
     requests: List[Dict[str, Any]] = [create]
 
     names = sorted(spec.instance.relations)

@@ -1,11 +1,11 @@
 """Compiled query-evaluation engine: cross-validation and regressions.
 
 The compiled planner/evaluator (`repro.cq.plan` + `repro.cq.compiled`)
-must be answer-identical to the surviving naive backtracking evaluator
-on every query the library can express — random queries with
-comparisons, constants, repeated variables, mixed-type domains and
-empty relations — and `delta_without`/`answer_contains` must agree with
-full re-evaluation on random (instance, fact) pairs.
+must be answer-identical to the seed backtracking evaluator (the oracle
+in `repro.reference`) on every query the library can express — random
+queries with comparisons, constants, repeated variables, mixed-type
+domains and empty relations — and `delta_without`/`answer_contains`
+must agree with full re-evaluation on random (instance, fact) pairs.
 """
 
 import itertools
@@ -25,13 +25,8 @@ from repro.cq import (
     delta_apply_many,
     delta_changes,
     delta_with,
-    eval_engine_scope,
     evaluate,
     evaluate_boolean,
-    evaluation_engine,
-    naive_evaluate,
-    naive_evaluate_boolean,
-    naive_satisfying_assignments,
     plan_atom_order,
     plan_for,
     q,
@@ -39,7 +34,11 @@ from repro.cq import (
 )
 from repro.cq.compiled import STATS, evaluation_stats, reset_evaluation_stats
 from repro.cq.homomorphism import homomorphisms_into_instance
-from repro.exceptions import EvaluationError
+from repro.reference import (
+    naive_evaluate,
+    naive_evaluate_boolean,
+    naive_satisfying_assignments,
+)
 from repro.relational import Fact, Instance
 from repro.relational.instance import INDEX_STATS
 
@@ -192,8 +191,7 @@ class TestCompiledMatchesNaive:
     def test_delta_apply_matches_full_reevaluation(
         self, query, instance, added, removed
     ):
-        with eval_engine_scope("compiled"):
-            after, gained, lost = delta_apply(query, instance, added, removed)
+        after, gained, lost = delta_apply(query, instance, added, removed)
         # A fact listed in both sets ends up present.
         assert after.facts == (instance.facts - set(removed)) | set(added)
         before_answer = naive_evaluate(query, instance)
@@ -212,15 +210,12 @@ class TestCompiledMatchesNaive:
     def test_delta_apply_many_matches_per_query_apply(
         self, first, second, instance, added, removed
     ):
-        with eval_engine_scope("compiled"):
-            after, changes = delta_apply_many(
-                (first, second), instance, added, removed
-            )
-            assert len(changes) == 2
-            for query, change in zip((first, second), changes):
-                solo_after, gained, lost = delta_apply(query, instance, added, removed)
-                assert solo_after.facts == after.facts
-                assert change == (gained, lost)
+        after, changes = delta_apply_many((first, second), instance, added, removed)
+        assert len(changes) == 2
+        for query, change in zip((first, second), changes):
+            solo_after, gained, lost = delta_apply(query, instance, added, removed)
+            assert solo_after.facts == after.facts
+            assert change == (gained, lost)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -291,8 +286,7 @@ class TestCompiledEdges:
             Fact("S", ("a", "z")),
         )
 
-    def test_delta_skips_facts_unifying_with_no_subgoal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "compiled")
+    def test_delta_skips_facts_unifying_with_no_subgoal(self):
         query = q("Q(x) :- R(x, y)")
         instance = Instance.of(Fact("R", ("a", "b")), Fact("S", ("a", "b")))
         before = STATS["delta_unification_skips"]
@@ -300,8 +294,8 @@ class TestCompiledEdges:
         assert STATS["delta_unification_skips"] == before + 1
 
     def test_constant_only_comparison_checked_lazily(self):
-        # The naive engine only checks constant-only comparisons once a
-        # subgoal matches; an unsatisfiable body never raises.
+        # The reference evaluator only checks constant-only comparisons
+        # once a subgoal matches; an unsatisfiable body never raises.
         query = ConjunctiveQuery(
             (),
             (Atom("R", (Variable("x"),)),),
@@ -333,8 +327,11 @@ class TestPlannerOrdering:
         assert set(order[:2]) == {0, 1}
 
     @pytest.mark.parametrize("engine", ["compiled", "naive"])
-    def test_homomorphism_counts_are_body_order_invariant(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", engine)
+    def test_homomorphism_counts_are_body_order_invariant(self, engine):
+        enumerate_homomorphisms = {
+            "compiled": homomorphisms_into_instance,
+            "naive": naive_satisfying_assignments,
+        }[engine]
         instance = Instance.of(
             Fact("R", ("a", "b")),
             Fact("R", ("b", "b")),
@@ -349,41 +346,65 @@ class TestPlannerOrdering:
                 tuple(base.body[i] for i in permutation),
                 base.comparisons,
             )
-            counts.add(len(list(homomorphisms_into_instance(permuted, instance))))
+            counts.add(len(list(enumerate_homomorphisms(permuted, instance))))
         assert len(counts) == 1
 
 
 # ---------------------------------------------------------------------------
-# Engine selection + observability
+# Engine selection (by the target's type) + observability
 # ---------------------------------------------------------------------------
 class TestEngineSelection:
-    def test_default_engine_is_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_ENGINE", raising=False)
-        assert evaluation_engine() == "compiled"
+    def test_default_engine_is_compiled(self):
+        # Every in-memory target — an Instance or a plain fact list —
+        # runs on the compiled engine.
+        query = q("Q(x) :- R(x, y)")
+        facts = [Fact("R", ("a", "b"))]
+        before = STATS["compiled_evaluations"]
+        assert evaluate(query, Instance(facts)) == evaluate(query, facts) == {("a",)}
+        assert STATS["compiled_evaluations"] == before + 2
 
     def test_blank_value_falls_back_to_compiled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "  ")
-        assert evaluation_engine() == "compiled"
-
-    def test_unknown_engine_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "vectorised")
-        with pytest.raises(EvaluationError):
-            evaluate(q("Q(x) :- R(x)"), Instance.empty())
-
-    def test_naive_engine_routes_every_entry_point(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "naive")
+        # The engine variable is gone: a value left over in a deployment
+        # environment, blank or not, changes nothing.
         query = q("Q(x) :- R(x, y)")
         instance = Instance.of(Fact("R", ("a", "b")))
-        before = STATS["naive_evaluations"]
-        evaluate(query, instance)
-        evaluate_boolean(query, instance)
-        list(satisfying_assignments(query, instance))
-        answer_contains(query, instance, ("a",))
-        delta_changes(query, instance, Fact("R", ("a", "b")))
-        assert STATS["naive_evaluations"] > before + 3
+        for value in ("  ", "naive", "sql"):
+            monkeypatch.setenv("REPRO_EVAL_ENGINE", value)
+            before = STATS["compiled_evaluations"]
+            assert evaluate(query, instance) == {("a",)}
+            assert STATS["compiled_evaluations"] == before + 1
 
-    def test_index_built_once_per_instance(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "compiled")
+    def test_unknown_engine_is_rejected(self, emp_schema):
+        # The verification engine is the only engine a caller names, and
+        # the evaluation engines' old names are not among its two.
+        from repro import AnalysisSession
+        from repro.exceptions import SecurityAnalysisError
+
+        for name in ("compiled", "naive", "sql", "vectorised"):
+            with pytest.raises(SecurityAnalysisError, match="exact, sampling"):
+                AnalysisSession(emp_schema, engine=name)
+
+    def test_naive_engine_routes_every_entry_point(self):
+        # The reference evaluator answers every entry point's question
+        # exactly as the production engine does.
+        query = q("Q(x) :- R(x, y)")
+        fact = Fact("R", ("a", "b"))
+        instance = Instance.of(fact, Fact("R", ("c", "d")))
+        answer = naive_evaluate(query, instance)
+        assert evaluate(query, instance) == answer == {("a",), ("c",)}
+        assert evaluate_boolean(query, instance) is naive_evaluate_boolean(query, instance)
+        assert _assignment_set(satisfying_assignments(query, instance)) == _assignment_set(
+            naive_satisfying_assignments(query, instance)
+        )
+        assert answer_contains(query, instance, ("a",)) is (("a",) in answer)
+        assert delta_changes(query, instance, fact) is (
+            answer != naive_evaluate(query, instance.remove(fact))
+        )
+        assert delta_with(query, instance, Fact("R", ("e", "f"))) is (
+            naive_evaluate(query, instance.add(Fact("R", ("e", "f")))) != answer
+        )
+
+    def test_index_built_once_per_instance(self):
         query = q("Q(y) :- R('a', y)")
         instance = Instance.of(Fact("R", ("a", "b")), Fact("R", ("c", "d")))
         evaluate(query, instance)
@@ -393,8 +414,7 @@ class TestEngineSelection:
         assert INDEX_STATS["builds"] == builds
         assert INDEX_STATS["reuses"] >= 2
 
-    def test_single_fact_delta_patches_parent_indexes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "compiled")
+    def test_single_fact_delta_patches_parent_indexes(self):
         query = q("Q(y) :- R('a', y)")
         instance = Instance.of(Fact("R", ("a", "b")), Fact("R", ("c", "d")))
         evaluate(query, instance)  # builds the ('R', (0,)) index
@@ -410,17 +430,17 @@ class TestEngineSelection:
         assert INDEX_STATS["builds"] == builds
         assert evaluation_stats()["index_patched"] == INDEX_STATS["patched"]
 
-    def test_evaluation_stats_document(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", "compiled")
+    def test_evaluation_stats_document(self):
         reset_evaluation_stats()
         query = q("Q(x) :- R(x, y), S(y, z)")
         instance = Instance.of(Fact("R", ("a", "b")), Fact("S", ("b", "c")))
         evaluate(query, instance)
         document = evaluation_stats()
-        assert document["engine"] == "compiled"
+        assert "engine" not in document
         assert document["compiled_evaluations"] == 1
         assert document["plans_compiled"] == 1
         assert document["index_probes"] >= 1
+        assert document["sql_statements_executed"] == 0
         assert set(document) >= {"index_builds", "index_reuses", "delta_calls"}
 
     def test_auditor_observability_surfaces_evaluator_counters(self):
@@ -429,25 +449,33 @@ class TestEngineSelection:
 
         auditor = SecurityAuditor(employee_schema())
         document = auditor.observability()
-        assert "query_evaluation" in document
-        assert document["query_evaluation"]["engine"] in ("compiled", "naive", "sql")
+        assert "compiled_evaluations" in document["query_evaluation"]
+        assert "sql_io_fallbacks" in document["query_evaluation"]
 
 
 # ---------------------------------------------------------------------------
-# Criticality engines keep their verdicts on both evaluation engines
+# crit_D keeps its verdicts whichever evaluator decides Q(I) ≠ Q(I − t)
 # ---------------------------------------------------------------------------
+def _full_reevaluation(query, instance, fact):
+    """``Q(I) ≠ Q(I − t)`` by two full reference evaluations."""
+    return naive_evaluate(query, instance) != naive_evaluate(query, instance.remove(fact))
+
+
 class TestCriticalityCrossValidation:
     @pytest.mark.parametrize("engine", ["compiled", "naive"])
-    def test_critical_tuples_invariant_under_eval_engine(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_ENGINE", engine)
+    def test_critical_tuples_invariant_under_eval_engine(self, engine):
         from repro.bench import employee_schema
-        from repro.core.criticality import create_criticality_engine
+        from repro.core.criticality import critical_tuples
+        from repro.reference import critical_tuples as minimal_critical_tuples
+        from repro.reference import critical_tuples_naive
 
+        changes = {"compiled": delta_changes, "naive": _full_reevaluation}[engine]
         schema = employee_schema()
         query = q("S(n) :- Emp(n, d, p)").boolean_specialisation(("n0",))
         results = {
-            name: create_criticality_engine(name).critical_tuples(query, schema)
-            for name in ("minimal", "naive", "pruned-parallel")
+            "minimal": minimal_critical_tuples(query, schema),
+            "naive": critical_tuples_naive(query, schema, changes=changes),
+            "pruned-parallel": critical_tuples(query, schema),
         }
         assert len(set(results.values())) == 1
         assert results["minimal"]

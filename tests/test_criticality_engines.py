@@ -1,12 +1,15 @@
-"""Tests for the pluggable criticality-engine layer.
+"""Tests for the criticality layer: one production engine, two oracles.
 
-Covers the engine registry, cross-validation of every engine against
-every other (including a property-style sweep over random small
-conjunctive queries and a key-constraint predicate), the serial and
-process-pool execution paths of the ``pruned-parallel`` default, the
+Covers the production engine (``PrunedParallelEngine`` behind
+``repro.critical_tuples``), its cross-validation against the reference
+oracles of :mod:`repro.reference` (the Appendix A minimal search and
+the literal Definition 4.4 enumeration; including a property-style
+sweep over random small conjunctive queries and a key-constraint
+predicate), the serial and process-pool execution paths, the
 ``max_valuations`` forwarding of ``common_critical_tuples``, the
 uniform option validation of the sampling verification engine, and the
-engine threading through sessions, free functions and the CLI.
+``critical_fn`` provider threading through sessions, free functions and
+the CLI.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro import (
     AnalysisSession,
     Dictionary,
@@ -24,71 +29,70 @@ from repro import (
     q,
 )
 from repro.cli import main
-from repro.core.critical import common_critical_tuples
 from repro.core.criticality import (
-    DEFAULT_CRITICALITY_ENGINE,
-    CriticalityEngine,
-    MinimalEngine,
-    NaiveEngine,
     PrunedParallelEngine,
     WORKERS_ENV,
-    available_criticality_engines,
-    create_criticality_engine,
-    register_criticality_engine,
+    common_critical_tuples,
 )
 from repro.cq.atoms import Atom, Comparison
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
 from repro.exceptions import IntractableAnalysisError, SecurityAnalysisError
-from repro.session import CriticalTupleCache
+from repro.reference import critical_tuples as minimal_critical_tuples
+from repro.reference import critical_tuples_naive
 from repro.session.engines import SamplingVerificationEngine
 from repro.relational import Domain, RelationSchema, Schema
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Count the production engine's ``critical_tuples``/``is_critical`` calls."""
+    calls = {"critical_tuples": 0, "is_critical": 0}
+    for name in calls:
+        original = getattr(PrunedParallelEngine, name)
+
+        def spy(self, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrunedParallelEngine, name, spy)
+    return calls
+
+
 # ---------------------------------------------------------------------------
-# Registry
+# The production engine
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_builtin_engines_registered(self):
-        names = available_criticality_engines()
-        assert {"minimal", "naive", "pruned-parallel"} <= set(names)
-
-    def test_default_is_pruned_parallel(self):
-        assert DEFAULT_CRITICALITY_ENGINE == "pruned-parallel"
-        assert create_criticality_engine().name == "pruned-parallel"
+    def test_default_is_pruned_parallel(self, recorded, binary_ab_schema):
+        query = q("V(x) :- R(x, 'b')")
+        expected = PrunedParallelEngine().critical_tuples(query, binary_ab_schema)
+        assert repro.critical_tuples(query, binary_ab_schema) == expected
+        assert recorded["critical_tuples"] == 2
 
     def test_unknown_engine_lists_available(self):
-        with pytest.raises(SecurityAnalysisError, match="minimal"):
-            create_criticality_engine("no-such-engine")
+        # The one engine lookup left is the verification engine's.
+        from repro.session import create_engine
 
-    def test_instance_passes_through(self):
-        engine = MinimalEngine()
-        assert create_criticality_engine(engine) is engine
+        with pytest.raises(SecurityAnalysisError, match="exact, sampling"):
+            create_engine("no-such-engine")
 
     def test_custom_engine_registration(self, binary_ab_schema):
-        class Recording(MinimalEngine):
-            name = "recording"
+        # A custom engine plugs in as a critical_fn provider.
+        class Recording(PrunedParallelEngine):
             calls = 0
 
             def critical_tuples(self, *args, **kwargs):
                 Recording.calls += 1
                 return super().critical_tuples(*args, **kwargs)
 
-        register_criticality_engine("recording", Recording)
-        try:
-            session = AnalysisSession(
-                binary_ab_schema, criticality_engine="recording"
-            )
-            result = session.decide("S(y) :- R(y, 'a')", "V(x) :- R(x, 'b')")
-            assert result.secure
-            assert Recording.calls > 0
-        finally:
-            from repro.core.criticality.base import _REGISTRY
-
-            _REGISTRY.pop("recording", None)
-
-    def test_describe(self):
-        assert "pruned-parallel" in PrunedParallelEngine().describe()
+        decision = decide_security(
+            q("S(y) :- R(y, 'a')"),
+            q("V(x) :- R(x, 'b')"),
+            binary_ab_schema,
+            critical_fn=Recording().critical_tuples,
+        )
+        assert decision.secure
+        assert Recording.calls == 2
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,11 @@ def _key_constraint(instance) -> bool:
 class TestCrossValidation:
     @pytest.fixture(scope="class")
     def engines(self):
+        """The two reference oracles and the production engine."""
         return (
-            create_criticality_engine("minimal"),
-            create_criticality_engine("naive"),
-            create_criticality_engine("pruned-parallel"),
+            SimpleNamespace(critical_tuples=minimal_critical_tuples),
+            SimpleNamespace(critical_tuples=critical_tuples_naive),
+            PrunedParallelEngine(),
         )
 
     def test_random_queries_agree_across_engines(self, engines):
@@ -321,16 +326,18 @@ class TestMaxValuationsForwarding:
         assert bounded == unbounded and bounded
 
     def test_engine_selection(self, binary_ab_schema):
+        # The full sets may come from any provider with the engine
+        # signature; the Appendix A oracle gives the production answer.
         secret = q("S() :- R('a', x)")
         view = q("V() :- R(x, 'b')")
         default = common_critical_tuples(secret, [view], binary_ab_schema)
-        for name in ("minimal", "naive", "pruned-parallel"):
-            assert (
-                common_critical_tuples(
-                    secret, [view], binary_ab_schema, criticality_engine=name
-                )
-                == default
+        assert default
+        assert (
+            common_critical_tuples(
+                secret, [view], binary_ab_schema, critical_fn=minimal_critical_tuples
             )
+            == default
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,66 +372,37 @@ class TestSamplingOptionValidation:
 
 
 # ---------------------------------------------------------------------------
-# Stack threading: sessions, free functions, cache keys, CLI
+# Stack threading: sessions, free functions, the CLI
 # ---------------------------------------------------------------------------
 class TestStackThreading:
-    def test_session_default_engine(self, emp_schema):
-        session = AnalysisSession(emp_schema)
-        assert session.criticality_engine_name == "pruned-parallel"
-        assert isinstance(session.criticality_engine, CriticalityEngine)
-
-    def test_session_engine_selection_changes_provider(self, emp_schema):
-        minimal = AnalysisSession(emp_schema, criticality_engine="minimal")
-        assert minimal.criticality_engine_name == "minimal"
-        naive_engine = NaiveEngine(max_tuples=8)
-        session = AnalysisSession(emp_schema, criticality_engine=naive_engine)
-        assert session.criticality_engine is naive_engine
+    def test_session_default_engine(self, recorded, emp_schema):
+        AnalysisSession(emp_schema).decide(
+            "S(n) :- Emp(n, 'HR', p)", "V(n) :- Emp(n, 'Mgmt', p)"
+        )
+        assert recorded["critical_tuples"] == 2
 
     def test_sessions_agree_across_engines(self, emp_schema):
-        secret = "S(n, p) :- Emp(n, d, p)"
-        views = ["V(n, d) :- Emp(n, d, p)", "W(n) :- Emp(n, 'Mgmt', p)"]
-        verdicts = {}
-        for name in ("minimal", "pruned-parallel"):
-            session = AnalysisSession(emp_schema, criticality_engine=name)
-            result = session.decide(secret, views)
-            verdicts[name] = (
-                result.secure,
-                result.decision.common_critical,
-                result.decision.secret_critical,
-            )
-        assert verdicts["minimal"] == verdicts["pruned-parallel"]
-
-    def test_cache_keys_isolate_engines(self, emp_schema):
-        shared = CriticalTupleCache(64)
-        first = AnalysisSession(
-            emp_schema, cache=shared, criticality_engine="minimal"
+        secret = q("S(n, p) :- Emp(n, d, p)")
+        views = [q("V(n, d) :- Emp(n, d, p)"), q("W(n) :- Emp(n, 'Mgmt', p)")]
+        result = AnalysisSession(emp_schema).decide(secret, views)
+        reference = decide_security(
+            secret, views, emp_schema, critical_fn=minimal_critical_tuples
         )
-        second = AnalysisSession(
-            emp_schema, cache=shared, criticality_engine="pruned-parallel"
-        )
-        first.decide("S(n) :- Emp(n, 'HR', p)", "V(n) :- Emp(n, 'Mgmt', p)")
-        outcome = second.decide("S(n) :- Emp(n, 'HR', p)", "V(n) :- Emp(n, 'Mgmt', p)")
-        # Different engine name => different keys => no cross-engine hits.
-        assert outcome.cache_used.hits == 0
-        assert outcome.cache_used.misses > 0
-
-        # The same engine on the shared cache does hit.
-        third = AnalysisSession(
-            emp_schema, cache=shared, criticality_engine="pruned-parallel"
-        )
-        warm = third.decide("S(n) :- Emp(n, 'HR', p)", "V(n) :- Emp(n, 'Mgmt', p)")
-        assert warm.cache_used.misses == 0
+        assert (
+            result.secure,
+            result.decision.common_critical,
+            result.decision.secret_critical,
+        ) == (reference.secure, reference.common_critical, reference.secret_critical)
 
     def test_free_functions_accept_engine(self, emp_schema):
         secret = q("S(n) :- Emp(n, 'HR', p)")
         view = q("V(n) :- Emp(n, 'Mgmt', p)")
         default = decide_security(secret, view, emp_schema)
-        for name in ("minimal", "pruned-parallel"):
-            decision = decide_security(
-                secret, view, emp_schema, criticality_engine=name
-            )
-            assert decision.secure == default.secure
-            assert decision.common_critical == default.common_critical
+        decision = decide_security(
+            secret, view, emp_schema, critical_fn=minimal_critical_tuples
+        )
+        assert decision.secure == default.secure
+        assert decision.common_critical == default.common_critical
 
     def test_collusion_and_knowledge_accept_engine(self, emp_schema):
         from repro import analyse_collusion, decide_with_knowledge
@@ -434,7 +412,7 @@ class TestStackThreading:
         views = [q("V(n, d) :- Emp(n, d, p)"), q("W(n) :- Emp(n, 'Mgmt', p)")]
         baseline = analyse_collusion(secret, views, emp_schema)
         report = analyse_collusion(
-            secret, views, emp_schema, criticality_engine="minimal"
+            secret, views, emp_schema, critical_fn=minimal_critical_tuples
         )
         assert [d.secure for d in report.per_view] == [
             d.secure for d in baseline.per_view
@@ -442,54 +420,48 @@ class TestStackThreading:
 
         knowledge = CardinalityConstraintKnowledge("exactly", 2)
         decision = decide_with_knowledge(
-            secret, views, knowledge, emp_schema, criticality_engine="minimal"
+            secret, views, knowledge, emp_schema, critical_fn=minimal_critical_tuples
         )
         assert decision.secure == decide_with_knowledge(
             secret, views, knowledge, emp_schema
         ).secure
 
-    def test_session_engine_used_for_common_critical_rechecks(self, binary_ab_schema):
+    def test_session_engine_used_for_common_critical_rechecks(
+        self, recorded, binary_ab_schema
+    ):
         # Regression: the per-view is_critical re-checks inside
-        # common_critical_tuples must run on the session's engine, not
-        # silently fall back to the package default.
+        # common_critical_tuples run on the production engine.
         from repro.core.prior import TupleStatusKnowledge
 
-        class Recording(MinimalEngine):
-            name = "recording-rechecks"
-            is_critical_calls = 0
-
-            def is_critical(self, *args, **kwargs):
-                Recording.is_critical_calls += 1
-                return super().is_critical(*args, **kwargs)
-
-        session = AnalysisSession(binary_ab_schema, criticality_engine=Recording())
+        session = AnalysisSession(binary_ab_schema)
         outcome = session.with_knowledge(
             "S(x, y) :- R(x, y)", "V(x) :- R(x, y)", TupleStatusKnowledge()
         )
         assert outcome.decision.secure is None  # insecure pair, nothing disclosed
-        assert Recording.is_critical_calls > 0
+        assert recorded["is_critical"] > 0
 
     def test_positive_leakage_accepts_engine(self, binary_ab_schema):
-        from repro import positive_leakage
+        from repro import epsilon_of_theorem_6_1, positive_leakage
 
         dictionary = Dictionary.uniform(binary_ab_schema, Fraction(1, 2))
         secret = q("S() :- R('a', 'a')")
         view = q("V() :- R('a', x)")
-        baseline = positive_leakage(secret, view, dictionary)
-        result = positive_leakage(
-            secret, view, dictionary, criticality_engine="minimal"
-        )
-        assert result.leakage == baseline.leakage
+        assert positive_leakage(secret, view, dictionary).leakage > 0
+        assert epsilon_of_theorem_6_1(
+            secret, view, dictionary, critical_fn=minimal_critical_tuples
+        ) == epsilon_of_theorem_6_1(secret, view, dictionary)
 
     def test_unknown_engine_raises_everywhere(self, emp_schema):
-        with pytest.raises(SecurityAnalysisError, match="pruned-parallel"):
-            AnalysisSession(emp_schema, criticality_engine="bogus")
-        with pytest.raises(SecurityAnalysisError, match="pruned-parallel"):
+        # The engine keyword is gone: a stale caller fails loudly
+        # instead of silently running an engine it did not ask for.
+        with pytest.raises(TypeError, match="criticality_engine"):
+            AnalysisSession(emp_schema, criticality_engine="minimal")
+        with pytest.raises(TypeError, match="criticality_engine"):
             decide_security(
                 q("S(n) :- Emp(n, 'HR', p)"),
                 q("V(n) :- Emp(n, 'Mgmt', p)"),
                 emp_schema,
-                criticality_engine="bogus",
+                criticality_engine="minimal",
             )
 
 
@@ -513,24 +485,9 @@ class TestCLIFlag:
         path.write_text(json.dumps(document))
         return str(path)
 
-    @pytest.mark.parametrize("engine", ["minimal", "pruned-parallel"])
-    def test_decide_with_engine_flag(self, schema_file, capsys, engine):
-        exit_code = main(
-            [
-                "decide",
-                "--schema", schema_file,
-                "--secret", "S(n) :- Emp(n, HR, p)",
-                "--view", "V(n) :- Emp(n, Mgmt, p)",
-                "--criticality-engine", engine,
-            ]
-        )
-        assert exit_code == 0
-        assert "secure" in capsys.readouterr().out
-
     def test_decide_with_naive_engine_on_tiny_schema(self, tmp_path, capsys):
-        # The naive ablation engine enumerates 2^|tup(D)| instances, so it
-        # only fits the smallest schemas; over R(X,Y) with two variables the
-        # analysis tuple space is 4 and the CLI path works end to end.
+        # Over R(X,Y) with two values the tuple space is 4, small enough
+        # for the Definition 4.4 enumeration to check the CLI's verdict.
         document = {"relations": [{"name": "R", "attributes": ["X", "Y"]}],
                     "domain": ["a", "b"]}
         path = tmp_path / "binary.json"
@@ -541,24 +498,32 @@ class TestCLIFlag:
                 "--schema", str(path),
                 "--secret", "S(y) :- R(y, 'a')",
                 "--view", "V(x) :- R(x, 'b')",
-                "--criticality-engine", "naive",
             ]
         )
         assert exit_code == 0
         assert "secure" in capsys.readouterr().out
+        from repro.bench import binary_schema
+
+        schema = binary_schema()
+        assert not critical_tuples_naive(
+            q("S(y) :- R(y, 'a')"), schema
+        ) & critical_tuples_naive(q("V(x) :- R(x, 'b')"), schema)
 
     def test_unknown_engine_exits_two(self, schema_file, capsys):
-        exit_code = main(
-            [
-                "decide",
-                "--schema", schema_file,
-                "--secret", "S(n) :- Emp(n, HR, p)",
-                "--view", "V(n) :- Emp(n, Mgmt, p)",
-                "--criticality-engine", "bogus",
-            ]
-        )
-        assert exit_code == 2
-        assert "bogus" in capsys.readouterr().err
+        # The engine flags are gone; passing one is a usage error (exit
+        # 2), never a verdict.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "decide",
+                    "--schema", schema_file,
+                    "--secret", "S(n) :- Emp(n, HR, p)",
+                    "--view", "V(n) :- Emp(n, Mgmt, p)",
+                    "--criticality-engine", "minimal",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--criticality-engine" in capsys.readouterr().err
 
     def test_plan_with_engine_flag(self, tmp_path, capsys):
         document = {
@@ -578,8 +543,6 @@ class TestCLIFlag:
         }
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(document))
-        exit_code = main(
-            ["plan", "--plan", str(path), "--criticality-engine", "minimal"]
-        )
+        exit_code = main(["plan", "--plan", str(path), "--engine", "exact"])
         assert exit_code == 0
         assert "hr_names" in capsys.readouterr().out

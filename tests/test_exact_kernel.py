@@ -2,7 +2,7 @@
 
 The kernel (``repro.probability.kernel``) must agree **Fraction for
 Fraction** with the seed enumeration engine, which is preserved as
-:class:`~repro.probability.engine.NaiveExactEngine` exactly for this
+:class:`~repro.reference.NaiveExactEngine` exactly for this
 purpose.  The suite pits the two against each other on randomized small
 schemas and dictionaries (distributions, conditionals, independence
 tests, `independence_gap`, `verify_security_probabilistically`
@@ -34,13 +34,13 @@ from repro.exceptions import (
 from repro.probability import (
     Dictionary,
     ExactEngine,
-    NaiveExactEngine,
     ProbabilityKernel,
     QueryAnswerIs,
     QueryTrue,
     truth_table,
 )
 from repro.probability.compiled_event import query_truth_bits, subset_zeta
+from repro.reference import NaiveExactEngine
 from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
 from repro.session.engines import SamplingVerificationEngine
 

@@ -459,7 +459,7 @@ class TestAuditJson:
         assert document["findings"][0]["disclosure"] == "partial"
         observability = document["observability"]
         assert observability["critical_tuple_cache"]["misses"] > 0
-        assert observability["engines"]["criticality"] == "pruned-parallel"
+        assert observability["engines"] == {"verification": "exact"}
         # the audit measured leakage, so the kernel counters must surface
         assert "probability_kernels" in observability
         assert "exact" in observability["probability_kernels"]

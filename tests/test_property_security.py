@@ -7,8 +7,8 @@ generated boolean queries over a fixed small schema:
   variables are exactly the critical tuples (Proposition 4.13),
 * crit-disjointness coincides with exact statistical independence
   (Theorem 4.5) and with the FKG-style inequality being tight,
-* the minimal-instance critical-tuple search agrees with the naive
-  enumeration (Definition 4.4),
+* the production critical-tuple engine agrees with the naive
+  enumeration oracle (Definition 4.4),
 * leakage is zero exactly for secure pairs and never negative.
 """
 
@@ -20,12 +20,12 @@ from hypothesis import given, settings, strategies as st
 from repro import Dictionary, q
 from repro.core import (
     critical_tuples,
-    critical_tuples_naive,
     positive_leakage,
     practical_security_check,
 )
 from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, conjoin
 from repro.probability import ExactEngine, QueryTrue, query_polynomial
+from repro.reference import critical_tuples_naive
 from repro.relational import Domain, Fact, RelationSchema, Schema, tuple_space
 
 DOMAIN_VALUES = ("a", "b")

@@ -134,3 +134,11 @@ class TestIndependenceGap:
         dense = Dictionary.uniform(binary_ab_schema, Fraction(1, 2))
         sparse = Dictionary.uniform(binary_ab_schema, Fraction(1, 100))
         assert independence_gap(secret, view, sparse) < independence_gap(secret, view, dense)
+
+    def test_gap_requires_a_view(self, half_dictionary, example_42_queries):
+        # No views is not "independent": like the verifier, the gap
+        # refuses the input instead of reporting 0.
+        secret, _ = example_42_queries
+        for check in (independence_gap, verify_security_probabilistically):
+            with pytest.raises(SecurityAnalysisError, match="at least one view"):
+                check(secret, [], half_dictionary)

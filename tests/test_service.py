@@ -137,7 +137,7 @@ class TestProtocol:
         one = parse_request(base)
         two = parse_request({**base, "secret": SECURE_SECRET})
         assert session_key(one) == session_key(two)
-        other_engine = parse_request({**base, "criticality_engine": "minimal"})
+        other_engine = parse_request({**base, "engine": "sampling"})
         assert session_key(one) != session_key(other_engine)
 
     def test_decode_rejects_bad_json(self):

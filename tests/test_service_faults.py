@@ -15,12 +15,14 @@ covering the PR's hard guarantees:
   restarts;
 * the per-shard circuit breaker walks healthy → degraded → quarantined
   → half-open → closed;
-* a sqlite I/O error inside the ``sql`` evaluation engine degrades to
-  the compiled engine with an identical verdict (counted, not silent);
+* a sqlite I/O error inside the ``sql`` evaluation engine (the engine
+  of store-backed targets) degrades to the compiled engine with an
+  identical answer (counted, not silent);
 * the chaos gate: a 64-request mixed workload through retrying clients
   completes 100% successfully under a plan that SIGKILLs a worker
-  mid-burst and injects a sqlite error, with verdicts identical to a
-  fault-free run.
+  mid-burst, with verdicts identical to a fault-free run, and a sqlite
+  error injected into a store-backed live session's reads degrades
+  them instead of failing them.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import pytest
 
 from repro import faults
 from repro.bench import employee_schema
-from repro.cq import eval_engine_scope, evaluate, q
+from repro.cq import evaluate, q
 from repro.cq.sql import SQL_STATS
 from repro.exceptions import ReproError
 from repro.io import schema_to_dict
 from repro.relational import Fact, Instance
+from repro.storage import SQLiteFactStore
 from repro.service import (
     AuditServiceClient,
     CircuitBreaker,
@@ -58,7 +61,7 @@ from repro.service.protocol import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_WORKER_CRASHED,
     parse_request,
-    request_key,
+    routing_key,
 )
 from repro.workload import replay_workload
 
@@ -89,7 +92,7 @@ def _no_leaked_plan():
 def _primary_shard(document: dict, workers: int = 2) -> int:
     """The rendezvous-primary shard of one request (mirrors the router)."""
     fingerprint = hashlib.sha256(
-        request_key(parse_request(document)).encode("utf8")
+        routing_key(parse_request(document)).encode("utf8")
     ).hexdigest()
     return max(
         range(workers),
@@ -404,45 +407,40 @@ class TestSqlDegradation:
     INSTANCE = Instance({Fact("Emp", ("ann", "ops")), Fact("Emp", ("bo", "hr"))})
 
     def test_io_error_degrades_with_identical_answers(self):
-        with eval_engine_scope("compiled"):
-            expected = evaluate(self.QUERY, self.INSTANCE)
+        expected = evaluate(self.QUERY, self.INSTANCE)
+        store = SQLiteFactStore.mirror(self.INSTANCE.facts)
         faults.install(FaultPlan(
             [FaultRule(point="sql.execute", action="sqlite-error", count=1)]
         ))
         before = SQL_STATS["sql_io_fallbacks"]
-        with eval_engine_scope("sql"):
-            degraded = evaluate(self.QUERY, self.INSTANCE)
-            again = evaluate(self.QUERY, self.INSTANCE)  # fault spent: sql path
+        degraded = evaluate(self.QUERY, store)
+        again = evaluate(self.QUERY, store)  # fault spent: sql path
         assert degraded == again == expected
         assert SQL_STATS["sql_io_fallbacks"] == before + 1
 
     def test_service_answers_identically_through_the_degradation(self):
+        # A store-backed live session evaluates on the sql engine; the
+        # injected error hits its initial evaluation, which degrades.
+        create = {
+            "schema": SCHEMA,
+            "secrets": {"s": SECRET, "s2": "S2(d) :- Emp(n, d, p)"},
+            "views": VIEWS,
+            "facts": [["Emp", ["n0", "d0", "p0"]], ["Emp", ["n1", "d1", "p1"]]],
+            "options": {"store": True},
+        }
         with ServerThread() as server:
             with AuditServiceClient(*server.address) as client:
-                clean = client.request(
-                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
-                    eval_engine="sql",
-                )
-                assert clean["ok"] is True
+                clean = client.call("live-create", live="clean", **create)
                 faults.install(FaultPlan(
                     [FaultRule(point="sql.execute", action="sqlite-error",
                                count=1)]
                 ))
-                faulted = client.request(
-                    "decide", schema=SCHEMA,
-                    secret="S2(d) :- Emp(n, d, p)", views=VIEWS,
-                    eval_engine="sql",
-                )
-                assert faulted["ok"] is True
-        with ServerThread() as fresh:
-            with AuditServiceClient(*fresh.address) as client:
-                faults.uninstall()
-                reference = client.request(
-                    "decide", schema=SCHEMA,
-                    secret="S2(d) :- Emp(n, d, p)", views=VIEWS,
-                    eval_engine="sql",
-                )
-        assert faulted["result"]["verdict"] == reference["result"]["verdict"]
+                before = SQL_STATS["sql_io_fallbacks"]
+                faulted = client.call("live-create", live="faulted", **create)
+                assert SQL_STATS["sql_io_fallbacks"] == before + 1
+        assert faulted["store_backed"] is True
+        for section in ("secrets", "views", "fact_count"):
+            assert faulted[section] == clean[section]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,7 @@ def _drain_with_verdicts(address, requests, *, policy=None, concurrency=8):
 
 
 def _mixed_workload(n: int) -> list:
-    """``n`` distinct decide requests, every fourth on the sql engine.
+    """``n`` distinct decide requests.
 
     Odd indices ask about a department the view never mentions
     (disjoint critical tuples, verdict True); even indices ask for the
@@ -511,8 +509,6 @@ def _mixed_workload(n: int) -> list:
             document = {"op": "decide", "schema": SCHEMA,
                         "secret": f"S{i}(n, p) :- Emp(n, d, p)",
                         "views": VIEWS}
-        if i % 4 == 0:
-            document["eval_engine"] = "sql"
         documents.append(document)
     return documents
 
@@ -609,8 +605,8 @@ class TestFleetChaos:
         # degraded path answering wrongly, not only one not answering.
         assert set(expected.values()) == {True, False}
 
-        # Chaos run: one worker SIGKILLed mid-burst, one injected sqlite
-        # I/O error, everything ridden over by retrying clients.
+        # Chaos run: one worker SIGKILLed mid-burst, ridden over by
+        # retrying clients, and one injected sqlite I/O error.
         monkeypatch.setenv(
             faults.FAULT_PLAN_ENV,
             json.dumps({"seed": 0, "faults": [
@@ -629,7 +625,24 @@ class TestFleetChaos:
             verdicts, failures = _drain_with_verdicts(
                 fleet.address, requests, policy=policy
             )
-            with AuditServiceClient(*fleet.address) as client:
+            # The sqlite error fires on a read that degrades: the initial
+            # evaluation of a store-backed live session, placed off shard
+            # 0 (whose re-forked worker re-arms the kill rule).
+            create = {
+                "op": "live-create", "schema": SCHEMA,
+                "secrets": {"s": SECRET, "s2": "S2(d) :- Emp(n, d, p)"},
+                "views": VIEWS, "facts": [["Emp", ["n0", "d0", "p0"]]],
+                "options": {"store": True},
+            }
+            live = next(
+                name for name in (f"chaos-store-{i}" for i in range(100))
+                if _primary_shard({**create, "live": name}) == 1
+            )
+            with AuditServiceClient(*fleet.address, retry_policy=policy) as client:
+                created = client.call(
+                    "live-create", live=live,
+                    **{k: v for k, v in create.items() if k != "op"},
+                )
                 stats = client.request("stats")["result"]
         assert not failures, f"chaos run had user-visible errors: {failures[:3]}"
         assert len(verdicts) == 64
@@ -637,3 +650,9 @@ class TestFleetChaos:
         # The faults genuinely fired in the workers.
         restarts = sum(s["restarts"] for s in stats["fleet"]["shards"])
         assert restarts >= 1, "the kill fault never took a worker down"
+        assert created["store_backed"] is True
+        io_fallbacks = sum(
+            shard.get("worker", {}).get("query_evaluation", {}).get("sql_io_fallbacks", 0)
+            for shard in stats["fleet"]["shards"]
+        )
+        assert io_fallbacks >= 1, "the sqlite fault never degraded a read"

@@ -63,6 +63,8 @@ SLOW_SECRETS = [
     "S(n) :- Emp(n, d0, p)",
     "S(n) :- Emp(n, d1, p)",
     "S(n, p) :- Emp(n, d, p)",
+    "S(d, p) :- Emp(n, d, p)",
+    "S(p) :- Emp(n, d0, p)",
 ]
 
 
@@ -240,11 +242,14 @@ class TestFleetLifecycle:
     def test_drain_then_stop_answers_in_flight_requests(self):
         fleet = FleetThread(workers=2, worker_threads=2).start()
         try:
-            documents = [_slow_request(secret) for secret in SLOW_SECRETS[:4]]
-            shards = {
-                fleet.fleet._shard_for(_fingerprint(doc)).index for doc in documents
-            }
-            assert shards == {0, 1}, "the slow requests must span both workers"
+            by_shard = {0: [], 1: []}
+            for secret in SLOW_SECRETS:
+                document = _slow_request(secret)
+                shard = fleet.fleet._shard_for(_fingerprint(document)).index
+                by_shard[shard].append(document)
+            # Two slow requests on each worker.
+            documents = by_shard[0][:2] + by_shard[1][:2]
+            assert len(documents) == 4, "the slow requests must span both workers"
             pids = list(fleet.fleet.worker_pids)
             responses, failures = [], []
 

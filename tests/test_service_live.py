@@ -146,11 +146,16 @@ class TestLiveLifecycle:
         assert result["fact_count"] == 2
 
     def test_sql_engine_session_matches_default(self, client):
+        # A store-backed session runs every evaluation on the sql engine.
         default_name = _create(client)
-        sql_name = _create(client, eval_engine="sql")
+        sql_name = _create(client, options={"store": True})
+        for name in (default_name, sql_name):
+            client.call("apply-delta", live=name, add=[OTHER_FACT])
         default = client.call("live-audit", live=default_name)
         via_sql = client.call("live-audit", live=sql_name)
+        assert via_sql["store_backed"] is True
         assert via_sql["secrets"] == default["secrets"]
+        assert via_sql["views"] == default["views"]
         assert via_sql["fact_count"] == default["fact_count"]
 
 

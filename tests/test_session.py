@@ -2,7 +2,7 @@
 
 Covers compilation (canonical forms, fingerprints), decision/batch
 parity with the legacy free functions on the suite's standard cases,
-cache hit/miss/eviction accounting, the engine registry, the publishing
+cache hit/miss/eviction accounting, the engine lookup, the publishing
 plan batch audit and the uniform query-type validation.
 """
 
@@ -27,12 +27,13 @@ from repro.core import (
     decide_with_knowledge,
     positive_leakage,
 )
-from repro.core.critical import critical_tuples
 from repro.exceptions import SecurityAnalysisError
+from repro.reference import critical_tuples
 from repro.relational import Domain, Fact
 from repro.session import (
     CriticalTupleCache,
-    available_engines,
+    ExactVerificationEngine,
+    SamplingVerificationEngine,
     canonical_query_key,
     create_engine,
     query_fingerprint,
@@ -423,8 +424,8 @@ class TestCacheAccounting:
 # ---------------------------------------------------------------------------
 class TestEngineRegistry:
     def test_known_engines_listed(self):
-        assert "exact" in available_engines()
-        assert "sampling" in available_engines()
+        assert isinstance(create_engine("exact"), ExactVerificationEngine)
+        assert isinstance(create_engine("sampling"), SamplingVerificationEngine)
 
     def test_unknown_engine_raises_with_available_names(self, emp_schema):
         with pytest.raises(SecurityAnalysisError, match="available engines"):

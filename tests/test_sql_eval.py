@@ -1,14 +1,20 @@
-"""SQL evaluation backend: three-engine cross-validation and plumbing.
+"""SQL evaluation backend: three-target cross-validation and plumbing.
 
-The sql engine compiles join plans into SQLite statements, so its
-answers must be indistinguishable from both the compiled and the naive
-engines on every query the library can express — including mixed-type
-domains, empty relations, comparison-heavy queries and unions — and the
-delta entry points must agree with full re-evaluation.  The suite also
-pins the fallback contract (unstorable values quietly re-route through
-the compiled engine) and the `eval_engine` plumbing through sessions,
+A :class:`~repro.storage.sqlite.SQLiteFactStore` target runs on the sql
+engine, which compiles join plans into SQLite statements, so its
+answers must be indistinguishable from the compiled engine on an
+:class:`~repro.relational.Instance` of the same facts and from the
+reference evaluator of :mod:`repro.reference` on every query the
+library can express — including mixed-type domains, empty relations,
+comparison-heavy queries and unions — across every entry point,
+deltas included.  The suite also pins the fallback contract
+(unstorable values quietly re-route through the compiled engine) and
+that the removed ``eval_engine`` knob stays removed from sessions,
 auditors and the wire protocol.
 """
+
+import sys
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,31 +30,29 @@ from test_compiled_eval import (
 
 from repro.cq import (
     Atom,
+    Comparison,
     ConjunctiveQuery,
     Constant,
     Variable,
-    answer_contains,
     delta_apply,
-    delta_apply_many,
-    delta_changes,
     delta_with,
-    eval_engine_scope,
     evaluate,
-    evaluate_boolean,
-    evaluation_engine,
     q,
     satisfying_assignments,
     union_of,
 )
-from repro.cq.compiled import evaluation_stats, reset_evaluation_stats
+from repro.cq import evaluation
+from repro.cq.compiled import STATS, evaluation_stats, reset_evaluation_stats
 from repro.cq.sql import SQL_STATS
-from repro.exceptions import EvaluationError
+from repro.reference import (
+    naive_evaluate,
+    naive_evaluate_boolean,
+    naive_satisfying_assignments,
+)
 from repro.relational import Fact, Instance
-from repro.service.protocol import ProtocolError, parse_request, session_key
+from repro.service.protocol import parse_request, session_key
 from repro.session import AnalysisSession
 from repro.storage import SQLiteFactStore
-
-ENGINES = ("compiled", "naive", "sql")
 
 #: Type-punning pool: every int appears alongside its string spelling
 #: (and a float with its own), so type-uniform columns meet constants,
@@ -57,18 +61,60 @@ ENGINES = ("compiled", "naive", "sql")
 NUMSTR_VALUES = [0, 1, 2, "0", "1", "2", 1.5, "1.5"]
 
 
-def _per_engine(fn):
-    """Run ``fn`` once per engine and return the three results by name."""
-    results = {}
-    for engine in ENGINES:
-        with eval_engine_scope(engine):
-            results[engine] = fn()
-    return results
+def _reference_delta_apply(query, before, added=(), removed=()):
+    after = Instance((before.facts - set(removed)) | set(added))
+    old, new = naive_evaluate(query, before), naive_evaluate(query, after)
+    return after, new - old, old - new
 
 
-def _unanimous(fn):
-    results = _per_engine(fn)
-    assert results["sql"] == results["compiled"] == results["naive"]
+#: The reference evaluator's answer to each entry point's question.
+REFERENCE = {
+    "evaluate": naive_evaluate,
+    "evaluate_boolean": naive_evaluate_boolean,
+    "satisfying_assignments": naive_satisfying_assignments,
+    "answer_contains": lambda query, instance, row: (
+        tuple(row) in naive_evaluate(query, instance)
+    ),
+    "delta_changes": lambda query, instance, fact: (
+        naive_evaluate(query, instance) != naive_evaluate(query, instance.remove(fact))
+    ),
+    "delta_with": lambda query, instance, fact: (
+        naive_evaluate(query, instance.add(fact)) != naive_evaluate(query, instance)
+    ),
+    "delta_apply": _reference_delta_apply,
+    "delta_apply_many": lambda queries, instance, added=(), removed=(): (
+        _reference_delta_apply(queries[0], instance, added, removed)[0],
+        [_reference_delta_apply(query, instance, added, removed)[1:] for query in queries],
+    ),
+}
+
+
+def _facts(state):
+    return state.facts if isinstance(state, Instance) else frozenset(state)
+
+
+#: How each entry point's result is compared (generators drained, states
+#: reduced to their fact sets).
+NORMALISE = {
+    "satisfying_assignments": _assignment_set,
+    "delta_apply": lambda result: (_facts(result[0]), *result[1:]),
+    "delta_apply_many": lambda result: (_facts(result[0]), result[1]),
+}
+
+
+def _unanimous(entry, query, instance, *args):
+    """One entry point on three targets: sql on a store, compiled on an
+    instance of the same facts, and the reference evaluator."""
+    production = getattr(evaluation, entry)
+    store = SQLiteFactStore.mirror(instance.facts)
+    results = {
+        "compiled": production(query, instance, *args),
+        "sql": production(query, store, *args),
+        "naive": REFERENCE[entry](query, instance, *args),
+    }
+    normalise = NORMALISE.get(entry, lambda result: result)
+    results = {target: normalise(result) for target, result in results.items()}
+    assert results["sql"] == results["compiled"] == results["naive"], entry
     return results["sql"]
 
 
@@ -86,11 +132,9 @@ class TestSqlMatchesOtherEngines:
         instance=_instance_strategy(MIXED_VALUES),
     )
     def test_mixed_type_domains_equality_comparisons(self, query, instance):
-        _unanimous(lambda: evaluate(query, instance))
-        _unanimous(lambda: evaluate_boolean(query, instance))
-        _unanimous(
-            lambda: _assignment_set(satisfying_assignments(query, instance))
-        )
+        _unanimous("evaluate", query, instance)
+        _unanimous("evaluate_boolean", query, instance)
+        _unanimous("satisfying_assignments", query, instance)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -102,10 +146,10 @@ class TestSqlMatchesOtherEngines:
     def test_numeric_string_type_punning(self, query, instance, fact, probe):
         # Regression pool for the affinity bug: typed columns once let
         # SQLite match the constant "1" against an all-int column.
-        _unanimous(lambda: evaluate(query, instance))
-        _unanimous(lambda: evaluate_boolean(query, instance))
-        _unanimous(lambda: answer_contains(query, instance, tuple(probe)))
-        _unanimous(lambda: delta_changes(query, instance, fact))
+        _unanimous("evaluate", query, instance)
+        _unanimous("evaluate_boolean", query, instance)
+        _unanimous("answer_contains", query, instance, tuple(probe))
+        _unanimous("delta_changes", query, instance, fact)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -113,10 +157,8 @@ class TestSqlMatchesOtherEngines:
         instance=_instance_strategy(INT_VALUES),
     )
     def test_int_domains_order_comparisons(self, query, instance):
-        _unanimous(lambda: evaluate(query, instance))
-        _unanimous(
-            lambda: _assignment_set(satisfying_assignments(query, instance))
-        )
+        _unanimous("evaluate", query, instance)
+        _unanimous("satisfying_assignments", query, instance)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -125,11 +167,9 @@ class TestSqlMatchesOtherEngines:
         probe=st.lists(st.sampled_from(MIXED_VALUES), max_size=3),
     )
     def test_answer_contains(self, query, instance, probe):
-        with eval_engine_scope("compiled"):
-            answers = evaluate(query, instance)
-        rows = list(answers)[:3] + [tuple(probe)]
+        rows = list(evaluate(query, instance))[:3] + [tuple(probe)]
         for row in rows:
-            _unanimous(lambda: answer_contains(query, instance, row))
+            _unanimous("answer_contains", query, instance, row)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -138,7 +178,7 @@ class TestSqlMatchesOtherEngines:
         fact=_fact_strategy(MIXED_VALUES),
     )
     def test_delta_changes(self, query, instance, fact):
-        _unanimous(lambda: delta_changes(query, instance, fact))
+        _unanimous("delta_changes", query, instance, fact)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -150,10 +190,10 @@ class TestSqlMatchesOtherEngines:
     def test_unions(self, first, second, instance, fact):
         assume(len(first.head) == len(second.head))
         union = union_of(first, second)
-        _unanimous(lambda: evaluate(union, instance))
-        _unanimous(lambda: evaluate_boolean(union, instance))
-        _unanimous(lambda: delta_changes(union, instance, fact))
-        _unanimous(lambda: delta_with(union, instance, fact))
+        _unanimous("evaluate", union, instance)
+        _unanimous("evaluate_boolean", union, instance)
+        _unanimous("delta_changes", union, instance, fact)
+        _unanimous("delta_with", union, instance, fact)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -162,7 +202,7 @@ class TestSqlMatchesOtherEngines:
         fact=_fact_strategy(MIXED_VALUES),
     )
     def test_delta_with(self, query, instance, fact):
-        _unanimous(lambda: delta_with(query, instance, fact))
+        _unanimous("delta_with", query, instance, fact)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -172,11 +212,7 @@ class TestSqlMatchesOtherEngines:
         removed=st.lists(_fact_strategy(MIXED_VALUES), max_size=3),
     )
     def test_delta_apply(self, query, instance, added, removed):
-        def run():
-            after, gained, lost = delta_apply(query, instance, added, removed)
-            return (after.facts, gained, lost)
-
-        _unanimous(run)
+        _unanimous("delta_apply", query, instance, added, removed)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -187,23 +223,16 @@ class TestSqlMatchesOtherEngines:
         removed=st.lists(_fact_strategy(MIXED_VALUES), max_size=3),
     )
     def test_delta_apply_many(self, first, second, instance, added, removed):
-        def run():
-            after, changes = delta_apply_many(
-                (first, second), instance, added, removed
-            )
-            return (after.facts, changes)
-
-        _unanimous(run)
+        _unanimous("delta_apply_many", (first, second), instance, added, removed)
 
     def test_delta_apply_mutates_a_store_in_place(self):
         store = SQLiteFactStore.mirror(
             [Fact("R", (1, 2)), Fact("S", (2, 3)), Fact("R", (4, 4))]
         )
         query = q("Q(x, z) :- R(x, y), S(y, z)")
-        with eval_engine_scope("sql"):
-            after, gained, lost = delta_apply(
-                query, store, added=[Fact("S", (4, 9))], removed=[Fact("S", (2, 3))]
-            )
+        after, gained, lost = delta_apply(
+            query, store, added=[Fact("S", (4, 9))], removed=[Fact("S", (2, 3))]
+        )
         assert after is store
         assert Fact("S", (4, 9)) in store and Fact("S", (2, 3)) not in store
         assert gained == frozenset({(4, 9)})
@@ -225,27 +254,23 @@ class TestNoAffinityCoercion:
 
     def test_string_constant_never_matches_an_int_column(self):
         query = ConjunctiveQuery((), (Atom("R", (Constant("1"),)),), ())
-        assert _unanimous(lambda: evaluate_boolean(query, self.INT_FACTS)) is False
-        assert _unanimous(lambda: evaluate(query, self.INT_FACTS)) == frozenset()
+        assert _unanimous("evaluate_boolean", query, self.INT_FACTS) is False
+        assert _unanimous("evaluate", query, self.INT_FACTS) == frozenset()
 
     def test_int_constant_never_matches_a_string_column(self):
         instance = Instance.of(Fact("R", ("1",)), Fact("R", ("2",)))
         query = ConjunctiveQuery((), (Atom("R", (Constant(1),)),), ())
-        assert _unanimous(lambda: evaluate_boolean(query, instance)) is False
+        assert _unanimous("evaluate_boolean", query, instance) is False
 
     def test_join_across_differently_typed_columns_is_empty(self):
         instance = Instance.of(Fact("R", (1,)), Fact("S", ("1",)))
         query = q("Q(x) :- R(x), S(x)")
-        assert _unanimous(lambda: evaluate(query, instance)) == frozenset()
+        assert _unanimous("evaluate", query, instance) == frozenset()
 
     def test_head_seeded_probe_respects_types(self):
         query = q("Q(x) :- R(x)")
-        assert _unanimous(
-            lambda: answer_contains(query, self.INT_FACTS, ("1",))
-        ) is False
-        assert _unanimous(
-            lambda: answer_contains(query, self.INT_FACTS, (1,))
-        ) is True
+        assert _unanimous("answer_contains", query, self.INT_FACTS, ("1",)) is False
+        assert _unanimous("answer_contains", query, self.INT_FACTS, (1,)) is True
 
     def test_delta_membership_guard_respects_types(self):
         # Fact("R", ("1",)) is not in the instance, so removing it can
@@ -253,10 +278,10 @@ class TestNoAffinityCoercion:
         # coerced membership probe.
         query = q("Q(x) :- R(x)")
         assert _unanimous(
-            lambda: delta_changes(query, self.INT_FACTS, Fact("R", ("1",)))
+            "delta_changes", query, self.INT_FACTS, Fact("R", ("1",))
         ) is False
         assert _unanimous(
-            lambda: delta_changes(query, self.INT_FACTS, Fact("R", (1,)))
+            "delta_changes", query, self.INT_FACTS, Fact("R", (1,))
         ) is True
 
     def test_store_membership_respects_types(self):
@@ -277,72 +302,72 @@ class TestStoreBackedEvaluation:
     ]
 
     def test_every_engine_accepts_a_fact_store(self):
+        # A store runs on sql in place; the compiled engine takes the
+        # same facts as any iterable; the reference takes an instance.
         store = SQLiteFactStore.mirror(self.FACTS)
         query = q("Q(x, z) :- R(x, y), S(y, z)")
-        expected = evaluate(query, Instance(self.FACTS))
-        assert _unanimous(lambda: evaluate(query, store)) == expected
-        assert _unanimous(lambda: evaluate_boolean(query, store)) is True
-        _unanimous(lambda: delta_changes(query, store, Fact("S", ("a", 1))))
+        expected = naive_evaluate(query, store.to_instance())
+        assert evaluate(query, store) == evaluate(query, list(store)) == expected
+        assert _unanimous("delta_changes", query, store.to_instance(), Fact("S", ("a", 1)))
 
     def test_sql_runs_directly_against_a_file_store(self, tmp_path):
         with SQLiteFactStore(tmp_path / "facts.db") as store:
             store.load_facts(self.FACTS)
-            with eval_engine_scope("sql"):
-                answers = evaluate(q("Q(y) :- R(2, y)"), store)
+            before = SQL_STATS["sql_statements_executed"]
+            answers = evaluate(q("Q(y) :- R(2, y)"), store)
+            assert SQL_STATS["sql_statements_executed"] > before
         assert answers == {(3,), ("a",)}
 
 
 # ---------------------------------------------------------------------------
-# Engine selection and fallback
+# Engine choice by target type, and fallback
 # ---------------------------------------------------------------------------
-class TestEngineSelection:
-    def test_scope_overrides_and_restores(self):
-        ambient = evaluation_engine()
-        with eval_engine_scope("sql"):
-            assert evaluation_engine() == "sql"
-            with eval_engine_scope("naive"):
-                assert evaluation_engine() == "naive"
-            assert evaluation_engine() == "sql"
-        assert evaluation_engine() == ambient
+class TestTargetDispatch:
+    def test_store_runs_sql_and_every_other_target_runs_compiled(self):
+        query = q("Q(x) :- R(x, y)")
+        facts = [Fact("R", (1, 2)), Fact("R", (3, 4))]
+        store = SQLiteFactStore.mirror(facts)
+        for target, engine in ((store, "sql"), (Instance(facts), "compiled"), (facts, "compiled")):
+            sql_before = SQL_STATS["sql_statements_executed"]
+            compiled_before = STATS["compiled_evaluations"]
+            assert evaluate(query, target) == {(1,), (3,)}
+            ran_sql = SQL_STATS["sql_statements_executed"] > sql_before
+            ran_compiled = STATS["compiled_evaluations"] > compiled_before
+            assert (ran_sql, ran_compiled) == (engine == "sql", engine == "compiled")
 
-    def test_none_scope_is_a_no_op(self):
-        with eval_engine_scope(None) as resolved:
-            assert resolved == evaluation_engine()
 
-    def test_unknown_engine_error_names_all_three(self):
-        with pytest.raises(EvaluationError) as excinfo:
-            with eval_engine_scope("vectorised"):
-                pass  # pragma: no cover
-        message = str(excinfo.value)
-        for name in ENGINES:
-            assert f"'{name}'" in message
-        assert "vectorised" in message
+    def test_dispatch_tolerates_a_half_imported_storage_module(self, monkeypatch):
+        # Another thread may be importing the storage module: it sits in
+        # sys.modules before its store class exists.
+        half_imported = types.ModuleType("repro.storage.sqlite")
+        monkeypatch.setitem(sys.modules, "repro.storage.sqlite", half_imported)
+        query = q("Q(x) :- R(x, y)")
+        assert evaluate(query, Instance.of(Fact("R", (1, 2)))) == {(1,)}
 
 
 class TestFallback:
     def test_unstorable_instance_values_fall_back_to_compiled(self):
         # Symbolic values (the asymptotic engine's labeled nulls, or any
-        # non-scalar) cannot live in a sqlite column; the sql engine
-        # must still answer, via the compiled engine, and say so in its
-        # counters.
-        instance = Instance.of(Fact("R", ((1, 2), 3)), Fact("R", (4, 5)))
+        # non-scalar) cannot live in a sqlite column; asked about a
+        # store plus such a fact, the sql engine must still answer, via
+        # the compiled engine, and say so in its counters.
+        store = SQLiteFactStore.mirror([Fact("R", (4, 5))])
+        fact = Fact("R", ((1, 2), 3))
         query = q("Q(x) :- R(x, y)")
         before = SQL_STATS["sql_fallbacks"]
-        with eval_engine_scope("sql"):
-            answers = evaluate(query, instance)
-        assert answers == {((1, 2),), (4,)}
+        assert delta_with(query, store, fact) is True
         assert SQL_STATS["sql_fallbacks"] == before + 1
+        assert fact not in store.to_instance()
 
     def test_unstorable_query_constant_falls_back(self):
         query = ConjunctiveQuery(
             (Variable("x"),),
-            (Atom("R", (Variable("x"), Constant(None))),),
-            (),
+            (Atom("R", (Variable("x"), Variable("y"))),),
+            (Comparison(Variable("y"), "!=", Constant(None)),),
         )
-        instance = Instance.of(Fact("R", (1, None)), Fact("R", (2, 3)))
+        store = SQLiteFactStore.mirror([Fact("R", (1, "z")), Fact("R", (2, 3))])
         before = SQL_STATS["sql_fallbacks"]
-        with eval_engine_scope("sql"):
-            assert evaluate(query, instance) == {(1,)}
+        assert evaluate(query, store) == {(1,), (2,)}
         assert SQL_STATS["sql_fallbacks"] > before
 
     def test_union_fallback_does_not_duplicate_assignments(self):
@@ -356,18 +381,15 @@ class TestFallback:
             (),
         )
         union = union_of(good, bad)
-        instance = Instance.of(Fact("R", (1, 2)), Fact("R", (2, 3)))
-        with eval_engine_scope("sql"):
-            rows = [
-                frozenset(a.items())
-                for a in satisfying_assignments(union, instance)
-            ]
+        facts = [Fact("R", (1, 2)), Fact("R", (2, 3))]
+        rows = [
+            frozenset(a.items())
+            for a in satisfying_assignments(union, SQLiteFactStore.mirror(facts))
+        ]
         assert len(rows) == len(set(rows))
-        with eval_engine_scope("compiled"):
-            expected = [
-                frozenset(a.items())
-                for a in satisfying_assignments(union, instance)
-            ]
+        expected = [
+            frozenset(a.items()) for a in satisfying_assignments(union, Instance(facts))
+        ]
         assert set(rows) == set(expected)
         assert len(rows) == len(expected)
 
@@ -375,17 +397,16 @@ class TestFallback:
 class TestSqlStats:
     def test_counters_flow_through_evaluation_stats(self):
         reset_evaluation_stats()
-        instance = Instance.of(Fact("R", (1, 2)), Fact("R", (2, 3)))
+        store = SQLiteFactStore.mirror([Fact("R", (1, 2)), Fact("R", (2, 3))])
         query = q("Q(x, z) :- R(x, y), R(y, z)")
-        with eval_engine_scope("sql"):
-            evaluate(query, instance)
-            evaluate(query, instance)  # second call reuses the cached plan
-            delta_changes(query, instance, Fact("R", (2, 3)))
+        evaluate(query, store)
+        evaluate(query, store)  # second call reuses the cached plan
+        evaluation.delta_changes(query, store, Fact("R", (2, 3)))
         document = evaluation_stats()
         assert document["sql_plans_compiled"] == 1
         assert document["sql_plan_cache_hits"] >= 1
         assert document["sql_statements_executed"] >= 2
-        assert document["sql_mirrors_built"] == 1  # cached on the instance
+        assert "sql_mirrors_built" not in document
         assert document["sql_delta_calls"] == 1
         assert document["storage_facts_loaded"] >= 2
         assert document["storage_tables_created"] >= 1
@@ -394,31 +415,22 @@ class TestSqlStats:
 
 
 # ---------------------------------------------------------------------------
-# eval_engine plumbing: session, auditor, protocol
+# The removed eval_engine knob stays removed: session, auditor, protocol
 # ---------------------------------------------------------------------------
 class TestEvalEnginePlumbing:
-    def test_session_pins_an_engine(self, binary_ab_schema):
-        session = AnalysisSession(binary_ab_schema, eval_engine="sql")
-        assert session.eval_engine == "sql"
-        with session.eval_scope():
-            assert evaluation_engine() == "sql"
-        pinned = session.decide("S(x) :- R(x, x)", ["V(x) :- R(x, y)"])
-        default = AnalysisSession(binary_ab_schema).decide(
-            "S(x) :- R(x, x)", ["V(x) :- R(x, y)"]
-        )
-        assert pinned.secure == default.secure
-
     def test_session_rejects_unknown_engine(self, binary_ab_schema):
-        with pytest.raises(EvaluationError):
-            AnalysisSession(binary_ab_schema, eval_engine="vectorised")
+        with pytest.raises(TypeError, match="eval_engine"):
+            AnalysisSession(binary_ab_schema, eval_engine="sql")
 
     def test_auditor_reports_its_engine(self, emp_schema):
         from repro.audit import SecurityAuditor
 
-        auditor = SecurityAuditor(emp_schema, eval_engine="sql")
-        assert auditor.observability()["engines"]["evaluation"] == "sql"
+        auditor = SecurityAuditor(emp_schema)
+        assert auditor.observability()["engines"] == {"verification": "exact"}
 
-    def test_protocol_carries_and_keys_on_eval_engine(self):
+    def test_protocol_ignores_eval_engine(self):
+        # Old clients may still send the field: it neither fails the
+        # request nor splits the session pool.
         from repro.bench import employee_schema
         from repro.io import schema_to_dict
 
@@ -429,9 +441,6 @@ class TestEvalEnginePlumbing:
             "views": ["V(n, d) :- Emp(n, d, p)"],
         }
         plain = parse_request(document)
-        assert plain.eval_engine is None
         pinned = parse_request({**document, "eval_engine": "sql"})
-        assert pinned.eval_engine == "sql"
-        assert session_key(plain) != session_key(pinned)
-        with pytest.raises(ProtocolError):
-            parse_request({**document, "eval_engine": 7})
+        assert session_key(plain) == session_key(pinned)
+        assert not hasattr(pinned, "eval_engine")

@@ -255,17 +255,19 @@ class TestLoading:
 class TestInstancePickling:
     def test_instance_pickles_without_its_sqlite_mirror(self):
         # The pruned-parallel criticality engine ships instances to
-        # process-pool workers; a cached sqlite connection must not ride
-        # along.
-        from repro.cq import eval_engine_scope, evaluate, q
+        # process-pool workers; only the facts ride along — an instance
+        # holds no sqlite connection, and its hash indexes are rebuilt
+        # on demand.
+        from repro.cq import evaluate, q
 
         instance = Instance.of(Fact("R", (1, 2)))
-        with eval_engine_scope("sql"):
-            evaluate(q("Q(x) :- R(x, y)"), instance)  # caches a mirror
-        assert getattr(instance, "_sqlite_mirror") is not None
+        evaluate(q("Q(x) :- R(x, 1)"), instance)  # builds an index
+        assert instance._indexes
+        assert not hasattr(instance, "_sqlite_mirror")
+        assert instance.__getstate__() == instance.facts
         clone = pickle.loads(pickle.dumps(instance))
         assert clone == instance
-        assert clone._sqlite_mirror is None
+        assert not clone._indexes
 
 
 class TestLargeInstanceGenerator:

@@ -11,7 +11,6 @@ import pytest
 from repro import Dictionary, q, union_of
 from repro.core import (
     critical_tuples,
-    critical_tuples_naive,
     decide_security,
     positive_leakage,
     practical_security_check,
@@ -19,6 +18,7 @@ from repro.core import (
 )
 from repro.cq import UnionQuery, evaluate, evaluate_boolean
 from repro.exceptions import QueryError
+from repro.reference import critical_tuples_naive
 from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
 
 
