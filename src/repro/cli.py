@@ -183,15 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="1 (default) runs the in-process daemon with a thread pool; "
-        "N >= 2 pre-forks N worker processes behind a sharding router "
-        "(fingerprint routing, fleet-wide coalescing)",
+        "N >= 2 pre-forks N worker processes behind a router "
+        "(fleet-wide coalescing, load-aware routing)",
     )
     serve.add_argument(
         "--queue-limit",
         type=int,
         default=64,
         help="pending analyses before requests are shed with an 'overloaded' "
-        "error (per shard when --workers >= 2)",
+        "error (per shard when --workers >= 2: analyses are shed once every "
+        "healthy shard is full)",
     )
     serve.add_argument(
         "--max-payload",

@@ -18,6 +18,7 @@ the test-suite uses to validate Theorem 4.5 end-to-end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -206,11 +207,16 @@ def _independence_terms(
     views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
     dictionary: Dictionary,
     max_support_size: Optional[int],
-) -> Iterator[Tuple[Fraction, Fraction]]:
-    """``(P[S=s ∧ V̄=v̄], P[S=s]·P[V̄=v̄])`` for every answer pair of Eq. (4).
+) -> Tuple[int, Iterator[Tuple[int, int]]]:
+    """Eq. (4) in integers: ``d`` and ``(joint·d, s·v)`` for every answer pair.
 
     The joint answer distribution comes from the kernel shared per
-    dictionary; the marginals are summed from it once.  Raises
+    dictionary.  It is put once over ``d``, the least common multiple of
+    its denominators, so every probability is an integer numerator:
+    ``P[S=s ∧ V̄=v̄] = joint/d`` and the marginals ``P[S=s] = s/d`` and
+    ``P[V̄=v̄] = v/d`` are integer sums.  Then ``P[S=s ∧ V̄=v̄] −
+    P[S=s]·P[V̄=v̄] = (joint·d − s·v)/d²``, so the cross product runs on
+    ints and no :class:`~fractions.Fraction` is built per pair.  Raises
     :class:`SecurityAnalysisError` without views: Definition 4.1 needs
     at least one.
     """
@@ -223,22 +229,25 @@ def _independence_terms(
     joint = kernel.joint_answer_distribution(
         [secret, *views], max_support_size=max_support_size
     )
+    denominator = math.lcm(*{probability.denominator for probability in joint.values()})
+    numerators = {
+        key: probability.numerator * (denominator // probability.denominator)
+        for key, probability in joint.items()
+    }
 
-    secret_marginal: Dict[FrozenSet, Fraction] = {}
-    views_marginal: Dict[Tuple, Fraction] = {}
-    for key, probability in joint.items():
+    secret_marginal: Dict[FrozenSet, int] = {}
+    views_marginal: Dict[Tuple, int] = {}
+    for key, numerator in numerators.items():
         secret_answer, view_answers = key[0], key[1:]
-        secret_marginal[secret_answer] = (
-            secret_marginal.get(secret_answer, Fraction(0)) + probability
-        )
-        views_marginal[view_answers] = (
-            views_marginal.get(view_answers, Fraction(0)) + probability
-        )
+        secret_marginal[secret_answer] = secret_marginal.get(secret_answer, 0) + numerator
+        views_marginal[view_answers] = views_marginal.get(view_answers, 0) + numerator
 
-    for secret_answer, p_secret in secret_marginal.items():
-        for view_answers, p_views in views_marginal.items():
-            p_joint = joint.get((secret_answer, *view_answers), Fraction(0))
-            yield p_joint, p_secret * p_views
+    def terms() -> Iterator[Tuple[int, int]]:
+        for secret_answer, s in secret_marginal.items():
+            for view_answers, v in views_marginal.items():
+                yield numerators.get((secret_answer, *view_answers), 0) * denominator, s * v
+
+    return denominator, terms()
 
 
 def verify_security_probabilistically(
@@ -250,18 +259,14 @@ def verify_security_probabilistically(
     """Literal Definition 4.1 check for one concrete dictionary.
 
     Uses Eq. (4): for every pair of answers ``(s, v̄)`` attained over the
-    support, check ``P[S=s ∧ V̄=v̄] = P[S=s]·P[V̄=v̄]`` exactly.  The
-    joint answer distribution comes from the compiled kernel shared per
-    dictionary, so repeated verification of the same pair — or a
-    follow-up :func:`independence_gap` on it — enumerates the support
-    only once.
+    support, check ``P[S=s ∧ V̄=v̄] = P[S=s]·P[V̄=v̄]`` exactly (on
+    integer numerators over a common denominator).  The joint answer
+    distribution comes from the compiled kernel shared per dictionary,
+    so repeated verification of the same pair — or a follow-up
+    :func:`independence_gap` on it — enumerates the support only once.
     """
-    return all(
-        p_joint == p_product
-        for p_joint, p_product in _independence_terms(
-            secret, views, dictionary, max_support_size
-        )
-    )
+    _, terms = _independence_terms(secret, views, dictionary, max_support_size)
+    return all(joint == product for joint, product in terms)
 
 
 def independence_gap(
@@ -279,9 +284,5 @@ def independence_gap(
     :func:`verify_security_probabilistically`, and like it needs at
     least one view.
     """
-    return max(
-        abs(p_joint - p_product)
-        for p_joint, p_product in _independence_terms(
-            secret, views, dictionary, max_support_size
-        )
-    )
+    denominator, terms = _independence_terms(secret, views, dictionary, max_support_size)
+    return Fraction(max(abs(joint - product) for joint, product in terms), denominator**2)

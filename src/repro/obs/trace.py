@@ -29,7 +29,7 @@ in order:
 Span taxonomy (what the instrumented layers emit):
 
 =====================  =====================================================
-``router.route``       shard selection (rendezvous hashing) in the router
+``router.route``       router root: cache, coalescing, load-aware shard choice
 ``router.forward``     router → worker round trip (worker subtree grafted)
 ``coalesce.follow``    awaiting an in-flight twin (router or server; the
                        follower links to the leader's trace instead)

@@ -20,11 +20,13 @@ deployments front their engines with a query interface:
   percentiles served through the ``stats`` operation, with a mergeable
   snapshot form so a fleet can aggregate per-worker metrics;
 * :mod:`repro.service.fleet` — the pre-forked multi-process fleet: a
-  router whose pipeline executor forwards each request to a worker
-  process chosen by rendezvous hashing of the request fingerprint, so
-  its table coalesces fleet-wide; plus worker supervision and
-  aggregated stats.  ``repro-audit serve --workers N`` (N ≥ 2) boots
-  this instead of the single-process daemon;
+  router whose pipeline table coalesces and caches fleet-wide, and whose
+  executor forwards each remaining analysis to the least-loaded healthy
+  worker process (ties by rendezvous hashing of the request
+  fingerprint) and each live operation to the worker holding its
+  session; plus worker supervision and aggregated stats.
+  ``repro-audit serve --workers N`` (N ≥ 2) boots this instead of the
+  single-process daemon;
 * :mod:`repro.service.health` — the per-shard circuit breaker behind
   the fleet's graceful-degradation ladder (healthy → degraded →
   quarantined with half-open probing);

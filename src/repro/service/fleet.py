@@ -15,33 +15,40 @@ holds.  This module scales the service with *cores* instead:
   TCP protocol clients already speak, computes the request fingerprint
   (:func:`~repro.service.protocol.request_key` — which embeds the
   (schema, dictionary, verification engine) session fingerprint the
-  server already derives) and routes each request to a
-  fixed shard by **rendezvous hashing**.  A given question always lands
-  on the same worker, so its session, kernel memos and cached result
-  live exactly once — zero cross-process cache churn.  (Hashing the full
-  request fingerprint rather than the bare session fingerprint is
-  deliberate: whole workloads often share one schema and dictionary,
-  and session-only routing would pin them all to a single shard.)
+  server already derives), answers from its result cache or an
+  in-flight twin when it can, and forwards the rest.
 
 * **Fleet-wide coalescing**: every request passes through the one
   router, so its in-memory pipeline table
   (:class:`~repro.service.coalesce.FleetCoalescer`) makes a burst of N
   identical requests on different connections cost exactly one
-  computation across the whole fleet.  Live operations route by session
-  name to the worker holding the session and are never cached here:
-  only that worker sees the session's version (and its eviction).
+  computation across the whole fleet — before any shard is chosen.
 
-* **Fleet load shedding**: the router tracks per-shard queue depth
-  (in-flight + waiting-for-a-pooled-connection) and answers with a
-  structured ``overloaded`` error once a shard saturates, noting whether
-  the whole fleet is saturated — bounded latency instead of collapse.
+* **Load-aware routing**: an analysis that reaches admission (a cache
+  miss with no twin in flight) goes to the shard with the fewest
+  requests admitted and not yet answered, among the shards whose
+  circuit breaker admits traffic; ties go to the request's owner by
+  **rendezvous hashing** of its fingerprint, then down the rendezvous
+  order.  An idle or one-request-at-a-time fleet therefore routes every
+  question to its owner, while concurrent misses spread over idle
+  workers instead of queueing on one.  Live operations route by session
+  name to the worker holding the session, regardless of load, and are
+  never cached here: only that worker sees the session's version (and
+  its eviction).
+
+* **Fleet load shedding**: each shard counts its requests from
+  admission until they are answered or abandoned.  An analysis is shed
+  with a structured ``overloaded`` error only when every shard that
+  admits traffic is at the queue limit; a live operation, when its
+  session's shard is — bounded latency instead of collapse.
 
 * **Supervision**: the router watches each worker's process sentinel,
-  restarts crashed workers (same socket, same shard identity, so
-  routing is unchanged), fails the crashed worker's in-flight requests
-  with a retryable ``worker-crashed`` error, and *rewarms* the restarted
-  worker by replaying its shard's most recent distinct requests so the
-  session pool and caches repopulate before real traffic returns.
+  restarts crashed workers (same socket, same shard identity, so the
+  rendezvous order is unchanged), fails the crashed worker's in-flight
+  requests with a retryable ``worker-crashed`` error, and *rewarms* the
+  restarted worker by replaying the most recent distinct requests that
+  shard answered, so its session pool and caches repopulate before real
+  traffic returns.
 
 * **Aggregated stats**: a ``stats`` request returns fleet totals merged
   from every worker's mergeable metrics snapshot
@@ -206,6 +213,8 @@ class _Shard:
         self.generation = 0
         self.pool: "asyncio.Queue[_Connection]" = asyncio.Queue()
         self.created = 0
+        #: Requests admitted here and not yet answered or abandoned, plus
+        #: rewarm replays in flight (the load the router balances on).
         self.outstanding = 0
         self.forwarded = 0
         self.shed = 0
@@ -214,7 +223,8 @@ class _Shard:
         self.warm: "OrderedDict[str, bytes]" = OrderedDict()
         #: Health ladder fed by transport outcomes (see repro.service.health).
         self.breaker = breaker
-        #: Requests this shard owned but lost to rerouting while quarantined.
+        #: Requests routed to this shard that its breaker turned away to
+        #: another shard (health reroutes; load never counts here).
         self.diverted = 0
         #: Whether the current worker process accepts connections yet.
         self.ready = False
@@ -234,8 +244,10 @@ class FleetServer(RequestPipeline):
         Analysis threads inside each worker (small on purpose — the
         fleet's parallelism comes from processes).
     shard_queue_limit:
-        Per-shard in-flight + waiting depth before the router sheds
-        requests for that shard with an ``overloaded`` error.
+        Requests a shard may hold admitted and not yet answered.  An
+        analysis is shed with an ``overloaded`` error only when every
+        shard admitting traffic holds this many; a live operation when
+        its session's shard does.
     connections_per_worker:
         Pooled router→worker connections (each carries one request at a
         time, so this bounds per-worker concurrency).
@@ -499,9 +511,13 @@ class FleetServer(RequestPipeline):
 
     async def _rewarm(self, shard: _Shard, raw: bytes) -> None:
         """Replay one remembered request so the new worker's caches warm up."""
-        with contextlib.suppress(Exception):
-            await self._forward(shard, raw)
-            self._rewarmed += 1
+        shard.outstanding += 1  # real work on the worker: route around it
+        try:
+            with contextlib.suppress(Exception):
+                await self._forward(shard, raw)
+                self._rewarmed += 1
+        finally:
+            shard.outstanding -= 1
 
     # -- connection pool ---------------------------------------------------------
     def _connect(self, shard: _Shard) -> Awaitable[Tuple[Any, Any]]:
@@ -529,7 +545,7 @@ class FleetServer(RequestPipeline):
                 continue
             return connection
 
-    def _release(self, shard: _Shard, connection: _Connection) -> None:
+    def _give_back(self, shard: _Shard, connection: _Connection) -> None:
         if connection.generation != shard.generation or connection.writer.is_closing():
             self._close_connection(connection)
             return
@@ -555,60 +571,93 @@ class FleetServer(RequestPipeline):
 
     async def _forward(self, shard: _Shard, raw: bytes) -> Dict[str, Any]:
         """Send one raw request line to a worker; return its response doc."""
-        shard.outstanding += 1
+        connection = await self._acquire(shard)
         try:
-            connection = await self._acquire(shard)
-            try:
-                connection.writer.write(raw)
-                await connection.writer.drain()
-                line = await connection.reader.readline()
-            except asyncio.CancelledError:
-                self._discard(shard, connection)
-                raise
-            except Exception as error:
-                self._discard(shard, connection)
-                raise ReproError(f"worker {shard.index} connection failed: {error}") from error
-            if not line:
-                self._discard(shard, connection)
-                raise ReproError(f"worker {shard.index} closed the connection")
-            self._release(shard, connection)
-            shard.forwarded += 1
-            try:
-                return json.loads(line)
-            except json.JSONDecodeError as error:  # pragma: no cover - defensive
-                raise ReproError(
-                    f"unparsable response from worker {shard.index}: {error}"
-                ) from error
-        finally:
-            shard.outstanding -= 1
+            connection.writer.write(raw)
+            await connection.writer.drain()
+            line = await connection.reader.readline()
+        except asyncio.CancelledError:
+            self._discard(shard, connection)
+            raise
+        except Exception as error:
+            self._discard(shard, connection)
+            raise ReproError(f"worker {shard.index} connection failed: {error}") from error
+        if not line:
+            self._discard(shard, connection)
+            raise ReproError(f"worker {shard.index} closed the connection")
+        self._give_back(shard, connection)
+        shard.forwarded += 1
+        try:
+            return json.loads(line)
+        except json.JSONDecodeError as error:  # pragma: no cover - defensive
+            raise ReproError(
+                f"unparsable response from worker {shard.index}: {error}"
+            ) from error
 
     # -- routing -----------------------------------------------------------------
-    def _shard_for(self, fingerprint: str) -> _Shard:
+    def _ranked(self, route: str) -> List[_Shard]:
+        """Every shard in rendezvous order for ``route`` (its owner first)."""
+        return sorted(
+            self._shards,
+            key=lambda shard: hashlib.blake2b(
+                f"{route}|{shard.index}".encode("ascii"), digest_size=8
+            ).digest(),
+            reverse=True,
+        )
+
+    def _shard_for(self, route: str) -> _Shard:
         """Rendezvous hashing with health-aware fallback.
 
         The highest-scoring shard owns the key; when its circuit
         breaker is open (quarantined), the key falls to the next shard
         in rendezvous order — a stable reassignment, so a quarantined
-        shard's fingerprints consistently land on one fallback instead
-        of scattering.  If every breaker is open the primary is used
-        anyway (shedding everything would turn a partial outage into a
-        total one).
+        shard's keys consistently land on one fallback instead of
+        scattering.  If every breaker is open the owner is used anyway
+        (shedding everything would turn a partial outage into a total
+        one).  Live operations route here by session name; an idle
+        fleet routes analyses exactly as this does.
         """
-        ranked = sorted(
-            self._shards,
-            key=lambda shard: hashlib.blake2b(
-                f"{fingerprint}|{shard.index}".encode("ascii"), digest_size=8
-            ).digest(),
-            reverse=True,
-        )
-        primary = ranked[0]
+        ranked = self._ranked(route)
+        owner = ranked[0]
         for shard in ranked:
             if shard.breaker.allows():
-                if shard is not primary:
-                    primary.diverted += 1
-                    self._diverted += 1
+                if shard is not owner:
+                    self._divert(owner)
                 return shard
-        return primary
+        return owner
+
+    def _least_loaded(self, route: str) -> _Shard:
+        """The analysis route: fewest requests in flight, ties in rendezvous order.
+
+        Only shards whose breaker admits traffic qualify; when every one
+        of them is at the queue limit this raises :class:`Overloaded`.
+        Breakers are asked in that order and only until one says yes,
+        because a yes from a half-open breaker grants its single probe:
+        asking a shard the request is not then sent to would strand the
+        probe and keep the shard out of rotation.  A no has no side
+        effect.
+        """
+        ranked = self._ranked(route)
+        refused: Optional[_Shard] = None
+        for shard in sorted(ranked, key=lambda shard: shard.outstanding):
+            if shard.outstanding >= self._shard_queue_limit:
+                # Every shard left is at least as loaded.
+                full = all(
+                    other.outstanding >= self._shard_queue_limit for other in self._shards
+                )
+                scope = "all shards are" if full else "every shard admitting traffic is"
+                raise self._overloaded(ranked[0], scope)
+            if shard.breaker.allows():
+                if refused is not None:
+                    self._divert(refused)
+                return shard
+            refused = refused or shard
+        return self._shard_for(route)  # every breaker is open
+
+    def _divert(self, shard: _Shard) -> None:
+        """Count a request routed to ``shard`` that its breaker turned away."""
+        shard.diverted += 1
+        self._diverted += 1
 
     # -- control operations -------------------------------------------------------
     async def _control(self, request: AuditRequest) -> Dict[str, Any]:
@@ -636,20 +685,32 @@ class FleetServer(RequestPipeline):
 
     # -- the executor: forwarding to a shard --------------------------------------
     def _admit(self, request: AuditRequest, key: Optional[str]) -> _Shard:
-        # Live operations route by session name (see routing_key).
-        route = key if key is not None else fingerprint(routing_key(request))
-        shard = self._shard_for(route)
-        if shard.outstanding >= self._shard_queue_limit:
-            fleet_saturated = all(
-                other.outstanding >= self._shard_queue_limit for other in self._shards
-            )
-            shard.shed += 1
-            scope = "all shards are" if fleet_saturated else f"shard {shard.index} is"
-            raise Overloaded(
-                f"{scope} saturated ({shard.outstanding} in flight, "
-                f"limit {self._shard_queue_limit}); retry later"
-            )
+        """Route one request and count it against its shard until :meth:`_release`.
+
+        Counting from admission, not from the forward, keeps a burst
+        admitted within one loop turn from piling onto one shard.
+        """
+        if request.is_live:
+            # Live operations route by session name (see routing_key).
+            shard = self._shard_for(fingerprint(routing_key(request)))
+            if shard.outstanding >= self._shard_queue_limit:
+                raise self._overloaded(shard, f"shard {shard.index} is")
+        else:
+            shard = self._least_loaded(key)
+        shard.outstanding += 1
         return shard
+
+    def _release(self, shard: _Shard) -> None:
+        shard.outstanding -= 1
+
+    def _overloaded(self, shard: _Shard, scope: str) -> Overloaded:
+        """The shed error of a request ``shard`` owns (``scope`` says what is full)."""
+        shard.shed += 1
+        loads = ", ".join(f"shard {other.index}: {other.outstanding}" for other in self._shards)
+        return Overloaded(
+            f"{scope} saturated ({loads} in flight, limit {self._shard_queue_limit} "
+            "per shard); retry later"
+        )
 
     async def _execute(
         self,
@@ -859,7 +920,7 @@ class FleetServer(RequestPipeline):
         merged = merge_snapshots(mergeables)
         merged["fleet"] = {
             "workers": len(self._shards),
-            "routing": "rendezvous/request-fingerprint",
+            "routing": "least-outstanding/rendezvous-ties",
             "shard_queue_limit": self._shard_queue_limit,
             "connections_per_worker": self._connections_per_worker,
             "active_requests": self._active,

@@ -3,21 +3,24 @@
 A stdlib circuit breaker with a three-rung degradation ladder:
 
 ``healthy``
-    The shard serves its rendezvous-assigned fingerprints normally.
+    The shard takes its share of traffic: analyses by load (ties by
+    rendezvous order), live sessions by name.
 
 ``degraded``
     ``degrade_after`` consecutive transport failures.  The shard still
-    receives traffic (a single crash-restart cycle should not shuffle
-    the fingerprint space and cold-start every cache), but the state is
-    surfaced in ``stats`` so operators see the first rung.
+    receives traffic (a single crash-restart cycle should not move its
+    live sessions or cold-start every cache), but the state is surfaced
+    in ``stats`` so operators see the first rung.
 
 ``quarantined``
     ``quarantine_after`` consecutive failures open the breaker: the
-    router reroutes the shard's fingerprints to the next shard in
-    rendezvous order.  After ``cooldown_seconds`` the breaker turns
-    ``half-open`` and admits exactly one probe request; a success
-    closes the breaker (back to ``healthy``), a failure re-opens it
-    for another cooldown.
+    router sends analyses to the other shards and the shard's live
+    sessions to the next shard in rendezvous order.  After
+    ``cooldown_seconds`` the breaker turns ``half-open`` and admits
+    exactly one probe request; a success closes the breaker (back to
+    ``healthy``), a failure re-opens it for another cooldown.  Granting
+    the probe is a side effect of :meth:`CircuitBreaker.allows`, so the
+    router asks only the shard it will then send the request to.
 
 Failures are *transport-level* signals — a crashed worker, a refused
 or wedged connection.  Structured analysis errors and deadline

@@ -124,9 +124,9 @@ class RequestPipeline:
     """The shared front door: connections, requests, the table, the envelope.
 
     Subclasses supply the executor (:meth:`_admit`, :meth:`_execute`,
-    :meth:`_abandon`, :meth:`_failure_of`), the control operations
-    (:meth:`_control`) and what a start acquires (:meth:`_open_executor`,
-    :meth:`_close_executor`).
+    :meth:`_abandon`, :meth:`_failure_of`, and :meth:`_release` when a
+    slot holds anything), the control operations (:meth:`_control`) and
+    what a start acquires (:meth:`_open_executor`, :meth:`_close_executor`).
     """
 
     #: Root span of a traced request on this tier.
@@ -499,6 +499,7 @@ class RequestPipeline:
             core, outcome = self._failure_of(request, slot, error), "error"
         finally:
             self._pending -= 1
+            self._release(slot)
         trace = current_trace()
         if trace is not None:
             # Stamped before the table resolves the key, so coalesced
@@ -528,6 +529,9 @@ class RequestPipeline:
     def _failure_of(self, request: AuditRequest, slot: Any, error: Exception) -> Core:
         """The failed core of an execution that raised ``error``."""
         raise NotImplementedError  # pragma: no cover - every tier overrides
+
+    def _release(self, slot: Any) -> None:
+        """Give back the slot :meth:`_admit` took (answered or abandoned)."""
 
     # -- responses ---------------------------------------------------------------
     def _duplicate(

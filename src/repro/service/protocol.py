@@ -531,13 +531,15 @@ def request_key(request: AuditRequest) -> str:
 
 
 def routing_key(request: AuditRequest) -> str:
-    """The string the fleet router hashes to pick a shard.
+    """The string the fleet router hashes into a rendezvous order of shards.
 
-    For stateless analysis requests this is the full :func:`request_key`
-    (duplicates land on one shard and coalesce).  For live operations it
-    is derived from the *session name only*, so every create, delta,
-    audit and subscription of one live session reaches the shard that
-    owns its warm incremental state.
+    For live operations it is derived from the *session name only*, so
+    every create, delta, audit and subscription of one live session
+    reaches the shard that owns its warm incremental state.  For
+    stateless analysis requests it is the full :func:`request_key`; the
+    router coalesces and caches duplicates before routing, and uses this
+    order only to break ties between equally loaded shards (so an idle
+    fleet sends a question to the same owner every time).
     """
     if request.is_live:
         return f"live|{request.live}"

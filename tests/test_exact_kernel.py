@@ -160,18 +160,22 @@ class TestRandomizedCrossValidation:
 
     def test_verdicts_and_gaps_match_seed_enumeration(self):
         rng = random.Random(42)
-        for trial in range(6):
+        verdicts = set()
+        for trial in range(10):
             schema, dictionary, pool = random_setup(rng)
-            secret, view = rng.sample(pool, 2)
-            expected_verdict, expected_gap = naive_eq4(secret, [view], dictionary)
+            # One view, then two: Eq. (4) over the views' joint answer.
+            secret, *views = rng.sample(pool, 2 + trial % 2)
+            expected_verdict, expected_gap = naive_eq4(secret, views, dictionary)
             assert (
-                verify_security_probabilistically(secret, [view], dictionary)
+                verify_security_probabilistically(secret, views, dictionary)
                 == expected_verdict
             ), f"trial {trial}: verdicts diverge"
-            gap = independence_gap(secret, [view], dictionary)
+            gap = independence_gap(secret, views, dictionary)
             assert gap == expected_gap, f"trial {trial}: independence gaps diverge"
             # Consistency of the two kernel answers with each other.
             assert expected_verdict == (gap == 0)
+            verdicts.add(expected_verdict)
+        assert verdicts == {True, False}, "the trials must hit both verdicts"
 
     def test_truth_table_matches_brute_force(self):
         from repro.cq.evaluation import evaluate_boolean

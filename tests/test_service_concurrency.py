@@ -2,12 +2,16 @@
 
 A hypothesis state machine sends concurrent ``live-create``,
 ``apply-delta``, ``live-audit`` and ``subscribe`` requests, plus bursts
-of identical analysis requests, to a single-process daemon
-(:class:`ServerThread`) and to a 2-worker fleet (:class:`FleetThread`),
-both running under a seeded plan of random ``server.respond`` delays on
-``live-audit``.  Each step's requests run at once and are joined before
-the checks, which compare against a sequential reference
-:class:`~repro.session.LiveAuditSession`:
+of identical and of distinct analysis requests, to a single-process
+daemon (:class:`ServerThread`) and to a 2-worker fleet
+(:class:`FleetThread`), both running under a seeded plan of random
+``server.respond`` delays on ``live-audit`` and ``router.forward``
+delays on ``decide`` (only the fleet's router reaches that point, so
+its requests sit admitted but not yet forwarded while others are
+routed).  Each step's requests run at once and are joined before the
+checks, which compare against a sequential reference
+:class:`~repro.session.LiveAuditSession` or
+:class:`~repro.session.AnalysisSession`:
 
 * every ``live-audit`` answer equals the reference at some revision
   between the last delta acknowledged before the step and the last one
@@ -17,7 +21,9 @@ the checks, which compare against a sequential reference
 * of two racing ``live-create`` requests for one name exactly one wins,
   and the session then holds the winner's facts;
 * each burst of identical analysis requests adds exactly one
-  ``computed`` to ``stats``.
+  ``computed`` to ``stats``;
+* each of a burst of distinct ``decide`` requests equals the reference
+  decision and adds one ``computed``.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from repro.bench import employee_schema
 from repro.io import schema_from_dict, schema_to_dict
 from repro.service import AuditServiceClient, FaultPlan, FleetThread, ServerThread
 from repro.service.protocol import encode_message
-from repro.session import LiveAuditSession, fact_from_document
+from repro.session import AnalysisSession, LiveAuditSession, fact_from_document
 
 SCHEMA = dict(schema_to_dict(employee_schema()), tuple_probability="1/4")
 SECRETS = {"s": "S(n, p) :- Emp(n, d, p)", "d0": "T(n) :- Emp(n, d0, p)"}
@@ -51,7 +57,16 @@ FACTS = [
 PLAN = {"seed": 5, "faults": [
     {"point": "server.respond", "action": "delay", "op": "live-audit",
      "probability": 0.5, "delay": 0.03, "count": None},
+    {"point": "router.forward", "action": "delay", "op": "decide",
+     "probability": 0.5, "delay": 0.03, "count": None},
 ]}
+#: ``(secret head and body, views)`` of the distinct-request bursts: the
+#: first pair is secure, the others are not.
+DISTINCT_SHAPES = (
+    ("(n) :- Emp(n, HR, p)", {"bob": "V(n) :- Emp(n, Mgmt, p)"}),
+    ("(n, p) :- Emp(n, d, p)", VIEWS),
+    ("(d) :- Emp(n, d, p)", VIEWS),
+)
 
 _names = itertools.count()
 
@@ -201,6 +216,27 @@ class LiveOracle(RuleBasedStateMachine):
         assert len({json.dumps(r["result"], sort_keys=True) for r in results}) == 1
         after = self._call("stats")["result"]["operations"]["decide"]
         assert after["computed"] == before.get("computed", 0) + 1
+
+    @rule(shapes=st.lists(st.sampled_from(DISTINCT_SHAPES), min_size=2, max_size=4))
+    def distinct_burst(self, shapes):
+        requests = [(f"D{next(_names)}{secret}", views) for secret, views in shapes]
+        before = self._call("stats")["result"]["operations"].get("decide", {})
+        results = self._at_once([
+            lambda secret=secret, views=views: self._call(
+                "decide", schema=SCHEMA, secret=secret, views=views
+            )
+            for secret, views in requests
+        ])
+        reference = AnalysisSession(schema_from_dict(SCHEMA))
+        for (secret, views), response in zip(requests, results):
+            assert response["ok"], response
+            expected = reference.decide(secret, views)
+            assert response["result"]["verdict"] == expected.verdict
+            assert response["result"]["common_critical_count"] == len(
+                expected.decision.common_critical
+            )
+        after = self._call("stats")["result"]["operations"]["decide"]
+        assert after["computed"] == before.get("computed", 0) + len(requests)
 
     def teardown(self):
         try:

@@ -6,14 +6,17 @@ sockets, covering the PR's hard guarantees:
 
 * a burst of identical requests on distinct connections costs exactly
   one computation *fleet-wide* (the router's in-flight table and cache);
-* routing is deterministic: one fingerprint, one shard;
+* an idle fleet routes each fingerprint to its rendezvous owner, while
+  concurrent uncached requests go to the least-loaded healthy shard,
+  counted from admission, and a recovering shard gets exactly one probe;
 * ``stats`` aggregates every worker's mergeable metrics into one
   document with per-shard queue depths;
 * drain-then-stop answers every in-flight request across multiple
   workers and reaps every worker process (no orphans);
 * a crashed worker fails its in-flight requests with a *retryable*
   structured error, restarts, and re-serves the same fingerprint;
-* saturation sheds with structured ``overloaded`` answers;
+* saturation sheds with structured ``overloaded`` answers, and only
+  once every healthy shard is full;
 * a busy port is a one-line :class:`ReproError`, not a traceback.
 """
 
@@ -30,11 +33,13 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.bench import employee_schema
 from repro.exceptions import ReproError
 from repro.io import schema_to_dict
 from repro.service import (
     AuditServiceClient,
+    FaultPlan,
     FleetCoalescer,
     FleetThread,
     parse_request,
@@ -215,7 +220,7 @@ class TestFleetStats:
         assert "decide" in stats["operations"]
         doc = stats["fleet"]
         assert doc["workers"] == 2
-        assert doc["routing"] == "rendezvous/request-fingerprint"
+        assert doc["routing"] == "least-outstanding/rendezvous-ties"
         assert len(doc["shards"]) == 2
         for entry in doc["shards"]:
             assert entry["alive"] is True
@@ -369,6 +374,164 @@ class TestFleetLifecycle:
                 assert "saturated" in response["error"]["message"]
         finally:
             fleet.stop()
+
+
+def _owner_pair(fleet: FleetThread):
+    """Two distinct slow requests with the same rendezvous owner."""
+    by_owner = {}
+    for secret in SLOW_SECRETS:
+        document = _slow_request(secret)
+        owner = fleet.fleet._shard_for(_fingerprint(document)).index
+        by_owner.setdefault(owner, []).append(document)
+    pair = max(by_owner.values(), key=len)[:2]
+    assert len(pair) == 2, "two slow requests must share an owner"
+    return pair
+
+
+def _send(fleet: FleetThread, document: dict, barrier=None) -> dict:
+    with AuditServiceClient(*fleet.address, timeout=120) as connection:
+        if barrier is not None:
+            connection.ping()  # connected: only the request itself waits
+            barrier.wait(timeout=30)
+        return connection.request(
+            document["op"], **{key: value for key, value in document.items() if key != "op"}
+        )
+
+
+def _at_once(fleet: FleetThread, documents) -> list:
+    """Send every document on its own connection at the same moment."""
+    barrier = threading.Barrier(len(documents))
+    responses = [None] * len(documents)
+
+    def one(index: int) -> None:
+        responses[index] = _send(fleet, documents[index], barrier)
+
+    threads = [threading.Thread(target=one, args=(index,)) for index in range(len(documents))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return responses
+
+
+def _settled_stats(fleet: FleetThread) -> dict:
+    """Fleet stats once the burst is over: nothing may still count as in flight."""
+    with AuditServiceClient(*fleet.address) as connection:
+        doc = connection.stats()["fleet"]
+    assert [entry["outstanding"] for entry in doc["shards"]] == [0] * len(doc["shards"])
+    return doc
+
+
+class TestLoadAwareRouting:
+    """Uncached analyses go to the least-loaded healthy shard, ties by owner."""
+
+    def test_concurrent_requests_with_one_owner_run_on_both_shards(self):
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            responses = _at_once(fleet, _owner_pair(fleet))
+            assert all(response["ok"] for response in responses), responses
+            assert {response["server"]["shard"] for response in responses} == {0, 1}
+            doc = _settled_stats(fleet)
+            assert doc["diverted"] == 0  # load, not health, moved the second
+
+    def test_requests_count_from_admission_not_from_the_forward(self):
+        # The first request sits in the router-side delay before it is
+        # forwarded; the second is admitted meanwhile and must already
+        # see the owner's load.
+        faults.install(FaultPlan.from_spec({"seed": 3, "faults": [
+            {"point": "router.forward", "action": "delay", "op": "leakage",
+             "delay": 0.2, "count": None},
+        ]}))
+        try:
+            with FleetThread(workers=2, worker_threads=2) as fleet:
+                responses = _at_once(fleet, _owner_pair(fleet))
+                assert all(response["ok"] for response in responses), responses
+                assert {response["server"]["shard"] for response in responses} == {0, 1}
+                assert _settled_stats(fleet)["diverted"] == 0
+        finally:
+            faults.uninstall()
+
+    def test_sheds_only_when_every_shard_is_saturated(self):
+        with FleetThread(
+            workers=2, worker_threads=1, shard_queue_limit=1, connections_per_worker=1
+        ) as fleet:
+            pair = _owner_pair(fleet)
+            third = next(
+                _slow_request(secret)
+                for secret in SLOW_SECRETS
+                if _slow_request(secret) not in pair
+            )
+            holder = {}
+            sender = threading.Thread(target=lambda: holder.update(pair=_at_once(fleet, pair)))
+            sender.start()
+            deadline = time.time() + 10
+            shards = fleet.fleet._shards
+            while any(shard.outstanding < 1 for shard in shards) and time.time() < deadline:
+                time.sleep(0.002)
+            shed = _send(fleet, third)
+            sender.join(timeout=120)
+            assert all(response["ok"] for response in holder["pair"]), holder["pair"]
+            assert {response["server"]["shard"] for response in holder["pair"]} == {0, 1}
+            assert shed["ok"] is False
+            assert shed["error"]["code"] == ERROR_OVERLOADED
+            message = shed["error"]["message"]
+            assert "all shards are saturated" in message
+            assert "shard 0: 1" in message and "shard 1: 1" in message
+            _settled_stats(fleet)
+
+    def test_idle_fleet_routes_by_rendezvous_owner(self, fleet, client):
+        owners = set()
+        for index in range(8):
+            document = {
+                "op": "decide", "schema": SCHEMA,
+                "secret": f"Sidle{index}(n) :- Emp(n, d, p)", "views": VIEWS,
+            }
+            owner = fleet.fleet._shard_for(_fingerprint(document)).index
+            response = client.request("decide", **{k: v for k, v in document.items() if k != "op"})
+            assert response["ok"] and not response["server"].get("cached")
+            assert response["server"]["shard"] == owner
+            owners.add(owner)
+        assert owners == {0, 1}, "the requests must exercise both owners"
+        _settled_stats(fleet)
+
+    def test_recovering_shard_gets_exactly_one_probe(self):
+        clock = [0.0]
+        with FleetThread(
+            workers=2,
+            worker_threads=2,
+            breaker_options={
+                "quarantine_after": 1, "cooldown_seconds": 5.0, "clock": lambda: clock[0],
+            },
+        ) as fleet:
+            documents = [
+                {"op": "decide", "schema": SCHEMA,
+                 "secret": f"Sprobe{index}(n) :- Emp(n, d, p)", "views": VIEWS}
+                for index in range(12)
+            ]
+            sick = fleet.fleet._shards[0]
+            sick.breaker.record_failure()  # quarantined until the cooldown
+            owned = next(
+                document for document in documents
+                if fleet.fleet._ranked(_fingerprint(document))[0] is sick
+            )
+            documents.remove(owned)
+            response = _send(fleet, owned)
+            assert response["ok"] and response["server"]["shard"] == 1
+            assert sick.breaker.state == "quarantined"
+            assert _settled_stats(fleet)["diverted"] == 1
+
+            clock[0] = 6.0  # past the cooldown: one probe may go through
+            responses = _at_once(fleet, documents)
+            assert all(response["ok"] for response in responses), responses
+            assert 0 in {response["server"]["shard"] for response in responses}
+            stats = sick.breaker.stats()
+            assert stats["probes"] == 1
+            assert stats["state"] == "healthy"
+            doc = _settled_stats(fleet)
+            # Requests turned away while the probe was in flight are
+            # health reroutes too; the healthy shard never diverts.
+            assert doc["diverted"] == doc["shards"][0]["diverted"] >= 1
+            assert doc["shards"][1]["diverted"] == 0
+            assert doc["shards"][0]["health"] == "healthy"
 
 
 class TestBindErrors:
