@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import random
 import time
 from pathlib import Path
@@ -152,26 +151,18 @@ def test_criticality_delta_ablation(experiment_report):
         ),
     ]
 
-    workers = os.environ.get("REPRO_CRITICALITY_WORKERS")
-    os.environ["REPRO_CRITICALITY_WORKERS"] = "0"  # serial: deterministic timing
-    try:
-        def run(compute):
-            started = time.perf_counter()
-            results = [compute(s, schema) for s in secrets]
-            return time.perf_counter() - started, results
+    def run(compute):
+        started = time.perf_counter()
+        results = [compute(s, schema) for s in secrets]
+        return time.perf_counter() - started, results
 
-        full_elapsed, full_results = run(
-            lambda s, schema: critical_tuples_naive(s, schema, changes=_full_reevaluation)
-        )
-        delta_elapsed, delta_results = run(
-            lambda s, schema: critical_tuples_naive(s, schema, changes=delta_changes)
-        )
-        pruned_elapsed, pruned_results = run(critical_tuples)
-    finally:
-        if workers is None:
-            os.environ.pop("REPRO_CRITICALITY_WORKERS", None)
-        else:
-            os.environ["REPRO_CRITICALITY_WORKERS"] = workers
+    full_elapsed, full_results = run(
+        lambda s, schema: critical_tuples_naive(s, schema, changes=_full_reevaluation)
+    )
+    delta_elapsed, delta_results = run(
+        lambda s, schema: critical_tuples_naive(s, schema, changes=delta_changes)
+    )
+    pruned_elapsed, pruned_results = run(critical_tuples)
 
     assert delta_results == full_results, (
         "delta evaluation changed a crit_D(Q) verdict on the Definition 4.4 engine"

@@ -2,7 +2,7 @@
 
 Modules
 -------
-``criticality``   the ``crit_D`` engine (pruned, symmetry-reduced, parallel)
+``criticality``   the ``crit_D`` engine (pruned, symmetry-reduced)
 ``security``      Theorem 4.5 decisions and Definition 4.1 verification
 ``practical``     the subgoal-unification quick check (Section 4.2)
 ``domain_bounds`` Proposition 4.9 analysis domains

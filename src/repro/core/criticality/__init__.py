@@ -2,9 +2,8 @@
 
 Production runs one engine, :class:`PrunedParallelEngine`: the
 Appendix A minimal-instance search with early comparison/constant
-propagation, symmetry reduction over interchangeable domain values, and
-an optional process-pool fan-out over candidate facts (serial fallback
-via ``REPRO_CRITICALITY_WORKERS=0``).  :func:`critical_tuples` and
+propagation and symmetry reduction over interchangeable domain values,
+run serially over the candidate facts.  :func:`critical_tuples` and
 :func:`is_critical` are its per-query functions.
 
 The unpruned Appendix A search and the literal Definition 4.4
@@ -19,14 +18,13 @@ from .base import (
     candidate_critical_facts,
 )
 from .common import common_critical_tuples
-from .pruned import WORKERS_ENV, PrunedParallelEngine, critical_tuples, is_critical
+from .pruned import PrunedParallelEngine, critical_tuples, is_critical
 
 __all__ = [
     "CriticalityEngine",
     "PrunedParallelEngine",
     "InstanceConstraint",
     "DEFAULT_MAX_VALUATIONS",
-    "WORKERS_ENV",
     "candidate_critical_facts",
     "is_critical",
     "critical_tuples",

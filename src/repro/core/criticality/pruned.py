@@ -1,7 +1,7 @@
-"""The production criticality engine: pruned, symmetry-reduced, parallel.
+"""The production criticality engine: pruned and symmetry-reduced.
 
-Three optimisations over the Appendix A minimal-instance search (kept
-as the oracle :func:`repro.reference.critical_tuples`), all
+Two optimisations over the Appendix A minimal-instance search (kept
+as the oracle :func:`repro.reference.critical_tuples`), both
 verdict-preserving:
 
 1. **Early comparison/constant propagation.**  Instead of materialising
@@ -25,26 +25,17 @@ verdict-preserving:
    order predicates, no instance constraint; otherwise every candidate
    is checked individually (still with pruning 1).
 
-3. **Process-pool fan-out.**  Candidate facts are independent, so the
-   representatives are distributed over a
-   :class:`concurrent.futures.ProcessPoolExecutor`.  The pool is used
-   only when the estimated work is large enough to amortise process
-   startup, never when an (unpicklable) instance constraint is present,
-   and any pool failure falls back to the serial path.  The
-   ``REPRO_CRITICALITY_WORKERS`` environment variable overrides the
-   heuristic: ``0`` or ``1`` forces the serial fallback, ``n > 1``
-   forces a pool of ``n`` workers.
+The representatives are checked serially in the calling process;
+:class:`PrunedParallelEngine` keeps its name for API compatibility.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ...cq.evaluation import answer_contains, answer_tuple
-from ...exceptions import IntractableAnalysisError, ReproError, SecurityAnalysisError
+from ...exceptions import IntractableAnalysisError
 from ...relational.domain import Domain
 from ...relational.instance import Instance
 from ...relational.schema import Schema
@@ -58,15 +49,7 @@ from .base import (
     candidate_critical_facts,
 )
 
-__all__ = ["PrunedParallelEngine", "WORKERS_ENV", "critical_tuples", "is_critical"]
-
-#: Environment variable selecting the worker count (0/1 = serial).
-WORKERS_ENV = "REPRO_CRITICALITY_WORKERS"
-
-#: Auto-parallelism thresholds: don't pay process startup for small work.
-_PARALLEL_MIN_CANDIDATES = 64
-_PARALLEL_MIN_WORK = 250_000
-_MAX_AUTO_WORKERS = 8
+__all__ = ["PrunedParallelEngine", "critical_tuples", "is_critical"]
 
 #: Bound on the per-search witness memo: duplicate witnesses are worth
 #: caching (repeated subgoals, symmetric joins), but a search near the
@@ -302,38 +285,8 @@ def _orbit_groups(
     return groups
 
 
-# -- parallel fan-out ------------------------------------------------------------
-def _configured_workers() -> Optional[int]:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SecurityAnalysisError(
-            f"{WORKERS_ENV} must be an integer worker count, got {raw!r}"
-        ) from None
-    return max(0, value)
-
-
-def _is_critical_batch(payload) -> List[bool]:
-    """Pool worker: decide a chunk of candidate facts serially."""
-    query, schema, domain, max_valuations, facts = payload
-    allowed = _tuple_space_set(schema, domain)
-    full_space = _space_is_full(query, schema, domain)
-    return [
-        _pruned_is_critical(
-            fact, query, schema, domain, None, max_valuations, allowed, full_space
-        )
-        for fact in facts
-    ]
-
-
 class PrunedParallelEngine(CriticalityEngine):
-    """Pruned + symmetry-reduced + optionally parallel minimal-instance search."""
-
-    def __init__(self, parallel: bool = True):
-        self._parallel = parallel
+    """Pruned, symmetry-reduced minimal-instance search."""
 
     def is_critical(
         self,
@@ -371,76 +324,15 @@ class PrunedParallelEngine(CriticalityEngine):
             groups = _orbit_groups(candidates, frozenset(query.constants), domain)
         else:
             groups = {fact: [fact] for fact in candidates}
-        representatives = list(groups)
-        verdicts = self._verdicts(
-            representatives, query, schema, domain, constraint, max_valuations, allowed
-        )
-        result = set()
-        for representative, verdict in zip(representatives, verdicts):
-            if verdict:
-                result.update(groups[representative])
-        return frozenset(result)
-
-    # -- scheduling ---------------------------------------------------------------
-    def _verdicts(
-        self,
-        representatives: List[Fact],
-        query,
-        schema,
-        domain,
-        constraint,
-        max_valuations,
-        allowed,
-    ) -> List[bool]:
-        workers = 0
-        if self._parallel and constraint is None and len(representatives) > 1:
-            workers = self._resolve_workers(len(representatives), query, domain)
-        if workers > 1:
-            try:
-                return self._parallel_verdicts(
-                    representatives, query, schema, domain, max_valuations, workers
-                )
-            except ReproError:
-                raise  # deterministic library errors (e.g. intractable search)
-            except Exception:
-                pass  # pool unavailable or arguments unpicklable: serial fallback
         full_space = _space_is_full(query, schema, domain)
-        return [
-            _pruned_is_critical(
-                fact, query, schema, domain, constraint, max_valuations, allowed,
-                full_space,
-            )
-            for fact in representatives
-        ]
-
-    @staticmethod
-    def _resolve_workers(representative_count: int, query, domain) -> int:
-        configured = _configured_workers()
-        if configured is not None:
-            return 0 if configured <= 1 else configured
-        cpus = os.cpu_count() or 1
-        if cpus < 2 or representative_count < _PARALLEL_MIN_CANDIDATES:
-            return 0
-        widest = max(len(d.variables) for d in _disjuncts(query))
-        estimated_work = representative_count * (len(domain) ** widest)
-        if estimated_work < _PARALLEL_MIN_WORK:
-            return 0
-        return min(cpus, _MAX_AUTO_WORKERS)
-
-    @staticmethod
-    def _parallel_verdicts(
-        representatives, query, schema, domain, max_valuations, workers
-    ) -> List[bool]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, math.ceil(len(representatives) / (workers * 4)))
-        payloads = [
-            (query, schema, domain, max_valuations, representatives[i : i + chunk])
-            for i in range(0, len(representatives), chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_is_critical_batch, payloads))
-        return [verdict for batch in batches for verdict in batch]
+        result = set()
+        for representative, members in groups.items():
+            if _pruned_is_critical(
+                representative, query, schema, domain, constraint, max_valuations,
+                allowed, full_space,
+            ):
+                result.update(members)
+        return frozenset(result)
 
 
 def critical_tuples(

@@ -66,7 +66,6 @@ __all__ = [
     "render_prometheus",
     "render_top",
     "render_waterfall",
-    "reset_stats",
     "span_names",
     "set_tracing",
     "slow_log_from_env",
@@ -75,15 +74,3 @@ __all__ = [
     "tracing_enabled",
     "walk_spans",
 ]
-
-
-def reset_stats() -> None:
-    """Reset every process-wide statistic: engine counters and traces.
-
-    Benchmarks call this between phases so each measurement starts from
-    a clean slate.
-    """
-    from ..cq.compiled import reset_evaluation_stats
-
-    reset_evaluation_stats()
-    TRACES.reset()

@@ -24,7 +24,7 @@ import heapq
 import itertools
 import threading
 from collections import deque
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping
 
 __all__ = ["TraceBuffer", "TRACES", "merge_trace_snapshots"]
 
@@ -74,15 +74,6 @@ class TraceBuffer:
             self._tail.clear()
             self._slow.clear()
             self._recorded = 0
-
-    def find(self, trace_id: str) -> Optional[Dict[str, Any]]:
-        """The stored trace with this id, if any section still holds it."""
-        with self._lock:
-            for section in (self._tail, self._head, [e[2] for e in self._slow]):
-                for document in section:
-                    if document.get("trace_id") == trace_id:
-                        return document
-        return None
 
     def snapshot(self) -> Dict[str, Any]:
         """Every section as one JSON-serialisable, mergeable document."""

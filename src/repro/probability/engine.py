@@ -7,12 +7,11 @@ events' joint support — Eq. (2) of the paper.  Since the kernel rewrite,
 :class:`~repro.probability.kernel.ProbabilityKernel` shared per
 dictionary: queries are compiled once into bitset mask tables, subset
 probabilities come from meet-in-the-middle mass tables, and disconnected
-supports are factorized into independent components.  Results in the
-default exact mode are equal, as :class:`~fractions.Fraction` values, to
-the seed enumeration's, which :mod:`repro.reference` keeps as the
-oracle.  ``max_support_size`` guards against accidental blow-ups;
-callers can fall back to :mod:`repro.probability.sampling` for larger
-spaces.
+supports are factorized into independent components.  Results are
+equal, as :class:`~fractions.Fraction` values, to the seed
+enumeration's, which :mod:`repro.reference` keeps as the oracle.
+``max_support_size`` guards against accidental blow-ups; callers can
+fall back to :mod:`repro.probability.sampling` for larger spaces.
 """
 
 from __future__ import annotations
@@ -34,21 +33,14 @@ class ExactEngine:
     Engines with the same dictionary object share one
     :class:`~repro.probability.kernel.ProbabilityKernel`, so compiled
     query tables and joint distributions are computed once per process
-    regardless of how many engines are constructed.  ``exact=False``
-    selects the kernel's fast float mode (probabilities become floats;
-    compilation and structural results are unchanged).
+    regardless of how many engines are constructed.
     """
 
-    def __init__(
-        self,
-        dictionary: Dictionary,
-        max_support_size: Optional[int] = None,
-        exact: bool = True,
-    ):
+    def __init__(self, dictionary: Dictionary, max_support_size: Optional[int] = None):
         # The shared kernel holds its dictionary weakly; this strong
         # reference keeps it alive for as long as the engine is.
         self._dictionary = dictionary
-        self._kernel = ProbabilityKernel.shared(dictionary, exact=exact)
+        self._kernel = ProbabilityKernel.shared(dictionary)
         # None defers to the kernel defaults: DEFAULT_MAX_SUPPORT per
         # structural component, PREDICATE_MAX_SUPPORT per component that
         # needs the opaque-predicate fallback.  An explicit bound is

@@ -5,8 +5,8 @@ homomorphic images of the query body, so a tuple is critical iff some
 valuation maps a subgoal onto it and the produced answer disappears
 when the tuple is removed.  Cost is ``O(|body| · |D|^{#vars})`` per
 candidate tuple.  The production engine
-(:class:`~repro.core.criticality.PrunedParallelEngine`) prunes, reduces
-by symmetry and parallelises this search; it must return the same sets.
+(:class:`~repro.core.criticality.PrunedParallelEngine`) prunes and
+reduces this search by symmetry; it must return the same sets.
 """
 
 from __future__ import annotations

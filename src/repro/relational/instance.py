@@ -51,8 +51,7 @@ class Instance:
         ] = {}
 
     def __getstate__(self) -> FrozenSet[Fact]:
-        # Only the facts travel (e.g. into criticality process-pool
-        # workers); the caches are rebuilt on demand.
+        # Only the facts are pickled; the caches are rebuilt on demand.
         return self._facts
 
     def __setstate__(self, facts: FrozenSet[Fact]) -> None:

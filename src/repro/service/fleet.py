@@ -54,7 +54,9 @@ holds.  This module scales the service with *cores* instead:
   from every worker's mergeable metrics snapshot
   (:func:`~repro.service.metrics.merge_snapshots` — true percentiles
   over the union of latency reservoirs, not averages), per-shard queue
-  depths, restart counts and the router's table state.
+  depths, restart counts and the router's table state.  A ``metrics``
+  request renders the same gather as Prometheus text; workers are only
+  ever asked for ``stats``.
 
 ``shutdown`` (or :meth:`FleetServer.stop`) drains: the listener closes,
 in-flight requests finish and are answered, then every worker is asked
@@ -91,7 +93,7 @@ from ..obs import (
 from . import faults
 from .coalesce import DEFAULT_CACHE_SIZE, Core
 from .health import CircuitBreaker
-from .metrics import merge_snapshots
+from .metrics import merge_snapshots, stats_gauges
 from .pipeline import (
     Overloaded,
     RequestPipeline,
@@ -161,7 +163,7 @@ def _fleet_worker_main(
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Fault rules with a "shard" selector only fire in the targeted
     # worker; the plan itself arrives via fork inheritance or the
-    # REPRO_FAULT_PLAN environment variable (spawn start methods).
+    # REPRO_FAULT_PLAN environment variable.
     faults.set_context(shard=shard_index)
     faults.install_from_env()
     threading.Thread(
@@ -263,10 +265,6 @@ class FleetServer(RequestPipeline):
     watchdog_seconds:
         Per-worker computation cap (see
         :class:`~repro.service.server.AuditServer`); ``None`` disables.
-    start_method:
-        ``multiprocessing`` start method (default: ``fork`` where
-        available, else the platform default; override with the
-        ``REPRO_FLEET_START_METHOD`` environment variable).
     worker_options:
         Extra :class:`AuditServer` keyword arguments for every worker
         (e.g. ``max_sessions``, ``session_cache_size``).
@@ -294,7 +292,6 @@ class FleetServer(RequestPipeline):
         breaker_options: Optional[Mapping[str, Any]] = None,
         watchdog_seconds: Optional[float] = None,
         slow_ms: Optional[float] = None,
-        start_method: Optional[str] = None,
         worker_options: Optional[Mapping[str, Any]] = None,
     ):
         if workers is not None and workers < 1:
@@ -317,11 +314,10 @@ class FleetServer(RequestPipeline):
         self._rewarm_requests = max(0, rewarm_requests)
         self._breaker_options = dict(breaker_options or {})
         self._diverted = 0
-        method = start_method or os.environ.get("REPRO_FLEET_START_METHOD")
-        if method is None and "fork" in multiprocessing.get_all_start_methods():
-            method = "fork"
-        self._mp_context = (
-            multiprocessing.get_context(method) if method else multiprocessing.get_context()
+        # Fork where the platform can: workers then inherit the router's
+        # imports and fault plan instead of importing everything again.
+        self._mp_context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         self._worker_options: Dict[str, Any] = {
             "workers": worker_threads,
@@ -485,10 +481,9 @@ class FleetServer(RequestPipeline):
         """Resolve when the process exits.
 
         The sentinel pipe is the prompt signal; a periodic ``is_alive``
-        poll backs it up, because a grandchild the worker forked (e.g. a
-        criticality process pool) inherits the sentinel's write end and
-        can outlive a SIGKILLed worker for a moment, keeping the pipe
-        open past the actual death.
+        poll backs it up, because any process that inherited the
+        sentinel's write end (a child the worker forked, say) keeps the
+        pipe open past a SIGKILLed worker's death until it exits too.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[None]" = loop.create_future()
@@ -629,17 +624,23 @@ class FleetServer(RequestPipeline):
     def _least_loaded(self, route: str) -> _Shard:
         """The analysis route: fewest requests in flight, ties in rendezvous order.
 
-        Only shards whose breaker admits traffic qualify; when every one
-        of them is at the queue limit this raises :class:`Overloaded`.
+        Only serving shards whose breaker admits traffic qualify; when
+        every one of them is at the queue limit this raises
+        :class:`Overloaded`.  A shard whose worker is being re-forked is
+        skipped: with nothing in flight it would look least loaded and
+        fail every request sent to it until its breaker opened.
         Breakers are asked in that order and only until one says yes,
         because a yes from a half-open breaker grants its single probe:
         asking a shard the request is not then sent to would strand the
         probe and keep the shard out of rotation.  A no has no side
-        effect.
+        effect.  With no serving shard admitting traffic, the route falls
+        back to :meth:`_shard_for`.
         """
         ranked = self._ranked(route)
         refused: Optional[_Shard] = None
         for shard in sorted(ranked, key=lambda shard: shard.outstanding):
+            if not shard.ready:
+                continue
             if shard.outstanding >= self._shard_queue_limit:
                 # Every shard left is at least as loaded.
                 full = all(
@@ -652,7 +653,7 @@ class FleetServer(RequestPipeline):
                     self._divert(refused)
                 return shard
             refused = refused or shard
-        return self._shard_for(route)  # every breaker is open
+        return self._shard_for(route)  # no serving shard admits traffic
 
     def _divert(self, shard: _Shard) -> None:
         """Count a request routed to ``shard`` that its breaker turned away."""
@@ -872,9 +873,23 @@ class FleetServer(RequestPipeline):
             *(ask(shard) for shard in self._shards), return_exceptions=True
         )
 
-    async def _fleet_stats(self, request: AuditRequest) -> Dict[str, Any]:
+    async def _gather_stats(self) -> Tuple[Dict[str, Any], List[Any]]:
+        """Every worker's ``stats`` payload (or exception), and the metrics merge.
+
+        The merge covers the router and every worker that answered; a
+        dead or unreachable shard contributes a malformed part, which
+        :func:`merge_snapshots` skips while marking the merge partial.
+        """
         payloads = await self._ask_workers("stats", mergeable=True)
         mergeables = [self._metrics.mergeable_snapshot()]
+        mergeables.extend(
+            payload.pop("mergeable", None) if isinstance(payload, dict) else None
+            for payload in payloads
+        )
+        return merge_snapshots(mergeables), payloads
+
+    async def _fleet_stats(self, request: AuditRequest) -> Dict[str, Any]:
+        merged, payloads = await self._gather_stats()
         shards_doc = []
         for shard, payload in zip(self._shards, payloads):
             process = shard.process
@@ -893,9 +908,6 @@ class FleetServer(RequestPipeline):
                 "diverted": shard.diverted,
             }
             if isinstance(payload, dict):
-                mergeable = payload.pop("mergeable", None)
-                if mergeable:
-                    mergeables.append(mergeable)
                 entry["worker"] = {
                     key: payload[key]
                     for key in (
@@ -913,11 +925,7 @@ class FleetServer(RequestPipeline):
                 entry["sessions"] = payload.get("sessions", [])
             elif isinstance(payload, BaseException):
                 entry["error"] = str(payload)
-                # A dead/unreachable shard contributes a malformed part;
-                # merge_snapshots skips it and marks the merge partial.
-                mergeables.append(None)
             shards_doc.append(entry)
-        merged = merge_snapshots(mergeables)
         merged["fleet"] = {
             "workers": len(self._shards),
             "routing": "least-outstanding/rendezvous-ties",
@@ -948,22 +956,16 @@ class FleetServer(RequestPipeline):
         return ok_response(request.id, "traces", merged)
 
     async def _fleet_metrics(self, request: AuditRequest) -> Dict[str, Any]:
-        """One Prometheus exposition over router + every worker's counters."""
-        payloads = await self._ask_workers("metrics", mergeable=True)
-        mergeables: List[Any] = [self._metrics.mergeable_snapshot()]
+        """One Prometheus exposition of the ``stats`` gather; worker gauges summed."""
+        merged, payloads = await self._gather_stats()
         gauges: Dict[str, Any] = {
             "fleet_workers": len(self._shards),
             "active_requests": self._active,
         }
         for payload in payloads:
-            if not isinstance(payload, Mapping):
-                mergeables.append(None)
-                continue
-            mergeables.append(payload.get("mergeable"))
-            for name, value in (payload.get("gauges") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if isinstance(payload, dict):
+                for name, value in stats_gauges(payload).items():
                     gauges[name] = gauges.get(name, 0) + value
-        merged = merge_snapshots(mergeables)
         result: Dict[str, Any] = {
             "content_type": CONTENT_TYPE,
             "text": render_prometheus(merged, gauges),

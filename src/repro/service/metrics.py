@@ -22,12 +22,13 @@ process plus one in the router, so the ``stats`` operation needs a
 *mergeable* form: :meth:`ServiceMetrics.mergeable_snapshot` exports the
 raw counters and the latency reservoir itself (not derived percentiles),
 and :func:`merge_snapshots` combines any number of those into one
-document shaped exactly like :meth:`ServiceMetrics.snapshot`.  Because
-the reservoirs travel whole, the merged p50/p95/p99 are computed over
-the union of the samples — identical to what a single combined stream
-would report (up to each ring's :data:`LATENCY_WINDOW` truncation) —
-instead of averaging per-worker percentiles, which has no fidelity
-guarantee.
+document.  :meth:`ServiceMetrics.snapshot` is the merge of one part, so
+a single server and a fleet derive their documents the same way.
+Because the reservoirs travel whole, the merged p50/p95/p99 are
+computed over the union of the samples — identical to what a single
+combined stream would report (up to each ring's :data:`LATENCY_WINDOW`
+truncation) — instead of averaging per-worker percentiles, which has no
+fidelity guarantee.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "HISTOGRAM_BUCKETS_MS",
     "percentile",
     "merge_snapshots",
+    "stats_gauges",
 ]
 
 #: Number of recent latency samples kept per operation.
@@ -150,11 +152,6 @@ class ServiceMetrics:
                 entry.observe_latency(elapsed_seconds * 1000.0)
 
     # -- reading -----------------------------------------------------------------
-    def total(self, outcome: str) -> int:
-        """Sum of one outcome counter across operations."""
-        with self._lock:
-            return sum(entry.counts.get(outcome, 0) for entry in self._ops.values())
-
     def snapshot(self) -> Dict[str, object]:
         """The metrics as one JSON-serialisable document.
 
@@ -162,36 +159,7 @@ class ServiceMetrics:
         number of requests that never reached the worker pool because an
         identical question was in flight or already answered.
         """
-        with self._lock:
-            operations: Dict[str, object] = {}
-            totals = {outcome: 0 for outcome in OUTCOMES}
-            for op, entry in sorted(self._ops.items()):
-                for outcome, count in entry.counts.items():
-                    totals[outcome] += count
-                requests = sum(entry.counts.values())
-                op_doc: Dict[str, object] = {"requests": requests, **entry.counts}
-                if entry.latencies:
-                    op_doc["latency_ms"] = _latency_doc(sorted(entry.latencies))
-                if entry.latency_count:
-                    op_doc["histogram"] = _histogram_doc(
-                        entry.bucket_counts, entry.latency_sum, entry.latency_count
-                    )
-                operations[op] = op_doc
-            requests = sum(totals.values())
-            duplicates = totals["coalesced"] + totals["cached"]
-            return {
-                "uptime_seconds": round(time.time() - self._started, 3),
-                "totals": {
-                    "requests": requests,
-                    **totals,
-                    "duplicate_hits": duplicates,
-                    "coalescing_hit_rate": (
-                        totals["coalesced"] / requests if requests else 0.0
-                    ),
-                    "duplicate_hit_rate": duplicates / requests if requests else 0.0,
-                },
-                "operations": operations,
-            }
+        return merge_snapshots([self.mergeable_snapshot()])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         totals = self.snapshot()["totals"]
@@ -329,3 +297,22 @@ def merge_snapshots(parts: Iterable[Any]) -> Dict[str, object]:
     if partial:
         merged_doc["partial"] = True
     return merged_doc
+
+
+def stats_gauges(stats: Mapping[str, Any]) -> Dict[str, Any]:
+    """Point-in-time gauges of one server's ``stats`` payload.
+
+    The Prometheus ``metrics`` operation renders these next to the
+    request counters; a fleet router sums them over its workers' payloads.
+    """
+    live = stats["live"]
+    return {
+        "pending_analyses": stats["pending"],
+        "connections": stats["connections"],
+        "sessions": len(stats["sessions"]),
+        "result_cache_entries": stats["result_cache_entries"],
+        "workers": stats["workers"],
+        "queue_limit": stats["queue_limit"],
+        "live_sessions": len(live),
+        "live_subscribers": sum(entry["subscribers"] for entry in live.values()),
+    }

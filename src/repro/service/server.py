@@ -75,6 +75,7 @@ from ..session.results import (
     VerificationResult,
 )
 from .coalesce import DEFAULT_CACHE_SIZE, Core
+from .metrics import stats_gauges
 from .pipeline import (
     Overloaded,
     RequestPipeline,
@@ -293,35 +294,17 @@ class AuditServer(RequestPipeline):
         if request.op == "traces":
             return ok_response(request.id, "traces", TRACES.snapshot())
         if request.op == "metrics":
-            if request.options.get("mergeable"):
-                # The fleet router merges per-worker parts and renders once.
-                payload = {
-                    "mergeable": self._metrics.mergeable_snapshot(),
-                    "gauges": self._gauges(),
-                }
-            else:
-                payload = {
+            payload = self._stats_payload()
+            return ok_response(
+                request.id,
+                "metrics",
+                {
                     "content_type": CONTENT_TYPE,
-                    "text": render_prometheus(self._metrics.snapshot(), self._gauges()),
-                }
-            return ok_response(request.id, "metrics", payload)
+                    "text": render_prometheus(payload, stats_gauges(payload)),
+                },
+            )
         self.request_stop()  # shutdown
         return ok_response(request.id, "shutdown", {"stopping": True})
-
-    def _gauges(self) -> Dict[str, Any]:
-        """Point-in-time gauges for the Prometheus exposition."""
-        return {
-            "pending_analyses": self._pending,
-            "connections": self._connections,
-            "sessions": len(self._sessions),
-            "result_cache_entries": len(self._table),
-            "workers": self._workers,
-            "queue_limit": self._queue_limit,
-            "live_sessions": len(self._live),
-            "live_subscribers": sum(
-                len(queues) for queues in self._live_subscribers.values()
-            ),
-        }
 
     def _stats_payload(self) -> Dict[str, Any]:
         sessions = []

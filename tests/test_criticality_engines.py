@@ -5,11 +5,10 @@ Covers the production engine (``PrunedParallelEngine`` behind
 oracles of :mod:`repro.reference` (the Appendix A minimal search and
 the literal Definition 4.4 enumeration; including a property-style
 sweep over random small conjunctive queries and a key-constraint
-predicate), the serial and process-pool execution paths, the
-``max_valuations`` forwarding of ``common_critical_tuples``, the
-uniform option validation of the sampling verification engine, and the
-``critical_fn`` provider threading through sessions, free functions and
-the CLI.
+predicate), the ``max_valuations`` forwarding of
+``common_critical_tuples``, the uniform option validation of the
+sampling verification engine, and the ``critical_fn`` provider
+threading through sessions, free functions and the CLI.
 """
 
 from __future__ import annotations
@@ -29,11 +28,7 @@ from repro import (
     q,
 )
 from repro.cli import main
-from repro.core.criticality import (
-    PrunedParallelEngine,
-    WORKERS_ENV,
-    common_critical_tuples,
-)
+from repro.core.criticality import PrunedParallelEngine, common_critical_tuples
 from repro.cq.atoms import Atom, Comparison
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
@@ -245,52 +240,6 @@ class TestCrossValidation:
         assert minimal.critical_tuples(query, schema) == frozenset()
         assert naive.critical_tuples(query, schema) == frozenset()
         assert pruned.critical_tuples(query, schema) == frozenset()
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution paths
-# ---------------------------------------------------------------------------
-class TestParallelPaths:
-    def test_forced_pool_matches_serial(self, monkeypatch, binary_abc_schema):
-        query = q("V(x) :- R(x, y)")
-        serial_engine = PrunedParallelEngine(parallel=False)
-        expected = serial_engine.critical_tuples(query, binary_abc_schema)
-
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        pooled = PrunedParallelEngine().critical_tuples(query, binary_abc_schema)
-        assert pooled == expected
-
-    def test_workers_zero_forces_serial(self, monkeypatch, binary_ab_schema):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        engine = PrunedParallelEngine()
-        assert engine._resolve_workers(1000, q("V(x) :- R(x, y)"), Domain.of("a")) == 0
-        assert engine.critical_tuples(q("V(x) :- R(x, y)"), binary_ab_schema)
-
-    def test_invalid_workers_value_rejected(self, monkeypatch, binary_ab_schema):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(SecurityAnalysisError, match="many"):
-            PrunedParallelEngine().critical_tuples(
-                q("V(x) :- R(x, y)"), binary_ab_schema
-            )
-
-    def test_auto_mode_stays_serial_on_small_work(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        workers = PrunedParallelEngine._resolve_workers(
-            4, q("V(x) :- R(x, y)"), Domain.of("a", "b")
-        )
-        assert workers == 0
-
-    def test_intractable_bound_raised_in_pool(self, monkeypatch):
-        # The pre-enumeration bound must survive the process-pool path.
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        schema = Schema(
-            [RelationSchema("R", ("u", "v"))], domain=Domain.of("a", "b", "c")
-        )
-        query = q("Q() :- R(x, y), R(y, z), R(z, w)")
-        with pytest.raises(IntractableAnalysisError):
-            PrunedParallelEngine().critical_tuples(
-                query, schema, max_valuations=2
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -308,17 +308,6 @@ class TestKernelSharingAndModes:
         independence_gap(secret, [view], self.dictionary)
         assert kernel.stats["distributions"] == enumerations  # pure cache hit
 
-    def test_float_mode_approximates_exact_mode(self):
-        exact = ExactEngine(self.dictionary)
-        fast = ExactEngine(self.dictionary, exact=False)
-        query = q("Q(x) :- R(x, y)")
-        exact_distribution = exact.answer_distribution(query)
-        float_distribution = fast.answer_distribution(query)
-        assert set(exact_distribution) == set(float_distribution)
-        for answer, probability in float_distribution.items():
-            assert isinstance(probability, float)
-            assert abs(probability - float(exact_distribution[answer])) < 1e-12
-
     def test_shared_registry_is_dropped_with_the_dictionary(self):
         import gc
         import weakref

@@ -11,13 +11,17 @@ The propagation invariants the PR promises:
   returning full distributed waterfalls afterwards);
 * the merged ``traces``/``metrics`` service operations degrade to
   ``partial`` documents instead of raising when a worker's part is
-  missing or malformed.
+  missing or malformed;
+* a fleet's Prometheus ``metrics`` renders the same worker gather as
+  ``stats``, with every gauge and counter, and never asks a worker for
+  ``metrics``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -371,3 +375,88 @@ class TestFleetTracing:
             if response["server"]["shard"] == shard:
                 return  # the restarted worker itself answered with spans
         raise AssertionError("no request routed to the restarted shard")
+
+
+#: Every gauge a fleet's ``metrics`` text carries: the router's own two,
+#: then the sums over the workers' ``stats`` payloads.
+FLEET_GAUGES = (
+    "fleet_workers",
+    "active_requests",
+    "pending_analyses",
+    "connections",
+    "sessions",
+    "result_cache_entries",
+    "workers",
+    "queue_limit",
+    "live_sessions",
+    "live_subscribers",
+)
+
+
+def _prometheus_samples(text: str) -> dict:
+    """``{metric{labels}: value}`` for every sample line of an exposition."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.rsplit(" ", 1)
+            samples[name] = float(value)
+    return samples
+
+
+class TestFleetMetricsGather:
+    def test_metrics_renders_the_stats_gather(self):
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            with AuditServiceClient(*fleet.address) as client:
+                for index in range(4):
+                    assert client.request(
+                        "decide", schema=SCHEMA, secret=f"Sgather{index}(n) :- Emp(n, d, p)",
+                        views=VIEWS,
+                    )["ok"]
+                assert client.request(
+                    "decide", schema=SCHEMA, secret="Sgather0(n) :- Emp(n, d, p)", views=VIEWS
+                )["server"]["cached"]
+                assert client.request("quick", schema=SCHEMA, secret=SECRET, views=VIEWS)["ok"]
+                assert not client.request("decide", schema=SCHEMA, secret="not a query")["ok"]
+                client.call(
+                    "live-create", live="gather", schema=SCHEMA, secrets={"s": SECRET},
+                    views=VIEWS, facts=[["Emp", ["n0", "d0", "p0"]]],
+                )
+                client.call("live-audit", live="gather")
+                client.call("apply-delta", live="gather", add=[["Emp", ["n1", "d1", "p1"]]])
+                text = client.call("metrics")["text"]
+                stats = client.stats()
+
+        samples = _prometheus_samples(text)
+        for gauge in FLEET_GAUGES:
+            assert f"repro_{gauge}" in samples, f"missing gauge repro_{gauge}"
+        shards = stats["fleet"]["shards"]
+        assert samples["repro_fleet_workers"] == 2
+        assert samples["repro_workers"] == sum(s["worker"]["workers"] for s in shards)
+        assert samples["repro_sessions"] == sum(len(s["sessions"]) for s in shards)
+        assert samples["repro_live_sessions"] == sum(len(s["worker"]["live"]) for s in shards) == 1
+        assert samples["repro_result_cache_entries"] == sum(
+            s["worker"]["result_cache_entries"] for s in shards
+        )
+
+        counters = {
+            tuple(re.findall(r'"([^"]*)"', name)): value
+            for name, value in samples.items()
+            if name.startswith("repro_requests_total{")
+        }
+        expected = {
+            (op, outcome): doc[outcome]
+            for op, doc in stats["operations"].items()
+            for outcome in ("computed", "coalesced", "cached", "error", "shed", "deadline")
+        }
+        assert set(counters) == set(expected)
+        for (op, outcome), count in expected.items():
+            if op != "stats":
+                assert counters[op, outcome] == count, (op, outcome)
+        # The stats call itself: once at the router, once on each worker.
+        assert expected["stats", "computed"] == counters["stats", "computed"] + 3
+        # The scrape was answered from two worker stats calls, never a
+        # worker metrics call: only the router counted it.
+        assert counters["stats", "computed"] == 2
+        assert counters["metrics", "computed"] == expected["metrics", "computed"] == 1
+        assert counters["decide", "cached"] == 1
+        assert counters["decide", "error"] == 1

@@ -19,17 +19,19 @@ covering the PR's hard guarantees:
   of store-backed targets) degrades to the compiled engine with an
   identical answer (counted, not silent);
 * the chaos gate: a 64-request mixed workload through retrying clients
-  completes 100% successfully under a plan that SIGKILLs a worker
-  mid-burst, with verdicts identical to a fault-free run, and a sqlite
-  error injected into a store-backed live session's reads degrades
-  them instead of failing them.
+  completes 100% successfully while a worker is SIGKILLed mid-burst,
+  with verdicts identical to a fault-free run, and a sqlite error
+  injected into a store-backed live session's reads degrades them
+  instead of failing them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import queue
+import signal
 import threading
 
 import pytest
@@ -446,8 +448,12 @@ class TestSqlDegradation:
 # ---------------------------------------------------------------------------
 # Fleet chaos
 # ---------------------------------------------------------------------------
-def _drain_with_verdicts(address, requests, *, policy=None, concurrency=8):
-    """Replay ``requests`` and return (verdict-by-index, failure list)."""
+def _drain_with_verdicts(address, requests, *, policy=None, concurrency=8, on_answer=None):
+    """Replay ``requests`` and return (verdict-by-index, failure list).
+
+    ``on_answer(count)`` runs after each answer with the number of
+    answers so far, so each count is seen exactly once.
+    """
     pending: "queue.Queue" = queue.Queue()
     for index, request in enumerate(requests):
         pending.put((index, request))
@@ -479,6 +485,9 @@ def _drain_with_verdicts(address, requests, *, policy=None, concurrency=8):
                         )
                     else:
                         failures.append((index, response.get("error")))
+                    answered = len(verdicts) + len(failures)
+                if on_answer is not None:
+                    on_answer(answered)
         finally:
             client.close()
 
@@ -606,12 +615,12 @@ class TestFleetChaos:
         assert set(expected.values()) == {True, False}
 
         # Chaos run: one worker SIGKILLed mid-burst, ridden over by
-        # retrying clients, and one injected sqlite I/O error.
+        # retrying clients, and one injected sqlite I/O error.  The kill
+        # comes from here, after the 20th answer, so it fires however
+        # load-aware routing splits the burst between the shards.
         monkeypatch.setenv(
             faults.FAULT_PLAN_ENV,
             json.dumps({"seed": 0, "faults": [
-                {"point": "server.execute", "action": "kill",
-                 "shard": 0, "after": 20, "count": 1},
                 {"point": "sql.execute", "action": "sqlite-error",
                  "after": 2, "count": 1},
             ]}),
@@ -622,12 +631,19 @@ class TestFleetChaos:
             workers=2, worker_threads=2,
             breaker_options={"cooldown_seconds": 0.5},
         ) as fleet:
+
+            def kill_shard_0(answered):
+                if answered == 20:
+                    pid = fleet.fleet.worker_pids[0]
+                    if pid > 0:  # -1 (restarting) would signal every process
+                        os.kill(pid, signal.SIGKILL)
+
             verdicts, failures = _drain_with_verdicts(
-                fleet.address, requests, policy=policy
+                fleet.address, requests, policy=policy, on_answer=kill_shard_0
             )
             # The sqlite error fires on a read that degrades: the initial
             # evaluation of a store-backed live session, placed off shard
-            # 0 (whose re-forked worker re-arms the kill rule).
+            # 0, which may still be re-forking or rewarming after the kill.
             create = {
                 "op": "live-create", "schema": SCHEMA,
                 "secrets": {"s": SECRET, "s2": "S2(d) :- Emp(n, d, p)"},

@@ -8,7 +8,8 @@ sockets, covering the PR's hard guarantees:
   one computation *fleet-wide* (the router's in-flight table and cache);
 * an idle fleet routes each fingerprint to its rendezvous owner, while
   concurrent uncached requests go to the least-loaded healthy shard,
-  counted from admission, and a recovering shard gets exactly one probe;
+  counted from admission, a recovering shard gets exactly one probe,
+  and a shard whose worker is being re-forked gets no analyses;
 * ``stats`` aggregates every worker's mergeable metrics into one
   document with per-shard queue depths;
 * drain-then-stop answers every in-flight request across multiple
@@ -533,6 +534,57 @@ class TestLoadAwareRouting:
             assert doc["shards"][1]["diverted"] == 0
             assert doc["shards"][0]["health"] == "healthy"
 
+    def test_analyses_route_around_a_restarting_worker(self):
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            router = fleet.fleet
+            documents = [
+                {"op": "decide", "schema": SCHEMA,
+                 "secret": f"Srefork{index}(n) :- Emp(n, d, p)", "views": VIEWS}
+                for index in range(10)
+            ]
+            owned = [
+                document for document in documents
+                if router._ranked(_fingerprint(document))[0].index == 0
+            ]
+            assert len(owned) >= 4, "shard 0 must own enough requests to trip its breaker"
+            comeback = owned[-1]  # sent once shard 0 serves again
+            documents.remove(comeback)
+
+            # Hold shard 0's re-fork open until the requests are answered.
+            release = threading.Event()
+            spawn = router._spawn
+
+            async def held_spawn(shard):
+                while shard.index == 0 and not release.is_set():
+                    await asyncio.sleep(0.02)
+                await spawn(shard)
+
+            router._spawn = held_spawn
+            victim = router.worker_pids[0]
+            os.kill(victim, signal.SIGKILL)
+            try:
+                deadline = time.time() + 30
+                while router.worker_pids[0] != -1 and time.time() < deadline:
+                    time.sleep(0.02)
+                assert router.worker_pids[0] == -1, "the supervisor never saw the crash"
+                responses = [_send(fleet, document) for document in documents[:5]]
+                responses += _at_once(fleet, documents[5:])
+                assert router.worker_pids[0] == -1, "shard 0 came back mid-test"
+            finally:
+                release.set()
+            assert all(response["ok"] for response in responses), responses
+            assert {response["server"]["shard"] for response in responses} == {1}
+            assert not any(response["server"].get("cached") for response in responses)
+
+            _wait_restart(fleet, 0, victim)
+            doc = _settled_stats(fleet)
+            breaker = doc["shards"][0]["breaker"]
+            assert breaker["failures"] == 0 and breaker["opened"] == 0
+            assert doc["shards"][0]["health"] == "healthy"
+            assert doc["diverted"] == 0
+            # Back in rotation: an idle fleet routes to the owner again.
+            response = _send(fleet, comeback)
+            assert response["ok"] and response["server"]["shard"] == 0
 
 class TestBindErrors:
     def test_fleet_reports_busy_port_as_one_line_error(self):

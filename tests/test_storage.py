@@ -254,10 +254,8 @@ class TestLoading:
 
 class TestInstancePickling:
     def test_instance_pickles_without_its_sqlite_mirror(self):
-        # The pruned-parallel criticality engine ships instances to
-        # process-pool workers; only the facts ride along — an instance
-        # holds no sqlite connection, and its hash indexes are rebuilt
-        # on demand.
+        # Only the facts are pickled — an instance holds no sqlite
+        # connection, and its hash indexes are rebuilt on demand.
         from repro.cq import evaluate, q
 
         instance = Instance.of(Fact("R", (1, 2)))
