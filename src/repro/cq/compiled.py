@@ -209,7 +209,14 @@ class CompiledPlan:
                 for slot in bound_here:
                     slots[slot] = _UNBOUND
 
-        yield from extend(0)
+        # ``extend`` refers to itself through its closure cell; emptying
+        # the cell when the run ends (or is closed early) breaks that
+        # cycle, so the instance it holds is freed by reference counting
+        # instead of waiting for the cycle collector.
+        try:
+            yield from extend(0)
+        finally:
+            del extend
 
     def _head_row(self, slots: List[object]) -> Tuple[object, ...]:
         return tuple(

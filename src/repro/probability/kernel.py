@@ -186,10 +186,6 @@ class ProbabilityKernel:
         self._event_bits: Dict[Tuple[int, Tuple[Fact, ...]], Tuple[Event, int]] = {}
         self._mass_tables: Dict[Tuple[Fact, ...], MassTable] = {}
         self._joint_dists: Dict[Tuple, Dict] = {}
-        #: memo key → union of the supports its enumeration covered;
-        #: what :meth:`invalidate_query` intersects against so only the
-        #: touched connected component's distributions are dropped.
-        self._memo_supports: Dict[Tuple, FrozenSet[Fact]] = {}
         #: Monotone counters exposed for tests and reports:
         #: compiled query tables / compiled event tables / joint
         #: distributions computed, and memo hits for each.  Shared
@@ -203,7 +199,6 @@ class ProbabilityKernel:
                 "event_bit_hits",
                 "distributions",
                 "distribution_hits",
-                "distributions_invalidated",
             )
         )
 
@@ -224,15 +219,6 @@ class ProbabilityKernel:
         return kernel
 
     @classmethod
-    def shared_if_built(cls, dictionary: Dictionary) -> Optional["ProbabilityKernel"]:
-        """The shared kernel for ``dictionary``, or ``None`` if none was built.
-
-        Unlike :meth:`shared`, nothing is created: callers that only
-        observe or invalidate memos have nothing to do without a kernel.
-        """
-        return _SHARED.get(dictionary)
-
-    @classmethod
     def shared_stats(cls, dictionary: Dictionary) -> Optional[Dict[str, Dict[str, int]]]:
         """Counters of the shared kernel for ``dictionary``, if it exists.
 
@@ -242,7 +228,7 @@ class ProbabilityKernel:
         compiled-table and distribution hit rates without attaching a
         debugger.
         """
-        kernel = cls.shared_if_built(dictionary)
+        kernel = _SHARED.get(dictionary)
         if kernel is None:
             return None
         return {"exact": dict(kernel.stats)}
@@ -576,40 +562,8 @@ class ProbabilityKernel:
         if memo_key is not None:
             if len(self._joint_dists) >= _MEMO_LIMIT:
                 self._joint_dists.clear()
-                self._memo_supports.clear()
             self._joint_dists[memo_key] = dict(distribution)
-            self._memo_supports[memo_key] = frozenset(
-                fact for facts, _ in components for fact in facts
-            )
         return distribution
-
-    def invalidate_query(self, query, *, support: Optional[Sequence[Fact]] = None) -> int:
-        """Drop memoized joint distributions overlapping ``query``'s support.
-
-        Invalidation is *component-granular* (Proposition 4.13(3)):
-        because disjoint-support components are independent, a published
-        or retracted query can only matter to memo entries whose
-        enumeration touched facts in its own support component — every
-        other cached distribution survives verbatim and is never
-        recomputed.  Returns the number of entries dropped; the kernel's
-        ``distributions_invalidated`` counter records the total.
-
-        ``support`` overrides the support set used for the overlap test
-        (e.g. a pre-computed component union); by default the query's own
-        Proposition 4.6 support over the dictionary's schema is used.
-        """
-        facts = frozenset(support if support is not None else self._query_support(query))
-        stale = [
-            key
-            for key, covered in self._memo_supports.items()
-            if covered & facts
-        ]
-        for key in stale:
-            self._joint_dists.pop(key, None)
-            self._memo_supports.pop(key, None)
-        if stale:
-            self.stats.bump("distributions_invalidated", len(stale))
-        return len(stale)
 
     def joint_answer_distribution(
         self, queries: Sequence, *, max_support_size: Optional[int] = None

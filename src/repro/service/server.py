@@ -9,8 +9,8 @@ bounded :class:`~concurrent.futures.ThreadPoolExecutor`.  Three mechanisms keep
 the daemon healthy under heavy, repetitive traffic:
 
 * **Session sharing.**  Requests are fingerprinted on (schema document,
-  dictionary spec, verification engine, criticality engine); all
-  requests with one fingerprint run on one shared
+  dictionary spec, verification engine); all requests with one
+  fingerprint run on one shared
   :class:`~repro.session.AnalysisSession`, so the critical-tuple cache
   and the per-dictionary probability kernels are reused across clients
   and connections.  The pool is LRU-bounded.

@@ -12,8 +12,8 @@ operations over the cached artifacts):
 * :class:`PublishingPlan` / ``AnalysisSession.audit_plan`` — batch
   audits of secrets × views × coalitions.
 * :class:`LiveAuditSession` — a pinned (schema, instance, views) state
-  re-audited incrementally as facts and views change (delta classifier,
-  targeted cache invalidation; see :mod:`repro.session.live`).
+  re-audited incrementally as facts and views change (a delta
+  classifier over content-keyed caches; see :mod:`repro.session.live`).
 * :mod:`~repro.session.engines` — the two per-dictionary verification
   engines (``"exact"``, ``"sampling"``); every ``crit_D`` runs on the
   one production engine of :mod:`repro.core.criticality`.

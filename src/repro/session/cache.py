@@ -68,9 +68,6 @@ class CacheStats:
         Lookups answered from the cache vs. computed fresh.
     evictions:
         Entries dropped because the cache was full (LRU order).
-    invalidations:
-        Entries dropped explicitly (:meth:`CriticalTupleCache.invalidate`
-        — e.g. a live session retracting a view).
     size / maxsize:
         Current and maximum number of cached critical-tuple sets.
     """
@@ -80,7 +77,6 @@ class CacheStats:
     evictions: int
     size: int
     maxsize: int
-    invalidations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -99,7 +95,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "size": self.size,
             "maxsize": self.maxsize,
             "hit_rate": self.hit_rate,
@@ -113,7 +108,6 @@ class CacheStats:
             evictions=self.evictions - earlier.evictions,
             size=self.size,
             maxsize=self.maxsize,
-            invalidations=self.invalidations - earlier.invalidations,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -141,7 +135,6 @@ class CriticalTupleCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._invalidations = 0
 
     @property
     def maxsize(self) -> int:
@@ -192,22 +185,6 @@ class CriticalTupleCache:
         with self._lock:
             self._entries.clear()
 
-    def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``.
-
-        The targeted counterpart of :meth:`clear`: a live audit session
-        retracting one view drops exactly that view's fingerprints
-        (session keys carry the canonical query form at index 2) while
-        every other ``crit_D`` set stays warm.  Returns the number of
-        entries dropped; each is counted as an invalidation.
-        """
-        with self._lock:
-            stale = [key for key in self._entries if predicate(key)]
-            for key in stale:
-                del self._entries[key]
-            self._invalidations += len(stale)
-            return len(stale)
-
     def stats(self) -> CacheStats:
         """A snapshot of the current counters."""
         with self._lock:
@@ -217,7 +194,6 @@ class CriticalTupleCache:
                 evictions=self._evictions,
                 size=len(self._entries),
                 maxsize=self._maxsize,
-                invalidations=self._invalidations,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

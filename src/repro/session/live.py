@@ -21,13 +21,14 @@ touch:
   advances once no matter how many queries watch it.
 
 * **View publishes / retracts**.  These *do* change the question, so
-  the session re-decides only the new pairs (every untouched pair is a
-  cache hit), invalidates only the retracted view's
-  :class:`~repro.session.cache.CriticalTupleCache` fingerprints
-  (``crit_invalidated``), and drops only the kernel joint-distribution
-  memos whose support overlaps the touched query's connected component
-  (Proposition 4.13(3); ``kernel_invalidated``) — every other cached
-  artifact survives and is lazily recomputed only if asked for again.
+  the session re-decides only the new pairs; every untouched pair is a
+  cache hit.  Nothing is invalidated: the
+  :class:`~repro.session.cache.CriticalTupleCache` and the kernel memos
+  are keyed by the content of immutable inputs (canonical query, schema,
+  domain, dictionary), so no publish or retract changes the value under
+  an existing key, and entries leave only through the caches' LRU
+  bounds.  Replacing a published view is one mutation: one revision,
+  one notification.
 
 Every mutation returns a *notification document* (plain JSON) stating
 what changed: which views' answers flipped, each secret's current
@@ -52,7 +53,7 @@ from ..probability.dictionary import Dictionary
 from ..relational.instance import Instance
 from ..relational.schema import Schema
 from ..relational.tuples import Fact
-from .compile import as_query, canonical_query_key
+from .compile import as_query
 from .session import AnalysisSession
 
 __all__ = [
@@ -170,8 +171,8 @@ class LiveAuditSession:
         self.revision = 0
         #: Monotone counters of the incremental machinery: deltas applied,
         #: facts changed, queries re-audited vs. memos retained by the
-        #: classifier, publish/retract traffic, targeted invalidations
-        #: and verdict (``exposed``) flips.
+        #: classifier, publish/retract traffic and verdict (``exposed``)
+        #: flips.
         self.stats = StatCounters(
             (
                 "deltas",
@@ -181,8 +182,6 @@ class LiveAuditSession:
                 "memos_retained",
                 "publishes",
                 "retracts",
-                "crit_invalidated",
-                "kernel_invalidated",
                 "verdict_changes",
             )
         )
@@ -367,16 +366,19 @@ class LiveAuditSession:
 
     # -- view publishes / retracts -----------------------------------------------
     def publish(self, name: str, view: Any) -> Dict[str, Any]:
-        """Publish (or replace) a view; decide only the new pairs."""
+        """Publish (or replace) a view; decide only the new pairs.
+
+        Replacing a published name is one mutation: the old body's
+        answers and decisions are overwritten, and the revision advances
+        once.
+        """
         with self._lock, span("live.publish"):
-            if name in self._views:
-                self.retract(name)
             query = as_query(view, f"view {name!r}")
+            self._views.pop(name, None)  # keep ``view_names`` in publication order
             self._views[name] = query
             self._view_answers[name] = evaluate(query, self._state)
             for secret_name in self._secrets:
                 self._decide_pair(secret_name, name)
-            self._invalidate_kernel(query)
             self.revision += 1
             self.stats.bump("publishes")
             return self._notification(
@@ -387,20 +389,13 @@ class LiveAuditSession:
             )
 
     def retract(self, name: str) -> Dict[str, Any]:
-        """Retract a view; drop exactly its cached artifacts."""
+        """Retract a view and forget its answers and decisions."""
         with self._lock, span("live.retract"):
-            query = self._views.pop(name, None)
-            if query is None:
+            if self._views.pop(name, None) is None:
                 raise SecurityAnalysisError(f"no published view named {name!r}")
             self._view_answers.pop(name, None)
             for decisions in self._decisions.values():
                 decisions.pop(name, None)
-            key = canonical_query_key(query)
-            dropped = self._session.cache.invalidate(
-                lambda entry: isinstance(entry, tuple) and len(entry) >= 2 and entry[1] == key
-            )
-            self.stats.bump("crit_invalidated", dropped)
-            self._invalidate_kernel(query)
             self.revision += 1
             self.stats.bump("retracts")
             return self._notification(
@@ -408,25 +403,7 @@ class LiveAuditSession:
                 changed_views={},
                 changed_secrets=frozenset(),
                 view=name,
-                crit_invalidated=dropped,
             )
-
-    def _invalidate_kernel(self, query) -> None:
-        """Drop kernel memos in the touched connected component only."""
-        dictionary = self._session.dictionary
-        if dictionary is None:
-            return
-        from ..probability.kernel import ProbabilityKernel
-
-        kernel = ProbabilityKernel.shared_if_built(dictionary)
-        if kernel is None:
-            return
-        try:
-            dropped = kernel.invalidate_query(query)
-        except Exception:  # noqa: BLE001 - invalidation is best-effort
-            return
-        if dropped:
-            self.stats.bump("kernel_invalidated", dropped)
 
     # -- snapshots and verification ----------------------------------------------
     def verdicts(self) -> Dict[str, Any]:

@@ -8,6 +8,7 @@ domains and empty relations — and `delta_without`/`answer_contains`
 must agree with full re-evaluation on random (instance, fact) pairs.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -303,6 +304,32 @@ class TestCompiledEdges:
         )
         assert evaluate(query, Instance.empty()) == frozenset()
         assert naive_evaluate(query, Instance.empty()) == frozenset()
+
+    def test_plan_runs_free_their_instance_without_the_cycle_collector(self):
+        # A run that finishes, or stops at its first answer, must leave
+        # no reference cycle behind: one would keep the instance and its
+        # indexes alive until the next full collection.
+        plan = plan_for(q("Q(x, z) :- R(x, y), S(y, z)"))
+        facts = [Fact("R", ("a", "b")), Fact("R", ("d", "b")), Fact("S", ("b", "c"))]
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(10):
+                instance = Instance.of(*facts)
+                assert plan.evaluate(instance) == frozenset({("a", "c"), ("d", "c")})
+                assert plan.derives_row(instance, ("a", "c"))
+                assert plan.delta_without(instance, Fact("S", ("b", "c")))
+            del instance
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if isinstance(obj, Instance)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert not leaked, f"{len(leaked)} instances were freed only by the cycle collector"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ import pytest
 from repro import Dictionary, q
 from repro.cq import union_of
 from repro.exceptions import SecurityAnalysisError
-from repro.probability.kernel import ProbabilityKernel
+from repro.probability.kernel import _MEMO_LIMIT, ProbabilityKernel
+from repro.reference import NaiveExactEngine
+from repro.reference import critical_tuples as reference_critical_tuples
 from repro.relational import Domain, Fact, RelationSchema, Schema
 from repro.session import (
     AnalysisSession,
@@ -26,6 +28,20 @@ from repro.session import (
     may_affect,
 )
 from repro.storage.sqlite import SQLiteFactStore
+
+
+def _reference_verify(secret, view, dictionary) -> bool:
+    """Definition 4.1 by Eq. (4) over the seed enumeration engine."""
+    joint = NaiveExactEngine(dictionary).joint_answer_distribution([secret, view])
+    secret_marginal, view_marginal = {}, {}
+    for (secret_answer, view_answer), probability in joint.items():
+        secret_marginal[secret_answer] = secret_marginal.get(secret_answer, 0) + probability
+        view_marginal[view_answer] = view_marginal.get(view_answer, 0) + probability
+    return all(
+        joint.get((s, v), 0) == p_s * p_v
+        for s, p_s in secret_marginal.items()
+        for v, p_v in view_marginal.items()
+    )
 
 
 class TestMayAffect:
@@ -230,10 +246,6 @@ class TestPublishRetract:
         assert note["event"] == "retract"
         assert note["secrets"]["s"]["secure"] is True
         assert note["secrets"]["s"]["exposed"] is False
-        # Exactly the retracted view's fingerprints were dropped.
-        assert note["crit_invalidated"] > 0
-        assert live.stats["crit_invalidated"] == note["crit_invalidated"]
-        assert live.session.cache_stats.invalidations == note["crit_invalidated"]
         assert live.stats["retracts"] == 1
         assert live.view_names == ("v",)
 
@@ -248,30 +260,103 @@ class TestPublishRetract:
         live = self._session(binary_ab_schema, example_43_queries)
         live.publish("w", "V2(x, y) :- R(x, y)")
         assert live.verdicts()["secrets"]["s"]["secure"] is False
+        revision = live.revision
         live.publish("w", "V3(x) :- R(x, 'b')")
         assert live.view_names == ("v", "w")
         assert live.verdicts()["secrets"]["s"]["secure"] is True
-        # The replacement retracted the old body first.
-        assert live.stats["retracts"] == 1
+        assert live.revision == revision + 1
         assert live.stats["publishes"] == 2
 
-    def test_publish_invalidates_only_overlapping_kernel_memos(
-        self, binary_ab_schema, half_dictionary
+    def test_replacing_a_view_is_one_mutation(
+        self, binary_ab_schema, example_43_queries
     ):
+        # Both bodies disclose the secret, so its exposure never changes:
+        # the replacement is one revision, no retract and no flip.
+        live = self._session(binary_ab_schema, example_43_queries)
+        live.publish("w", "V2(x, y) :- R(x, y)")
+        note = live.publish("w", "V4(y) :- R(y, 'a')")
+        assert note["revision"] == live.revision == 2
+        assert note["secrets"]["s"]["exposed"] is True
+        assert note["secrets"]["s"]["changed"] is False
+        assert note["flipped_views"] == ["w"]
+        assert live.stats["retracts"] == 0
+        assert live.stats["verdict_changes"] == 1
+
+    def test_republished_name_gets_the_new_body_verdict(self, binary_ab_schema):
+        # The crit_D set and kernel memos of the retracted body stay
+        # cached under its own content key; the new body under the same
+        # name must be answered as a fresh session and the reference
+        # engines answer it.
+        secret, old_body, new_body = (
+            "S(y) :- R(y, 'a')",
+            "V2(x, y) :- R(x, y)",
+            "V3(x) :- R(x, 'b')",
+        )
+        domain = binary_ab_schema.domain
         live = LiveAuditSession(
             binary_ab_schema,
-            secrets={"s": "S(y) :- R(y, 'a')"},
+            secrets={"s": secret},
             facts=[Fact("R", ("a", "a"))],
-            dictionary=half_dictionary,
+            dictionary=Dictionary.uniform(binary_ab_schema, Fraction(1, 2)),
         )
-        kernel = ProbabilityKernel.shared(half_dictionary)
-        kernel.joint_distribution([q("V(x) :- R(x, y)")])
-        assert kernel._joint_dists
-        before = kernel.stats["distributions_invalidated"]
-        live.publish("w", "V2(x) :- R(x, 'b')")
-        assert kernel.stats["distributions_invalidated"] > before
-        assert live.stats["kernel_invalidated"] > 0
-        assert not kernel._joint_dists
+        live.publish("w", old_body)
+        live.session.critical_tuples(old_body, domain=domain)
+        assert live.session.verify(secret, old_body).verdict is False
+        live.retract("w")
+        note = live.publish("w", new_body)
+
+        fresh = AnalysisSession(
+            binary_ab_schema,
+            dictionary=Dictionary.uniform(binary_ab_schema, Fraction(1, 2)),
+        )
+        assert note["secrets"]["s"]["secure"] is fresh.decide(secret, new_body).verdict is True
+        crit = live.session.critical_tuples(new_body, domain=domain)
+        assert crit == fresh.critical_tuples(new_body, domain=domain)
+        assert crit == reference_critical_tuples(q(new_body), binary_ab_schema, domain)
+        verified = live.session.verify(secret, new_body).verdict
+        assert verified is fresh.verify(secret, new_body).verdict is True
+        assert verified is _reference_verify(
+            q(secret), q(new_body), Dictionary.uniform(binary_ab_schema, Fraction(1, 2))
+        )
+
+    def test_publish_retract_churn_stays_within_cache_bounds(self):
+        # Only the LRU bounds remove cache entries, so a long churn must
+        # keep every cache at or below its bound.  The view pool holds
+        # more distinct (secret, view) pairs than a kernel memo keeps.
+        schema = Schema(
+            [RelationSchema(f"T{i}", ("x",)) for i in range(12)],
+            domain=Domain(["a", "b"]),
+        )
+        dictionary = Dictionary.uniform(schema, Fraction(1, 2))
+        bodies = [
+            f"V(x) :- T{i}(x), T{j}(x)" for i in range(12) for j in range(i + 1, 12)
+        ]
+        bodies += [f"V() :- T{i}('a'), T{j}('b')" for i in range(12) for j in range(12)]
+        secrets = ["S(x) :- T0(x)", "S() :- T1('a')"]
+        live = LiveAuditSession(
+            schema,
+            secrets=dict(zip("st", secrets)),
+            dictionary=dictionary,
+            cache_size=8,
+        )
+        kernel = ProbabilityKernel.shared(dictionary)
+        for cycle in range(1000):
+            body = bodies[cycle % len(bodies)]
+            live.publish("w", body)
+            live.session.verify(secrets[cycle // len(bodies) % 2], body)
+            live.retract("w")
+        cache = live.session.cache_stats
+        assert cache.evictions > 0
+        assert cache.size <= cache.maxsize == 8
+        assert kernel.stats["distributions"] > _MEMO_LIMIT
+        for memo in (
+            kernel._query_tables,
+            kernel._event_bits,
+            kernel._mass_tables,
+            kernel._joint_dists,
+        ):
+            assert len(memo) <= _MEMO_LIMIT
+        assert live.revision == 2000
 
 
 class TestStoreBacked:

@@ -1,7 +1,8 @@
 """A concurrency oracle for the request pipeline of both front doors.
 
 A hypothesis state machine sends concurrent ``live-create``,
-``apply-delta``, ``live-audit`` and ``subscribe`` requests, plus bursts
+``apply-delta`` (fact deltas, and view publishes, replacements and
+retracts), ``live-audit`` and ``subscribe`` requests, plus bursts
 of identical and of distinct analysis requests, to a single-process
 daemon (:class:`ServerThread`) and to a 2-worker fleet
 (:class:`FleetThread`), both running under a seeded plan of random
@@ -18,6 +19,8 @@ checks, which compare against a sequential reference
   acknowledged at its end (linearizability);
 * every ``subscribe`` stream holds exactly the revisions after its
   acknowledgement, in order, each equal to the reference;
+* a retract that fails names a view that some state of its step did
+  not publish;
 * of two racing ``live-create`` requests for one name exactly one wins,
   and the session then holds the winner's facts;
 * each burst of identical analysis requests adds exactly one
@@ -72,6 +75,18 @@ _names = itertools.count()
 
 FACT_SETS = st.lists(st.sampled_from(range(len(FACTS))), max_size=3, unique=True)
 DELTAS = st.tuples(FACT_SETS, FACT_SETS).filter(lambda delta: delta[0] or delta[1])
+#: One view change per request: a publish of a body from a small pool
+#: under one of two names (so replacements occur), or a retract.
+VIEW_NAMES = ("w0", "w1")
+VIEW_BODIES = (
+    "W(n) :- Emp(n, 'd1', p)",
+    "W(n, p) :- Emp(n, d, p)",
+    "W(d) :- Emp(n, d, p)",
+)
+VIEW_CHANGES = st.one_of(
+    st.tuples(st.sampled_from(VIEW_NAMES), st.sampled_from(VIEW_BODIES)),
+    st.tuples(st.sampled_from(VIEW_NAMES), st.none()),
+)
 
 
 def _verdicts(document: dict) -> dict:
@@ -154,14 +169,17 @@ class LiveOracle(RuleBasedStateMachine):
             futures = [pool.submit(job) for job in jobs]
             return [future.result(timeout=60) for future in futures]
 
-    @rule(deltas=st.lists(DELTAS, max_size=2), audits=st.integers(0, 3), subscribe=st.booleans())
-    def live_ops_race(self, deltas, audits, subscribe):
+    def _race(self, changes, audits, subscribe):
+        """Send ``apply-delta`` requests and reads at once, then check them.
+
+        ``changes`` are ``(fields, apply)`` pairs: the request's fields and
+        the same change applied to the reference, which takes the
+        acknowledged changes in revision order.
+        """
         before = self.acked
         jobs = [
-            lambda delta=delta: self._call(
-                "apply-delta", live=self.name, add=_facts(delta[0]), remove=_facts(delta[1])
-            )
-            for delta in deltas
+            lambda fields=fields: self._call("apply-delta", live=self.name, **fields)
+            for fields, _ in changes
         ]
         jobs += [lambda: self._call("live-audit", live=self.name)] * audits
         if subscribe:
@@ -171,22 +189,62 @@ class LiveOracle(RuleBasedStateMachine):
         results = self._at_once(jobs)
         if subscribe:
             self.subscriptions.append(results.pop())
-        applied = sorted(zip(deltas, results[: len(deltas)]), key=lambda pair: pair[1]["result"]["revision"])
-        for delta, response in applied:
-            assert response["ok"], response
-            self.reference.apply_delta(
-                added=[fact_from_document(d) for d in _facts(delta[0])],
-                removed=[fact_from_document(d) for d in _facts(delta[1])],
-            )
+        answered = list(zip(changes, results[: len(changes)]))
+        applied = sorted(
+            (pair for pair in answered if pair[1]["ok"]),
+            key=lambda pair: pair[1]["result"]["revision"],
+        )
+        for (_, apply), response in applied:
+            apply(self.reference)
             state = _verdicts(self.reference.verdicts())
             assert _verdicts(response["result"]) == state
             self.states[state["revision"]] = state
             self.acked = state["revision"]
-        for response in results[len(deltas):]:
+        for (fields, _), response in answered:
+            if response["ok"]:
+                continue
+            assert "no published view" in response["error"]["message"], response
+            (name,) = fields["retract"]
+            assert any(
+                name not in state["views"]
+                for revision, state in self.states.items()
+                if before <= revision <= self.acked
+            ), (name, response)
+        for response in results[len(changes):]:
             assert response["ok"], response
             answer = _verdicts(response["result"])
             assert before <= answer["revision"] <= self.acked, (before, answer, self.acked)
             assert answer == self.states[answer["revision"]]
+
+    @rule(deltas=st.lists(DELTAS, max_size=2), audits=st.integers(0, 3), subscribe=st.booleans())
+    def live_ops_race(self, deltas, audits, subscribe):
+        changes = [
+            (
+                {"add": _facts(added), "remove": _facts(removed)},
+                lambda reference, added=added, removed=removed: reference.apply_delta(
+                    added=[fact_from_document(d) for d in _facts(added)],
+                    removed=[fact_from_document(d) for d in _facts(removed)],
+                ),
+            )
+            for added, removed in deltas
+        ]
+        self._race(changes, audits, subscribe)
+
+    @rule(views=st.lists(VIEW_CHANGES, min_size=1, max_size=2), audits=st.integers(0, 3))
+    def view_churn_race(self, views, audits):
+        # A subscriber acknowledged before the race sees every revision
+        # the churn makes, so a change that skips one cannot go unseen.
+        self.subscriptions.append(_Subscription(self.address, self.name))
+        changes = []
+        for name, body in views:
+            if body is None:
+                fields = {"retract": [name]}
+                apply = lambda reference, name=name: reference.retract(name)
+            else:
+                fields = {"publish": {name: body}}
+                apply = lambda reference, name=name, body=body: reference.publish(name, body)
+            changes.append((fields, apply))
+        self._race(changes, audits, subscribe=False)
 
     @rule(first=FACT_SETS, second=FACT_SETS)
     def live_creates_race(self, first, second):
