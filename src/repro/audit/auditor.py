@@ -34,7 +34,7 @@ from ..core.security import SecurityDecision
 from ..cq.query import ConjunctiveQuery
 from ..cq.union import UnionQuery
 from ..exceptions import SecurityAnalysisError
-from ..obs import span, tracing_enabled
+from ..obs import span
 from ..probability.dictionary import Dictionary
 from ..relational.domain import Domain
 from ..relational.schema import Schema
@@ -140,7 +140,6 @@ class SecurityAuditor:
             "critical_tuple_cache": self._session.cache_stats.to_dict(),
             "engines": {"verification": self._session.engine_name},
             "query_evaluation": evaluation_stats(),
-            "tracing": {"enabled": tracing_enabled()},
         }
         kernels = self.kernel_stats_for(self._dictionary)
         if kernels is not None:

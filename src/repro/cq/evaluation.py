@@ -11,8 +11,9 @@ picks between them (:func:`_sql_engine` is the only place that does):
 * ``compiled`` — for every other target, :mod:`repro.cq.compiled` plans
   each query once (greedy join ordering, per-instance hash-index
   probes, slot-array bindings, earliest-point comparison checks) and
-  also answers the restricted *delta* questions the criticality engine
-  asks (:func:`answer_contains`, :func:`delta_changes`).
+  also answers restricted *delta* questions: :func:`answer_contains`,
+  which the criticality engine asks, and :func:`delta_changes`, which
+  the reference enumeration in :mod:`repro.reference` asks.
 
 The compiled engine accepts any fact iterable by materialising it into
 an :class:`Instance` first — correct, but re-materialised per call.  The

@@ -3,13 +3,15 @@
 The package has four parts:
 
 * :mod:`repro.obs.trace` — trace contexts and span trees.  A trace is
-  opened at the client or router (:func:`start_trace`), propagated via
-  the wire protocol's ``trace`` envelope field, and instrumentation
-  points call :func:`span` — which is a single module-global boolean
-  check plus a shared null object when tracing is off.
+  opened by the tier that first sees a traced request
+  (:func:`start_trace`), propagated via the wire protocol's ``trace``
+  envelope field, and instrumentation points call :func:`span` — which
+  is a single module-global boolean check plus a shared null object
+  when no trace is open.
 * :mod:`repro.obs.buffer` — a bounded per-process buffer of finished
-  traces with head+tail+slow sampling, merged fleet-wide by the
-  ``traces`` service operation.
+  traces with head+tail+slow sampling, which the ``traces`` service
+  operation returns.  Only the tier that opened a trace records it, so
+  a fleet's router holds one document per traced request.
 * :mod:`repro.obs.slowlog` — the structured slow-request log (JSON
   lines naming the dominant span).
 * :mod:`repro.obs.prom` / :mod:`repro.obs.counters` — Prometheus text
@@ -21,26 +23,22 @@ The package has four parts:
 
 from __future__ import annotations
 
-from .buffer import TRACES, TraceBuffer, merge_trace_snapshots
+from .buffer import TRACES, TraceBuffer
 from .counters import StatCounters
 from .prom import CONTENT_TYPE, render_prometheus
 from .render import render_top, render_waterfall, span_names
 from .slowlog import SLOW_LOG_ENV, SLOW_MS_ENV, SlowLog, slow_log_from_env
 from .trace import (
     DEFAULT_SPAN_LIMIT,
-    TRACE_ENV,
     Span,
     Trace,
     current_span,
     current_trace,
     dominant_span,
-    install_from_env,
     new_trace_id,
     record_span,
-    set_tracing,
     span,
     start_trace,
-    tracing_enabled,
     walk_spans,
 )
 
@@ -53,24 +51,19 @@ __all__ = [
     "StatCounters",
     "SlowLog",
     "TRACES",
-    "TRACE_ENV",
     "Trace",
     "TraceBuffer",
     "current_span",
     "current_trace",
     "dominant_span",
-    "install_from_env",
-    "merge_trace_snapshots",
     "new_trace_id",
     "record_span",
     "render_prometheus",
     "render_top",
     "render_waterfall",
     "span_names",
-    "set_tracing",
     "slow_log_from_env",
     "span",
     "start_trace",
-    "tracing_enabled",
     "walk_spans",
 ]

@@ -12,10 +12,9 @@ the hour).  The buffer therefore samples three ways at once:
 * **slow** — the ``slow`` largest-duration traces seen so far, kept in
   a min-heap (the outliers, which the tail ring would age out).
 
-Snapshots are plain JSON and *mergeable*: :func:`merge_trace_snapshots`
-combines per-worker snapshots into one fleet-wide document with the
-same shape, re-trimming each section and marking ``partial`` when a
-worker's part was missing or malformed.
+Snapshots are plain JSON.  Only the tier that opened a trace records
+it, so a fleet's router buffer is the fleet's whole record: one document
+per traced request, the workers' spans grafted inside it.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ import heapq
 import itertools
 import threading
 from collections import deque
-from typing import Any, Dict, Iterable, List, Mapping
+from typing import Any, Dict, List, Mapping
 
-__all__ = ["TraceBuffer", "TRACES", "merge_trace_snapshots"]
+__all__ = ["TraceBuffer", "TRACES"]
 
 #: Default section bounds of the process-wide buffer.
 DEFAULT_HEAD = 16
@@ -76,7 +75,7 @@ class TraceBuffer:
             self._recorded = 0
 
     def snapshot(self) -> Dict[str, Any]:
-        """Every section as one JSON-serialisable, mergeable document."""
+        """Every section as one JSON-serialisable document."""
         with self._lock:
             slow = [entry[2] for entry in sorted(self._slow, reverse=True)]
             return {
@@ -92,50 +91,6 @@ class TraceBuffer:
             }
 
 
-#: The per-process buffer every server records into.
+#: The per-process buffer of the traces this process opened.
 TRACES = TraceBuffer()
 
-
-def merge_trace_snapshots(parts: Iterable[Any]) -> Dict[str, Any]:
-    """Combine per-worker trace snapshots into one fleet-wide document.
-
-    Malformed or missing parts (a worker died between polls) are
-    skipped and surfaced as ``partial: true`` instead of raising —
-    mirroring :func:`repro.service.metrics.merge_snapshots`.
-    """
-    head: List[Dict[str, Any]] = []
-    tail: List[Dict[str, Any]] = []
-    slow: List[Dict[str, Any]] = []
-    recorded = 0
-    partial = False
-    for part in parts:
-        if not isinstance(part, Mapping):
-            partial = True
-            continue
-        count = part.get("recorded")
-        if isinstance(count, int):
-            recorded += count
-        head.extend(d for d in (part.get("head") or []) if isinstance(d, Mapping))
-        tail.extend(d for d in (part.get("tail") or []) if isinstance(d, Mapping))
-        slow.extend(d for d in (part.get("slow") or []) if isinstance(d, Mapping))
-
-    def _started(document: Mapping[str, Any]) -> float:
-        value = document.get("started")
-        return float(value) if isinstance(value, (int, float)) else 0.0
-
-    def _duration(document: Mapping[str, Any]) -> float:
-        value = document.get("duration_ms")
-        return float(value) if isinstance(value, (int, float)) else 0.0
-
-    head.sort(key=_started)
-    tail.sort(key=_started)
-    slow.sort(key=_duration, reverse=True)
-    merged: Dict[str, Any] = {
-        "recorded": recorded,
-        "head": [dict(d) for d in head[:DEFAULT_HEAD]],
-        "tail": [dict(d) for d in tail[-DEFAULT_TAIL:]],
-        "slow": [dict(d) for d in slow[:DEFAULT_SLOW]],
-    }
-    if partial:
-        merged["partial"] = True
-    return merged

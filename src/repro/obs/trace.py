@@ -6,10 +6,10 @@ in order:
 
 1. **Near-zero cost when tracing is off.**  Every instrumentation site
    calls :func:`span`, whose first statement checks one module-global
-   boolean; when no trace is active anywhere in the process it returns
+   boolean; when no trace is open anywhere in the process it returns
    a single preallocated null span — no allocation, no contextvar read,
-   no clock read.  Hot paths (``delta_changes`` runs tens of thousands
-   of times per audit) pay one attribute load and one branch.
+   no clock read.  Per-call sites such as ``cq.evaluate`` and
+   ``cq.delta`` pay one attribute load and one branch.
 
 2. **Fork- and thread-safety.**  The active span lives in a
    :class:`contextvars.ContextVar`; crossing into a worker thread is
@@ -47,14 +47,12 @@ Span taxonomy (what the instrumented layers emit):
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 import time
 import uuid
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
-    "TRACE_ENV",
     "DEFAULT_SPAN_LIMIT",
     "Span",
     "Trace",
@@ -64,26 +62,19 @@ __all__ = [
     "current_trace",
     "current_span",
     "walk_spans",
-    "tracing_enabled",
-    "set_tracing",
-    "install_from_env",
     "new_trace_id",
     "dominant_span",
 ]
 
-#: Environment variable enabling process-wide tracing (``1``/``true``).
-TRACE_ENV = "REPRO_TRACE"
-
 #: Spans recorded per trace before collapsing into per-name aggregates.
 DEFAULT_SPAN_LIMIT = 256
 
-#: The one fast-path guard: ``True`` iff process-wide tracing is enabled
-#: or at least one trace context is currently open.  Read unlocked on
-#: every :func:`span` call; written under :data:`_STATE_LOCK`.
+#: The one fast-path guard: ``True`` iff at least one trace context is
+#: currently open.  Read unlocked on every :func:`span` call; written
+#: under :data:`_STATE_LOCK`.
 _ARMED = False
 
 _STATE_LOCK = threading.Lock()
-_GLOBAL_ENABLED = False
 _OPEN_TRACES = 0
 
 #: The innermost open span of the current context (``None`` outside any
@@ -95,33 +86,7 @@ _CURRENT: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
 
 def _rearm() -> None:
     global _ARMED
-    _ARMED = _GLOBAL_ENABLED or _OPEN_TRACES > 0
-
-
-def tracing_enabled() -> bool:
-    """True when process-wide tracing is switched on."""
-    return _GLOBAL_ENABLED
-
-
-def set_tracing(enabled: bool) -> None:
-    """Switch process-wide tracing on or off.
-
-    Per-request traces (a ``trace`` field on the wire, or an explicit
-    :func:`start_trace`) work regardless; this flag makes *every*
-    server-handled request open a trace for the buffer and slow log.
-    """
-    global _GLOBAL_ENABLED
-    with _STATE_LOCK:
-        _GLOBAL_ENABLED = bool(enabled)
-        _rearm()
-
-
-def install_from_env() -> bool:
-    """Enable tracing when ``REPRO_TRACE`` is set truthy; returns the state."""
-    raw = os.environ.get(TRACE_ENV, "").strip().lower()
-    if raw and raw not in ("0", "false", "no", "off"):
-        set_tracing(True)
-    return _GLOBAL_ENABLED
+    _ARMED = _OPEN_TRACES > 0
 
 
 def new_trace_id() -> str:

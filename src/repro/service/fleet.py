@@ -44,11 +44,9 @@ holds.  This module scales the service with *cores* instead:
 
 * **Supervision**: the router watches each worker's process sentinel,
   restarts crashed workers (same socket, same shard identity, so the
-  rendezvous order is unchanged), fails the crashed worker's in-flight
-  requests with a retryable ``worker-crashed`` error, and *rewarms* the
-  restarted worker by replaying the most recent distinct requests that
-  shard answered, so its session pool and caches repopulate before real
-  traffic returns.
+  rendezvous order is unchanged) and fails the crashed worker's
+  in-flight requests with a retryable ``worker-crashed`` error.  A
+  re-forked worker starts cold, like a freshly booted one.
 
 * **Aggregated stats**: a ``stats`` request returns fleet totals merged
   from every worker's mergeable metrics snapshot
@@ -57,6 +55,11 @@ holds.  This module scales the service with *cores* instead:
   depths, restart counts and the router's table state.  A ``metrics``
   request renders the same gather as Prometheus text; workers are only
   ever asked for ``stats``.
+
+* **One record per traced request**: the router opens the trace, a
+  worker returns its subtree inline (on errors too) and records
+  nothing, so the router's trace buffer and slow log hold each traced
+  request once; ``traces`` returns that buffer.
 
 ``shutdown`` (or :meth:`FleetServer.stop`) drains: the listener closes,
 in-flight requests finish and are answered, then every worker is asked
@@ -77,19 +80,10 @@ import signal
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Awaitable, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ReproError
-from ..obs import (
-    CONTENT_TYPE,
-    TRACES,
-    Span,
-    current_trace,
-    merge_trace_snapshots,
-    render_prometheus,
-    span,
-)
+from ..obs import CONTENT_TYPE, Span, current_trace, render_prometheus, span
 from . import faults
 from .coalesce import DEFAULT_CACHE_SIZE, Core
 from .health import CircuitBreaker
@@ -127,9 +121,6 @@ DEFAULT_CONNECTIONS_PER_WORKER = 8
 
 #: Default analysis threads inside each worker process.
 DEFAULT_WORKER_THREADS = 2
-
-#: Default number of recent distinct requests replayed to a restarted worker.
-DEFAULT_REWARM_REQUESTS = 8
 
 #: The request id used for router-originated traffic to workers.
 _ROUTER_ID = "__fleet__"
@@ -202,7 +193,6 @@ class _Shard:
         "forwarded",
         "shed",
         "restarts",
-        "warm",
         "breaker",
         "diverted",
         "ready",
@@ -215,14 +205,12 @@ class _Shard:
         self.generation = 0
         self.pool: "asyncio.Queue[_Connection]" = asyncio.Queue()
         self.created = 0
-        #: Requests admitted here and not yet answered or abandoned, plus
-        #: rewarm replays in flight (the load the router balances on).
+        #: Requests admitted here and not yet answered or abandoned (the
+        #: load the router balances on).
         self.outstanding = 0
         self.forwarded = 0
         self.shed = 0
         self.restarts = 0
-        #: fingerprint → raw request line, most recent last (rewarm source).
-        self.warm: "OrderedDict[str, bytes]" = OrderedDict()
         #: Health ladder fed by transport outcomes (see repro.service.health).
         self.breaker = breaker
         #: Requests routed to this shard that its breaker turned away to
@@ -256,8 +244,6 @@ class FleetServer(RequestPipeline):
     result_cache_size:
         Bound on the router's cached results *and* each worker's own
         result cache.
-    rewarm_requests:
-        Recent distinct requests replayed to a restarted worker.
     breaker_options:
         :class:`~repro.service.health.CircuitBreaker` keyword arguments
         applied to every shard (``degrade_after``, ``quarantine_after``,
@@ -288,7 +274,6 @@ class FleetServer(RequestPipeline):
         connections_per_worker: int = DEFAULT_CONNECTIONS_PER_WORKER,
         result_cache_size: int = DEFAULT_CACHE_SIZE,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
-        rewarm_requests: int = DEFAULT_REWARM_REQUESTS,
         breaker_options: Optional[Mapping[str, Any]] = None,
         watchdog_seconds: Optional[float] = None,
         slow_ms: Optional[float] = None,
@@ -311,7 +296,6 @@ class FleetServer(RequestPipeline):
         self._workers = workers or DEFAULT_FLEET_WORKERS
         self._shard_queue_limit = shard_queue_limit
         self._connections_per_worker = connections_per_worker
-        self._rewarm_requests = max(0, rewarm_requests)
         self._breaker_options = dict(breaker_options or {})
         self._diverted = 0
         # Fork where the platform can: workers then inherit the router's
@@ -327,14 +311,11 @@ class FleetServer(RequestPipeline):
         }
         if watchdog_seconds is not None:
             self._worker_options["watchdog_seconds"] = watchdog_seconds
-        if slow_ms is not None:
-            self._worker_options["slow_ms"] = slow_ms
         if worker_options:
             self._worker_options.update(worker_options)
 
         self._shards: List[_Shard] = []
         self._live_relays = 0
-        self._rewarmed = 0
         self._directory: Optional[str] = None
         self._supervisors: List[asyncio.Task] = []
         self._started_at = time.time()
@@ -451,7 +432,7 @@ class FleetServer(RequestPipeline):
             return
 
     async def _supervise(self, shard: _Shard) -> None:
-        """Restart-on-crash: watch the sentinel, respawn, rewarm."""
+        """Restart-on-crash: watch the sentinel, respawn."""
         while True:
             process = shard.process
             if process is None:
@@ -473,9 +454,6 @@ class FleetServer(RequestPipeline):
                 if self._stopping:
                     return
                 await asyncio.sleep(0.5)
-                continue
-            for raw in list(shard.warm.values()):
-                loop.create_task(self._rewarm(shard, raw))
 
     async def _wait_exit(self, process: multiprocessing.process.BaseProcess) -> None:
         """Resolve when the process exits.
@@ -503,16 +481,6 @@ class FleetServer(RequestPipeline):
         finally:
             with contextlib.suppress(Exception):
                 loop.remove_reader(sentinel)
-
-    async def _rewarm(self, shard: _Shard, raw: bytes) -> None:
-        """Replay one remembered request so the new worker's caches warm up."""
-        shard.outstanding += 1  # real work on the worker: route around it
-        try:
-            with contextlib.suppress(Exception):
-                await self._forward(shard, raw)
-                self._rewarmed += 1
-        finally:
-            shard.outstanding -= 1
 
     # -- connection pool ---------------------------------------------------------
     def _connect(self, shard: _Shard) -> Awaitable[Tuple[Any, Any]]:
@@ -674,8 +642,6 @@ class FleetServer(RequestPipeline):
             )
         if request.op == "stats":
             return await self._fleet_stats(request)
-        if request.op == "traces":
-            return await self._fleet_traces(request)
         if request.op == "metrics":
             return await self._fleet_metrics(request)
         # shutdown: acknowledge, then drain-then-stop via serve_until_stopped.
@@ -727,19 +693,12 @@ class FleetServer(RequestPipeline):
         # budget (the worker enforces it); with a trace, the context the
         # worker opens its subtree under.
         trace = current_trace()
-        forward_raw = warm_raw = raw
         document: Optional[Dict[str, Any]] = None
         if deadline is not None or trace is not None:
             document = json.loads(raw)
-            # Rewarm replays must be undeadlined and untraced: a restarted
-            # worker warms its caches, it does not re-answer anyone.
-            document.pop("trace", None)
-            document.pop("deadline_ms", None)
-            warm_raw = encode_message(document)
             if deadline is not None:
                 remaining_ms = max(1.0, (deadline - time.perf_counter()) * 1000.0)
                 document["deadline_ms"] = round(remaining_ms, 3)
-            forward_raw = encode_message(document)
         for rule in faults.fire("router.forward", op=request.op):
             if rule.action == "delay":
                 await asyncio.sleep(rule.delay)
@@ -751,20 +710,23 @@ class FleetServer(RequestPipeline):
                 forward_span = fwd
                 fwd.set("shard", shard.index)
             if trace is not None and document is not None:
+                # A parent marks the worker's tree as a hop of this one:
+                # the worker returns it and records nothing.
                 document["trace"] = {
                     "id": trace.trace_id,
-                    "parent": forward_span.span_id if forward_span else None,
+                    "parent": (forward_span or trace.root).span_id,
                     "return": True,
                 }
-                forward_raw = encode_message(document)
-            response = await self._forward(shard, forward_raw)
+            if document is not None:
+                raw = encode_message(document)
+            response = await self._forward(shard, raw)
         shard.breaker.record_success()
         core = self._core_of(shard, response)
         worker_trace = core.get("server", {}).pop("trace", None)
         if trace is not None and isinstance(worker_trace, Mapping):
-            # The worker answers with a whole trace document; its root
-            # span subtree is what grafts under the forward span
-            # (links/dropped ride along as attrs).
+            # The worker answers with a whole trace document, failed
+            # answers included; its root span subtree is what grafts
+            # under the forward span (links/dropped ride along as attrs).
             subtree = worker_trace.get("root")
             if isinstance(subtree, Mapping):
                 subtree = dict(subtree)
@@ -773,11 +735,6 @@ class FleetServer(RequestPipeline):
                     if value:
                         subtree["attrs"] = {**(subtree.get("attrs") or {}), extra: value}
                 trace.attach_child_doc(forward_span, subtree)
-        if core.get("ok") and not request.is_live and self._rewarm_requests:
-            shard.warm[key] = warm_raw
-            shard.warm.move_to_end(key)
-            while len(shard.warm) > self._rewarm_requests:
-                shard.warm.popitem(last=False)
         return core
 
     @staticmethod
@@ -857,22 +814,6 @@ class FleetServer(RequestPipeline):
             upstream_writer.close()
 
     # -- fleet stats -------------------------------------------------------------
-    async def _ask_workers(self, op: str, **options: Any) -> List[Any]:
-        """One control operation on every worker: each result or exception."""
-
-        async def ask(shard: _Shard) -> Dict[str, Any]:
-            document = {"id": _ROUTER_ID, "op": op, "options": options}
-            response = await asyncio.wait_for(
-                self._forward(shard, encode_message(document)), timeout=15.0
-            )
-            if not response.get("ok"):
-                raise ReproError(f"worker {shard.index} {op} failed: {response!r}")
-            return response.get("result") or {}
-
-        return await asyncio.gather(
-            *(ask(shard) for shard in self._shards), return_exceptions=True
-        )
-
     async def _gather_stats(self) -> Tuple[Dict[str, Any], List[Any]]:
         """Every worker's ``stats`` payload (or exception), and the metrics merge.
 
@@ -880,7 +821,17 @@ class FleetServer(RequestPipeline):
         dead or unreachable shard contributes a malformed part, which
         :func:`merge_snapshots` skips while marking the merge partial.
         """
-        payloads = await self._ask_workers("stats", mergeable=True)
+        line = encode_message({"id": _ROUTER_ID, "op": "stats", "options": {"mergeable": True}})
+
+        async def ask(shard: _Shard) -> Dict[str, Any]:
+            response = await asyncio.wait_for(self._forward(shard, line), timeout=15.0)
+            if not response.get("ok"):
+                raise ReproError(f"worker {shard.index} stats failed: {response!r}")
+            return response.get("result") or {}
+
+        payloads = await asyncio.gather(
+            *(ask(shard) for shard in self._shards), return_exceptions=True
+        )
         mergeables = [self._metrics.mergeable_snapshot()]
         mergeables.extend(
             payload.pop("mergeable", None) if isinstance(payload, dict) else None
@@ -932,7 +883,6 @@ class FleetServer(RequestPipeline):
             "shard_queue_limit": self._shard_queue_limit,
             "connections_per_worker": self._connections_per_worker,
             "active_requests": self._active,
-            "rewarmed": self._rewarmed,
             "diverted": self._diverted,
             "live_relays": self._live_relays,
             "uptime_seconds": round(time.time() - self._started_at, 3),
@@ -943,17 +893,6 @@ class FleetServer(RequestPipeline):
         if fault_stats is not None:
             merged["fleet"]["faults"] = fault_stats
         return ok_response(request.id, "stats", merged)
-
-    async def _fleet_traces(self, request: AuditRequest) -> Dict[str, Any]:
-        """Merge every worker's trace-buffer snapshot with the router's."""
-        payloads = await self._ask_workers("traces")
-        parts: List[Any] = [TRACES.snapshot()]
-        parts.extend(
-            payload if isinstance(payload, Mapping) else None for payload in payloads
-        )
-        merged = merge_trace_snapshots(parts)
-        merged["workers"] = len(self._shards)
-        return ok_response(request.id, "traces", merged)
 
     async def _fleet_metrics(self, request: AuditRequest) -> Dict[str, Any]:
         """One Prometheus exposition of the ``stats`` gather; worker gauges summed."""

@@ -39,7 +39,6 @@ from ..obs import (
     span,
     start_trace,
 )
-from ..obs import install_from_env as install_tracing_from_env
 from . import faults
 from .coalesce import Core, FleetCoalescer
 from .metrics import ServiceMetrics
@@ -178,7 +177,6 @@ class RequestPipeline:
         if self._server is not None:
             raise ReproError("the service is already running")
         faults.install_from_env()
-        install_tracing_from_env()
         self._slow_log = slow_log_from_env(self._slow_ms)
         self._stop_event = asyncio.Event()
         self._stopping = False
@@ -351,6 +349,9 @@ class RequestPipeline:
             return error_response(request_id, error.code, str(error))
         if request.is_control:
             self._metrics.observe(request.op, "computed")
+            if request.op == "traces":
+                # Each tier records only the traces it opened (see _handle).
+                return ok_response(request.id, "traces", TRACES.snapshot())
             return await self._control(request)
         return await self._handle(request, line)
 
@@ -359,28 +360,33 @@ class RequestPipeline:
 
     # -- the pipeline ------------------------------------------------------------
     async def _handle(self, request: AuditRequest, raw: bytes) -> Dict[str, Any]:
-        """The trace root around :meth:`_pipeline` (a no-op when untraced)."""
+        """The trace root around :meth:`_pipeline` (a no-op when untraced).
+
+        The tier that opens a trace is its only keeper: it records the
+        finished tree in :data:`~repro.obs.TRACES` and the slow log.  A
+        ``parent`` comes from an upstream router, whose ``router.forward``
+        span this tier's tree grafts under; that router records the
+        whole request, so this tier records nothing and only returns its
+        tree, on error envelopes too.
+        """
         if not request.trace:
             return await self._pipeline(request, raw)
-        # ``id``/``parent`` come from an upstream router, so this tier's
-        # spans graft under its ``router.forward`` span; a bare
-        # ``{"return": true}`` from a client opens a fresh trace here.
         spec = request.trace
         trace_id = spec.get("id")
         parent_id = spec.get("parent")
+        opened_here = not isinstance(parent_id, str)
         with start_trace(
             self.root_span,
             trace_id=trace_id if isinstance(trace_id, str) else None,
-            parent_id=parent_id if isinstance(parent_id, str) else None,
+            parent_id=None if opened_here else parent_id,
         ) as trace:
             trace.root.set("op", request.op)
             response = await self._pipeline(request, raw)
         document = trace.to_dict()
-        TRACES.record(document)
-        self._slow_log.maybe_log(document, op=request.op)
-        server = response.get("server")
-        if isinstance(server, dict):
-            server["trace"] = document
+        if opened_here:
+            TRACES.record(document)
+            self._slow_log.maybe_log(document, op=request.op)
+        response.setdefault("server", {})["trace"] = document
         return response
 
     def _fingerprint(self, request: AuditRequest) -> Optional[str]:

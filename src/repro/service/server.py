@@ -55,7 +55,6 @@ from ..obs import (
     record_span,
     render_prometheus,
     span,
-    tracing_enabled,
 )
 from . import faults
 from ..io import dictionary_from_dict, schema_from_dict
@@ -206,8 +205,10 @@ class AuditServer(RequestPipeline):
         Upper bound (bytes) on one request line.
     slow_ms:
         Threshold of the structured slow-request log: traced requests
-        slower than this emit one JSON line naming the dominant span
-        (``REPRO_TRACE_SLOW_MS`` / ``REPRO_TRACE_SLOW_LOG`` override).
+        this server opened the trace of, slower than this, emit one JSON
+        line naming the dominant span (``REPRO_TRACE_SLOW_MS`` /
+        ``REPRO_TRACE_SLOW_LOG`` override).  A fleet worker never logs:
+        its router opened every trace it serves.
     watchdog_seconds:
         Server-side cap on any one computation, applied even to
         requests that carry no ``deadline_ms`` (``None`` disables).
@@ -291,8 +292,6 @@ class AuditServer(RequestPipeline):
                 # fidelity (see repro.service.metrics.merge_snapshots).
                 payload["mergeable"] = self._metrics.mergeable_snapshot()
             return ok_response(request.id, "stats", payload)
-        if request.op == "traces":
-            return ok_response(request.id, "traces", TRACES.snapshot())
         if request.op == "metrics":
             payload = self._stats_payload()
             return ok_response(
@@ -345,7 +344,6 @@ class AuditServer(RequestPipeline):
                 for name, (_, live) in self._live.items()
             },
             "tracing": {
-                "enabled": tracing_enabled(),
                 "recorded": TRACES.snapshot()["recorded"],
                 "slow_threshold_ms": self._slow_log.threshold_ms,
                 "slow_logged": self._slow_log.logged,

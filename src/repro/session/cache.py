@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Hashable, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..exceptions import SecurityAnalysisError
 from ..relational.schema import Schema
@@ -124,6 +124,9 @@ class CriticalTupleCache:
     (schema fingerprint, canonical query form, domain values); values are
     the frozen critical-tuple sets.  ``get_or_compute`` is the only way
     entries are created, which keeps the hit/miss accounting exact.
+    Each lookup is also tallied for the thread that made it
+    (:meth:`thread_stats`), so a call on a shared cache can report its
+    own activity.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
@@ -135,6 +138,10 @@ class CriticalTupleCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        #: Thread ident → ``[hits, misses, evictions]`` of that thread's
+        #: lookups.  A new thread may reuse a finished one's ident; only
+        #: deltas on one thread are read, so the inherited counts cancel.
+        self._tallies: Dict[int, List[int]] = {}
 
     @property
     def maxsize(self) -> int:
@@ -162,9 +169,11 @@ class CriticalTupleCache:
     ) -> FrozenSet[Fact]:
         """The cached set for ``key``, computing and inserting it on a miss."""
         with self._lock:
+            tally = self._tally()
             value = self._entries.get(key)
             if value is not None:
                 self._hits += 1
+                tally[0] += 1
                 self._entries.move_to_end(key)
                 return value
         # Compute outside the lock: critical-tuple searches can be slow and
@@ -173,9 +182,11 @@ class CriticalTupleCache:
         value = frozenset(compute())
         with self._lock:
             self._misses += 1
+            tally[1] += 1
             if key not in self._entries and len(self._entries) >= self._maxsize:
                 self._entries.popitem(last=False)
                 self._evictions += 1
+                tally[2] += 1
             self._entries[key] = value
             self._entries.move_to_end(key)
             return value
@@ -195,6 +206,29 @@ class CriticalTupleCache:
                 size=len(self._entries),
                 maxsize=self._maxsize,
             )
+
+    def _tally(self) -> List[int]:
+        """The calling thread's ``[hits, misses, evictions]`` (hold the lock)."""
+        ident = threading.get_ident()
+        tally = self._tallies.get(ident)
+        if tally is None:
+            tally = self._tallies[ident] = [0, 0, 0]
+        return tally
+
+    def thread_stats(self) -> CacheStats:
+        """Like :meth:`stats`, but counting only the calling thread's lookups.
+
+        crit_D runs on the thread that asked for it, so the delta of two
+        snapshots taken on one thread is exactly the activity of the
+        calls that thread made in between, whatever other threads did to
+        the shared cache meanwhile.
+        """
+        with self._lock:
+            hits, misses, evictions = self._tally()
+            size = len(self._entries)
+        return CacheStats(
+            hits=hits, misses=misses, evictions=evictions, size=size, maxsize=self._maxsize
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CriticalTupleCache({self.stats()!r})"

@@ -59,7 +59,9 @@ class AnalysisResult:
         Wall-clock duration of this analysis call.
     cache_used:
         Critical-tuple cache activity caused by this call (hits/misses
-        are deltas; ``size`` is the cache size after the call).
+        are deltas of the lookups made on the calling thread, so
+        concurrent calls on a shared session never count each other's;
+        ``size`` is the cache size after the call).
     """
 
     kind: str

@@ -220,7 +220,7 @@ class AnalysisSession:
     # -- result plumbing ---------------------------------------------------------
     def _finish(self, result_cls, kind, verdict, started, before, **fields) -> AnalysisResult:
         elapsed = time.perf_counter() - started
-        used = self._cache.stats().delta(before)
+        used = self._cache.thread_stats().delta(before)
         return result_cls(
             kind=kind,
             verdict=verdict,
@@ -269,7 +269,7 @@ class AnalysisSession:
 
         secret_query = self._unwrap(secret, "secret")
         view_list = self._normalise_views(views)
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.decide"):
             decision = decide_security(
@@ -303,7 +303,7 @@ class AnalysisSession:
             )
         secret_query = self._unwrap(secret, "secret")
         view_list = self._normalise_views(views)
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.leakage"):
             measurement = _positive_leakage(
@@ -341,7 +341,7 @@ class AnalysisSession:
             normalised = [self._unwrap(v, "view") for v in views]
         else:
             normalised = [self._unwrap(views, "view")]
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.collusion"):
             report = analyse_collusion(
@@ -377,7 +377,7 @@ class AnalysisSession:
             )
         secret_query = self._unwrap(secret, "secret")
         view_list = self._normalise_views((views,))
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.with-knowledge"):
             decision = decide_with_knowledge(
@@ -409,7 +409,7 @@ class AnalysisSession:
 
         secret_query = self._unwrap(secret, "secret")
         view_query = self._unwrap(view, "view")
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.practical"):
             report = classify_practical_security(
@@ -431,7 +431,7 @@ class AnalysisSession:
         """The sound subgoal-unification screening (Section 4.2)."""
         secret_query = self._unwrap(secret, "secret")
         view_list = self._normalise_views(views)
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.quick-check"):
             check = practical_security_check(secret_query, view_list)
@@ -458,7 +458,7 @@ class AnalysisSession:
         view_list = self._normalise_views(views)
         if not view_list:
             raise SecurityAnalysisError("at least one view is required")
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.verify"):
             verdict = self._engine.verify(secret_query, view_list, dictionary, **options)
@@ -498,7 +498,7 @@ class AnalysisSession:
             recipient: self._unwrap(query, f"view for {recipient!r}")
             for recipient, query in plan.views.items()
         }
-        before = self._cache.stats()
+        before = self._cache.thread_stats()
         started = time.perf_counter()
         if domain is None and self._domain is None:
             domain = domain_bounds.analysis_domain(

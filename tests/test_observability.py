@@ -9,9 +9,12 @@ The propagation invariants the PR promises:
 * coalesced followers and result-cache hits link to the leader's trace;
 * span trees survive a worker crash and restart (the fleet keeps
   returning full distributed waterfalls afterwards);
-* the merged ``traces``/``metrics`` service operations degrade to
-  ``partial`` documents instead of raising when a worker's part is
-  missing or malformed;
+* only the tier that opens a trace records it: a fleet's ``traces`` and
+  slow log hold each traced request once, and a failed request's
+  worker spans are inside its one tree;
+* the merged ``metrics`` service operation degrades to a ``partial``
+  document instead of raising when a worker's part is missing or
+  malformed;
 * a fleet's Prometheus ``metrics`` renders the same worker gather as
   ``stats``, with every gauge and counter, and never asks a worker for
   ``metrics``.
@@ -28,22 +31,25 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.bench import employee_schema
 from repro.io import schema_to_dict
 from repro.obs import (
+    SLOW_LOG_ENV,
+    TRACES,
     StatCounters,
     TraceBuffer,
     dominant_span,
-    merge_trace_snapshots,
     render_prometheus,
     render_waterfall,
     span,
     span_names,
     start_trace,
-    tracing_enabled,
 )
 from repro.service import (
     AuditServiceClient,
+    FaultPlan,
+    FaultRule,
     FleetThread,
     ServerThread,
     parse_request,
@@ -69,7 +75,6 @@ VIEWS = {"bob": "V(n, d) :- Emp(n, d, p)"}
 # ---------------------------------------------------------------------------
 class TestTracePrimitives:
     def test_span_is_null_without_a_trace(self):
-        assert not tracing_enabled()
         scope = span("anything")
         with scope as live:
             assert not live  # the null span is falsy: no allocation, no attrs
@@ -119,12 +124,6 @@ class TestTracePrimitives:
         assert [d["trace_id"] for d in snapshot["head"]] == ["t0", "t1"]
         assert [d["trace_id"] for d in snapshot["tail"]] == ["t7", "t8", "t9"]
         assert [d["trace_id"] for d in snapshot["slow"]] == ["t9", "t8"]
-
-    def test_merge_trace_snapshots_marks_partial(self):
-        good = TraceBuffer().snapshot()
-        merged = merge_trace_snapshots([good, None, "garbage"])
-        assert merged["partial"] is True
-        assert merge_trace_snapshots([good, good]).get("partial") is None
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +254,22 @@ class TestServerTracing:
         assert result["recorded"] >= 1
         assert {"head", "tail", "slow", "limits"} <= set(result)
 
+    def test_traced_failure_returns_its_span_tree(self, client):
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="error", op="quick", count=1)]
+        ))
+        try:
+            response = client.request(
+                "quick", schema=SCHEMA, secret="Sfails(n) :- Emp(n, d, p)", views=VIEWS,
+                trace={"return": True},
+            )
+        finally:
+            faults.uninstall()
+        assert response["ok"] is False
+        names = span_names(response["server"]["trace"])
+        assert names[0] == "server.handle"
+        assert "server.execute" in names
+
     def test_metrics_op_returns_prometheus_text(self, client):
         result = client.call("metrics")
         assert result["content_type"].startswith("text/plain")
@@ -337,10 +352,50 @@ class TestFleetTracing:
         children = document["root"].get("children", [])
         assert sum(c["duration_ms"] for c in children) <= document["duration_ms"] + 0.001
 
-    def test_fleet_traces_op_merges_workers(self, fleet_client):
-        result = fleet_client.call("traces")
-        assert result["workers"] == 2
-        assert result["recorded"] >= 1
+    def test_fleet_traces_hold_one_document_per_request(self):
+        # Forked workers inherit the plan: the first quick on a worker fails.
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="error", op="quick", count=1)]
+        ))
+        try:
+            with FleetThread(workers=2, worker_threads=2) as fleet:
+                with AuditServiceClient(*fleet.address) as client:
+                    TRACES.reset()
+                    responses = [
+                        _traced_decide(client, f"Sonce{index}(n) :- Emp(n, d, p)")
+                        for index in range(3)
+                    ]
+                    responses.append(client.request(
+                        "quick", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                        trace={"return": True},
+                    ))
+                    result = client.call("traces")
+        finally:
+            faults.uninstall()
+        assert [response["ok"] for response in responses] == [True, True, True, False]
+        assert result["recorded"] == 4
+        documents = {
+            document["trace_id"]: document
+            for section in ("head", "tail", "slow")
+            for document in result[section]
+        }
+        assert set(documents) == {r["server"]["trace"]["trace_id"] for r in responses}
+        assert all(d["root"]["name"] == "router.route" for d in documents.values())
+        failed = documents[responses[-1]["server"]["trace"]["trace_id"]]
+        assert "server.handle" in span_names(failed)
+
+    def test_fleet_slow_log_has_one_line_per_request(self, tmp_path, monkeypatch):
+        log = tmp_path / "slow.jsonl"
+        monkeypatch.setenv(SLOW_LOG_ENV, str(log))
+        with FleetThread(workers=2, worker_threads=2, slow_ms=0) as fleet:
+            with AuditServiceClient(*fleet.address) as client:
+                responses = [
+                    _traced_decide(client, f"Sslow{index}(n) :- Emp(n, d, p)")
+                    for index in range(3)
+                ]
+        trace_ids = sorted(r["server"]["trace"]["trace_id"] for r in responses)
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sorted(line["trace_id"] for line in lines) == trace_ids
 
     def test_fleet_metrics_op_aggregates_shards(self, fleet_client):
         result = fleet_client.call("metrics")

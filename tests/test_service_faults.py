@@ -643,7 +643,7 @@ class TestFleetChaos:
             )
             # The sqlite error fires on a read that degrades: the initial
             # evaluation of a store-backed live session, placed off shard
-            # 0, which may still be re-forking or rewarming after the kill.
+            # 0, which may still be re-forking after the kill.
             create = {
                 "op": "live-create", "schema": SCHEMA,
                 "secrets": {"s": SECRET, "s2": "S2(d) :- Emp(n, d, p)"},

@@ -290,9 +290,7 @@ class TestFleetLifecycle:
             fleet.stop()
 
     def test_worker_crash_fails_in_flight_and_restart_reserves_fingerprint(self):
-        fleet = FleetThread(
-            workers=2, worker_threads=2, result_cache_size=0, rewarm_requests=0
-        ).start()
+        fleet = FleetThread(workers=2, worker_threads=2, result_cache_size=0).start()
         try:
             document = _slow_request(SLOW_SECRETS[5])
             shard = fleet.fleet._shard_for(_fingerprint(document)).index

@@ -418,6 +418,44 @@ class TestCacheAccounting:
         assert not errors
         assert all(row == expected for row in outcomes)
 
+    def test_cache_used_counts_only_the_calls_own_lookups(self, emp_schema, monkeypatch):
+        # The service's worker threads share sessions: a decide blocked
+        # inside its crit_D miss while another thread runs a whole decide
+        # must still report only its own two lookups.
+        import threading
+
+        import repro.session.session as session_module
+
+        session = AnalysisSession(emp_schema)
+        entered, release = threading.Event(), threading.Event()
+        original = session_module.critical_tuples
+
+        def blocking(*args, **kwargs):
+            if threading.current_thread().name == "blocked" and not entered.is_set():
+                entered.set()
+                release.wait(timeout=60)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "critical_tuples", blocking)
+        results = {}
+
+        def blocked_decide() -> None:
+            results["blocked"] = session.decide(
+                "S(n) :- Emp(n, HR, p)", "V(n) :- Emp(n, Mgmt, p)"
+            )
+
+        thread = threading.Thread(target=blocked_decide, name="blocked")
+        thread.start()
+        assert entered.wait(timeout=60)
+        other = session.decide("T(p) :- Emp(n, d, p)", "W(d) :- Emp(n, d, p)")
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        blocked = results["blocked"].cache_used
+        assert (blocked.hits, blocked.misses) == (0, 2)
+        assert (other.cache_used.hits, other.cache_used.misses) == (0, 2)
+        assert session.cache_stats.misses == 4
+
 
 # ---------------------------------------------------------------------------
 # Engine registry
