@@ -3,8 +3,8 @@
 The ``metrics`` service operation answers with this module's output:
 plain `text/plain; version=0.0.4` exposition — counters per (operation,
 outcome), true cumulative histogram buckets per operation (maintained
-by :class:`repro.service.metrics.ServiceMetrics`, merged fleet-wide
-before rendering), and point-in-time gauges (pending work, connections,
+by :class:`repro.service.metrics.ServiceMetrics`; a fleet renders its
+router's), and point-in-time gauges (pending work, connections,
 sessions, uptime).  Stdlib-only: the text format is simple enough that
 a client library would be pure weight.
 """
@@ -43,13 +43,14 @@ def render_prometheus(
     gauges: Optional[Mapping[str, Any]] = None,
     prefix: str = "repro",
 ) -> str:
-    """Render one merged metrics document as Prometheus text exposition.
+    """Render one metrics document as Prometheus text exposition.
 
-    ``stats`` is the document :func:`repro.service.metrics.merge_snapshots`
-    (or ``ServiceMetrics.snapshot``) produces: an ``operations`` mapping
-    with per-outcome counters and, when present, a ``histogram`` block
-    of cumulative bucket counts.  ``gauges`` adds point-in-time values
-    (``{"pending": 3, ...}``), each becoming ``<prefix>_<name>``.
+    ``stats`` is the document
+    :meth:`repro.service.metrics.ServiceMetrics.snapshot` produces: an
+    ``operations`` mapping with per-outcome counters and, when present,
+    a ``histogram`` block of cumulative bucket counts.  ``gauges`` adds
+    point-in-time values (``{"pending": 3, ...}``), each becoming
+    ``<prefix>_<name>``.
     """
     lines: List[str] = []
     operations = stats.get("operations") or {}

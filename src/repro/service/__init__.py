@@ -17,14 +17,14 @@ deployments front their engines with a query interface:
   executor;
 * :mod:`repro.service.client` — sync and asyncio clients;
 * :mod:`repro.service.metrics` — per-operation counters and latency
-  percentiles served through the ``stats`` operation, with a mergeable
-  snapshot form so a fleet can aggregate per-worker metrics;
+  percentiles served through the ``stats`` operation; a fleet reports
+  its router's, which counts each client request once;
 * :mod:`repro.service.fleet` — the pre-forked multi-process fleet: a
   router whose pipeline table coalesces and caches fleet-wide, and whose
   executor forwards each remaining analysis to the least-loaded healthy
   worker process (ties by rendezvous hashing of the request
   fingerprint) and each live operation to the worker holding its
-  session; plus worker supervision and aggregated stats.
+  session; plus worker supervision and fleet-wide stats.
   ``repro-audit serve --workers N`` (N ≥ 2) boots this instead of the
   single-process daemon;
 * :mod:`repro.service.health` — the per-shard circuit breaker behind
@@ -61,7 +61,7 @@ from .coalesce import FleetCoalescer
 from .faults import FaultPlan, FaultRule
 from .fleet import FleetServer, FleetThread, run_fleet
 from .health import CircuitBreaker
-from .metrics import ServiceMetrics, merge_snapshots
+from .metrics import ServiceMetrics
 from .protocol import (
     ANALYSIS_OPERATIONS,
     CONTROL_OPERATIONS,
@@ -94,7 +94,6 @@ __all__ = [
     "ServerThread",
     "ServiceError",
     "ServiceMetrics",
-    "merge_snapshots",
     "parse_request",
     "request_key",
     "run_fleet",

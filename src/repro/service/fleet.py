@@ -48,13 +48,15 @@ holds.  This module scales the service with *cores* instead:
   in-flight requests with a retryable ``worker-crashed`` error.  A
   re-forked worker starts cold, like a freshly booted one.
 
-* **Aggregated stats**: a ``stats`` request returns fleet totals merged
-  from every worker's mergeable metrics snapshot
-  (:func:`~repro.service.metrics.merge_snapshots` — true percentiles
-  over the union of latency reservoirs, not averages), per-shard queue
-  depths, restart counts and the router's table state.  A ``metrics``
-  request renders the same gather as Prometheus text; workers are only
-  ever asked for ``stats``.
+* **One count per request**: the router answers every client, so its
+  own :class:`~repro.service.metrics.ServiceMetrics` is the fleet's
+  record — each request counted once and timed at the router (queue,
+  forward, worker and reply).  A ``stats`` request returns that record
+  plus per-shard queue depths, restart counts, each worker's ``stats``
+  details and the router's table state; a ``metrics`` request renders
+  the record as Prometheus text with the workers' gauges summed.
+  Workers are only ever asked for ``stats``, and that gather traffic is
+  counted nowhere in the fleet's record.
 
 * **One record per traced request**: the router opens the trace, a
   worker returns its subtree inline (on errors too) and records
@@ -87,7 +89,7 @@ from ..obs import CONTENT_TYPE, Span, current_trace, render_prometheus, span
 from . import faults
 from .coalesce import DEFAULT_CACHE_SIZE, Core
 from .health import CircuitBreaker
-from .metrics import merge_snapshots, stats_gauges
+from .metrics import stats_gauges
 from .pipeline import (
     Overloaded,
     RequestPipeline,
@@ -261,7 +263,6 @@ class FleetServer(RequestPipeline):
     #: The worker enforces the deadline itself; the router lets go of a
     #: forward only once the worker has also missed this grace.
     execute_grace = 0.5
-    counts_executions = False
 
     def __init__(
         self,
@@ -814,14 +815,13 @@ class FleetServer(RequestPipeline):
             upstream_writer.close()
 
     # -- fleet stats -------------------------------------------------------------
-    async def _gather_stats(self) -> Tuple[Dict[str, Any], List[Any]]:
-        """Every worker's ``stats`` payload (or exception), and the metrics merge.
+    async def _gather_stats(self) -> List[Any]:
+        """Every worker's ``stats`` payload, or the exception raised in its place.
 
-        The merge covers the router and every worker that answered; a
-        dead or unreachable shard contributes a malformed part, which
-        :func:`merge_snapshots` skips while marking the merge partial.
+        A dead or unreachable shard contributes its exception, which
+        marks the fleet's answer ``partial`` instead of failing it.
         """
-        line = encode_message({"id": _ROUTER_ID, "op": "stats", "options": {"mergeable": True}})
+        line = encode_message({"id": _ROUTER_ID, "op": "stats"})
 
         async def ask(shard: _Shard) -> Dict[str, Any]:
             response = await asyncio.wait_for(self._forward(shard, line), timeout=15.0)
@@ -829,18 +829,13 @@ class FleetServer(RequestPipeline):
                 raise ReproError(f"worker {shard.index} stats failed: {response!r}")
             return response.get("result") or {}
 
-        payloads = await asyncio.gather(
+        return await asyncio.gather(
             *(ask(shard) for shard in self._shards), return_exceptions=True
         )
-        mergeables = [self._metrics.mergeable_snapshot()]
-        mergeables.extend(
-            payload.pop("mergeable", None) if isinstance(payload, dict) else None
-            for payload in payloads
-        )
-        return merge_snapshots(mergeables), payloads
 
     async def _fleet_stats(self, request: AuditRequest) -> Dict[str, Any]:
-        merged, payloads = await self._gather_stats()
+        payloads = await self._gather_stats()
+        document: Dict[str, Any] = self._metrics.snapshot()
         shards_doc = []
         for shard, payload in zip(self._shards, payloads):
             process = shard.process
@@ -874,10 +869,11 @@ class FleetServer(RequestPipeline):
                     if key in payload
                 }
                 entry["sessions"] = payload.get("sessions", [])
-            elif isinstance(payload, BaseException):
+            else:
                 entry["error"] = str(payload)
+                document["partial"] = True
             shards_doc.append(entry)
-        merged["fleet"] = {
+        document["fleet"] = {
             "workers": len(self._shards),
             "routing": "least-outstanding/rendezvous-ties",
             "shard_queue_limit": self._shard_queue_limit,
@@ -891,26 +887,24 @@ class FleetServer(RequestPipeline):
         }
         fault_stats = faults.stats()
         if fault_stats is not None:
-            merged["fleet"]["faults"] = fault_stats
-        return ok_response(request.id, "stats", merged)
+            document["fleet"]["faults"] = fault_stats
+        return ok_response(request.id, "stats", document)
 
     async def _fleet_metrics(self, request: AuditRequest) -> Dict[str, Any]:
-        """One Prometheus exposition of the ``stats`` gather; worker gauges summed."""
-        merged, payloads = await self._gather_stats()
+        """The router's record as Prometheus text, with the workers' gauges summed."""
+        payloads = await self._gather_stats()
         gauges: Dict[str, Any] = {
             "fleet_workers": len(self._shards),
             "active_requests": self._active,
         }
+        result: Dict[str, Any] = {"content_type": CONTENT_TYPE}
         for payload in payloads:
             if isinstance(payload, dict):
                 for name, value in stats_gauges(payload).items():
                     gauges[name] = gauges.get(name, 0) + value
-        result: Dict[str, Any] = {
-            "content_type": CONTENT_TYPE,
-            "text": render_prometheus(merged, gauges),
-        }
-        if merged.get("partial"):
-            result["partial"] = True
+            else:
+                result["partial"] = True
+        result["text"] = render_prometheus(self._metrics.snapshot(), gauges)
         return ok_response(request.id, "metrics", result)
 
 

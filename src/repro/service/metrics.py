@@ -15,20 +15,15 @@ Latencies are kept per operation in a bounded ring (the most recent
 derives p50/p95/p99.  Everything is guarded by one lock: observations
 come from the event loop *and* from worker threads.
 
-Fleet aggregation
------------------
-A multi-worker fleet holds one :class:`ServiceMetrics` per worker
-process plus one in the router, so the ``stats`` operation needs a
-*mergeable* form: :meth:`ServiceMetrics.mergeable_snapshot` exports the
-raw counters and the latency reservoir itself (not derived percentiles),
-and :func:`merge_snapshots` combines any number of those into one
-document.  :meth:`ServiceMetrics.snapshot` is the merge of one part, so
-a single server and a fleet derive their documents the same way.
-Because the reservoirs travel whole, the merged p50/p95/p99 are
-computed over the union of the samples — identical to what a single
-combined stream would report (up to each ring's :data:`LATENCY_WINDOW`
-truncation) — instead of averaging per-worker percentiles, which has no
-fidelity guarantee.
+Fleet counts
+------------
+A fleet counts each request once, at the tier that answers its client:
+the router.  Its :class:`ServiceMetrics` is the fleet's record, with
+every request timed at the router (queue, forward, worker and reply),
+so a fleet's ``stats`` and ``metrics`` merge nothing.  Workers keep
+their own :class:`ServiceMetrics`, which only their own ``stats``
+reports; the router reads their point-in-time :func:`stats_gauges` and
+sums them.
 """
 
 from __future__ import annotations
@@ -37,14 +32,13 @@ import threading
 import time
 from bisect import bisect_left
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 __all__ = [
     "ServiceMetrics",
     "LATENCY_WINDOW",
     "HISTOGRAM_BUCKETS_MS",
     "percentile",
-    "merge_snapshots",
     "stats_gauges",
 ]
 
@@ -98,6 +92,17 @@ class _OpMetrics:
         self.bucket_counts[bisect_left(HISTOGRAM_BUCKETS_MS, elapsed_ms)] += 1
         self.latency_sum += elapsed_ms
         self.latency_count += 1
+
+    def document(self) -> Dict[str, object]:
+        """This operation's counters, derived latencies and cumulative histogram."""
+        doc: Dict[str, object] = {"requests": sum(self.counts.values()), **self.counts}
+        if self.latencies:
+            doc["latency_ms"] = _latency_doc(sorted(self.latencies))
+        if self.latency_count:
+            doc["histogram"] = _histogram_doc(
+                self.bucket_counts, self.latency_sum, self.latency_count
+            )
+        return doc
 
 
 def _histogram_doc(
@@ -159,144 +164,28 @@ class ServiceMetrics:
         number of requests that never reached the worker pool because an
         identical question was in flight or already answered.
         """
-        return merge_snapshots([self.mergeable_snapshot()])
+        with self._lock:
+            operations = {op: self._ops[op].document() for op in sorted(self._ops)}
+        totals = {
+            outcome: sum(doc[outcome] for doc in operations.values()) for outcome in OUTCOMES
+        }
+        requests = sum(totals.values())
+        duplicates = totals["coalesced"] + totals["cached"]
+        return {
+            "uptime_seconds": round(time.time() - self._started, 3),
+            "totals": {
+                "requests": requests,
+                **totals,
+                "duplicate_hits": duplicates,
+                "coalescing_hit_rate": totals["coalesced"] / requests if requests else 0.0,
+                "duplicate_hit_rate": duplicates / requests if requests else 0.0,
+            },
+            "operations": operations,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         totals = self.snapshot()["totals"]
         return f"ServiceMetrics(requests={totals['requests']}, duplicates={totals['duplicate_hits']})"
-
-    def mergeable_snapshot(self) -> Dict[str, Any]:
-        """The raw, lossless form :func:`merge_snapshots` combines.
-
-        Unlike :meth:`snapshot`, latency reservoirs are exported as the
-        sample lists themselves so the fleet can derive percentiles over
-        the *union* of the workers' observations::
-
-            {"started": <epoch>,
-             "operations": {op: {"counts": {...}, "latencies_ms": [...],
-                                 "histogram": {"buckets": [...], "sum_ms": ..., "count": ...}}}}
-
-        The histogram travels as the raw per-bucket count list (final
-        slot = overflow) so merging is element-wise addition.
-        """
-        with self._lock:
-            return {
-                "started": self._started,
-                "operations": {
-                    op: {
-                        "counts": dict(entry.counts),
-                        "latencies_ms": [round(v, 6) for v in entry.latencies],
-                        "histogram": {
-                            "buckets": list(entry.bucket_counts),
-                            "sum_ms": round(entry.latency_sum, 6),
-                            "count": entry.latency_count,
-                        },
-                    }
-                    for op, entry in self._ops.items()
-                },
-            }
-
-
-def merge_snapshots(parts: Iterable[Any]) -> Dict[str, object]:
-    """Combine mergeable snapshots into one :meth:`ServiceMetrics.snapshot` doc.
-
-    Counters are summed and latency reservoirs concatenated, so the
-    merged p50/p95/p99 equal those of a single stream that had seen every
-    observation (each source ring is still bounded by
-    :data:`LATENCY_WINDOW`, so extremely long-lived fleets merge the most
-    recent window of each worker).  ``uptime_seconds`` is measured from
-    the earliest ``started`` stamp.
-
-    A shard that dies between stats polls contributes a malformed part
-    (``None``, an exception's string form, an empty doc): such parts are
-    skipped and the merged document carries ``partial: true`` instead of
-    the merge raising fleet-wide.
-    """
-    started: Optional[float] = None
-    counts: Dict[str, Dict[str, int]] = {}
-    samples: Dict[str, List[float]] = {}
-    buckets: Dict[str, List[int]] = {}
-    sums: Dict[str, float] = {}
-    hist_counts: Dict[str, int] = {}
-    partial = False
-    for part in parts:
-        if not isinstance(part, Mapping):
-            partial = True
-            continue
-        part_started = part.get("started")
-        if isinstance(part_started, (int, float)):
-            started = part_started if started is None else min(started, part_started)
-        operations = part.get("operations")
-        if not isinstance(operations, Mapping):
-            if operations is not None:
-                partial = True
-            continue
-        for op, entry in operations.items():
-            if not isinstance(entry, Mapping):
-                partial = True
-                continue
-            merged = counts.setdefault(op, {outcome: 0 for outcome in OUTCOMES})
-            part_counts = entry.get("counts")
-            if isinstance(part_counts, Mapping):
-                for outcome, count in part_counts.items():
-                    if outcome in merged and isinstance(count, int):
-                        merged[outcome] += count
-            latencies = entry.get("latencies_ms") or []
-            samples.setdefault(op, []).extend(
-                float(v) for v in latencies if isinstance(v, (int, float))
-            )
-            histogram = entry.get("histogram")
-            if isinstance(histogram, Mapping):
-                part_buckets = histogram.get("buckets")
-                if (
-                    isinstance(part_buckets, list)
-                    and len(part_buckets) == len(HISTOGRAM_BUCKETS_MS) + 1
-                ):
-                    merged_buckets = buckets.setdefault(
-                        op, [0] * (len(HISTOGRAM_BUCKETS_MS) + 1)
-                    )
-                    for index, count in enumerate(part_buckets):
-                        if isinstance(count, int):
-                            merged_buckets[index] += count
-                sum_ms = histogram.get("sum_ms")
-                if isinstance(sum_ms, (int, float)):
-                    sums[op] = sums.get(op, 0.0) + float(sum_ms)
-                count = histogram.get("count")
-                if isinstance(count, int):
-                    hist_counts[op] = hist_counts.get(op, 0) + count
-
-    operations_doc: Dict[str, object] = {}
-    totals = {outcome: 0 for outcome in OUTCOMES}
-    for op in sorted(counts):
-        op_counts = counts[op]
-        for outcome, count in op_counts.items():
-            totals[outcome] += count
-        op_doc: Dict[str, object] = {"requests": sum(op_counts.values()), **op_counts}
-        if samples.get(op):
-            op_doc["latency_ms"] = _latency_doc(sorted(samples[op]))
-        if hist_counts.get(op):
-            op_doc["histogram"] = _histogram_doc(
-                buckets.get(op, [0] * (len(HISTOGRAM_BUCKETS_MS) + 1)),
-                sums.get(op, 0.0),
-                hist_counts[op],
-            )
-        operations_doc[op] = op_doc
-    requests = sum(totals.values())
-    duplicates = totals["coalesced"] + totals["cached"]
-    merged_doc: Dict[str, object] = {
-        "uptime_seconds": round(time.time() - started, 3) if started is not None else 0.0,
-        "totals": {
-            "requests": requests,
-            **totals,
-            "duplicate_hits": duplicates,
-            "coalescing_hit_rate": totals["coalesced"] / requests if requests else 0.0,
-            "duplicate_hit_rate": duplicates / requests if requests else 0.0,
-        },
-        "operations": operations_doc,
-    }
-    if partial:
-        merged_doc["partial"] = True
-    return merged_doc
 
 
 def stats_gauges(stats: Mapping[str, Any]) -> Dict[str, Any]:

@@ -86,6 +86,23 @@ def failure(code: str, message: str, retryable: Optional[bool] = None) -> Core:
     return {"ok": False, "error": error}
 
 
+def _outcome_of(core: Core) -> str:
+    """The metrics outcome of a core this tier's table did not answer.
+
+    An ok core is ``computed`` unless its ``server`` flags say the
+    worker's table answered it (only a router's cores carry them); a
+    failed core is named by its error code.
+    """
+    if core.get("ok"):
+        server = core.get("server") or {}
+        for hit in ("cached", "coalesced"):
+            if server.get(hit):
+                return hit
+        return "computed"
+    code = (core.get("error") or {}).get("code")
+    return {ERROR_DEADLINE_EXCEEDED: "deadline", ERROR_OVERLOADED: "shed"}.get(code, "error")
+
+
 async def pump(
     next_line: Callable[[], Awaitable[bytes]],
     reader: asyncio.StreamReader,
@@ -134,9 +151,6 @@ class RequestPipeline:
     hit_prefix = ""
     #: Slack past a request's deadline before its execution is let go.
     execute_grace = 0.0
-    #: Whether an execution that returned counts as ``computed`` here
-    #: (the router's forwards are counted by the worker that ran them).
-    counts_executions = True
 
     def __init__(
         self,
@@ -465,11 +479,11 @@ class RequestPipeline:
                         core = await self._await_within(leader, deadline)
                 except asyncio.TimeoutError:
                     core = self._expiry(request, "while awaiting a twin computation")
-                    return self._finish(request, core, started, "deadline")
+                    return self._finish(request, core, started)
                 return self._duplicate(request, core, started, "coalesced", "coalesced-leader")
-        core, outcome = None, None
+        core = None
         try:
-            core, outcome = await self._run(request, raw, key, deadline)
+            core = await self._run(request, raw, key, deadline)
         finally:
             if key is not None:
                 if core is None:  # cancelled: the server is stopping
@@ -478,31 +492,30 @@ class RequestPipeline:
                     self._table.publish(key, core)
                 else:
                     self._table.abandon(key, core)
-        return self._finish(request, core, started, outcome)
+        return self._finish(request, core, started)
 
     async def _run(
         self, request: AuditRequest, raw: bytes, key: Optional[str], deadline: Optional[float]
-    ) -> Tuple[Core, Optional[str]]:
-        """Admit and execute an owned request; returns its core and outcome."""
+    ) -> Core:
+        """Admit and execute an owned request; returns its core."""
         if deadline is not None and time.perf_counter() >= deadline:
             # The budget was spent upstream (router queue, network):
             # answer structurally instead of starting doomed work.
-            return self._expiry(request, "before execution started"), "deadline"
+            return self._expiry(request, "before execution started")
         try:
             slot = self._admit(request, key)
         except Overloaded as error:
-            return failure(ERROR_OVERLOADED, str(error)), "shed"
+            return failure(ERROR_OVERLOADED, str(error))
         self._pending += 1
         work = asyncio.ensure_future(self._execute(request, raw, key, slot, deadline))
         try:
             core = await self._await_within(
                 work, None if deadline is None else deadline + self.execute_grace
             )
-            outcome = "computed" if self.counts_executions else None
         except asyncio.TimeoutError:
-            core, outcome = self._expiry(request, self._abandon(key, work, slot)), "deadline"
+            core = self._expiry(request, self._abandon(key, work, slot))
         except Exception as error:  # noqa: BLE001 - the server must survive
-            core, outcome = self._failure_of(request, slot, error), "error"
+            core = self._failure_of(request, slot, error)
         finally:
             self._pending -= 1
             self._release(slot)
@@ -511,7 +524,7 @@ class RequestPipeline:
             # Stamped before the table resolves the key, so coalesced
             # twins and later cache hits can link to this computation.
             core["trace_id"] = trace.trace_id
-        return core, outcome
+        return core
 
     def _admit(self, request: AuditRequest, key: Optional[str]) -> Any:
         """Pick the execution slot, or raise :class:`Overloaded` (shed)."""
@@ -548,21 +561,19 @@ class RequestPipeline:
         leader = core.get("trace_id")
         if trace is not None and isinstance(leader, str) and leader != trace.trace_id:
             trace.link(leader, relation)
-        return self._finish(request, core, started, hit, hit=hit)
+        return self._finish(request, core, started, hit)
 
     def _finish(
-        self,
-        request: AuditRequest,
-        core: Core,
-        started: float,
-        outcome: Optional[str],
-        *,
-        hit: Optional[str] = None,
+        self, request: AuditRequest, core: Core, started: float, hit: Optional[str] = None
     ) -> Dict[str, Any]:
-        """Record the outcome and build the response envelope of one core."""
+        """Record one answered request and build its response envelope.
+
+        ``hit`` names this tier's table answering it (``cached`` or
+        ``coalesced``); otherwise :func:`_outcome_of` reads the core.
+        """
         elapsed = time.perf_counter() - started
-        if outcome is not None:
-            self._metrics.observe(request.op, outcome, None if outcome == "shed" else elapsed)
+        outcome = hit or _outcome_of(core)
+        self._metrics.observe(request.op, outcome, None if outcome == "shed" else elapsed)
         if not core.get("ok"):
             error = core.get("error") or {}
             return error_response(

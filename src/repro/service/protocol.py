@@ -313,8 +313,6 @@ def parse_request(document: Any) -> AuditRequest:
             )
         trace = dict(trace)
     if op in CONTROL_OPERATIONS:
-        # Control operations accept options too (e.g. the fleet router asks
-        # each worker for ``stats`` with ``{"mergeable": true}``).
         return AuditRequest(op=op, id=request_id, options=dict(options), trace=trace)
 
     if op in LIVE_OPERATIONS:

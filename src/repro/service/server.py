@@ -285,13 +285,7 @@ class AuditServer(RequestPipeline):
                 request.id, "ping", {"pong": True, "version": PROTOCOL_VERSION}
             )
         if request.op == "stats":
-            payload = self._stats_payload()
-            if request.options.get("mergeable"):
-                # The raw counters + latency reservoirs, so a fleet router
-                # can merge per-worker stats without losing percentile
-                # fidelity (see repro.service.metrics.merge_snapshots).
-                payload["mergeable"] = self._metrics.mergeable_snapshot()
-            return ok_response(request.id, "stats", payload)
+            return ok_response(request.id, "stats", self._stats_payload())
         if request.op == "metrics":
             payload = self._stats_payload()
             return ok_response(

@@ -30,6 +30,7 @@ import queue
 import random
 import threading
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -401,6 +402,15 @@ def generate_delta_stream(spec: DeltaStreamSpec) -> List[Dict[str, Any]]:
         if key not in state:
             state.add(key)
             initial.append([fact.relation, list(fact.values)])
+    # The live facts in sorted order, so a delete picks by index
+    # instead of sorting the whole state on every draw.
+    live = sorted(state)
+
+    def add_live(key: Tuple[str, Tuple[Any, ...]]) -> None:
+        if key not in state:
+            state.add(key)
+            insort(live, key)
+
     create: Dict[str, Any] = {
         "op": "live-create",
         "live": spec.live,
@@ -423,7 +433,7 @@ def generate_delta_stream(spec: DeltaStreamSpec) -> List[Dict[str, Any]]:
             kind = _weighted_choice(rng, mix)
             if kind == "retract" and not published:
                 kind = "publish" if "publish" in mix else "insert"
-            if kind == "delete" and not (state - set(adds)):
+            if kind == "delete" and len(live) == len(set(adds)):
                 kind = "insert"
             if kind == "insert":
                 relation = rng.choice(names)
@@ -438,12 +448,21 @@ def generate_delta_stream(spec: DeltaStreamSpec) -> List[Dict[str, Any]]:
                     )
                     if key not in state:
                         break
-                state.add(key)
+                add_live(key)
                 adds.append(key)
             elif kind == "delete":
                 # Never remove a fact this same delta adds: add/remove
-                # of one request must stay disjoint.
-                key = rng.choice(sorted(state - set(adds)))
+                # of one request must stay disjoint.  The index drawn is
+                # the one ``rng.choice`` draws over the sorted live facts
+                # without this delta's adds; stepping it past each add's
+                # position in ``live`` finds the same fact.
+                skipped = sorted(bisect_left(live, fact) for fact in set(adds))
+                index = rng.randrange(len(live) - len(skipped))
+                for position in skipped:
+                    if position > index:
+                        break
+                    index += 1
+                key = live.pop(index)
                 state.discard(key)
                 removes.append(key)
             elif kind == "publish":
@@ -474,7 +493,7 @@ def generate_delta_stream(spec: DeltaStreamSpec) -> List[Dict[str, Any]]:
                     for _ in range(spec.instance.relations[relation])
                 ),
             )
-            state.add(key)
+            add_live(key)
             adds.append(key)
         document: Dict[str, Any] = {"op": "apply-delta", "live": spec.live}
         if adds:

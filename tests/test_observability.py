@@ -12,12 +12,10 @@ The propagation invariants the PR promises:
 * only the tier that opens a trace records it: a fleet's ``traces`` and
   slow log hold each traced request once, and a failed request's
   worker spans are inside its one tree;
-* the merged ``metrics`` service operation degrades to a ``partial``
-  document instead of raising when a worker's part is missing or
-  malformed;
-* a fleet's Prometheus ``metrics`` renders the same worker gather as
-  ``stats``, with every gauge and counter, and never asks a worker for
-  ``metrics``.
+* a fleet counts each client request once, at the router: its
+  Prometheus ``metrics`` renders the router's record with every
+  worker's gauges summed, never asks a worker for ``metrics``, and
+  counts none of its own ``stats`` calls to the workers.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from repro.service import (
     parse_request,
     request_key,
 )
-from repro.service.metrics import ServiceMetrics, merge_snapshots
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import session_key
 
 
@@ -155,19 +153,6 @@ class TestCounters:
 
 
 class TestMetricsMerging:
-    def test_merge_snapshots_tolerates_missing_parts(self):
-        metrics = ServiceMetrics()
-        metrics.observe("decide", "computed", elapsed_seconds=0.01)
-        merged = merge_snapshots([metrics.mergeable_snapshot(), None, 17])
-        assert merged["partial"] is True
-        assert merged["operations"]["decide"]["requests"] == 1
-
-    def test_merge_snapshots_clean_parts_not_partial(self):
-        metrics = ServiceMetrics()
-        metrics.observe("decide", "computed", elapsed_seconds=0.01)
-        merged = merge_snapshots([metrics.mergeable_snapshot()])
-        assert "partial" not in merged
-
     def test_prometheus_exposition_has_histogram_buckets(self):
         metrics = ServiceMetrics()
         for elapsed in (0.001, 0.02, 0.7):
@@ -503,15 +488,16 @@ class TestFleetMetricsGather:
             for op, doc in stats["operations"].items()
             for outcome in ("computed", "coalesced", "cached", "error", "shed", "deadline")
         }
-        assert set(counters) == set(expected)
+        assert set(counters) == {key for key in expected if key[0] != "stats"}
         for (op, outcome), count in expected.items():
             if op != "stats":
                 assert counters[op, outcome] == count, (op, outcome)
-        # The stats call itself: once at the router, once on each worker.
-        assert expected["stats", "computed"] == counters["stats", "computed"] + 3
-        # The scrape was answered from two worker stats calls, never a
-        # worker metrics call: only the router counted it.
-        assert counters["stats", "computed"] == 2
+        # One count per client request, kept by the router that answered
+        # it: the scrape came before the client's stats call, and the
+        # router's own stats calls to the workers count nowhere.
+        assert not any(op == "stats" for op, _ in counters)
+        assert stats["operations"]["stats"]["computed"] == 1
+        assert stats["totals"]["requests"] == 12
         assert counters["metrics", "computed"] == expected["metrics", "computed"] == 1
         assert counters["decide", "cached"] == 1
         assert counters["decide", "error"] == 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import random
 import socket
 import threading
 
@@ -28,7 +27,7 @@ from repro.service import (
     parse_request,
     request_key,
 )
-from repro.service.metrics import ServiceMetrics, merge_snapshots, percentile
+from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.protocol import (
     ERROR_ANALYSIS,
     ERROR_BAD_JSON,
@@ -175,45 +174,6 @@ class TestMetrics:
     def test_rejects_unknown_outcome(self):
         with pytest.raises(ValueError):
             ServiceMetrics().observe("decide", "mystery")
-
-    def test_merged_percentiles_match_a_single_combined_stream(self):
-        # Satellite: merging per-worker mergeable snapshots must lose no
-        # percentile fidelity versus one stream that saw every sample.
-        rng = random.Random(20260808)
-        observations = [
-            (f"op{index % 3}", outcome, rng.expovariate(1.0 / 20.0))
-            for index in range(3000)
-            for outcome in (rng.choice(("computed", "coalesced", "cached")),)
-        ]
-        workers = [ServiceMetrics() for _ in range(4)]
-        combined = ServiceMetrics()
-        for index, (op, outcome, elapsed_ms) in enumerate(observations):
-            workers[index % 4].observe(op, outcome, elapsed_ms / 1000.0)
-            combined.observe(op, outcome, elapsed_ms / 1000.0)
-        merged = merge_snapshots(worker.mergeable_snapshot() for worker in workers)
-        reference = combined.snapshot()
-        assert merged["totals"] == {
-            key: value
-            for key, value in reference["totals"].items()
-            if key != "uptime_seconds"
-        }
-        for op, op_doc in reference["operations"].items():
-            merged_latency = merged["operations"][op]["latency_ms"]
-            for quantile in ("count", "mean", "p50", "p95", "p99", "max"):
-                assert merged_latency[quantile] == pytest.approx(
-                    op_doc["latency_ms"][quantile], abs=1e-3
-                ), f"{op} {quantile} diverged after the merge"
-
-    def test_merge_of_one_snapshot_is_the_snapshot(self):
-        metrics = ServiceMetrics()
-        metrics.observe("decide", "computed", 0.01)
-        metrics.observe("decide", "shed")
-        merged = merge_snapshots([metrics.mergeable_snapshot()])
-        snapshot = metrics.snapshot()
-        assert merged["totals"]["requests"] == snapshot["totals"]["requests"]
-        assert merged["operations"]["decide"]["latency_ms"] == (
-            snapshot["operations"]["decide"]["latency_ms"]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ import os
 import queue
 import signal
 import threading
+import time
 
 import pytest
 
@@ -322,6 +323,34 @@ class TestDeadlines:
                     deadline_ms=30_000,
                 )
                 assert retry["ok"] is True
+
+    def test_fleet_retry_after_a_deadline_is_answered_from_a_cache(self):
+        # Each forked worker inherits the plan: its first decide sleeps.
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=0.6, count=1)]
+        ))
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            with AuditServiceClient(*fleet.address) as client:
+                expired = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=120,
+                )
+                assert not expired["ok"]
+                assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                # The worker harvests the abandoned computation into its
+                # cache, and an idle fleet routes the retry to that worker.
+                time.sleep(1.0)
+                retry = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=30_000,
+                )
+                assert retry["ok"] is True
+                assert retry["server"].get("cached") is True
+                assert "fleet_cached" not in retry["server"]
+                decide = client.stats()["operations"]["decide"]
+        assert decide["deadline"] == 1
+        assert decide["cached"] == 1
 
     def test_deadline_is_excluded_from_the_fingerprint(self):
         with ServerThread() as server:

@@ -10,8 +10,9 @@ sockets, covering the PR's hard guarantees:
   concurrent uncached requests go to the least-loaded healthy shard,
   counted from admission, a recovering shard gets exactly one probe,
   and a shard whose worker is being re-forked gets no analyses;
-* ``stats`` aggregates every worker's mergeable metrics into one
-  document with per-shard queue depths;
+* ``stats`` is the router's own record of the requests it answered,
+  with per-shard queue depths, and marks itself ``partial`` while a
+  worker cannot answer;
 * drain-then-stop answers every in-flight request across multiple
   workers and reaps every worker process (no orphans);
 * a crashed worker fails its in-flight requests with a *retryable*
@@ -24,6 +25,7 @@ sockets, covering the PR's hard guarantees:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import json
 import os
@@ -97,6 +99,35 @@ def _wait_restart(fleet: FleetThread, shard: int, old_pid: int, timeout: float =
             return pids[shard]
         time.sleep(0.05)
     raise AssertionError(f"worker {shard} did not restart within {timeout}s")
+
+
+@contextlib.contextmanager
+def _refork_held(fleet: FleetThread, shard: int = 0):
+    """SIGKILL ``shard``'s worker and hold its re-fork until the block ends.
+
+    Yields the killed pid once the supervisor has seen the crash.
+    """
+    router = fleet.fleet
+    release = threading.Event()
+    spawn = router._spawn
+
+    async def held_spawn(target):
+        while target.index == shard and not release.is_set():
+            await asyncio.sleep(0.02)
+        await spawn(target)
+
+    router._spawn = held_spawn
+    victim = router.worker_pids[shard]
+    os.kill(victim, signal.SIGKILL)
+    try:
+        deadline = time.time() + 30
+        while router.worker_pids[shard] != -1 and time.time() < deadline:
+            time.sleep(0.02)
+        assert router.worker_pids[shard] == -1, "the supervisor never saw the crash"
+        yield victim
+        assert router.worker_pids[shard] == -1, f"shard {shard} came back mid-test"
+    finally:
+        release.set()
 
 
 def _assert_reaped(pids):
@@ -242,6 +273,38 @@ class TestFleetStats:
         assert latency is not None
         assert latency["count"] >= 4
         assert latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
+
+    def test_stats_and_metrics_are_partial_while_a_worker_restarts(self):
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            router = fleet.fleet
+            with AuditServiceClient(*fleet.address) as client:
+                for index in range(3):
+                    assert client.request(
+                        "decide", schema=SCHEMA, secret=f"Spartial{index}(n) :- Emp(n, d, p)",
+                        views=VIEWS,
+                    )["ok"]
+                with _refork_held(fleet) as victim:
+                    started = time.perf_counter()
+                    metrics = client.call("metrics")
+                    metrics_seconds = time.perf_counter() - started
+                    stats = client.stats()
+                    stats_seconds = time.perf_counter() - started - metrics_seconds
+                assert metrics_seconds < 5.0 and stats_seconds < 5.0
+                assert metrics["partial"] is True
+                assert stats["partial"] is True
+                missing, serving = stats["fleet"]["shards"]
+                assert "error" in missing and "worker" not in missing
+                assert "error" not in serving and "worker" in serving
+                # The router's own record: 3 decides, the scrape, this call.
+                assert stats["totals"] == router.metrics.snapshot()["totals"]
+                assert stats["totals"]["requests"] == 5
+
+                _wait_restart(fleet, 0, victim)
+                assert "partial" not in client.call("metrics")
+                stats = client.stats()
+                assert "partial" not in stats
+                assert all("worker" in entry for entry in stats["fleet"]["shards"])
+                assert stats["totals"]["requests"] == 7
 
 
 class TestFleetLifecycle:
@@ -549,27 +612,9 @@ class TestLoadAwareRouting:
             documents.remove(comeback)
 
             # Hold shard 0's re-fork open until the requests are answered.
-            release = threading.Event()
-            spawn = router._spawn
-
-            async def held_spawn(shard):
-                while shard.index == 0 and not release.is_set():
-                    await asyncio.sleep(0.02)
-                await spawn(shard)
-
-            router._spawn = held_spawn
-            victim = router.worker_pids[0]
-            os.kill(victim, signal.SIGKILL)
-            try:
-                deadline = time.time() + 30
-                while router.worker_pids[0] != -1 and time.time() < deadline:
-                    time.sleep(0.02)
-                assert router.worker_pids[0] == -1, "the supervisor never saw the crash"
+            with _refork_held(fleet) as victim:
                 responses = [_send(fleet, document) for document in documents[:5]]
                 responses += _at_once(fleet, documents[5:])
-                assert router.worker_pids[0] == -1, "shard 0 came back mid-test"
-            finally:
-                release.set()
             assert all(response["ok"] for response in responses), responses
             assert {response["server"]["shard"] for response in responses} == {1}
             assert not any(response["server"].get("cached") for response in responses)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.exceptions import ReproError
 from repro.service import ServerThread, parse_request
 from repro.workload import (
     DeltaStreamSpec,
+    InstanceSpec,
     WorkloadSpec,
     delta_stream_state,
     generate_delta_stream,
@@ -139,6 +143,58 @@ class TestDeltaStreams:
             generate_delta_stream(DeltaStreamSpec(secrets={}))
         with pytest.raises(ReproError):
             generate_delta_stream(DeltaStreamSpec(mix={"teleport": 1.0}))
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                DeltaStreamSpec(seed=0),
+                "1ce923126baa016c62e3cb3945badd5c4f6d44128d79a16ed58b8f2fd321de35",
+            ),
+            (
+                # The shape of perfbench's live-delta streams.
+                DeltaStreamSpec(
+                    seed=3, deltas=128, live="live-3",
+                    instance=InstanceSpec(
+                        seed=3, facts=2000, domain_size=100_000, relation_weights={"T": 0.1}
+                    ),
+                    publish_pool=("{name}(x) :- T(x)",),
+                ),
+                "a7fc3837e306a3af0e2bdd638a19dc0adfd91b5dc8cd9d392f9573481f60ebc4",
+            ),
+            (
+                # Deletes outrun the facts: some fall back to inserts.
+                DeltaStreamSpec(
+                    seed=11, deltas=48, churn=8, mix={"insert": 1.0, "delete": 6.0},
+                    instance=InstanceSpec(seed=11, facts=6, domain_size=4),
+                ),
+                "a216abd2171251edc519f9926d4c8b86ecebdbded7b7a36db5f3921b6aa9cba3",
+            ),
+            (
+                # A full domain: inserts re-add live facts, which a delete
+                # of the same delta must skip.
+                DeltaStreamSpec(
+                    seed=2, deltas=64, churn=6, mix={"insert": 6.0, "delete": 2.0},
+                    instance=InstanceSpec(seed=2, facts=8, domain_size=2),
+                ),
+                "5d3c3bf0dcc6b009b521bbe60ad35da99c1b7d9b4554c293f3ffd849682e3648",
+            ),
+            (
+                DeltaStreamSpec(
+                    seed=5, deltas=40, churn=6,
+                    mix={"insert": 1.0, "delete": 1.0, "publish": 2.0, "retract": 2.0},
+                    instance=InstanceSpec(seed=5, facts=30, domain_size=6),
+                ),
+                "a567c98691a3d003d912018ada937ca11e88188e045b6b59bcdf7bb51cbbf315",
+            ),
+        ],
+    )
+    def test_streams_are_pinned(self, spec, digest):
+        # Digests of streams generated before delete picking used a
+        # sorted mirror of the live facts: the streams must not change.
+        stream = generate_delta_stream(spec)
+        encoded = json.dumps(stream, sort_keys=True).encode("utf8")
+        assert hashlib.sha256(encoded).hexdigest() == digest
 
 
 class TestWorkloadFiles:
