@@ -17,7 +17,7 @@ from ..relational.instance import Instance
 from ..relational.tuples import Fact
 from .atoms import Atom
 from .query import ConjunctiveQuery
-from .terms import Constant, Term, Variable, is_constant, is_variable
+from .terms import Constant, Term, Variable, is_constant
 
 __all__ = [
     "find_query_homomorphism",
@@ -28,12 +28,6 @@ __all__ = [
 ]
 
 TermMapping = Dict[Variable, Term]
-
-
-def _map_term(term: Term, mapping: TermMapping) -> Term:
-    if is_variable(term) and term in mapping:
-        return mapping[term]
-    return term
 
 
 def _extend_over_atom(

@@ -33,10 +33,6 @@ def _walk(term: Term, substitution: Substitution) -> Term:
     return term
 
 
-def _occurs_free(term: Term, substitution: Substitution) -> Term:
-    return _walk(term, substitution)
-
-
 def unify_atoms(
     left: Atom, right: Atom, substitution: Optional[Substitution] = None
 ) -> Optional[Substitution]:

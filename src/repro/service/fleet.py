@@ -7,8 +7,9 @@ holds.  This module scales the service with *cores* instead:
 
 * **Workers** are pre-forked OS processes, each running the unmodified
   :class:`AuditServer` core on a private unix domain socket — its own
-  session pool, kernel memos, result cache and thread pool, untouched by
-  any other worker.
+  session pool, kernel memos and thread pool, untouched by any other
+  worker.  Workers keep no result cache (``result_cache_size=0``): the
+  router answers every client, so its table is the fleet's one cache.
 
 * **The router** is the forwarding side of the shared request pipeline
   (:mod:`repro.service.pipeline`): it accepts the same JSON-lines-over-
@@ -33,14 +34,20 @@ holds.  This module scales the service with *cores* instead:
   question to its owner, while concurrent misses spread over idle
   workers instead of queueing on one.  Live operations route by session
   name to the worker holding the session, regardless of load, and are
-  never cached here: only that worker sees the session's version (and
-  its eviction).
+  never coalesced or cached.
+
+* **Deadlines**: the router alone enforces a request's ``deadline_ms``
+  and forwards the request without it.  A forward past its deadline is
+  not cancelled: the worker runs it to completion, the shard stays
+  loaded until the answer lands, and an ok answer is then published
+  into the router's table, so a retry is answered ``fleet_cached``.
 
 * **Fleet load shedding**: each shard counts its requests from
-  admission until they are answered or abandoned.  An analysis is shed
-  with a structured ``overloaded`` error only when every shard that
-  admits traffic is at the queue limit; a live operation, when its
-  session's shard is — bounded latency instead of collapse.
+  admission until their forward lands, abandoned ones included.  An
+  analysis is shed with a structured ``overloaded`` error only when
+  every shard that admits traffic is at the queue limit; a live
+  operation, when its session's shard is — bounded latency instead of
+  collapse.
 
 * **Supervision**: the router watches each worker's process sentinel,
   restarts crashed workers (same socket, same shard identity, so the
@@ -52,9 +59,11 @@ holds.  This module scales the service with *cores* instead:
   own :class:`~repro.service.metrics.ServiceMetrics` is the fleet's
   record — each request counted once and timed at the router (queue,
   forward, worker and reply).  A ``stats`` request returns that record
-  plus per-shard queue depths, restart counts, each worker's ``stats``
-  details and the router's table state; a ``metrics`` request renders
-  the record as Prometheus text with the workers' gauges summed.
+  plus the router's table and abandoned forwards, per-shard queue
+  depths, restart counts and each worker's ``stats`` details; a
+  ``metrics`` request renders the record as Prometheus text with the
+  workers' gauges summed, except the result cache, which is the
+  router's.
   Workers are only ever asked for ``stats``, and that gather traffic is
   counted nowhere in the fleet's record.
 
@@ -207,8 +216,8 @@ class _Shard:
         self.generation = 0
         self.pool: "asyncio.Queue[_Connection]" = asyncio.Queue()
         self.created = 0
-        #: Requests admitted here and not yet answered or abandoned (the
-        #: load the router balances on).
+        #: Requests admitted here whose forward has not landed, abandoned
+        #: ones included (the load the router balances on).
         self.outstanding = 0
         self.forwarded = 0
         self.shed = 0
@@ -244,15 +253,11 @@ class FleetServer(RequestPipeline):
         Pooled router→worker connections (each carries one request at a
         time, so this bounds per-worker concurrency).
     result_cache_size:
-        Bound on the router's cached results *and* each worker's own
-        result cache.
+        Bound on the router's cached results (workers cache nothing).
     breaker_options:
         :class:`~repro.service.health.CircuitBreaker` keyword arguments
         applied to every shard (``degrade_after``, ``quarantine_after``,
         ``cooldown_seconds``).
-    watchdog_seconds:
-        Per-worker computation cap (see
-        :class:`~repro.service.server.AuditServer`); ``None`` disables.
     worker_options:
         Extra :class:`AuditServer` keyword arguments for every worker
         (e.g. ``max_sessions``, ``session_cache_size``).
@@ -260,9 +265,6 @@ class FleetServer(RequestPipeline):
 
     root_span = "router.route"
     hit_prefix = "fleet_"
-    #: The worker enforces the deadline itself; the router lets go of a
-    #: forward only once the worker has also missed this grace.
-    execute_grace = 0.5
 
     def __init__(
         self,
@@ -276,7 +278,6 @@ class FleetServer(RequestPipeline):
         result_cache_size: int = DEFAULT_CACHE_SIZE,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         breaker_options: Optional[Mapping[str, Any]] = None,
-        watchdog_seconds: Optional[float] = None,
         slow_ms: Optional[float] = None,
         worker_options: Optional[Mapping[str, Any]] = None,
     ):
@@ -307,11 +308,9 @@ class FleetServer(RequestPipeline):
         self._worker_options: Dict[str, Any] = {
             "workers": worker_threads,
             "queue_limit": max(2 * connections_per_worker, 16),
-            "result_cache_size": result_cache_size,
+            "result_cache_size": 0,
             "max_payload": max_payload,
         }
-        if watchdog_seconds is not None:
-            self._worker_options["watchdog_seconds"] = watchdog_seconds
         if worker_options:
             self._worker_options.update(worker_options)
 
@@ -680,26 +679,30 @@ class FleetServer(RequestPipeline):
             "per shard); retry later"
         )
 
-    async def _execute(
-        self,
-        request: AuditRequest,
-        raw: bytes,
-        key: Optional[str],
-        shard: _Shard,
-        deadline: Optional[float],
-    ) -> Core:
-        if request.op == "subscribe":
-            return await self._subscribe_upstream(shard, raw)
-        # With a deadline, the forwarded copy carries only the *remaining*
-        # budget (the worker enforces it); with a trace, the context the
-        # worker opens its subtree under.
+    async def _execute(self, request: AuditRequest, raw: bytes, shard: _Shard) -> Core:
+        # The shard's breaker hears how every forward's transport fared
+        # when it lands, whether or not a client still awaits it.
+        try:
+            if request.op == "subscribe":
+                core = await self._subscribe_upstream(shard, raw)
+            else:
+                core = await self._forward_request(request, raw, shard)
+        except ReproError:
+            shard.breaker.record_failure()
+            raise
+        shard.breaker.record_success()
+        return core
+
+    async def _forward_request(self, request: AuditRequest, raw: bytes, shard: _Shard) -> Core:
+        """Forward one request line and graft the worker's trace subtree."""
+        # The forwarded copy drops the deadline (this tier alone enforces
+        # it, so an expired forward still lands) and, with a trace,
+        # carries the context the worker opens its subtree under.
         trace = current_trace()
         document: Optional[Dict[str, Any]] = None
-        if deadline is not None or trace is not None:
+        if request.deadline_ms is not None or trace is not None:
             document = json.loads(raw)
-            if deadline is not None:
-                remaining_ms = max(1.0, (deadline - time.perf_counter()) * 1000.0)
-                document["deadline_ms"] = round(remaining_ms, 3)
+            document.pop("deadline_ms", None)
         for rule in faults.fire("router.forward", op=request.op):
             if rule.action == "delay":
                 await asyncio.sleep(rule.delay)
@@ -721,7 +724,6 @@ class FleetServer(RequestPipeline):
             if document is not None:
                 raw = encode_message(document)
             response = await self._forward(shard, raw)
-        shard.breaker.record_success()
         core = self._core_of(shard, response)
         worker_trace = core.get("server", {}).pop("trace", None)
         if trace is not None and isinstance(worker_trace, Mapping):
@@ -748,18 +750,9 @@ class FleetServer(RequestPipeline):
         core["shard"] = shard.index
         return core
 
-    def _abandon(self, key: Optional[str], work: "asyncio.Future[Core]", shard: _Shard) -> str:
-        # The worker missed the deadline *and* the grace: cancelling the
-        # forward discards its connection, so the router-side slot is
-        # reclaimed even if the worker is wedged mid-computation.
-        work.cancel()
-        shard.breaker.record_failure()
-        return f"awaiting worker {shard.index}"
-
-    def _failure_of(self, request: AuditRequest, shard: _Shard, error: Exception) -> Core:
+    def _failure_of(self, request: AuditRequest, error: Exception) -> Core:
         if not isinstance(error, ReproError):
             return failure(ERROR_INTERNAL, f"{type(error).__name__}: {error}")
-        shard.breaker.record_failure()
         if request.is_live_mutation:
             # A lost delta is NOT safe to retry blindly: the worker may
             # have applied it before crashing, and the restarted worker
@@ -835,7 +828,7 @@ class FleetServer(RequestPipeline):
 
     async def _fleet_stats(self, request: AuditRequest) -> Dict[str, Any]:
         payloads = await self._gather_stats()
-        document: Dict[str, Any] = self._metrics.snapshot()
+        document: Dict[str, Any] = {**self._metrics.snapshot(), **self._table_stats()}
         shards_doc = []
         for shard, payload in zip(self._shards, payloads):
             process = shard.process
@@ -860,8 +853,6 @@ class FleetServer(RequestPipeline):
                         "pending",
                         "workers",
                         "connections",
-                        "result_cache_entries",
-                        "abandoned",
                         "query_evaluation",
                         "faults",
                         "live",
@@ -904,6 +895,7 @@ class FleetServer(RequestPipeline):
                     gauges[name] = gauges.get(name, 0) + value
             else:
                 result["partial"] = True
+        gauges["result_cache_entries"] = len(self._table)  # workers cache nothing
         result["text"] = render_prometheus(self._metrics.snapshot(), gauges)
         return ok_response(request.id, "metrics", result)
 

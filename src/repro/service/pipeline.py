@@ -8,16 +8,16 @@ twin → admission and shedding → execute → publish or abandon → respond.
 Only *execute*, and the admission test guarding it, differ: the daemon
 runs the request on its thread pool, the router forwards it to a shard.
 
-Cache entries carry the version of the state they describe.  An
-analysis answer is a pure function of the request, so its key is the
-:func:`~repro.service.protocol.request_key`.  A ``live-audit`` answer
-describes one state of a live session, so only the process holding the
-session caches it, keyed by the session's *version*: an incarnation id
-assigned at ``live-create`` plus the revision current at claim time.
-The snapshot is taken after the claim and revisions only grow, so an
-entry found under the current version was computed at exactly that
-revision: a delta or a re-created session changes the key, never the
-answer behind it.
+An analysis answer is a pure function of the request, so the table
+keys it by :func:`~repro.service.protocol.request_key`.  Live requests
+are never fingerprinted: their answers describe one state of a mutable
+session, so they are neither coalesced nor cached.
+
+The tier that answers the client is the only one that enforces the
+request's ``deadline_ms``.  An execution past it is not cancelled: it
+runs on and holds its slot until it lands, and then its ok answer is
+published into this tier's table, so a retry is answered from the
+cache instead of recomputed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import errno
+import functools
 import hashlib
 import threading
 import time
@@ -140,17 +141,15 @@ class RequestPipeline:
     """The shared front door: connections, requests, the table, the envelope.
 
     Subclasses supply the executor (:meth:`_admit`, :meth:`_execute`,
-    :meth:`_abandon`, :meth:`_failure_of`, and :meth:`_release` when a
-    slot holds anything), the control operations (:meth:`_control`) and
-    what a start acquires (:meth:`_open_executor`, :meth:`_close_executor`).
+    :meth:`_failure_of`, and :meth:`_release` when a slot holds
+    anything), the control operations (:meth:`_control`) and what a
+    start acquires (:meth:`_open_executor`, :meth:`_close_executor`).
     """
 
     #: Root span of a traced request on this tier.
     root_span = "server.handle"
     #: Prefix of the extra envelope flag naming this tier's duplicate hits.
     hit_prefix = ""
-    #: Slack past a request's deadline before its execution is let go.
-    execute_grace = 0.0
 
     def __init__(
         self,
@@ -161,24 +160,25 @@ class RequestPipeline:
         stream_limit: int,
         result_cache_size: int,
         slow_ms: Optional[float],
-        watchdog_seconds: Optional[float] = None,
         path: Optional[str] = None,
     ):
-        if watchdog_seconds is not None and watchdog_seconds <= 0:
-            raise ReproError("watchdog_seconds must be positive (or None)")
         self._host = host
         self._port = port
         self._max_payload = max_payload
         self._stream_limit = stream_limit
-        self._watchdog_seconds = watchdog_seconds
         self._path = path
         self._table = FleetCoalescer(result_cache_size)
         self._metrics = ServiceMetrics()
         self._slow_ms = slow_ms
         self._slow_log: SlowLog = SlowLog(slow_ms)
-        #: Executions in flight on this tier / requests being answered.
+        #: Executions in flight on this tier (abandoned ones until they
+        #: land) / requests being answered.
         self._pending = 0
         self._active = 0
+        #: Executions let go of past their deadline: how many ever, and
+        #: the ones still running (held here: the loop keeps tasks weakly).
+        self._abandoned_total = 0
+        self._abandoned: "set[asyncio.Future[Core]]" = set()
         self._connections = 0
         self._connection_tasks: "set[asyncio.Task]" = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -403,51 +403,21 @@ class RequestPipeline:
         response.setdefault("server", {})["trace"] = document
         return response
 
-    def _fingerprint(self, request: AuditRequest) -> Optional[str]:
-        """The table key of a request, or ``None`` when it must not be shared."""
-        if not request.is_live:
-            return fingerprint(request_key(request))
-        version = self._live_version(request)
-        if version is None:
-            return None
-        return self._version_key(request.live or "", *version)
-
-    @staticmethod
-    def _version_key(name: str, incarnation: int, revision: int) -> str:
-        """The table key of a ``live-audit`` answer at one session version."""
-        return fingerprint(f"live|{name}@{incarnation}.{revision}")
-
-    def _live_version(self, request: AuditRequest) -> Optional[Tuple[int, int]]:
-        """``(incarnation, revision)`` of a cacheable live request's session.
-
-        ``None`` here: only the process holding a live session can see
-        its version, so only it caches the session's answers.
-        """
-        return None
-
     def _deadline_of(self, request: AuditRequest, started: float) -> Optional[float]:
         """Absolute expiry (``perf_counter`` clock) of one request, if any.
 
         Live requests never expire: an abandoned half-applied delta
         would corrupt the session.
         """
-        if request.is_live:
+        if request.is_live or request.deadline_ms is None:
             return None
-        deadline = None
-        if request.deadline_ms is not None:
-            deadline = started + request.deadline_ms / 1000.0
-        if self._watchdog_seconds is not None:
-            cap = started + self._watchdog_seconds
-            deadline = cap if deadline is None else min(deadline, cap)
-        return deadline
+        return started + request.deadline_ms / 1000.0
 
-    def _expiry(self, request: AuditRequest, where: str) -> Core:
-        budget = (
-            f"deadline of {request.deadline_ms:g}ms"
-            if request.deadline_ms is not None
-            else f"watchdog of {self._watchdog_seconds:g}s"
+    @staticmethod
+    def _expiry(request: AuditRequest, where: str) -> Core:
+        return failure(
+            ERROR_DEADLINE_EXCEEDED, f"deadline of {request.deadline_ms:g}ms exceeded {where}"
         )
-        return failure(ERROR_DEADLINE_EXCEEDED, f"{budget} exceeded {where}")
 
     @staticmethod
     async def _await_within(awaitable: Awaitable[Any], deadline: Optional[float]) -> Any:
@@ -455,7 +425,7 @@ class RequestPipeline:
 
         Shielding matters twice over: an impatient follower must not
         cancel a computation its twins are awaiting, and an expiry must
-        leave the execution to :meth:`_abandon`, which decides its fate.
+        leave the execution running for :meth:`_abandon` to harvest.
         """
         if deadline is None:
             return await asyncio.shield(awaitable)
@@ -467,7 +437,7 @@ class RequestPipeline:
     async def _pipeline(self, request: AuditRequest, raw: bytes) -> Dict[str, Any]:
         started = time.perf_counter()
         deadline = self._deadline_of(request, started)
-        key = self._fingerprint(request)
+        key = None if request.is_live else fingerprint(request_key(request))
         if key is not None:
             cached = self._table.lookup(key)
             if cached is not None:
@@ -507,18 +477,17 @@ class RequestPipeline:
         except Overloaded as error:
             return failure(ERROR_OVERLOADED, str(error))
         self._pending += 1
-        work = asyncio.ensure_future(self._execute(request, raw, key, slot, deadline))
+        work = asyncio.ensure_future(self._execute(request, raw, slot))
+        # Registered first, so the slot is free before the awaiting
+        # request resumes; an abandoned execution holds it until it lands.
+        work.add_done_callback(functools.partial(self._landed, slot))
         try:
-            core = await self._await_within(
-                work, None if deadline is None else deadline + self.execute_grace
-            )
+            core = await self._await_within(work, deadline)
         except asyncio.TimeoutError:
-            core = self._expiry(request, self._abandon(key, work, slot))
+            self._abandon(key, work)
+            core = self._expiry(request, "mid-computation; the computation runs on")
         except Exception as error:  # noqa: BLE001 - the server must survive
-            core = self._failure_of(request, slot, error)
-        finally:
-            self._pending -= 1
-            self._release(slot)
+            core = self._failure_of(request, error)
         trace = current_trace()
         if trace is not None:
             # Stamped before the table resolves the key, so coalesced
@@ -526,31 +495,47 @@ class RequestPipeline:
             core["trace_id"] = trace.trace_id
         return core
 
+    def _landed(self, slot: Any, work: "asyncio.Future[Core]") -> None:
+        """An execution finished, answered or abandoned: free its slot."""
+        self._pending -= 1
+        self._release(slot)
+
+    def _abandon(self, key: str, work: "asyncio.Future[Core]") -> None:
+        """Let an execution past its deadline run on; harvest it when it lands."""
+        self._abandoned_total += 1
+        self._abandoned.add(work)
+        work.add_done_callback(functools.partial(self._reap_abandoned, key))
+
+    def _reap_abandoned(self, key: str, work: "asyncio.Future[Core]") -> None:
+        """An abandoned execution landed: publish its answer if it is ok."""
+        self._abandoned.discard(work)
+        if work.cancelled() or work.exception() is not None:
+            return
+        core = work.result()
+        if core.get("ok"):
+            self._table.publish(key, core)
+
+    def _table_stats(self) -> Dict[str, Any]:
+        """The ``stats`` entries of this tier's table and abandoned executions."""
+        return {
+            "result_cache_entries": len(self._table),
+            "abandoned": {"total": self._abandoned_total, "running": len(self._abandoned)},
+        }
+
     def _admit(self, request: AuditRequest, key: Optional[str]) -> Any:
         """Pick the execution slot, or raise :class:`Overloaded` (shed)."""
         raise NotImplementedError  # pragma: no cover - every tier overrides
 
-    async def _execute(
-        self,
-        request: AuditRequest,
-        raw: bytes,
-        key: Optional[str],
-        slot: Any,
-        deadline: Optional[float],
-    ) -> Core:
+    async def _execute(self, request: AuditRequest, raw: bytes, slot: Any) -> Core:
         """Run one admitted request; raises on failure (see :meth:`_failure_of`)."""
         raise NotImplementedError  # pragma: no cover - every tier overrides
 
-    def _abandon(self, key: Optional[str], work: "asyncio.Future[Core]", slot: Any) -> str:
-        """Let go of an execution past its deadline; returns where it expired."""
-        raise NotImplementedError  # pragma: no cover - every tier overrides
-
-    def _failure_of(self, request: AuditRequest, slot: Any, error: Exception) -> Core:
+    def _failure_of(self, request: AuditRequest, error: Exception) -> Core:
         """The failed core of an execution that raised ``error``."""
         raise NotImplementedError  # pragma: no cover - every tier overrides
 
     def _release(self, slot: Any) -> None:
-        """Give back the slot :meth:`_admit` took (answered or abandoned)."""
+        """Give back the slot :meth:`_admit` took, once its execution lands."""
 
     # -- responses ---------------------------------------------------------------
     def _duplicate(

@@ -31,17 +31,17 @@ held by the server (the ``live`` field carries the name):
 * ``live-create`` — pin a (schema, secrets, views, facts) state;
 * ``apply-delta`` — add/remove facts and publish/retract views, get the
   incremental re-verdict notification back;
-* ``live-audit`` — the current verdict snapshot (cacheable: the server
-  holding the session caches it under the session's version);
+* ``live-audit`` — the current verdict snapshot;
 * ``subscribe`` — dedicate this connection to the session's
   notification stream: after the acknowledgement, every subsequent
   line pushed by the server is the notification of one mutation.
 
-Mutations are *not* idempotent, so live mutation operations bypass
-request coalescing, result caches and retry-after-``worker-crashed``;
-the fleet routes every operation of one live session to the same shard
-by hashing the session name (see :func:`routing_key`), which is what
-keeps the warm incremental state on the owning worker.
+Live operations bypass request coalescing and result caches: each one
+addresses the session's current state.  Mutations are *not* idempotent,
+so they also bypass retry-after-``worker-crashed``; the fleet routes
+every operation of one live session to the same shard by hashing the
+session name (see :func:`routing_key`), which is what keeps the warm
+incremental state on the owning worker.
 
 Error codes
 -----------
@@ -75,12 +75,14 @@ untraced duplicates still share one computation.
 Deadlines
 ---------
 Analysis requests may carry ``deadline_ms``, a wall-clock budget in
-milliseconds covering queue wait **and** computation.  The fleet router
-deducts its own queue time before forwarding (workers see the remaining
-budget), and a worker that overruns abandons the computation, reclaims
-the slot, and answers ``deadline-exceeded``.  The deadline is excluded
-from the coalescing fingerprint: two requests that differ only in
-budget still share one computation.
+milliseconds covering queue wait **and** computation.  Only the tier
+that answers the client enforces it: the daemon, or the fleet router,
+which forwards the request without the field.  On expiry that tier
+answers ``deadline-exceeded``, and the computation runs on, holding its
+slot, until it lands; an ok answer is then cached there, so a retry is
+answered ``cached`` (``fleet_cached`` through a fleet).  The deadline is
+excluded from the coalescing fingerprint: two requests that differ only
+in budget still share one computation.
 """
 
 from __future__ import annotations
@@ -146,9 +148,9 @@ CONTROL_OPERATIONS = frozenset({"ping", "stats", "traces", "metrics", "shutdown"
 #: Operations addressing a named live audit session (the ``live`` field).
 LIVE_OPERATIONS = frozenset({"live-create", "apply-delta", "live-audit", "subscribe"})
 
-#: The live operations that change server-side state.  They are never
-#: coalesced, never served from result caches, and never marked
-#: retryable — a repeat would apply the delta twice.
+#: The live operations that change server-side state.  Like every live
+#: operation they are never coalesced or cached, and they are never
+#: marked retryable — a repeat would apply the delta twice.
 LIVE_MUTATION_OPERATIONS = frozenset({"live-create", "apply-delta"})
 
 OPERATIONS = ANALYSIS_OPERATIONS | CONTROL_OPERATIONS | LIVE_OPERATIONS

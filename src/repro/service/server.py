@@ -15,17 +15,21 @@ the daemon healthy under heavy, repetitive traffic:
   and the per-dictionary probability kernels are reused across clients
   and connections.  The pool is LRU-bounded.
 
-* **Request coalescing.**  Identical requests (same
+* **Request coalescing.**  Identical analysis requests (same
   :func:`~repro.service.protocol.request_key`) that arrive while the
   first one is still computing *await the same future* instead of
   queueing duplicate work; completed answers additionally populate a
   bounded result cache, so a burst of N duplicates costs one
   computation no matter how the burst interleaves with completions.
+  Live requests are never coalesced or cached.  A fleet worker keeps
+  no result cache: its router answers the client and caches.
 
 * **Load shedding.**  At most ``queue_limit`` analyses may be pending on
   the worker pool; beyond that the server answers immediately with a
   structured ``overloaded`` error instead of letting the queue grow
-  without bound.
+  without bound.  A computation past its request's deadline cannot be
+  cancelled: it stays pending until its thread finishes, and then its
+  answer lands in the result cache.
 
 The worker threads share sessions, which is safe because
 :class:`~repro.session.cache.CriticalTupleCache` is thread-safe and
@@ -38,7 +42,6 @@ import asyncio
 import contextvars
 import functools
 import hashlib
-import itertools
 import os
 import time
 from collections import OrderedDict
@@ -198,7 +201,7 @@ class AuditServer(RequestPipeline):
         ``overloaded`` error.
     max_sessions / result_cache_size:
         LRU bounds of the shared-session pool and the completed-result
-        memo.
+        memo (a fleet worker runs with ``result_cache_size=0``).
     session_cache_size:
         ``CriticalTupleCache`` size of each shared session.
     max_payload:
@@ -209,14 +212,6 @@ class AuditServer(RequestPipeline):
         line naming the dominant span (``REPRO_TRACE_SLOW_MS`` /
         ``REPRO_TRACE_SLOW_LOG`` override).  A fleet worker never logs:
         its router opened every trace it serves.
-    watchdog_seconds:
-        Server-side cap on any one computation, applied even to
-        requests that carry no ``deadline_ms`` (``None`` disables).
-        Overrunning computations are *abandoned*: the worker slot is
-        reclaimed immediately, the caller (and any coalesced twins)
-        get a ``deadline-exceeded`` error, and if the stray thread
-        eventually finishes its result still lands in the result cache
-        so the work is not wasted.
     max_live:
         Live sessions kept (LRU; the oldest is dropped).
     """
@@ -233,7 +228,6 @@ class AuditServer(RequestPipeline):
         result_cache_size: int = DEFAULT_CACHE_SIZE,
         session_cache_size: int = 512,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
-        watchdog_seconds: Optional[float] = None,
         slow_ms: Optional[float] = None,
         max_live: int = DEFAULT_MAX_LIVE,
     ):
@@ -248,21 +242,15 @@ class AuditServer(RequestPipeline):
             stream_limit=max(2 * max_payload, 1 << 16),
             result_cache_size=result_cache_size,
             slow_ms=slow_ms,
-            watchdog_seconds=watchdog_seconds,
             path=path,
         )
         self._workers = workers or min(8, os.cpu_count() or 1)
         self._queue_limit = queue_limit
         self._max_sessions = max(1, max_sessions)
         self._session_cache_size = session_cache_size
-        self._abandoned_total = 0
-        self._abandoned_running = 0
         self._sessions: "OrderedDict[str, AnalysisSession]" = OrderedDict()
         self._max_live = max(1, max_live)
-        #: live name -> (incarnation id, session); the id versions the
-        #: session's cached answers across re-creation under one name.
-        self._live: "OrderedDict[str, Tuple[int, LiveAuditSession]]" = OrderedDict()
-        self._incarnations = itertools.count(1)
+        self._live: "OrderedDict[str, LiveAuditSession]" = OrderedDict()
         #: live name -> subscriber notification queues (loop thread only).
         self._live_subscribers: Dict[str, list] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -319,11 +307,7 @@ class AuditServer(RequestPipeline):
             "queue_limit": self._queue_limit,
             "workers": self._workers,
             "connections": self._connections,
-            "result_cache_entries": len(self._table),
-            "abandoned": {
-                "total": self._abandoned_total,
-                "running": self._abandoned_running,
-            },
+            **self._table_stats(),
             "query_evaluation": evaluation_stats(),
             "sessions": sessions,
             "live": {
@@ -335,7 +319,7 @@ class AuditServer(RequestPipeline):
                     "subscribers": len(self._live_subscribers.get(name, ())),
                     "stats": dict(live.stats),
                 }
-                for name, (_, live) in self._live.items()
+                for name, live in self._live.items()
             },
             "tracing": {
                 "recorded": TRACES.snapshot()["recorded"],
@@ -356,14 +340,7 @@ class AuditServer(RequestPipeline):
                 f"limit {self._queue_limit}); retry later"
             )
 
-    async def _execute(
-        self,
-        request: AuditRequest,
-        raw: bytes,
-        key: Optional[str],
-        slot: None,
-        deadline: Optional[float],
-    ) -> Core:
+    async def _execute(self, request: AuditRequest, raw: bytes, slot: None) -> Core:
         if request.is_live:
             return await self._execute_live(request)
         session = self._session_for(request)
@@ -391,21 +368,7 @@ class AuditServer(RequestPipeline):
 
         return loop.run_in_executor(self._executor, context.run, _traced)
 
-    def _abandon(self, key: Optional[str], work: "asyncio.Future[Core]", slot: None) -> str:
-        # The thread cannot be cancelled: the slot is reclaimed now and
-        # the stray result is harvested into the cache when it lands.
-        self._abandoned_total += 1
-        self._abandoned_running += 1
-        work.add_done_callback(functools.partial(self._reap_abandoned, key))
-        return "mid-computation; the computation was abandoned"
-
-    def _reap_abandoned(self, key: Optional[str], work: "asyncio.Future[Core]") -> None:
-        """An abandoned computation finished: harvest it (loop thread)."""
-        self._abandoned_running -= 1
-        if key is not None and not work.cancelled() and work.exception() is None:
-            self._table.publish(key, work.result())
-
-    def _failure_of(self, request: AuditRequest, slot: None, error: Exception) -> Core:
+    def _failure_of(self, request: AuditRequest, error: Exception) -> Core:
         if isinstance(error, ProtocolError):
             return failure(error.code, str(error))
         if isinstance(error, ReproError):
@@ -413,11 +376,6 @@ class AuditServer(RequestPipeline):
         return failure(ERROR_INTERNAL, f"{type(error).__name__}: {error}")
 
     # -- live audit sessions ------------------------------------------------------
-    def _live_version(self, request: AuditRequest) -> Optional[Tuple[int, int]]:
-        """Only ``live-audit`` answers are cached, keyed by the session version."""
-        entry = self._live.get(request.live or "") if request.op == "live-audit" else None
-        return None if entry is None else (entry[0], entry[1].revision)
-
     async def _execute_live(self, request: AuditRequest) -> Core:
         """Run one live operation (see the protocol docs).
 
@@ -432,15 +390,14 @@ class AuditServer(RequestPipeline):
             live, payload = await self._submit(self._live_create, request)
             if name in self._live:  # lost a create race mid-build
                 raise ReproError(f"a live session named {name!r} already exists")
-            self._live[name] = (next(self._incarnations), live)
+            self._live[name] = live
             while len(self._live) > self._max_live:
-                dropped, (incarnation, old) = self._live.popitem(last=False)
+                dropped, _ = self._live.popitem(last=False)
                 self._live_subscribers.pop(dropped, None)
-                self._table.forget(self._version_key(dropped, incarnation, old.revision))
             return {"ok": True, "result": payload}
         if name not in self._live:
             raise ReproError(f"no live session named {name!r}")
-        incarnation, live = self._live[name]
+        live = self._live[name]
         self._live.move_to_end(name)
         if request.op == "subscribe":
             # Registered before the acknowledgement, and filtered by its
@@ -461,10 +418,6 @@ class AuditServer(RequestPipeline):
             return {"ok": True, "result": await self._submit(live.snapshot)}
         notifications = await self._submit(self._live_delta, live, request)
         for notification in notifications:
-            # The superseded version's answer can never be asked for again.
-            self._table.forget(
-                self._version_key(name, incarnation, notification["revision"] - 1)
-            )
             for queue in self._live_subscribers.get(name, ()):
                 queue.put_nowait(notification)
         payload = dict(notifications[-1])

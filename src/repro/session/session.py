@@ -248,15 +248,6 @@ class AnalysisSession:
                 flattened.append(self._unwrap(item, "view"))
         return flattened
 
-    def _named_views(self, views: ViewsLike) -> Dict[str, AnyQuery]:
-        if isinstance(views, Mapping):
-            return {name: self._unwrap(v, "view") for name, v in views.items()}
-        if isinstance(views, (list, tuple)):
-            return {
-                f"user{i + 1}": self._unwrap(v, "view") for i, v in enumerate(views)
-            }
-        return {"user1": self._unwrap(views, "view")}
-
     # -- analyses ----------------------------------------------------------------
     def decide(
         self,

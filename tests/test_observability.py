@@ -418,7 +418,8 @@ class TestFleetTracing:
 
 
 #: Every gauge a fleet's ``metrics`` text carries: the router's own two,
-#: then the sums over the workers' ``stats`` payloads.
+#: then the sums over the workers' ``stats`` payloads, except the result
+#: cache, which is the router's table (workers cache nothing).
 FLEET_GAUGES = (
     "fleet_workers",
     "active_requests",
@@ -474,9 +475,9 @@ class TestFleetMetricsGather:
         assert samples["repro_workers"] == sum(s["worker"]["workers"] for s in shards)
         assert samples["repro_sessions"] == sum(len(s["sessions"]) for s in shards)
         assert samples["repro_live_sessions"] == sum(len(s["worker"]["live"]) for s in shards) == 1
-        assert samples["repro_result_cache_entries"] == sum(
-            s["worker"]["result_cache_entries"] for s in shards
-        )
+        # Four distinct decides and one quick; the repeat, the failure
+        # and the live operations add no entry.
+        assert samples["repro_result_cache_entries"] == stats["result_cache_entries"] == 5
 
         counters = {
             tuple(re.findall(r'"([^"]*)"', name)): value

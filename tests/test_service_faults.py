@@ -9,7 +9,8 @@ covering the PR's hard guarantees:
 * client retry backoff is decorrelated jitter from a *seeded* RNG —
   two policies with one seed produce one delay sequence;
 * a ``deadline_ms`` budget expires as a structured ``deadline-exceeded``
-  answer and the overrunning computation is abandoned, not leaked;
+  answer; the overrunning computation runs on, holds its slot until it
+  lands, and its answer lands in the answering tier's cache;
 * a SIGKILLed worker mid-coalesced-burst answers *every* follower with
   a retryable ``worker-crashed`` error (nobody hangs), and the shard
   restarts;
@@ -90,6 +91,16 @@ def _no_leaked_plan():
     yield
     faults.uninstall()
     faults.set_context(shard=None)
+
+
+def _await_landed(client: AuditServiceClient, timeout: float = 30.0) -> None:
+    """Poll fleet ``stats`` until no forward is outstanding on any shard."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if all(entry["outstanding"] == 0 for entry in client.stats()["fleet"]["shards"]):
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"a forward was still outstanding after {timeout}s")
 
 
 def _primary_shard(document: dict, workers: int = 2) -> int:
@@ -338,19 +349,100 @@ class TestDeadlines:
                 )
                 assert not expired["ok"]
                 assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
-                # The worker harvests the abandoned computation into its
-                # cache, and an idle fleet routes the retry to that worker.
-                time.sleep(1.0)
+                # The router alone enforces the deadline: the forward runs
+                # on and its answer lands in the router's cache.
+                _await_landed(client)
                 retry = client.request(
                     "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
                     deadline_ms=30_000,
                 )
                 assert retry["ok"] is True
-                assert retry["server"].get("cached") is True
-                assert "fleet_cached" not in retry["server"]
-                decide = client.stats()["operations"]["decide"]
+                assert retry["server"].get("fleet_cached") is True
+                stats = client.stats()
+        decide = stats["operations"]["decide"]
         assert decide["deadline"] == 1
         assert decide["cached"] == 1
+        assert stats["abandoned"] == {"total": 1, "running": 0}
+
+    def test_an_abandoned_forward_keeps_its_shard_loaded_until_it_lands(self):
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=1.0, count=1)]
+        ))
+        slow = {"op": "decide", "schema": SCHEMA, "secret": SECRET, "views": VIEWS}
+        owner = _primary_shard(slow)
+        # A distinct analysis with the same owner: only load can move it.
+        fields = next(
+            candidate
+            for candidate in (
+                {"schema": SCHEMA, "secret": f"Sheld{index}(n) :- Emp(n, d, p)",
+                 "views": VIEWS}
+                for index in range(64)
+            )
+            if _primary_shard({"op": "quick", **candidate}) == owner
+        )
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            with AuditServiceClient(*fleet.address) as client:
+                expired = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=120,
+                )
+                assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                stats = client.stats()
+                outstanding = [entry["outstanding"] for entry in stats["fleet"]["shards"]]
+                assert outstanding == [int(index == owner) for index in range(2)]
+                assert stats["abandoned"] == {"total": 1, "running": 1}
+                moved = client.request("quick", **fields)
+                assert moved["ok"] is True
+                assert moved["server"]["shard"] == 1 - owner
+                _await_landed(client)
+                assert client.stats()["abandoned"] == {"total": 1, "running": 0}
+
+    def test_a_worker_crash_under_an_abandoned_forward_counts_on_its_breaker(self):
+        slow = {"op": "decide", "schema": SCHEMA, "secret": SECRET, "views": VIEWS}
+        owner = _primary_shard(slow)
+        # The owner's worker sleeps past the deadline, then dies while
+        # the router's abandoned forward still awaits its answer.
+        faults.install(FaultPlan([
+            FaultRule(point="server.execute", action="delay",
+                      op="decide", shard=owner, delay=0.6, count=1),
+            FaultRule(point="server.execute", action="kill",
+                      op="decide", shard=owner, count=1),
+        ]))
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            with AuditServiceClient(*fleet.address) as client:
+                expired = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=120,
+                )
+                assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                _await_landed(client)
+                stats = client.stats()
+        entry = stats["fleet"]["shards"][owner]
+        assert entry["breaker"]["failures"] == 1
+        assert entry["health"] == STATE_DEGRADED
+        assert stats["abandoned"] == {"total": 1, "running": 0}
+        assert stats["result_cache_entries"] == 0
+
+    def test_fleet_stop_drains_an_abandoned_forward(self):
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=1.0, count=1)]
+        ))
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            pids = fleet.fleet.worker_pids
+            with AuditServiceClient(*fleet.address) as client:
+                expired = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=120,
+                )
+                assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                assert client.stats()["abandoned"]["running"] == 1
+            # Leaving the block stops the fleet with the forward, and its
+            # router->worker stream, still open.
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_deadline_is_excluded_from_the_fingerprint(self):
         with ServerThread() as server:

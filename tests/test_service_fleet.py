@@ -48,6 +48,7 @@ from repro.service import (
     parse_request,
     request_key,
 )
+from repro.service.pipeline import fingerprint as pipeline_fingerprint
 from repro.service.protocol import ERROR_OVERLOADED, ERROR_WORKER_CRASHED
 
 
@@ -747,22 +748,20 @@ class TestFleetLive:
         shards.add(delta["server"]["shard"])
         assert len(shards) == 1
 
-    def test_repeat_audit_is_cached_by_the_worker_not_the_router(self, fleet, client):
+    def test_repeat_audit_is_never_cached(self, fleet, client):
         self._create(client, "fleet-invalidate")
         first = client.request("live-audit", live="fleet-invalidate")
-        assert first["ok"] and not first["server"]["cached"]
         with AuditServiceClient(*fleet.address) as other:
             second = other.request("live-audit", live="fleet-invalidate")
-        # Only the worker holding the session sees its version.
-        assert second["server"]["cached"] is True
-        assert not second["server"].get("fleet_cached")
         assert second["result"]["fact_count"] == 1
         client.call("apply-delta", live="fleet-invalidate", add=[LIVE_OTHER])
-        # The delta moved the session to a new version: a fresh answer.
         third = client.request("live-audit", live="fleet-invalidate")
-        assert not third["server"]["cached"]
         assert third["result"]["fact_count"] == 2
         assert third["result"]["revision"] == 1
+        for response in (first, second, third):
+            assert response["ok"] is True
+            assert not response["server"]["cached"]
+            assert not response["server"].get("fleet_cached")
 
     def test_subscribe_relays_through_the_router(self, fleet, client):
         self._create(client, "fleet-subscribe")
@@ -793,6 +792,33 @@ class TestFleetLive:
         final = client.call("live-audit", live="fleet-subscribe")
         assert received[-1]["revision"] == final["revision"]
         assert received[-1]["fact_count"] == final["fact_count"]
+
+    def test_a_subscribe_probe_closes_its_shards_breaker(self):
+        clock = [0.0]
+        with FleetThread(
+            workers=2,
+            worker_threads=2,
+            breaker_options={
+                "quarantine_after": 1, "cooldown_seconds": 5.0, "clock": lambda: clock[0],
+            },
+        ) as fleet:
+            router = fleet.fleet
+            name = next(
+                f"probe-{index}" for index in range(64)
+                if router._ranked(pipeline_fingerprint(f"live|probe-{index}"))[0].index == 0
+            )
+            with AuditServiceClient(*fleet.address) as client:
+                self._create(client, name)
+            breaker = router._shards[0].breaker
+            breaker.record_failure()  # quarantined until the cooldown
+            clock[0] = 6.0  # past it: the subscribe is the one probe
+            subscriber = AuditServiceClient(*fleet.address)
+            try:
+                subscriber.subscribe(name)
+                assert breaker.stats()["probes"] == 1
+                assert breaker.state == "healthy"
+            finally:
+                subscriber.close()
 
     def test_mutations_are_never_fleet_cached(self, client):
         self._create(client, "fleet-mutate")

@@ -3,8 +3,8 @@
 These boot a real single-process daemon (:class:`ServerThread`) and
 exercise ``live-create`` / ``apply-delta`` / ``live-audit`` /
 ``subscribe`` over real sockets: session lifecycle, per-delta
-notification fan-out, cached audits keyed by the session version, and
-the error contract for unknown or duplicate sessions.  The stale-answer
+notification fan-out, uncached audits, and the error contract for
+unknown or duplicate sessions.  The stale-answer
 regressions run against the fleet (:class:`FleetThread`) as well.
 """
 
@@ -175,16 +175,16 @@ class TestApplyDelta:
         # The answer emptied out, so the insecure secret is no longer exposed.
         assert result["secrets"]["s"]["exposed"] is False
 
-    def test_delta_invalidates_cached_audits(self, client):
+    def test_live_audits_are_never_cached(self, client):
         name = _create(client)
         first = client.request("live-audit", live=name)
         second = client.request("live-audit", live=name)
-        assert first["server"]["cached"] is False
-        assert second["server"]["cached"] is True
         client.call("apply-delta", live=name, add=[OTHER_FACT])
         third = client.request("live-audit", live=name)
-        assert third["server"]["cached"] is False
         assert third["result"]["fact_count"] == 2
+        for response in (first, second, third):
+            assert response["server"]["cached"] is False
+            assert not response["server"].get("fleet_cached")
 
     def test_publish_and_retract_in_one_request(self, client):
         name = _create(
