@@ -114,7 +114,7 @@ class SecurityAuditor:
     # -- observability ------------------------------------------------------------
     @staticmethod
     def kernel_stats_for(dictionary: Optional[Dictionary]):
-        """Counters of the shared probability kernels for a dictionary.
+        """Counters of the probability kernel's memo table for a dictionary.
 
         ``None`` when there is no dictionary or no kernel has been built
         for it yet (qualitative audits never touch the kernel).
@@ -129,8 +129,9 @@ class SecurityAuditor:
         """Cache and kernel counters as one JSON-serialisable document.
 
         Surfaces the session's :class:`~repro.session.cache.CacheStats`
-        and — when quantitative analyses ran — the shared
-        :class:`~repro.probability.kernel.ProbabilityKernel` counters,
+        and — when quantitative analyses ran — the counters of the
+        dictionary's :class:`~repro.probability.kernel.ProbabilityKernel`
+        memo table,
         so operators can check the hit rates they expect (the same
         document the audit service reports per session).
         """

@@ -253,14 +253,14 @@ def epsilon_of_theorem_6_1(
                 *(critical_fn(spec, schema) for spec in view_specs)
             ) if view_specs else frozenset()
             common = secret_crit & view_crit
+            if not common:
+                continue  # L_{s,v̄} is impossible: this pair adds nothing to ε
             view_event: Event = And(
                 tuple(QueryContains(v, rows) for v, rows in zip(views, view_combo))
             )
             conditioning = And((secret_event, view_event))
             p_conditioning = engine.probability(conditioning)
             if p_conditioning == 0:
-                continue
-            if not common:
                 continue
             touches_common = Or(tuple(FactPresent(t) for t in sorted(common, key=repr)))
             p_joint = engine.joint_probability([touches_common, conditioning])

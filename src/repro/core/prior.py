@@ -721,7 +721,7 @@ def verify_with_knowledge(
     knowledge_event = (
         knowledge if isinstance(knowledge, Event) else knowledge.event(schema)
     )
-    kernel = ProbabilityKernel.shared(dictionary)
+    kernel = ProbabilityKernel(dictionary)
     joint = kernel.joint_distribution(
         [secret, *views], [knowledge_event], max_support_size=max_support_size
     )

@@ -210,8 +210,8 @@ def _independence_terms(
 ) -> Tuple[int, Iterator[Tuple[int, int]]]:
     """Eq. (4) in integers: ``d`` and ``(joint·d, s·v)`` for every answer pair.
 
-    The joint answer distribution comes from the kernel shared per
-    dictionary.  It is put once over ``d``, the least common multiple of
+    The joint answer distribution comes from the kernel, memoized in the
+    dictionary's table.  It is put once over ``d``, the least common multiple of
     its denominators, so every probability is an integer numerator:
     ``P[S=s ∧ V̄=v̄] = joint/d`` and the marginals ``P[S=s] = s/d`` and
     ``P[V̄=v̄] = v/d`` are integer sums.  Then ``P[S=s ∧ V̄=v̄] −
@@ -225,8 +225,7 @@ def _independence_terms(
     views = list(views)
     if not views:
         raise SecurityAnalysisError("at least one view is required")
-    kernel = ProbabilityKernel.shared(dictionary)
-    joint = kernel.joint_answer_distribution(
+    joint = ProbabilityKernel(dictionary).joint_answer_distribution(
         [secret, *views], max_support_size=max_support_size
     )
     denominator = math.lcm(*{probability.denominator for probability in joint.values()})
@@ -261,8 +260,8 @@ def verify_security_probabilistically(
     Uses Eq. (4): for every pair of answers ``(s, v̄)`` attained over the
     support, check ``P[S=s ∧ V̄=v̄] = P[S=s]·P[V̄=v̄]`` exactly (on
     integer numerators over a common denominator).  The joint answer
-    distribution comes from the compiled kernel shared per dictionary,
-    so repeated verification of the same pair — or a follow-up
+    distribution comes from the compiled kernel, memoized in the
+    dictionary's table, so repeated verification of the same pair — or a follow-up
     :func:`independence_gap` on it — enumerates the support only once.
     """
     _, terms = _independence_terms(secret, views, dictionary, max_support_size)

@@ -1,9 +1,9 @@
 """Thread-safe counter dictionaries for the engine statistics.
 
 The evaluation/storage/kernel counters (``STATS``, ``SQL_STATS``,
-``STORAGE_STATS``, ``INDEX_STATS``, per-kernel ``stats``) are plain
-dicts bumped with ``d[key] += 1`` from whatever thread happens to be
-evaluating — under ``--worker-threads > 1`` that read-modify-write
+``STORAGE_STATS``, ``INDEX_STATS``, and the ``stats`` of each
+dictionary's probability-kernel memo table) are plain dicts bumped with
+``d[key] += 1`` from whatever thread happens to be evaluating — under ``--worker-threads > 1`` that read-modify-write
 races and increments are silently lost.  :class:`StatCounters` is a
 ``dict`` subclass (so every existing read, ``in`` check, and iteration
 keeps working) whose *writes* go through :meth:`bump` under a lock.

@@ -25,17 +25,19 @@ probabilistic-database engines:
    per-row tables; only opaque :class:`PredicateEvent` predicates fall
    back to a per-mask evaluation loop.
 
-The functions here are purely combinatorial (no probabilities); the
-:mod:`~repro.probability.kernel` layers mass computation, component
-factorization and caching on top.
+The functions here are purely combinatorial (no probabilities).  A
+compiled table is a function of the query's or event's content and of
+the support alone, and :func:`event_key` names that content, so the
+:mod:`~repro.probability.kernel` can key its one memo table per
+dictionary by it; the kernel layers mass computation, component
+factorization and that table on top.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
 from ..cq.evaluation import answer_tuple, satisfying_assignments
-from ..cq.query import ConjunctiveQuery
 from ..exceptions import ProbabilityError
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
@@ -56,7 +58,7 @@ __all__ = [
     "compile_query_table",
     "query_truth_bits",
     "compile_event_bits",
-    "has_opaque_predicate",
+    "event_key",
     "subset_zeta",
     "bit_clear_pattern",
     "universe_mask",
@@ -291,22 +293,40 @@ def _bit_index(fact: Fact, facts: Tuple[Fact, ...]) -> int:
         ) from None
 
 
-def has_opaque_predicate(event: Event) -> bool:
-    """True when compiling ``event`` needs the per-mask fallback somewhere.
+def event_key(event: Event) -> Optional[Hashable]:
+    """The content key of a structural event, or ``None`` for an opaque one.
 
     Structural events (query tests, fact tests, boolean combinations of
-    them) compile to bit algebra; a :class:`PredicateEvent` or any
-    third-party :class:`Event` subclass does not, so its cost stays the
-    seed's ``2^n`` evaluation loop — the kernel bounds such components
-    more conservatively.
+    them) compile to bit algebra, and their mask table over a support is
+    a function of what they say: the canonical form of each query, the
+    rows or answer tested, the facts.  Two events with one key have one
+    mask table, so the kernel memoizes by this key.  A
+    :class:`PredicateEvent` or any third-party :class:`Event` subclass —
+    anywhere in the event — has no such content: the key is ``None``,
+    its mask table is not memoized, and its cost stays the seed's ``2^n``
+    evaluation loop, which the kernel bounds more conservatively.
     """
-    if isinstance(event, (QueryAnswerIs, QueryContains, QueryTrue, FactPresent, FactAbsent)):
-        return False
+    from ..session.compile import canonical_query_key  # lazy: avoids an import cycle
+
+    if isinstance(event, QueryAnswerIs):
+        return ("answer-is", canonical_query_key(event.query), event.answer)
+    if isinstance(event, QueryContains):
+        return ("contains", canonical_query_key(event.query), event.rows)
+    if isinstance(event, QueryTrue):
+        return ("true", canonical_query_key(event.query))
+    if isinstance(event, FactPresent):
+        return ("present", event.fact)
+    if isinstance(event, FactAbsent):
+        return ("absent", event.fact)
     if isinstance(event, (And, Or)):
-        return any(has_opaque_predicate(child) for child in event.events)
+        children = tuple(event_key(child) for child in event.events)
+        if None in children:
+            return None
+        return ("and" if isinstance(event, And) else "or", children)
     if isinstance(event, Not):
-        return has_opaque_predicate(event.event)
-    return True
+        child = event_key(event.event)
+        return None if child is None else ("not", child)
+    return None
 
 
 def _predicate_bits(event: Event, facts: Tuple[Fact, ...]) -> int:

@@ -21,20 +21,27 @@ instead of per-subset re-evaluation:
   the distributions are combined by product.  The intractability guard
   therefore applies **per component**, which is what lets
   :data:`DEFAULT_MAX_SUPPORT` sit above the seed's bound of 22.
-* **Shared joint distributions** — kernels are shared per dictionary
-  (:meth:`ProbabilityKernel.shared`) and memoize compiled query tables
-  and pure-query joint distributions, so each ``(queries, support,
-  dictionary)`` triple is enumerated exactly once per process no matter
-  how many of ``verify_security_probabilistically`` /
-  ``independence_gap`` / session verifications ask for it.
+* **One memo table per dictionary** — every compiled artifact (a query's
+  or an event's mask table over a support, a support's mass table, a
+  joint answer distribution) is a pure function of the dictionary and of
+  what the artifact says.  So each :class:`Dictionary` carries one
+  bounded LRU of them, keyed by content — the canonical query key
+  (:func:`~repro.session.compile.canonical_query_key`), the event key
+  (:func:`~repro.probability.compiled_event.event_key`), the ordered
+  support — and stored on the dictionary the way
+  :func:`~repro.cq.compiled.plan_for` stores a plan on its query: it
+  lives exactly as long as the dictionary, and every kernel over that
+  dictionary object shares it.  ``verify_security_probabilistically``
+  followed by ``independence_gap`` on one pair is one enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
+import threading
+from collections import OrderedDict
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..obs import span
@@ -44,7 +51,7 @@ from .compiled_event import (
     CompiledQueryTable,
     compile_event_bits,
     compile_query_table,
-    has_opaque_predicate,
+    event_key,
     universe_mask,
 )
 from .dictionary import Dictionary
@@ -66,32 +73,36 @@ DEFAULT_MAX_SUPPORT = 26
 #: Default bound for components containing an *opaque* event (a
 #: :class:`PredicateEvent` or third-party subclass).  Those fall back to
 #: the seed's per-mask evaluation loop and get none of the compiled
-#: speedup, so they keep the seed's bound; an explicit per-call
+#: speedup, so they keep the seed's bound; an explicit
 #: ``max_support_size`` still overrides it, as it did in the seed.
 PREDICATE_MAX_SUPPORT = 22
 
-#: Mask tables, query tables and joint distributions kept per kernel
-#: before the memo is dropped and rebuilt (a simple growth guard — the
-#: artifacts are recomputable).
-_MEMO_LIMIT = 256
+#: Compiled artifacts one dictionary's memo table keeps before it evicts
+#: the least recently used (every artifact is recomputable).
+_MEMO_LIMIT = 1024
+
+#: Attribute of a :class:`Dictionary` holding its :class:`_MemoTable`.
+_MEMO_ATTRIBUTE = "_kernel_memo"
+
+_MISSING = object()
 
 
 class MassTable:
     """Meet-in-the-middle sub-instance probabilities over one support.
 
-    Splits the support into a low and a high half and tabulates the
+    Built from the tuple probabilities of the support's facts, in support
+    order (bit ``j`` of a mask is fact ``j``).  Splits the support into a
+    low and a high half and tabulates the
     Eq. (1) product of each half-mask once; the total mass of a mask
     table is then accumulated per high-half chunk, so each set bit costs
     one table lookup and one addition instead of an ``n``-term product.
     """
 
-    __slots__ = ("facts", "_low_bits", "_low", "_high")
+    __slots__ = ("_low_bits", "_low", "_high")
 
-    def __init__(self, dictionary: Dictionary, facts: Sequence[Fact]):
-        self.facts = tuple(facts)
-        probabilities = [dictionary.probability_of(fact) for fact in self.facts]
-        n = len(self.facts)
-        self._low_bits = n // 2
+    def __init__(self, probabilities: Sequence[Fraction]):
+        probabilities = list(probabilities)
+        self._low_bits = len(probabilities) // 2
         self._low = self._half_table(probabilities[: self._low_bits])
         self._high = self._half_table(probabilities[self._low_bits :])
 
@@ -146,51 +157,24 @@ class MassTable:
         return total
 
 
-#: One shared kernel per dictionary; dropped with the dictionary.
-_SHARED: "weakref.WeakKeyDictionary[Dictionary, ProbabilityKernel]" = (
-    weakref.WeakKeyDictionary()
-)
+class _MemoTable:
+    """One dictionary's compiled artifacts: a lock-guarded LRU keyed by content.
 
-
-class ProbabilityKernel:
-    """Compiled exact probability engine over one dictionary.
-
-    Parameters
-    ----------
-    dictionary:
-        The tuple-independent distribution (domain + tuple probabilities).
-    max_support_size:
-        Default bound on the facts enumerated per connected component
-        (components needing the opaque-predicate fallback default to the
-        tighter :data:`PREDICATE_MAX_SUPPORT`); every public method also
-        accepts a per-call override, which is honoured verbatim.
-
-    Probabilities are exact :class:`Fraction` values, equal to the seed
-    enumeration engine's.
+    Kernels on a daemon's worker threads share a dictionary, so lookups
+    and insertions hold the lock; builds run outside it (a compilation
+    can be slow and must not serialise unrelated lookups), and a
+    concurrent duplicate build is harmless: both threads build the same
+    deterministic artifact.
     """
 
-    def __init__(
-        self,
-        dictionary: Dictionary,
-        max_support_size: int = DEFAULT_MAX_SUPPORT,
-    ):
-        # The registry in :meth:`shared` weakly keys on the dictionary; a
-        # strong reference here would chain back to the key and make the
-        # entry immortal.  Directly-constructed kernels keep the strong
-        # reference (callers expect the kernel alone to suffice); shared
-        # kernels drop it and live exactly as long as their dictionary.
-        self._dictionary_ref = weakref.ref(dictionary)
-        self._dictionary_strong: Optional[Dictionary] = dictionary
-        self._max_support_size = max_support_size
-        self._query_tables: Dict[Tuple, CompiledQueryTable] = {}
-        self._event_bits: Dict[Tuple[int, Tuple[Fact, ...]], Tuple[Event, int]] = {}
-        self._mass_tables: Dict[Tuple[Fact, ...], MassTable] = {}
-        self._joint_dists: Dict[Tuple, Dict] = {}
-        #: Monotone counters exposed for tests and reports:
-        #: compiled query tables / compiled event tables / joint
-        #: distributions computed, and memo hits for each.  Shared
-        #: kernels are bumped from concurrent worker threads, so the
-        #: counters are lock-guarded (see ``StatCounters.bump``).
+    def __init__(self):
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        #: Monotone counters exposed for tests and reports: compiled
+        #: query tables / compiled event tables / joint distributions
+        #: computed, and table hits for each.  They are bumped from
+        #: concurrent worker threads, so they are lock-guarded (see
+        #: ``StatCounters.bump``).
         self.stats = StatCounters(
             (
                 "query_compilations",
@@ -202,54 +186,109 @@ class ProbabilityKernel:
             )
         )
 
-    # -- construction -----------------------------------------------------------
-    @classmethod
-    def shared(cls, dictionary: Dictionary) -> "ProbabilityKernel":
-        """The process-wide kernel for ``dictionary``.
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
-        Sharing is what turns the per-call memoization into a per-session
-        guarantee: every caller holding the same :class:`Dictionary`
-        object reuses the same compiled tables and joint distributions.
-        The kernel is dropped when the dictionary is garbage-collected.
+    def __reduce__(self):
+        # A pickled dictionary carries an empty table: the lock cannot be
+        # pickled, and every artifact is recomputable.
+        return (_MemoTable, ())
+
+    def get(self, key: Hashable, build: Callable[[], object], hit: str = "", miss: str = ""):
+        """The artifact under ``key``, built and kept on a miss.
+
+        ``hit`` and ``miss`` name the counters a lookup bumps, if any.
         """
-        kernel = _SHARED.get(dictionary)
-        if kernel is None:
-            kernel = _SHARED[dictionary] = cls(dictionary)
-            kernel._dictionary_strong = None  # see __init__: keep the key weak
-        return kernel
+        with self._lock:
+            value = self._entries.get(key, _MISSING)
+            if value is not _MISSING:
+                self._entries.move_to_end(key)
+        if value is not _MISSING:
+            if hit:
+                self.stats.bump(hit)
+            return value
+        if miss:
+            self.stats.bump(miss)
+        value = build()
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > _MEMO_LIMIT:
+                self._entries.popitem(last=False)
+        return value
+
+
+def _memo_of(dictionary: Dictionary) -> _MemoTable:
+    """The dictionary's memo table, created on first use and stored on it."""
+    memo = getattr(dictionary, _MEMO_ATTRIBUTE, None)
+    if memo is None:
+        # setdefault is atomic: racing first uses agree on one table.
+        memo = vars(dictionary).setdefault(_MEMO_ATTRIBUTE, _MemoTable())
+    return memo
+
+
+def _query_key(query) -> Tuple:
+    from ..session.compile import canonical_query_key  # lazy: avoids an import cycle
+
+    return canonical_query_key(query)
+
+
+class ProbabilityKernel:
+    """Compiled exact probability engine over one dictionary.
+
+    Parameters
+    ----------
+    dictionary:
+        The tuple-independent distribution (domain + tuple probabilities).
+    max_support_size:
+        Default bound on the facts enumerated per connected component.
+        ``None`` means :data:`DEFAULT_MAX_SUPPORT` per structural
+        component and :data:`PREDICATE_MAX_SUPPORT` per component that
+        needs the opaque-predicate fallback; an explicit bound is
+        honoured verbatim.  Every method also accepts a per-call
+        override, honoured the same way.
+
+    A kernel is a plain object: its compiled artifacts live in the
+    dictionary's memo table, which every kernel over that dictionary
+    object shares.  Probabilities are exact :class:`Fraction` values,
+    equal to the seed enumeration engine's.
+    """
+
+    def __init__(self, dictionary: Dictionary, max_support_size: Optional[int] = None):
+        self._dictionary = dictionary
+        self._max_support_size = max_support_size
+        self._memo = _memo_of(dictionary)
 
     @classmethod
     def shared_stats(cls, dictionary: Dictionary) -> Optional[Dict[str, Dict[str, int]]]:
-        """Counters of the shared kernel for ``dictionary``, if it exists.
+        """Counters of the memo table of ``dictionary``, if it has one.
 
         Purely observational: nothing is created.  Returns
-        ``{"exact": stats}`` or ``None`` when no shared kernel has been
-        built for the dictionary yet — which is how operators can see
-        compiled-table and distribution hit rates without attaching a
-        debugger.
+        ``{"exact": stats}`` or ``None`` when no kernel has been built over
+        the dictionary yet — which is how operators can see compiled-table
+        and distribution hit rates without attaching a debugger.
         """
-        kernel = _SHARED.get(dictionary)
-        if kernel is None:
+        memo = getattr(dictionary, _MEMO_ATTRIBUTE, None)
+        if memo is None:
             return None
-        return {"exact": dict(kernel.stats)}
+        return {"exact": dict(memo.stats)}
 
     @property
     def dictionary(self) -> Dictionary:
         """The dictionary this kernel computes over."""
-        dictionary = self._dictionary_ref()
-        if dictionary is None:  # pragma: no cover - requires racing the GC
-            raise ProbabilityError(
-                "the kernel's dictionary has been garbage-collected; keep a "
-                "reference to the Dictionary while using its shared kernel"
-            )
-        return dictionary
+        return self._dictionary
+
+    @property
+    def stats(self) -> StatCounters:
+        """The counters of the dictionary's memo table (shared by its kernels)."""
+        return self._memo.stats
 
     # -- supports and components ------------------------------------------------
     def _event_support(self, event: Event) -> Tuple[Fact, ...]:
-        dictionary = self.dictionary
-        support = event.support(dictionary.schema)
+        support = event.support(self._dictionary.schema)
         if support is None:
-            return tuple(dictionary.tuple_space())
+            return tuple(self._dictionary.tuple_space())
         return tuple(support)
 
     def _components(
@@ -298,18 +337,15 @@ class ProbabilityKernel:
     ) -> None:
         """Refuse components too large to enumerate.
 
-        ``limit`` is a caller's explicit bound and is honoured verbatim
-        (seed semantics).  With no explicit bound, structural components
-        get the kernel's default and components needing the per-mask
-        predicate fallback — which enjoys none of the compiled speedup —
-        keep the seed's tighter :data:`PREDICATE_MAX_SUPPORT`.
+        An explicit bound — the call's ``limit``, else the kernel's own —
+        is honoured verbatim (seed semantics).  With neither, structural
+        components get :data:`DEFAULT_MAX_SUPPORT` and components needing
+        the per-mask predicate fallback — which enjoys none of the
+        compiled speedup — keep the seed's :data:`PREDICATE_MAX_SUPPORT`.
         """
-        if limit is not None:
-            bound = limit
-        elif opaque:
-            bound = min(self._max_support_size, PREDICATE_MAX_SUPPORT)
-        else:
-            bound = self._max_support_size
+        bound = limit if limit is not None else self._max_support_size
+        if bound is None:
+            bound = PREDICATE_MAX_SUPPORT if opaque else DEFAULT_MAX_SUPPORT
         if len(facts) > bound:
             raise IntractableAnalysisError(
                 f"{what} has a connected support component of {len(facts)} facts; "
@@ -319,56 +355,46 @@ class ProbabilityKernel:
             )
 
     # -- compiled artifacts ------------------------------------------------------
-    def _query_key(self, query) -> Tuple:
-        from ..session.compile import canonical_query_key  # lazy: avoids a cycle
-
-        return canonical_query_key(query)
-
     def query_table(self, query, facts: Sequence[Fact]) -> CompiledQueryTable:
         """The compiled table of ``query`` over ``facts`` (memoized)."""
-        key = (self._query_key(query), tuple(facts))
-        table = self._query_tables.get(key)
-        if table is None:
-            if len(self._query_tables) >= _MEMO_LIMIT:
-                self._query_tables.clear()
-            self.stats.bump("query_compilations")
-            with span("kernel.query_table"):
-                table = self._query_tables[key] = compile_query_table(query, facts)
-        else:
-            self.stats.bump("query_table_hits")
-        return table
-
-    def event_bits(self, event: Event, facts: Sequence[Fact]) -> int:
-        """The mask table of ``event`` over ``facts`` (memoized by identity).
-
-        Events are arbitrary objects (predicates are opaque), so the memo
-        key is the event's identity; the event is kept referenced while
-        its entry lives so ids cannot be recycled underneath the cache.
-        """
         facts = tuple(facts)
-        key = (id(event), facts)
-        cached = self._event_bits.get(key)
-        if cached is not None and cached[0] is event:
-            self.stats.bump("event_bit_hits")
-            return cached[1]
-        if len(self._event_bits) >= _MEMO_LIMIT:
-            self._event_bits.clear()
-        self.stats.bump("event_compilations")
-        bits = compile_event_bits(
-            event, facts, lambda query: self.query_table(query, facts)
+
+        def build() -> CompiledQueryTable:
+            with span("kernel.query_table"):
+                return compile_query_table(query, facts)
+
+        return self._memo.get(
+            ("query", _query_key(query), facts),
+            build,
+            "query_table_hits",
+            "query_compilations",
         )
-        self._event_bits[key] = (event, bits)
-        return bits
+
+    def _event_bits(self, event: Event, key: Optional[Hashable], facts: Tuple[Fact, ...]) -> int:
+        """The mask table of ``event`` (content key ``key``) over ``facts``.
+
+        An opaque event (``key`` is ``None``) is compiled on every call.
+        """
+
+        def build() -> int:
+            return compile_event_bits(
+                event, facts, lambda query: self.query_table(query, facts)
+            )
+
+        if key is None:
+            self.stats.bump("event_compilations")
+            return build()
+        return self._memo.get(
+            ("event", key, facts), build, "event_bit_hits", "event_compilations"
+        )
 
     def mass_table(self, facts: Sequence[Fact]) -> MassTable:
         """The meet-in-the-middle mass table over ``facts`` (memoized)."""
         facts = tuple(facts)
-        table = self._mass_tables.get(facts)
-        if table is None:
-            if len(self._mass_tables) >= _MEMO_LIMIT:
-                self._mass_tables.clear()
-            table = self._mass_tables[facts] = MassTable(self.dictionary, facts)
-        return table
+        return self._memo.get(
+            ("mass", facts),
+            lambda: MassTable([self._dictionary.probability_of(fact) for fact in facts]),
+        )
 
     # -- event probabilities -----------------------------------------------------
     def probability(
@@ -387,6 +413,7 @@ class ProbabilityKernel:
         the joint probability is the product of per-component masses.
         """
         events = list(events)
+        keys = [event_key(event) for event in events]
         supports = [self._event_support(event) for event in events]
         total = Fraction(1)
         for facts, items in self._components(supports):
@@ -394,11 +421,11 @@ class ProbabilityKernel:
                 facts,
                 max_support_size,
                 "event support",
-                opaque=any(has_opaque_predicate(events[i]) for i in items),
+                opaque=any(keys[i] is None for i in items),
             )
             bits = universe_mask(len(facts))
             for i in items:
-                bits &= self.event_bits(events[i], facts)
+                bits &= self._event_bits(events[i], keys[i], facts)
                 if not bits:
                     return Fraction(0)
             total *= self.mass_table(facts).mass(bits)
@@ -430,13 +457,14 @@ class ProbabilityKernel:
 
     # -- answer distributions ----------------------------------------------------
     def _query_support(self, query) -> Tuple[Fact, ...]:
-        return tuple(query_support(query, self.dictionary.schema))
+        return tuple(query_support(query, self._dictionary.schema))
 
     def _component_classes(
         self,
         facts: Tuple[Fact, ...],
         queries: Sequence,
         events: Sequence[Event],
+        keys: Sequence[Optional[Hashable]],
     ) -> List[Tuple[int, Tuple]]:
         """Split the mask space of one component into answer classes.
 
@@ -466,8 +494,8 @@ class ProbabilityKernel:
             classes = [
                 (bits, key + (frozenset(included),)) for bits, key, included in split
             ]
-        for event in events:
-            event_table = self.event_bits(event, facts)
+        for event, content in zip(events, keys):
+            event_table = self._event_bits(event, content, facts)
             next_classes: List[Tuple[int, Tuple]] = []
             for bits, key in classes:
                 holds = bits & event_table
@@ -492,12 +520,14 @@ class ProbabilityKernel:
         rows) in query order followed by each event's truth value.  The
         support is factorized into connected components; each component
         is enumerated once and the component distributions are combined
-        by product.  Pure-query calls (no events) are memoized per
-        kernel, so repeated verification of the same ``(queries,
-        dictionary)`` pair shares one enumeration.
+        by product.  Distributions are memoized in the dictionary's
+        table by the queries' and events' content keys, so repeated
+        verification of the same ``(queries, dictionary)`` pair shares
+        one enumeration; a call with an opaque event is not memoized.
         """
         queries = list(queries)
         events = list(events)
+        keys = [event_key(event) for event in events]
         supports = [self._query_support(query) for query in queries]
         supports += [self._event_support(event) for event in events]
         components = self._components(supports)
@@ -507,39 +537,36 @@ class ProbabilityKernel:
                 facts,
                 max_support_size,
                 "joint support" if queries else "event support",
-                opaque=any(
-                    has_opaque_predicate(events[i - query_count])
-                    for i in items
-                    if i >= query_count
-                ),
+                opaque=any(keys[i - query_count] is None for i in items if i >= query_count),
             )
 
-        memo_key: Optional[Tuple] = None
-        if not events:
-            memo_key = (tuple(self._query_key(query) for query in queries),)
-            cached = self._joint_dists.get(memo_key)
-            if cached is not None:
-                self.stats.bump("distribution_hits")
-                return dict(cached)
+        def build() -> Dict[Tuple, Fraction]:
+            with span("kernel.distribution"):
+                return self._joint_distribution_core(
+                    queries, events, keys, components, query_count
+                )
 
-        self.stats.bump("distributions")
-        with span("kernel.distribution"):
-            return self._joint_distribution_core(
-                queries, events, components, query_count, memo_key
-            )
+        if None in keys:
+            self.stats.bump("distributions")
+            return build()
+        memo_key = ("distribution", tuple(_query_key(query) for query in queries), tuple(keys))
+        return dict(self._memo.get(memo_key, build, "distribution_hits", "distributions"))
 
     def _joint_distribution_core(
-        self, queries, events, components, query_count, memo_key
+        self, queries, events, keys, components, query_count
     ) -> Dict[Tuple, Fraction]:
         per_component: List[Tuple[Tuple[int, ...], List[Tuple[Tuple, object]]]] = []
         for facts, items in components:
             component_queries = [queries[i] for i in items if i < query_count]
-            component_events = [events[i - query_count] for i in items if i >= query_count]
+            event_slots = [i - query_count for i in items if i >= query_count]
             mass = self.mass_table(facts)
             outcomes = [
                 (key, mass.mass(bits))
                 for bits, key in self._component_classes(
-                    facts, component_queries, component_events
+                    facts,
+                    component_queries,
+                    [events[i] for i in event_slots],
+                    [keys[i] for i in event_slots],
                 )
             ]
             per_component.append((items, outcomes))
@@ -558,11 +585,6 @@ class ProbabilityKernel:
             distribution[tuple(key)] = (
                 distribution.get(tuple(key), Fraction(0)) + probability
             )
-
-        if memo_key is not None:
-            if len(self._joint_dists) >= _MEMO_LIMIT:
-                self._joint_dists.clear()
-            self._joint_dists[memo_key] = dict(distribution)
         return distribution
 
     def joint_answer_distribution(
@@ -590,7 +612,7 @@ class ProbabilityKernel:
         """
         facts = tuple(sorted(self._query_support(query), key=repr))
         self._check_component(facts, max_support_size, "query support")
-        classes = self._component_classes(facts, [query], ())
+        classes = self._component_classes(facts, [query], (), ())
         ordered = sorted(
             classes, key=lambda entry: (entry[0] & -entry[0]).bit_length()
         )

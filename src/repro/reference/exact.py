@@ -3,8 +3,8 @@
 Every question re-evaluates the queries on each of the ``2^n``
 sub-instances of the support and recomputes the Eq. (1) product per
 subset.  The compiled :class:`~repro.probability.kernel.ProbabilityKernel`
-behind :class:`~repro.probability.engine.ExactEngine` must agree with it
-Fraction-for-Fraction.
+(also named :class:`~repro.probability.engine.ExactEngine`) must agree
+with it Fraction-for-Fraction.
 """
 
 from __future__ import annotations

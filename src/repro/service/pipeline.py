@@ -15,9 +15,10 @@ session, so they are neither coalesced nor cached.
 
 The tier that answers the client is the only one that enforces the
 request's ``deadline_ms``.  An execution past it is not cancelled: it
-runs on and holds its slot until it lands, and then its ok answer is
-published into this tier's table, so a retry is answered from the
-cache instead of recomputed.
+runs on, holds its slot and keeps its claim in flight until it lands.
+Its twins and retries meanwhile follow it, each within its own budget,
+and the landed answer resolves the claim: an ok one is published into
+this tier's table, so one fingerprint is computed once at a time.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def failure(code: str, message: str, retryable: Optional[bool] = None) -> Core:
     if retryable is not None:
         error["retryable"] = retryable
     return {"ok": False, "error": error}
+
+
+def _stopped() -> Core:
+    """The core a claim's followers get when the server stops under its execution."""
+    return failure(ERROR_INTERNAL, "the server stopped before answering")
 
 
 def _outcome_of(core: Core) -> str:
@@ -451,31 +457,26 @@ class RequestPipeline:
                     core = self._expiry(request, "while awaiting a twin computation")
                     return self._finish(request, core, started)
                 return self._duplicate(request, core, started, "coalesced", "coalesced-leader")
-        core = None
         try:
             core = await self._run(request, raw, key, deadline)
-        finally:
-            if key is not None:
-                if core is None:  # cancelled: the server is stopping
-                    core = failure(ERROR_INTERNAL, "the server stopped before answering")
-                if core.get("ok"):
-                    self._table.publish(key, core)
-                else:
-                    self._table.abandon(key, core)
+        except BaseException:  # cancelled: the server is stopping
+            self._resolve(key, _stopped())
+            raise
         return self._finish(request, core, started)
 
     async def _run(
         self, request: AuditRequest, raw: bytes, key: Optional[str], deadline: Optional[float]
     ) -> Core:
-        """Admit and execute an owned request; returns its core."""
-        if deadline is not None and time.perf_counter() >= deadline:
-            # The budget was spent upstream (router queue, network):
-            # answer structurally instead of starting doomed work.
-            return self._expiry(request, "before execution started")
+        """Admit and execute an owned request; returns its core.
+
+        The claim on ``key`` is resolved with that core, unless the
+        execution outlives the deadline: the claim then stays in flight
+        until :meth:`_reap_abandoned` resolves it with what lands.
+        """
         try:
             slot = self._admit(request, key)
         except Overloaded as error:
-            return failure(ERROR_OVERLOADED, str(error))
+            return self._resolve(key, failure(ERROR_OVERLOADED, str(error)))
         self._pending += 1
         work = asyncio.ensure_future(self._execute(request, raw, slot))
         # Registered first, so the slot is free before the awaiting
@@ -484,8 +485,8 @@ class RequestPipeline:
         try:
             core = await self._await_within(work, deadline)
         except asyncio.TimeoutError:
-            self._abandon(key, work)
-            core = self._expiry(request, "mid-computation; the computation runs on")
+            self._abandon(request, key, work)
+            return self._expiry(request, "mid-computation; the computation runs on")
         except Exception as error:  # noqa: BLE001 - the server must survive
             core = self._failure_of(request, error)
         trace = current_trace()
@@ -493,6 +494,19 @@ class RequestPipeline:
             # Stamped before the table resolves the key, so coalesced
             # twins and later cache hits can link to this computation.
             core["trace_id"] = trace.trace_id
+        return self._resolve(key, core)
+
+    def _resolve(self, key: Optional[str], core: Core) -> Core:
+        """Answer the claim on ``key`` (if any) with ``core``; returns it.
+
+        An ok core is published (cached), a failed one only passed on,
+        so the next request recomputes it.
+        """
+        if key is not None:
+            if core.get("ok"):
+                self._table.publish(key, core)
+            else:
+                self._table.abandon(key, core)
         return core
 
     def _landed(self, slot: Any, work: "asyncio.Future[Core]") -> None:
@@ -500,20 +514,25 @@ class RequestPipeline:
         self._pending -= 1
         self._release(slot)
 
-    def _abandon(self, key: str, work: "asyncio.Future[Core]") -> None:
+    def _abandon(
+        self, request: AuditRequest, key: Optional[str], work: "asyncio.Future[Core]"
+    ) -> None:
         """Let an execution past its deadline run on; harvest it when it lands."""
         self._abandoned_total += 1
         self._abandoned.add(work)
-        work.add_done_callback(functools.partial(self._reap_abandoned, key))
+        work.add_done_callback(functools.partial(self._reap_abandoned, request, key))
 
-    def _reap_abandoned(self, key: str, work: "asyncio.Future[Core]") -> None:
-        """An abandoned execution landed: publish its answer if it is ok."""
+    def _reap_abandoned(
+        self, request: AuditRequest, key: Optional[str], work: "asyncio.Future[Core]"
+    ) -> None:
+        """An abandoned execution landed: resolve its claim with what it left."""
         self._abandoned.discard(work)
-        if work.cancelled() or work.exception() is not None:
-            return
-        core = work.result()
-        if core.get("ok"):
-            self._table.publish(key, core)
+        if work.cancelled():
+            self._resolve(key, _stopped())
+        elif work.exception() is not None:
+            self._resolve(key, self._failure_of(request, work.exception()))
+        else:
+            self._resolve(key, work.result())
 
     def _table_stats(self) -> Dict[str, Any]:
         """The ``stats`` entries of this tier's table and abandoned executions."""

@@ -491,7 +491,8 @@ def session_key(request: AuditRequest) -> str:
 
     Requests with equal keys run on one shared
     :class:`~repro.session.AnalysisSession` (hence one critical-tuple
-    cache and one set of shared probability kernels).
+    cache, and one dictionary whose memo table holds the probability
+    kernel's compiled artifacts).
     """
     payload = {
         "schema": _canonical(request.schema),
@@ -502,13 +503,15 @@ def session_key(request: AuditRequest) -> str:
 
 
 def request_key(request: AuditRequest) -> str:
-    """The coalescing/memoization key: everything but the request id.
+    """The coalescing/memoization key of an analysis request: everything
+    but the request id.
 
     Two requests with the same key are the same question to the same
     session, so concurrent duplicates await one computation and repeats
     hit the server's result cache.  The key is textual: α-equivalent but
     differently-spelled queries get distinct keys (the session's own
-    critical-tuple cache still unifies their heavy work).
+    critical-tuple cache still unifies their heavy work).  Live requests
+    are never fingerprinted; :func:`routing_key` keys them by session.
     """
     payload = {
         "op": request.op,
@@ -521,12 +524,6 @@ def request_key(request: AuditRequest) -> str:
         "engine": request.engine,
         "options": _canonical(request.options),
     }
-    if request.is_live:
-        payload["live"] = request.live
-        for key in ("facts", "add", "remove", "publish", "retract"):
-            value = getattr(request, key)
-            if value is not None:
-                payload[key] = _canonical(value)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 

@@ -12,8 +12,8 @@ the daemon healthy under heavy, repetitive traffic:
   dictionary spec, verification engine); all requests with one
   fingerprint run on one shared
   :class:`~repro.session.AnalysisSession`, so the critical-tuple cache
-  and the per-dictionary probability kernels are reused across clients
-  and connections.  The pool is LRU-bounded.
+  and the dictionary's memo table of compiled probability artifacts are
+  reused across clients and connections.  The pool is LRU-bounded.
 
 * **Request coalescing.**  Identical analysis requests (same
   :func:`~repro.service.protocol.request_key`) that arrive while the

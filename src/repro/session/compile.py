@@ -99,15 +99,30 @@ def _conjunctive_key(query: ConjunctiveQuery) -> Tuple:
     return ("cq", head, body, comparisons)
 
 
+#: Attribute of a query object holding its canonical key.
+_KEY_ATTRIBUTE = "_canonical_key"
+
+
 def canonical_query_key(query: AnyQuery) -> Tuple:
     """A hashable canonical form shared by all α-equivalent spellings.
 
     For unions the disjunct keys are sorted, so disjunct order does not
-    split the cache.
+    split the cache.  Queries are immutable, so the key is computed once
+    per query object and stored on it, as
+    :func:`~repro.cq.compiled.plan_for` stores a compiled plan: the
+    probability kernel keys every compiled artifact by it.
     """
-    if isinstance(query, UnionQuery):
-        return ("union", tuple(sorted(_conjunctive_key(d) for d in query.disjuncts)))
-    return _conjunctive_key(query)
+    key = getattr(query, _KEY_ATTRIBUTE, None)
+    if key is None:
+        if isinstance(query, UnionQuery):
+            key = ("union", tuple(sorted(_conjunctive_key(d) for d in query.disjuncts)))
+        else:
+            key = _conjunctive_key(query)
+        try:
+            object.__setattr__(query, _KEY_ATTRIBUTE, key)
+        except (AttributeError, TypeError):  # pragma: no cover - exotic subclass
+            pass
+    return key
 
 
 def query_fingerprint(query: AnyQuery) -> str:

@@ -55,11 +55,11 @@ class VerificationEngine:
 class ExactVerificationEngine(VerificationEngine):
     """Literal Definition 4.1 with exact rational arithmetic.
 
-    Backed by the compiled probability kernel shared per dictionary
+    Backed by the compiled probability kernel
     (:class:`~repro.probability.kernel.ProbabilityKernel`): the joint
     answer distribution of ``(secret, views)`` is compiled and
-    enumerated once per dictionary and memoized, so repeated session
-    verifications of the same pair are cache hits.  Exponential in the
+    enumerated once and memoized in the dictionary's table, so repeated
+    session verifications of the same pair are cache hits.  Exponential in the
     per-component support size; authoritative on small domains.
     ``max_support_size`` bounds the enumerated support per connected
     component.

@@ -11,11 +11,15 @@ domains mixing numeric and string constants (the bare ``sorted(facts)``
 crash) and disconnected supports (component factorization).
 """
 
+import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from repro.core.leakage import positive_leakage, possible_answer_tuples
 from repro.core.prior import (
     PriorViewKnowledge,
     TupleStatusKnowledge,
@@ -32,10 +36,15 @@ from repro.exceptions import (
     SecurityAnalysisError,
 )
 from repro.probability import (
+    And,
     Dictionary,
     ExactEngine,
+    FactAbsent,
+    FactPresent,
+    Not,
     ProbabilityKernel,
     QueryAnswerIs,
+    QueryContains,
     QueryTrue,
     truth_table,
 )
@@ -67,6 +76,25 @@ def naive_eq4(secret, views, dictionary):
 def naive_verify(secret, views, dictionary):
     """Eq. (4) verdict recomputed entirely on the seed enumeration."""
     return naive_eq4(secret, views, dictionary)[0]
+
+
+def naive_leakage(secret, views, dictionary):
+    """Eq. (9) over single-row statements, recomputed on the seed enumeration."""
+    engine = NaiveExactEngine(dictionary)
+    view_rows = [possible_answer_tuples(view, dictionary) for view in views]
+    best = Fraction(0)
+    for row in possible_answer_tuples(secret, dictionary):
+        secret_event = QueryContains(secret, [row])
+        prior = engine.probability(secret_event)
+        if prior == 0:
+            continue
+        for rows in itertools.product(*view_rows):
+            view_event = And(tuple(QueryContains(v, [r]) for v, r in zip(views, rows)))
+            p_view = engine.probability(view_event)
+            if p_view:
+                posterior = engine.joint_probability([secret_event, view_event]) / p_view
+                best = max(best, (posterior - prior) / prior)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -285,45 +313,78 @@ class TestKernelSharingAndModes:
         self.schema = Schema([RelationSchema("R", ("x", "y"))], domain=domain)
         self.dictionary = Dictionary.uniform(self.schema, Fraction(1, 3))
 
-    def test_shared_kernel_identity_and_distribution_memo(self):
-        kernel = ProbabilityKernel.shared(self.dictionary)
-        assert ProbabilityKernel.shared(self.dictionary) is kernel
-        assert ExactEngine(self.dictionary).kernel is kernel
+    def test_repeated_joint_distribution_is_a_memo_hit(self):
+        kernel = ProbabilityKernel(self.dictionary)
         queries = [q("Q1(x) :- R(x, y)"), q("Q2(y) :- R(x, y)")]
         before = dict(kernel.stats)
         first = kernel.joint_answer_distribution(queries)
         mid = dict(kernel.stats)
-        second = kernel.joint_answer_distribution(queries)
+        # Another kernel over the same dictionary shares its table, and
+        # the table keys by content: an α-renamed spelling is a hit too.
+        second = ExactEngine(self.dictionary).joint_answer_distribution(queries)
+        renamed = kernel.joint_answer_distribution([q("A(u) :- R(u, w)"), q("B(w) :- R(u, w)")])
         after = dict(kernel.stats)
-        assert first == second
+        assert first == second == renamed
         assert mid["distributions"] == before["distributions"] + 1
         assert after["distributions"] == mid["distributions"]
-        assert after["distribution_hits"] == mid["distribution_hits"] + 1
+        assert after["distribution_hits"] == mid["distribution_hits"] + 2
 
     def test_verification_reuses_the_shared_joint_distribution(self):
-        kernel = ProbabilityKernel.shared(self.dictionary)
+        kernel = ProbabilityKernel(self.dictionary)
         secret, view = q("S(y) :- R(x, y)"), q("V(x) :- R(x, y)")
         verify_security_probabilistically(secret, [view], self.dictionary)
         enumerations = kernel.stats["distributions"]
         independence_gap(secret, [view], self.dictionary)
         assert kernel.stats["distributions"] == enumerations  # pure cache hit
 
-    def test_shared_registry_is_dropped_with_the_dictionary(self):
+    def test_event_distributions_are_memoized_by_the_events_content(self):
+        # Equal events built apart share one entry; different events never do.
+        kernel = ProbabilityKernel(self.dictionary)
+        naive = NaiveExactEngine(self.dictionary)
+        query = q("Q(x) :- R(x, y)")
+        fact = Fact("R", ("a", "b"))
+        for event in (FactPresent(fact), FactAbsent(fact), FactPresent(fact)):
+            joint = kernel.joint_distribution([query], [event])
+            expected = {
+                (answer, holds): naive.joint_probability([QueryAnswerIs(query, answer), tested])
+                for answer in naive.possible_answers(query)
+                for holds, tested in ((True, event), (False, Not(event)))
+            }
+            assert {key: p for key, p in joint.items() if p} == {
+                key: p for key, p in expected.items() if p
+            }
+        assert (kernel.stats["distributions"], kernel.stats["distribution_hits"]) == (2, 1)
+
+    def test_a_used_dictionary_pickles_with_an_empty_table(self):
+        import pickle
+
+        query = q("Q(x) :- R(x, y)")
+        expected = ProbabilityKernel(self.dictionary).answer_distribution(query)
+        clone = ProbabilityKernel(pickle.loads(pickle.dumps(self.dictionary)))
+        assert len(clone._memo) == 0
+        assert clone.answer_distribution(query) == expected
+
+    def test_memo_table_is_dropped_with_the_dictionary(self):
+        # Nothing points back at the dictionary, so reference counting
+        # alone frees it and its table: the collector stays off.
         import gc
         import weakref
 
-        from repro.probability.kernel import _SHARED
-
-        before = len(_SHARED)
         dictionary = Dictionary.uniform(self.schema, Fraction(1, 5))
-        kernel = ProbabilityKernel.shared(dictionary)
+        kernel = ProbabilityKernel(dictionary)
         kernel.answer_distribution(q("Q(x) :- R(x, y)"))
-        ref = weakref.ref(dictionary)
-        assert len(_SHARED) == before + 1
-        del dictionary, kernel
-        gc.collect()
-        assert ref() is None, "shared kernels must not keep their dictionary alive"
-        assert len(_SHARED) == before
+        kernel.probability(QueryTrue(q("B() :- R(x, x)")))
+        assert len(kernel._memo) > 0
+        dictionary_ref, table_ref = weakref.ref(dictionary), weakref.ref(kernel._memo)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del dictionary, kernel
+            assert dictionary_ref() is None, "the memo table must not keep its dictionary alive"
+            assert table_ref() is None, "the memo table must die with its dictionary"
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_engine_keeps_its_dictionary_alive(self):
         import gc
@@ -363,6 +424,71 @@ class TestKernelSharingAndModes:
         for mask in range(1 << n):
             expected = any(w & mask == w for w in witnesses)
             assert bool(closed >> mask & 1) == expected
+
+
+class TestMemoTableUnderConcurrency:
+    """Threads share one dictionary's memo table while it evicts constantly."""
+
+    def test_concurrent_analyses_equal_the_seed_engine(self, monkeypatch):
+        monkeypatch.setattr("repro.probability.kernel._MEMO_LIMIT", 3)
+        domain = Domain(["a", "b"], name="D")
+        schema = Schema(
+            [RelationSchema("R", ("x", "y")), RelationSchema("T", ("x",))], domain=domain
+        )
+        dictionary = Dictionary(
+            schema,
+            {Fact("R", ("a", "b")): Fraction(1, 3), Fact("T", ("a",)): Fraction(3, 4)},
+            default=Fraction(1, 2),
+        )
+        pool = [
+            q("Q1(x) :- R(x, y)"),
+            q("Q2(y) :- R(x, y)"),
+            q("Q3(x) :- R(x, 'a')"),
+            q("Q4(x) :- T(x)"),
+            q("Q5() :- R(x, x)"),
+            q("Q6(y) :- R(x, y), T(y)"),
+        ]
+        pairs = [(secret, [view]) for secret, view in itertools.permutations(pool, 2)][::2]
+        pairs += [(pool[0], pool[1:3]), (pool[5], [pool[3], pool[4]])]
+        expected = {}
+        for index, (secret, views) in enumerate(pairs):
+            verdict, gap = naive_eq4(secret, views, dictionary)
+            expected[index] = (
+                verdict,
+                gap,
+                naive_leakage(secret, views, dictionary),
+                set(NaiveExactEngine(dictionary).possible_answers(secret)),
+            )
+        assert {entry[0] for entry in expected.values()} == {True, False}
+
+        def analyse(index):
+            secret, views = pairs[index]
+            return (
+                verify_security_probabilistically(secret, views, dictionary),
+                independence_gap(secret, views, dictionary),
+                positive_leakage(secret, views, dictionary).leakage,
+                set(ProbabilityKernel(dictionary).possible_answers(secret)),
+            )
+
+        def worker(seed):
+            order = [index for _ in range(2) for index in range(len(pairs))]
+            random.Random(seed).shuffle(order)
+            return [(index, analyse(index)) for index in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: more interleavings
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool_executor:
+                runs = list(pool_executor.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            for index, result in run:
+                assert result == expected[index], (pairs[index], result, expected[index])
+        kernel = ProbabilityKernel(dictionary)
+        assert len(kernel._memo) <= 3
+        # Entries were evicted and recomputed: more enumerations than pairs.
+        assert kernel.stats["distributions"] > len(pairs)
 
 
 class TestKnowledgeThroughKernel:

@@ -16,7 +16,8 @@ import pytest
 from repro import Dictionary, q
 from repro.cq import union_of
 from repro.exceptions import SecurityAnalysisError
-from repro.probability.kernel import _MEMO_LIMIT, ProbabilityKernel
+from repro.probability import kernel as kernel_module
+from repro.probability.kernel import ProbabilityKernel
 from repro.reference import NaiveExactEngine
 from repro.reference import critical_tuples as reference_critical_tuples
 from repro.relational import Domain, Fact, RelationSchema, Schema
@@ -319,10 +320,12 @@ class TestPublishRetract:
             q(secret), q(new_body), Dictionary.uniform(binary_ab_schema, Fraction(1, 2))
         )
 
-    def test_publish_retract_churn_stays_within_cache_bounds(self):
+    def test_publish_retract_churn_stays_within_cache_bounds(self, monkeypatch):
         # Only the LRU bounds remove cache entries, so a long churn must
         # keep every cache at or below its bound.  The view pool holds
-        # more distinct (secret, view) pairs than a kernel memo keeps.
+        # more distinct (secret, view) pairs than the kernel's memo table
+        # keeps at its (shrunken) bound, so the table must evict.
+        monkeypatch.setattr(kernel_module, "_MEMO_LIMIT", 64)
         schema = Schema(
             [RelationSchema(f"T{i}", ("x",)) for i in range(12)],
             domain=Domain(["a", "b"]),
@@ -339,7 +342,7 @@ class TestPublishRetract:
             dictionary=dictionary,
             cache_size=8,
         )
-        kernel = ProbabilityKernel.shared(dictionary)
+        kernel = ProbabilityKernel(dictionary)
         for cycle in range(1000):
             body = bodies[cycle % len(bodies)]
             live.publish("w", body)
@@ -348,14 +351,10 @@ class TestPublishRetract:
         cache = live.session.cache_stats
         assert cache.evictions > 0
         assert cache.size <= cache.maxsize == 8
-        assert kernel.stats["distributions"] > _MEMO_LIMIT
-        for memo in (
-            kernel._query_tables,
-            kernel._event_bits,
-            kernel._mass_tables,
-            kernel._joint_dists,
-        ):
-            assert len(memo) <= _MEMO_LIMIT
+        # Each distribution computed entered the table, which holds fewer:
+        # the rest were evicted.
+        assert kernel.stats["distributions"] > kernel_module._MEMO_LIMIT
+        assert len(kernel._memo) <= kernel_module._MEMO_LIMIT
         assert live.revision == 2000
 
 

@@ -23,10 +23,14 @@ checks, which compare against a sequential reference
   not publish;
 * of two racing ``live-create`` requests for one name exactly one wins,
   and the session then holds the winner's facts;
-* each burst of identical analysis requests adds exactly one
-  ``computed`` to ``stats``;
-* each of a burst of distinct ``decide`` requests equals the reference
-  decision and adds one ``computed``.
+* analysis requests carry per-request deadlines (or none), and a
+  ``server.execute`` delay makes some of them run out: every answer is
+  the reference decision, or ``deadline-exceeded`` for a request whose
+  own budget ran out;
+* each burst of identical analysis requests executes exactly once: it
+  adds one ``computed``, or one abandoned execution when the request
+  that ran it ran out of budget first;
+* each of a burst of distinct ``decide`` requests executes once.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import socket
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -45,7 +50,7 @@ from repro import faults
 from repro.bench import employee_schema
 from repro.io import schema_from_dict, schema_to_dict
 from repro.service import AuditServiceClient, FaultPlan, FleetThread, ServerThread
-from repro.service.protocol import encode_message
+from repro.service.protocol import ERROR_DEADLINE_EXCEEDED, encode_message
 from repro.session import AnalysisSession, LiveAuditSession, fact_from_document
 
 SCHEMA = dict(schema_to_dict(employee_schema()), tuple_probability="1/4")
@@ -62,7 +67,12 @@ PLAN = {"seed": 5, "faults": [
      "probability": 0.5, "delay": 0.03, "count": None},
     {"point": "router.forward", "action": "delay", "op": "decide",
      "probability": 0.5, "delay": 0.03, "count": None},
+    {"point": "server.execute", "action": "delay", "op": "decide",
+     "probability": 0.5, "delay": 0.05, "count": None},
 ]}
+#: Per-request ``deadline_ms`` budgets: none, some that the delays above
+#: outlast, and ample ones.
+DEADLINES = st.lists(st.sampled_from((None, 20, 60, 30_000)), min_size=2, max_size=6)
 #: ``(secret head and body, views)`` of the distinct-request bursts: the
 #: first pair is secure, the others are not.
 DISTINCT_SHAPES = (
@@ -164,6 +174,32 @@ class LiveOracle(RuleBasedStateMachine):
         with AuditServiceClient(*self.address, timeout=60) as client:
             return client.request(op, **fields)
 
+    def _decide(self, deadline, **fields) -> tuple:
+        """A ``decide`` within ``deadline`` ms (or none): ``(response, elapsed ms)``."""
+        if deadline is not None:
+            fields["deadline_ms"] = deadline
+        started = time.perf_counter()
+        response = self._call("decide", **fields)
+        return response, (time.perf_counter() - started) * 1000.0
+
+    def _executions(self) -> int:
+        """Analyses this tier executed: answered in budget, or abandoned past it."""
+        stats = self._call("stats")["result"]
+        return stats["operations"].get("decide", {}).get("computed", 0) + stats["abandoned"]["total"]
+
+    @staticmethod
+    def _check_decision(answer, deadline, expected) -> None:
+        """The reference verdict, or an expiry of the request's own budget."""
+        response, elapsed = answer
+        if response["ok"]:
+            assert response["result"]["verdict"] == expected.verdict, response
+            assert response["result"]["common_critical_count"] == len(
+                expected.decision.common_critical
+            )
+            return
+        assert response["error"]["code"] == ERROR_DEADLINE_EXCEEDED, response
+        assert deadline is not None and elapsed >= deadline, (deadline, elapsed, response)
+
     def _at_once(self, jobs) -> list:
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [pool.submit(job) for job in jobs]
@@ -261,40 +297,44 @@ class LiveOracle(RuleBasedStateMachine):
         expected = self._reference(second if winners[0] else first).verdicts()
         assert _verdicts(audit["result"]) == _verdicts(expected)
 
-    @rule(copies=st.integers(2, 6))
-    def identical_burst(self, copies):
+    @rule(deadlines=DEADLINES)
+    def identical_burst(self, deadlines):
         fields = {
             "schema": SCHEMA,
             "secret": f"B{next(_names)}(n) :- Emp(n, d, p)",
             "views": VIEWS,
         }
-        before = self._call("stats")["result"]["operations"].get("decide", {})
-        results = self._at_once([lambda: self._call("decide", **fields)] * copies)
-        assert all(response["ok"] for response in results), results
-        assert len({json.dumps(r["result"], sort_keys=True) for r in results}) == 1
-        after = self._call("stats")["result"]["operations"]["decide"]
-        assert after["computed"] == before.get("computed", 0) + 1
+        before = self._executions()
+        answers = self._at_once([
+            lambda deadline=deadline: self._decide(deadline, **fields) for deadline in deadlines
+        ])
+        expected = AnalysisSession(schema_from_dict(SCHEMA)).decide(fields["secret"], VIEWS)
+        for answer, deadline in zip(answers, deadlines):
+            self._check_decision(answer, deadline, expected)
+        answered = [response["result"] for response, _ in answers if response["ok"]]
+        assert len({json.dumps(result, sort_keys=True) for result in answered}) <= 1
+        assert self._executions() == before + 1
 
-    @rule(shapes=st.lists(st.sampled_from(DISTINCT_SHAPES), min_size=2, max_size=4))
-    def distinct_burst(self, shapes):
-        requests = [(f"D{next(_names)}{secret}", views) for secret, views in shapes]
-        before = self._call("stats")["result"]["operations"].get("decide", {})
-        results = self._at_once([
-            lambda secret=secret, views=views: self._call(
-                "decide", schema=SCHEMA, secret=secret, views=views
+    @rule(
+        shapes=st.lists(st.sampled_from(DISTINCT_SHAPES), min_size=2, max_size=4),
+        deadlines=DEADLINES,
+    )
+    def distinct_burst(self, shapes, deadlines):
+        requests = [
+            (f"D{next(_names)}{secret}", views, deadline)
+            for (secret, views), deadline in zip(shapes, itertools.cycle(deadlines))
+        ]
+        before = self._executions()
+        answers = self._at_once([
+            lambda secret=secret, views=views, deadline=deadline: self._decide(
+                deadline, schema=SCHEMA, secret=secret, views=views
             )
-            for secret, views in requests
+            for secret, views, deadline in requests
         ])
         reference = AnalysisSession(schema_from_dict(SCHEMA))
-        for (secret, views), response in zip(requests, results):
-            assert response["ok"], response
-            expected = reference.decide(secret, views)
-            assert response["result"]["verdict"] == expected.verdict
-            assert response["result"]["common_critical_count"] == len(
-                expected.decision.common_critical
-            )
-        after = self._call("stats")["result"]["operations"]["decide"]
-        assert after["computed"] == before.get("computed", 0) + len(requests)
+        for (secret, views, deadline), answer in zip(requests, answers):
+            self._check_decision(answer, deadline, reference.decide(secret, views))
+        assert self._executions() == before + len(requests)
 
     def teardown(self):
         try:

@@ -33,6 +33,7 @@ import json
 import os
 import queue
 import signal
+import socket
 import threading
 import time
 
@@ -43,7 +44,7 @@ from repro.bench import employee_schema
 from repro.cq import evaluate, q
 from repro.cq.sql import SQL_STATS
 from repro.exceptions import ReproError
-from repro.io import schema_to_dict
+from repro.io import schema_from_dict, schema_to_dict
 from repro.relational import Fact, Instance
 from repro.storage import SQLiteFactStore
 from repro.service import (
@@ -64,9 +65,11 @@ from repro.service.health import (
 from repro.service.protocol import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_WORKER_CRASHED,
+    encode_message,
     parse_request,
     routing_key,
 )
+from repro.session import AnalysisSession
 from repro.workload import replay_workload
 
 
@@ -101,6 +104,35 @@ def _await_landed(client: AuditServiceClient, timeout: float = 30.0) -> None:
             return
         time.sleep(0.05)
     raise AssertionError(f"a forward was still outstanding after {timeout}s")
+
+
+def _expired_leader_and_twin(address) -> tuple:
+    """A decide with a 120 ms budget, and its deadline-free twin 50 ms later.
+
+    The leader's line goes out first on a raw socket, so the twin
+    arrives while the leader's execution is in flight.
+    """
+    leader = socket.create_connection(address, timeout=30)
+    try:
+        leader.sendall(encode_message({
+            "id": "leader", "op": "decide", "schema": SCHEMA, "secret": SECRET,
+            "views": VIEWS, "deadline_ms": 120,
+        }))
+        time.sleep(0.05)
+        with AuditServiceClient(*address) as client:
+            twin = client.request("decide", schema=SCHEMA, secret=SECRET, views=VIEWS)
+        with leader.makefile("rb") as lines:
+            expired = json.loads(lines.readline())
+    finally:
+        leader.close()
+    return expired, twin
+
+
+def _decide_executions(stats: dict) -> int:
+    """``server.execute`` hits of the one decide delay rule, over every worker."""
+    return sum(
+        entry["worker"]["faults"]["rules"][0]["hits"] for entry in stats["fleet"]["shards"]
+    )
 
 
 def _primary_shard(document: dict, workers: int = 2) -> int:
@@ -327,13 +359,83 @@ class TestDeadlines:
                 stats = client.request("stats")["result"]
                 assert stats["abandoned"]["total"] == 1
                 assert stats["totals"]["deadline"] == 1
-                # The delay rule is spent: the same question now answers
-                # comfortably inside an identical budget.
+                # The retry follows the still-running computation to its
+                # answer, comfortably inside its own budget.
                 retry = client.request(
                     "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
                     deadline_ms=30_000,
                 )
                 assert retry["ok"] is True
+
+    def test_a_deadline_free_twin_follows_an_expired_leader_to_its_answer(self):
+        # The leader's budget runs out mid-computation; its twin sent no
+        # deadline, so it keeps following the running work to its verdict.
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=0.6, count=1)]
+        ))
+        with ServerThread() as server:
+            expired, twin = _expired_leader_and_twin(server.address)
+        assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+        assert twin["ok"] is True, twin
+        assert twin["server"].get("coalesced") is True
+        reference = AnalysisSession(schema_from_dict(SCHEMA)).decide(SECRET, VIEWS)
+        assert twin["result"]["verdict"] == reference.verdict
+
+    def test_a_retry_during_an_abandoned_execution_coalesces_onto_it(self):
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=0.6, count=1)]
+        ))
+        with ServerThread() as server:
+            with AuditServiceClient(*server.address) as client:
+                expired = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=120,
+                )
+                assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                retry = client.request("decide", schema=SCHEMA, secret=SECRET, views=VIEWS)
+                assert retry["ok"] is True
+                assert retry["server"].get("coalesced") is True
+                stats = client.request("stats")["result"]
+        assert stats["faults"]["rules"][0]["hits"] == 1  # one execution
+        decide = stats["operations"]["decide"]
+        assert (decide["deadline"], decide["coalesced"], decide["computed"]) == (1, 1, 0)
+
+    def test_fleet_deadline_free_twin_follows_an_expired_leader_to_its_answer(self):
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=0.6, count=1)]
+        ))
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            expired, twin = _expired_leader_and_twin(fleet.address)
+        assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+        assert twin["ok"] is True, twin
+        assert twin["server"].get("fleet_coalesced") is True
+        reference = AnalysisSession(schema_from_dict(SCHEMA)).decide(SECRET, VIEWS)
+        assert twin["result"]["verdict"] == reference.verdict
+
+    def test_fleet_retry_during_an_abandoned_forward_coalesces_at_the_router(self):
+        # Each forked worker inherits the plan: its first decide sleeps.
+        faults.install(FaultPlan(
+            [FaultRule(point="server.execute", action="delay",
+                       op="decide", delay=0.6, count=1)]
+        ))
+        with FleetThread(workers=2, worker_threads=2) as fleet:
+            with AuditServiceClient(*fleet.address) as client:
+                expired = client.request(
+                    "decide", schema=SCHEMA, secret=SECRET, views=VIEWS,
+                    deadline_ms=120,
+                )
+                assert expired["error"]["code"] == ERROR_DEADLINE_EXCEEDED
+                retry = client.request("decide", schema=SCHEMA, secret=SECRET, views=VIEWS)
+                assert retry["ok"] is True
+                assert retry["server"].get("fleet_coalesced") is True
+                _await_landed(client)
+                stats = client.stats()
+        assert _decide_executions(stats) == 1  # forwarded once, executed once
+        decide = stats["operations"]["decide"]
+        assert (decide["deadline"], decide["coalesced"], decide["computed"]) == (1, 1, 0)
 
     def test_fleet_retry_after_a_deadline_is_answered_from_a_cache(self):
         # Each forked worker inherits the plan: its first decide sleeps.

@@ -43,6 +43,7 @@ from repro.io import schema_to_dict
 from repro.service import (
     AuditServiceClient,
     FaultPlan,
+    FaultRule,
     FleetCoalescer,
     FleetThread,
     parse_request,
@@ -62,8 +63,10 @@ SCHEMA = _schema_doc()
 SECRET = "S(n, p) :- Emp(n, d, p)"
 VIEWS = {"bob": "V(n, d) :- Emp(n, d, p)"}
 
-#: A larger schema whose ``leakage`` takes a few hundred ms — slow
-#: enough to be reliably in flight when the test kills or drains.
+#: Distinct ``leakage`` requests for the lifecycle and load tests.  A
+#: ``server.execute`` delay rule (:func:`_hold_leakages`), not their own
+#: computing time, keeps them in flight while a test kills, drains or
+#: saturates the fleet.
 SLOW_SCHEMA = _schema_doc(names=3)
 SLOW_SECRETS = [
     "S(p) :- Emp(n0, d, p)",
@@ -90,6 +93,36 @@ def _slow_request(secret: str) -> dict:
         "secret": secret,
         "views": VIEWS,
     }
+
+
+def _hold_leakages(delay: float) -> None:
+    """Install a plan that holds every ``leakage`` ``delay`` s in its worker.
+
+    Install it before the fleet starts: the forked workers inherit it.
+    """
+    faults.install(FaultPlan([FaultRule(
+        point="server.execute", action="delay", op="leakage", delay=delay, count=None,
+    )]))
+
+
+def _await_executing(fleet: FleetThread, counts: dict, timeout: float = 30.0) -> None:
+    """Poll fleet ``stats`` until shard ``i``'s worker holds ``counts[i]`` requests."""
+    deadline = time.time() + timeout
+    with AuditServiceClient(*fleet.address) as connection:
+        while time.time() < deadline:
+            shards = connection.stats()["fleet"]["shards"]
+            pending = {entry["shard"]: entry.get("worker", {}).get("pending") for entry in shards}
+            if all(pending[shard] == count for shard, count in counts.items()):
+                return
+            time.sleep(0.01)
+    raise AssertionError(f"the workers never held {counts} requests at once")
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_plan():
+    """Every test leaves the process without an active fault plan."""
+    yield
+    faults.uninstall()
 
 
 def _wait_restart(fleet: FleetThread, shard: int, old_pid: int, timeout: float = 30.0):
@@ -310,6 +343,7 @@ class TestFleetStats:
 
 class TestFleetLifecycle:
     def test_drain_then_stop_answers_in_flight_requests(self):
+        _hold_leakages(0.5)
         fleet = FleetThread(workers=2, worker_threads=2).start()
         try:
             by_shard = {0: [], 1: []}
@@ -342,7 +376,7 @@ class TestFleetLifecycle:
             ]
             for thread in threads:
                 thread.start()
-            time.sleep(0.15)  # the slow leakages are now in flight
+            _await_executing(fleet, {0: 2, 1: 2})  # the leakages are now in flight
             fleet.stop()
             for thread in threads:
                 thread.join(timeout=120)
@@ -354,6 +388,7 @@ class TestFleetLifecycle:
             fleet.stop()
 
     def test_worker_crash_fails_in_flight_and_restart_reserves_fingerprint(self):
+        _hold_leakages(1.0)  # the re-forked worker inherits it too
         fleet = FleetThread(workers=2, worker_threads=2, result_cache_size=0).start()
         try:
             document = _slow_request(SLOW_SECRETS[5])
@@ -372,7 +407,7 @@ class TestFleetLifecycle:
 
             thread = threading.Thread(target=one)
             thread.start()
-            time.sleep(0.12)  # the leakage is in flight on the victim worker
+            _await_executing(fleet, {shard: 1})  # the leakage is in flight on the victim
             os.kill(victim, signal.SIGKILL)
             thread.join(timeout=60)
             response = holder["response"]
@@ -401,6 +436,7 @@ class TestFleetLifecycle:
             fleet.stop()
 
     def test_saturated_shards_shed_with_structured_errors(self):
+        _hold_leakages(0.5)
         fleet = FleetThread(
             workers=2,
             worker_threads=1,
@@ -489,6 +525,7 @@ class TestLoadAwareRouting:
     """Uncached analyses go to the least-loaded healthy shard, ties by owner."""
 
     def test_concurrent_requests_with_one_owner_run_on_both_shards(self):
+        _hold_leakages(0.3)
         with FleetThread(workers=2, worker_threads=2) as fleet:
             responses = _at_once(fleet, _owner_pair(fleet))
             assert all(response["ok"] for response in responses), responses
@@ -514,6 +551,7 @@ class TestLoadAwareRouting:
             faults.uninstall()
 
     def test_sheds_only_when_every_shard_is_saturated(self):
+        _hold_leakages(1.0)
         with FleetThread(
             workers=2, worker_threads=1, shard_queue_limit=1, connections_per_worker=1
         ) as fleet:
