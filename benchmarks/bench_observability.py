@@ -14,12 +14,18 @@ to that promise with an A/B ablation on the seeded Table 1 workload:
   default): the wrapper checks ``request.trace`` once and falls
   through.
 
-Each configuration gets its own fresh server (no cache warm-over
-between runs) and is replayed ``ROUNDS`` times interleaved; the best
-round of each side is compared.  The gate: tracing-off throughput must
-stay within ``MAX_OVERHEAD`` (5%) of baseline.  A traced replay (every
-request carrying ``trace``) is also measured and recorded — ungated —
-so the cost of *enabled* tracing stays visible across PRs.
+Each replay gets its own fresh server (no cache warm-over between
+runs), after one discarded warm-up replay.  The two sides run in
+``PAIRS`` interleaved pairs, alternating which side goes first, so a
+host that speeds up or slows down during the run favours neither; each
+pair gives one tracing-off / baseline throughput ratio.  The gate: the
+median per-pair ratio must stay within ``MAX_OVERHEAD`` (5%) of parity.
+Both sides run the same pipeline code, so one pair mostly measures the
+host: on a shared 2-vCPU host one pair's ratio spread from 0.51 to 1.96
+(standard deviation about 0.2), so the gate reads the median of many
+pairs.  A traced replay (every request carrying ``trace``) is also
+measured and recorded — ungated — so the cost of *enabled* tracing
+stays visible across PRs.
 
 The run writes ``BENCH_observability.json`` with the gate embedded as
 ``required_throughput_ratio`` (consumed by ``check_trajectory.py``).
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import statistics
 import time
 import types
 from pathlib import Path
@@ -43,8 +50,9 @@ MAX_OVERHEAD = 0.05
 #: The acceptance gate on tracing-off / baseline throughput.
 MIN_THROUGHPUT_RATIO = 1.0 - MAX_OVERHEAD
 
-#: Replay rounds per configuration (best round is compared).
-ROUNDS = 2
+#: Interleaved (baseline, tracing-off) replay pairs; the gate reads the
+#: median of the per-pair throughput ratios.
+PAIRS = 31
 
 #: Mixed-workload size and replay fan-out (mirrors BENCH_service.json).
 WORKLOAD_REQUESTS = 200
@@ -92,27 +100,42 @@ def _disarmed_span_cost_ns(iterations: int = 200_000) -> float:
     return (time.perf_counter() - started) / iterations * 1e9
 
 
+def _median_run(runs):
+    """The run with the median throughput (the upper one of an even count)."""
+    return sorted(runs, key=lambda s: s["requests_per_second"])[len(runs) // 2]
+
+
 def test_tracing_off_overhead(experiment_report):
     report = experiment_report(
         "Observability — tracing-off overhead on the Table 1 workload",
-        ("configuration", "best rps", "p50 (ms)", "ok", "ratio", "required"),
+        ("configuration", "median rps", "p50 (ms)", "ok", "ratio", "required"),
     )
     spec = WorkloadSpec(
         seed=42, requests=WORKLOAD_REQUESTS, duplicate_fraction=0.3, random_fraction=0.0
     )
     requests = generate_workload(spec)
 
-    baseline_runs, off_runs = [], []
-    for _ in range(ROUNDS):
-        baseline_runs.append(_replay(requests, strip=True))
-        off_runs.append(_replay(requests, strip=False))
+    _replay(requests, strip=False)  # warm-up: the first replay pays one-off costs
+    baseline_runs, off_runs, pair_ratios = [], [], []
+    for pair in range(PAIRS):
+        if pair % 2:
+            off_run = _replay(requests, strip=False)
+            baseline_run = _replay(requests, strip=True)
+        else:
+            baseline_run = _replay(requests, strip=True)
+            off_run = _replay(requests, strip=False)
+        baseline_runs.append(baseline_run)
+        off_runs.append(off_run)
+        pair_ratios.append(
+            off_run["requests_per_second"] / baseline_run["requests_per_second"]
+        )
     for summary in (*baseline_runs, *off_runs):
         assert summary["errors"] == 0, summary.get("failures")
         assert summary["ok"] == WORKLOAD_REQUESTS
 
-    baseline = max(baseline_runs, key=lambda s: s["requests_per_second"])
-    off = max(off_runs, key=lambda s: s["requests_per_second"])
-    ratio = off["requests_per_second"] / baseline["requests_per_second"]
+    baseline = _median_run(baseline_runs)
+    off = _median_run(off_runs)
+    ratio = statistics.median(pair_ratios)
 
     traced = _replay(requests, strip=False, traced=True)
     assert traced["errors"] == 0, traced.get("failures")
@@ -155,9 +178,11 @@ def test_tracing_off_overhead(experiment_report):
                     "source": "table1-3-variable",
                 },
                 "concurrency": CONCURRENCY,
-                "rounds": ROUNDS,
+                "pairs": PAIRS,
                 "baseline_requests_per_second": baseline["requests_per_second"],
                 "tracing_off_requests_per_second": off["requests_per_second"],
+                # The gated figure is the median of the per-pair ratios.
+                "pair_ratios": [round(r, 4) for r in pair_ratios],
                 "throughput_ratio": round(ratio, 4),
                 "required_throughput_ratio": MIN_THROUGHPUT_RATIO,
                 "traced_requests_per_second": traced["requests_per_second"],
@@ -178,5 +203,6 @@ def test_tracing_off_overhead(experiment_report):
 
     assert ratio >= MIN_THROUGHPUT_RATIO, (
         f"tracing-off throughput is {(1 - ratio) * 100:.1f}% below the "
-        f"pre-tracing baseline (allowed ≤ {MAX_OVERHEAD * 100:.0f}%)"
+        f"pre-tracing baseline in the median pair (allowed ≤ "
+        f"{MAX_OVERHEAD * 100:.0f}%; pair ratios {pair_ratios})"
     )

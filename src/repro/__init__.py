@@ -30,8 +30,9 @@ Batch audits share the cache across every secret × view pair:
 >>> session.audit_plan(plan).secure
 True
 
-The legacy free functions remain fully supported and now delegate to a
-default session (see ``docs/API.md`` for the migration notes):
+The legacy free functions remain fully supported; without a
+``critical_fn`` they share one process-wide critical-tuple cache (see
+``docs/API.md`` for the migration notes):
 
 >>> from repro import q, decide_security
 >>> decide_security(q("S(n) :- Emp(n, HR, p)"),

@@ -27,19 +27,18 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.collusion import CollusionReport, largest_safe_view_set
+from ..core.criticality import schema_fingerprint
 from ..core.leakage import LeakageResult
 from ..core.practical import practical_security_check
 from ..core.prior import KnowledgeDecision, PriorKnowledge
 from ..core.security import SecurityDecision
+from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.query import ConjunctiveQuery
-from ..cq.union import UnionQuery
 from ..exceptions import SecurityAnalysisError
 from ..obs import span
 from ..probability.dictionary import Dictionary
 from ..relational.domain import Domain
 from ..relational.schema import Schema
-from ..session.cache import schema_fingerprint
-from ..session.compile import as_query
 from ..session.plan import PublishingPlan
 from ..session.results import PlanAuditResult
 from ..session.session import AnalysisSession
@@ -47,12 +46,6 @@ from .classification import DisclosureAssessment, classify_disclosure
 from .report import AuditFinding, AuditReport
 
 __all__ = ["SecurityAuditor"]
-
-QueryLike = Union[str, ConjunctiveQuery, UnionQuery]
-
-
-def _as_query(query: QueryLike) -> Union[ConjunctiveQuery, UnionQuery]:
-    return as_query(query)
 
 
 class SecurityAuditor:
@@ -128,7 +121,7 @@ class SecurityAuditor:
     def observability(self) -> dict:
         """Cache and kernel counters as one JSON-serialisable document.
 
-        Surfaces the session's :class:`~repro.session.cache.CacheStats`
+        Surfaces the session's :class:`~repro.core.criticality.CacheStats`
         and — when quantitative analyses ran — the counters of the
         dictionary's :class:`~repro.probability.kernel.ProbabilityKernel`
         memo table,
@@ -150,21 +143,19 @@ class SecurityAuditor:
     # -- single-pair primitives -------------------------------------------------
     def decide(self, secret: QueryLike, views: Sequence[QueryLike] | QueryLike) -> SecurityDecision:
         """Dictionary-independent security decision (Theorem 4.5)."""
-        return self._session.decide(
-            secret, self._as_views(views), domain=self._domain
-        ).decision
+        return self._session.decide(secret, views, domain=self._domain).decision
 
     def quick_check(self, secret: QueryLike, views: Sequence[QueryLike] | QueryLike):
         """The practical subgoal-unification check (Section 4.2)."""
-        return practical_security_check(_as_query(secret), self._as_views(views))
+        return practical_security_check(secret, views)
 
     def classify(
         self, secret: QueryLike, views: Sequence[QueryLike] | QueryLike
     ) -> DisclosureAssessment:
         """Grade the pair on the Total/Partial/Minute/None spectrum."""
         return classify_disclosure(
-            _as_query(secret),
-            self._as_views(views),
+            secret,
+            views,
             self._schema,
             dictionary=self._dictionary,
             domain=self._domain,
@@ -186,7 +177,7 @@ class SecurityAuditor:
                 "or to measure_leakage"
             )
         return self._session.leakage(
-            secret, self._as_views(views), dictionary=dictionary, **kwargs
+            secret, views, dictionary=dictionary, **kwargs
         ).measurement
 
     def decide_with_knowledge(
@@ -197,7 +188,7 @@ class SecurityAuditor:
     ) -> KnowledgeDecision:
         """Security under prior knowledge (Section 5)."""
         return self._session.with_knowledge(
-            secret, self._as_views(views), knowledge, domain=self._domain
+            secret, views, knowledge, domain=self._domain
         ).decision
 
     # -- multi-view audits --------------------------------------------------------
@@ -212,17 +203,9 @@ class SecurityAuditor:
         ``views`` may be a mapping ``recipient → view`` (enabling the
         collusion section of the report) or a plain sequence.
         """
-        secret_query = _as_query(secret)
-        if isinstance(views, Mapping):
-            named_views: Dict[str, ConjunctiveQuery] = {
-                name: _as_query(view) for name, view in views.items()
-            }
-            view_list = list(named_views.values())
-        else:
-            view_list = [_as_query(v) for v in views]
-            named_views = {f"user{i + 1}": v for i, v in enumerate(view_list)}
-        if not view_list:
-            raise SecurityAnalysisError("at least one view is required")
+        secret_query = as_query(secret, "secret")
+        view_list = as_queries(views)
+        named_views = dict(zip(views, view_list)) if isinstance(views, Mapping) else view_list
 
         timings: Dict[str, float] = {}
         started = time.perf_counter()
@@ -274,13 +257,10 @@ class SecurityAuditor:
         views: Union[Sequence[QueryLike], Mapping[str, QueryLike]],
     ) -> AuditReport:
         """Audit several secrets against the same set of views."""
-        if isinstance(views, Mapping):
-            view_list = [_as_query(v) for v in views.values()]
-        else:
-            view_list = [_as_query(v) for v in views]
+        view_list = as_queries(views)
         findings: List[AuditFinding] = []
         for secret in secrets:
-            secret_query = _as_query(secret)
+            secret_query = as_query(secret, "secret")
             assessment = classify_disclosure(
                 secret_query,
                 view_list,
@@ -317,15 +297,9 @@ class SecurityAuditor:
         """The largest subset of candidate views publishable without any
         disclosure about the secret (Theorem 4.5 makes this per-view)."""
         return largest_safe_view_set(
-            _as_query(secret),
-            [_as_query(v) for v in candidate_views],
+            as_query(secret, "secret"),
+            [as_query(view, "view") for view in candidate_views],
             self._schema,
             domain=self._domain,
             critical_fn=self._session.critical_fn,
         )
-
-    # -- helpers --------------------------------------------------------------------
-    def _as_views(self, views: Sequence[QueryLike] | QueryLike) -> List[ConjunctiveQuery]:
-        if isinstance(views, (str, ConjunctiveQuery, UnionQuery)):
-            return [_as_query(views)]
-        return [_as_query(v) for v in views]

@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
+from ..cq.canonical import as_queries, as_query
 from ..cq.containment import is_answerable_from
 from ..cq.query import ConjunctiveQuery
-from ..cq.union import UnionQuery
-from ..exceptions import IntractableAnalysisError, SecurityAnalysisError
+from ..exceptions import IntractableAnalysisError
 from ..probability.dictionary import Dictionary
 from ..relational.domain import Domain
 from ..relational.schema import Schema
@@ -153,14 +153,11 @@ def classify_disclosure(
         minute.
     critical_fn:
         Optional cached critical-tuple provider (supplied by the
-        session-backed auditor); omitted, the underlying decision
-        delegates to the default session.
+        session-backed auditor); omitted, the underlying decision uses
+        the process-wide :func:`~repro.core.criticality.default_cache`.
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
 
     decision = decide_security(
         secret, views, schema, domain=domain, critical_fn=critical_fn

@@ -11,6 +11,17 @@ Modules
 ``leakage``       disclosure measurement (Section 6.1, Theorem 6.1)
 ``encrypted``     encrypted views (Section 5.4)
 ``asymptotic``    practical security (Section 6.2)
+
+Every entry point takes its secret and views as query objects or
+datalog strings, and several views as one view, a sequence or a
+``recipient → view`` mapping (:func:`repro.cq.canonical.as_queries`);
+no views, or a value that is not a query, raises
+:class:`~repro.exceptions.SecurityAnalysisError`.  Without an explicit
+``critical_fn``, ``decide_security``, ``analyse_collusion``,
+``decide_with_knowledge`` and ``classify_practical_security`` memoize
+``crit_D`` in the process-wide
+:func:`~repro.core.criticality.default_cache`; sessions built on this
+package pass their own cache's provider instead.
 """
 
 from .adversary import (

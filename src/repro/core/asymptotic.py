@@ -30,9 +30,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..cq.canonical import QueryLike, as_query
 from ..cq.compose import conjoin
 from ..cq.evaluation import evaluate_boolean
 from ..cq.query import ConjunctiveQuery
@@ -42,6 +42,8 @@ from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import RelationSchema, Schema
 from ..relational.tuples import Fact
+from .criticality import default_cache
+from .security import decide_security
 
 __all__ = [
     "AsymptoticOrder",
@@ -358,8 +360,8 @@ def asymptotic_order(
 # Classification
 # ---------------------------------------------------------------------------
 def classify_practical_security(
-    secret: ConjunctiveQuery,
-    view: ConjunctiveQuery,
+    secret: QueryLike,
+    view: QueryLike,
     schema: Schema,
     expected_sizes: Mapping[str, float] | float = 1.0,
     zero_threshold: float = 1e-12,
@@ -375,26 +377,13 @@ def classify_practical_security(
     * ``exponent(QV) = exponent(V)``  →  practical disclosure with limit
       ``coefficient(QV)/coefficient(V)``.
 
-    Without an explicit ``critical_fn`` the call delegates to the
-    default :class:`~repro.session.AnalysisSession`, which caches the
-    underlying Theorem 4.5 critical-tuple computation.
+    Without an explicit ``critical_fn`` the process-wide
+    :func:`~repro.core.criticality.default_cache` caches the underlying
+    Theorem 4.5 critical-tuple computation.
     """
-    from .security import decide_security
-
-    if critical_fn is None:
-        from ..session.default import default_session
-
-        return (
-            default_session(schema)
-            .practical(
-                secret,
-                view,
-                expected_sizes=expected_sizes,
-                zero_threshold=zero_threshold,
-            )
-            .report
-        )
-
+    critical_fn = critical_fn or default_cache().critical_tuples
+    secret = as_query(secret, "secret")
+    view = as_query(view, "view")
     if not secret.is_boolean or not view.is_boolean:
         raise SecurityAnalysisError(
             "classify_practical_security expects boolean secret and view queries"

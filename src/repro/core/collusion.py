@@ -17,15 +17,16 @@ structure; the *degree* of the extra disclosure contributed by colluding
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
+from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.query import ConjunctiveQuery
 from ..exceptions import SecurityAnalysisError
 from ..relational.domain import Domain
 from ..relational.schema import Schema
-from ..relational.tuples import Fact
+from .criticality import default_cache
+from .domain_bounds import analysis_domain
 from .security import SecurityDecision, decide_security
 
 __all__ = ["CollusionReport", "analyse_collusion", "largest_safe_view_set"]
@@ -119,8 +120,8 @@ class CollusionReport:
 
 
 def analyse_collusion(
-    secret: ConjunctiveQuery,
-    views: Sequence[ConjunctiveQuery] | Mapping[str, ConjunctiveQuery],
+    secret: QueryLike,
+    views: Sequence[QueryLike] | Mapping[str, QueryLike] | QueryLike,
     schema: Schema,
     domain: Optional[Domain] = None,
     *,
@@ -131,32 +132,20 @@ def analyse_collusion(
     ``views`` may be a sequence (recipients are auto-named ``user1..``)
     or a mapping ``recipient name → view``.
 
-    Without an explicit ``critical_fn`` the call delegates to the
-    default :class:`~repro.session.AnalysisSession`, whose cache makes
-    the per-view loop compute the secret's critical tuples once instead
-    of once per view.
+    Without an explicit ``critical_fn`` the process-wide
+    :func:`~repro.core.criticality.default_cache` makes the per-view
+    loop compute the secret's critical tuples once instead of once per
+    view.
     """
-    if critical_fn is None:
-        from ..session.default import default_session
-
-        return (
-            default_session(schema)
-            .collusion(secret, views, domain=domain)
-            .report
-        )
-
+    critical_fn = critical_fn or default_cache().critical_tuples
+    secret = as_query(secret, "secret")
+    view_list = tuple(as_queries(views))
     if isinstance(views, Mapping):
-        recipients = tuple(views.keys())
-        view_list = tuple(views.values())
+        recipients = tuple(views)
     else:
-        view_list = tuple(views)
         recipients = tuple(f"user{i + 1}" for i in range(len(view_list)))
-    if not view_list:
-        raise SecurityAnalysisError("at least one view is required")
 
     # One shared analysis domain for all views keeps the verdicts comparable.
-    from .domain_bounds import analysis_domain
-
     domain = domain or analysis_domain([secret, *view_list])
     per_view = tuple(
         decide_security(secret, view, schema, domain=domain, critical_fn=critical_fn)
@@ -187,8 +176,6 @@ def largest_safe_view_set(
     """
     if not candidate_views:
         return ()
-    from .domain_bounds import analysis_domain
-
     domain = domain or analysis_domain([secret, *candidate_views])
     return tuple(
         view

@@ -6,6 +6,12 @@ propagation and symmetry reduction over interchangeable domain values,
 run serially over the candidate facts.  :func:`critical_tuples` and
 :func:`is_critical` are its per-query functions.
 
+:class:`CriticalTupleCache` memoizes its sets by (schema fingerprint,
+canonical query, domain); its :meth:`~CriticalTupleCache.critical_tuples`
+is the cached drop-in that sessions pass as ``critical_fn``, and
+:func:`default_cache` is the process-wide cache the free functions use
+when no ``critical_fn`` is given.
+
 The unpruned Appendix A search and the literal Definition 4.4
 enumeration live on as test oracles in :mod:`repro.reference`; the test
 suite cross-validates this engine against both.
@@ -17,6 +23,7 @@ from .base import (
     InstanceConstraint,
     candidate_critical_facts,
 )
+from .cache import CacheStats, CriticalTupleCache, default_cache, schema_fingerprint
 from .common import common_critical_tuples
 from .pruned import PrunedParallelEngine, critical_tuples, is_critical
 
@@ -29,4 +36,8 @@ __all__ = [
     "is_critical",
     "critical_tuples",
     "common_critical_tuples",
+    "CacheStats",
+    "CriticalTupleCache",
+    "default_cache",
+    "schema_fingerprint",
 ]

@@ -5,10 +5,16 @@ library: ``crit_D(Q)`` is recomputed by each security decision, each
 collusion coalition, each knowledge corollary and each batch audit.  The
 cache memoizes them under a key that is insensitive to everything that
 cannot change the result — query display names and variable spellings
-are normalised away by :func:`repro.session.compile.canonical_query_key`
+are normalised away by :func:`repro.cq.canonical.canonical_query_key`
 — while being fully sensitive to everything that can: the canonical
 query form, the tuple-space (schema fingerprint) and the analysis
 domain.
+
+:meth:`CriticalTupleCache.critical_tuples` is the cached drop-in for
+:func:`~repro.core.criticality.critical_tuples` that the decision
+procedures take as ``critical_fn``.  Every session owns (or shares) one
+cache; :func:`default_cache` is the process-wide one the free functions
+use when no ``critical_fn`` is given.
 
 The cache is bounded (LRU eviction) and keeps hit/miss/eviction
 statistics so callers can verify the sharing they expect actually
@@ -22,11 +28,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from ..exceptions import SecurityAnalysisError
-from ..relational.schema import Schema
-from ..relational.tuples import Fact
+from ...cq.canonical import AnyQuery, canonical_query_key
+from ...exceptions import SecurityAnalysisError
+from ...obs import span
+from ...relational.domain import Domain
+from ...relational.schema import Schema
+from ...relational.tuples import Fact
+from .base import InstanceConstraint
+from .pruned import critical_tuples
 
-__all__ = ["CacheStats", "CriticalTupleCache", "schema_fingerprint"]
+__all__ = ["CacheStats", "CriticalTupleCache", "default_cache", "schema_fingerprint"]
 
 #: Default number of critical-tuple sets kept by a session cache.
 DEFAULT_CACHE_SIZE = 512
@@ -120,9 +131,9 @@ class CacheStats:
 class CriticalTupleCache:
     """A thread-safe bounded LRU cache of ``crit_D(Q)`` sets.
 
-    Keys are arbitrary hashable tuples assembled by the session layer
-    (schema fingerprint, canonical query form, domain values); values are
-    the frozen critical-tuple sets.  ``get_or_compute`` is the only way
+    Keys are hashable tuples — :meth:`critical_tuples` assembles (schema
+    fingerprint, canonical query form, domain values); values are the
+    frozen critical-tuple sets.  ``get_or_compute`` is the only way
     entries are created, which keeps the hit/miss accounting exact.
     Each lookup is also tallied for the thread that made it
     (:meth:`thread_stats`), so a call on a shared cache can report its
@@ -230,5 +241,51 @@ class CriticalTupleCache:
             hits=hits, misses=misses, evictions=evictions, size=size, maxsize=self._maxsize
         )
 
+    def critical_tuples(
+        self,
+        query: AnyQuery,
+        schema: Schema,
+        domain: Optional[Domain] = None,
+        constraint: Optional[InstanceConstraint] = None,
+        **options,
+    ) -> FrozenSet[Fact]:
+        """``crit_D(Q)`` through this cache: a drop-in ``critical_fn``.
+
+        Constraint-relative sets (``crit_D(Q, K)``) are computed directly:
+        constraints are opaque callables and cannot be part of a sound
+        cache key.
+
+        Cost-guard options such as ``max_valuations`` are deliberately
+        *not* part of the key: they bound the computation, not the
+        result, so a warm cache may serve a set that a colder cache
+        would have refused to compute under a tighter bound.
+        """
+        if constraint is not None:
+            return _compute(query, schema, domain, constraint, **options)
+        if domain is None:
+            domain = schema.domain
+        key = (schema_fingerprint(schema), canonical_query_key(query), tuple(domain.values))
+        return self.get_or_compute(
+            key, lambda: _compute(query, schema, domain, None, **options)
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CriticalTupleCache({self.stats()!r})"
+
+
+def _compute(*args, **options) -> FrozenSet[Fact]:
+    with span("criticality.compute"):
+        return critical_tuples(*args, **options)
+
+
+_DEFAULT_CACHE = CriticalTupleCache()
+
+
+def default_cache() -> CriticalTupleCache:
+    """The process-wide cache the free functions use without ``critical_fn``.
+
+    One cache serves every schema: the key embeds the schema
+    fingerprint, so sharing is sound, and two schemas with the same
+    relations reuse each other's sets.
+    """
+    return _DEFAULT_CACHE

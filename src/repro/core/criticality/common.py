@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional, Sequence, Set
 
+from ...cq.canonical import as_queries
 from ...cq.query import ConjunctiveQuery
-from ...exceptions import SecurityAnalysisError
 from ...relational.domain import Domain
 from ...relational.schema import Schema
 from ...relational.tuples import Fact
@@ -47,8 +47,7 @@ def common_critical_tuples(
     without re-checking the bound; the bound guards computation cost,
     not the result.)
     """
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    views = as_queries(views)
     if critical_fn is None:
         critical_fn = critical_tuples
     secret_critical = critical_fn(

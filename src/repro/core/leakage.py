@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
-from ..cq.union import UnionQuery
 from ..exceptions import SecurityAnalysisError
 from ..probability.dictionary import Dictionary
 from ..probability.engine import ExactEngine
@@ -108,8 +108,8 @@ def _row_combinations(
 
 
 def positive_leakage(
-    secret: ConjunctiveQuery,
-    views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
+    secret: QueryLike,
+    views: Sequence[QueryLike] | Mapping[str, QueryLike] | QueryLike,
     dictionary: Dictionary,
     max_secret_rows: int = 1,
     max_view_rows: int = 1,
@@ -121,40 +121,27 @@ def positive_leakage(
     matching the paper's worked Examples 6.2/6.3; ``max_secret_rows`` /
     ``max_view_rows`` widen the search to larger inclusion statements.
 
-    Delegates to the default :class:`~repro.session.AnalysisSession`
-    (see :meth:`~repro.session.AnalysisSession.leakage` for the
-    session-native form with timing and cache accounting).
+    Accepts query objects or datalog strings, and one view, a sequence
+    of views or a ``recipient → view`` mapping.  The measurement needs
+    no critical tuples; :meth:`~repro.session.AnalysisSession.leakage`
+    runs the same search and adds timing.
     """
-    from ..session.default import default_session
-
-    return (
-        default_session(dictionary.schema)
-        .leakage(
-            secret,
-            views,
-            dictionary=dictionary,
-            max_secret_rows=max_secret_rows,
-            max_view_rows=max_view_rows,
-            max_support_size=max_support_size,
-        )
-        .measurement
+    return _positive_leakage(
+        secret, views, dictionary, max_secret_rows, max_view_rows, max_support_size
     )
 
 
 def _positive_leakage(
-    secret: ConjunctiveQuery,
-    views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
+    secret: QueryLike,
+    views: Sequence[QueryLike] | QueryLike,
     dictionary: Dictionary,
     max_secret_rows: int = 1,
     max_view_rows: int = 1,
     max_support_size: Optional[int] = None,
 ) -> LeakageResult:
-    """The Eq. (9) search itself (called by the session layer)."""
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    """The Eq. (9) search behind :func:`positive_leakage` and the session."""
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
 
     engine = ExactEngine(dictionary, max_support_size=max_support_size)
     secret_rows = possible_answer_tuples(secret, dictionary)
@@ -220,11 +207,8 @@ def epsilon_of_theorem_6_1(
     dictionary's own domain.
     """
     critical_fn = critical_fn or critical_tuples
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
 
     schema = dictionary.schema
     engine = ExactEngine(dictionary, max_support_size=max_support_size)

@@ -16,13 +16,12 @@ possible (insecurity is not implied), which the exact procedure in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from ..cq.atoms import Atom
+from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.query import ConjunctiveQuery
-from ..cq.union import UnionQuery
 from ..cq.unification import unifiable_subgoal_pairs
-from ..exceptions import SecurityAnalysisError
 
 __all__ = ["PracticalVerdict", "practical_security_check"]
 
@@ -68,15 +67,12 @@ class PracticalVerdict:
 
 
 def practical_security_check(
-    secret: ConjunctiveQuery,
-    views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
+    secret: QueryLike,
+    views: Sequence[QueryLike] | Mapping[str, QueryLike] | QueryLike,
 ) -> PracticalVerdict:
     """Run the pairwise subgoal-unification check of Section 4.2."""
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     triples = []
     for view in views:
         for secret_atom, view_atom in unifiable_subgoal_pairs(secret, view):

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..cq.evaluation import evaluate
+from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.homomorphism import find_query_homomorphism
 from ..cq.query import ConjunctiveQuery
-from ..cq.union import UnionQuery
 from ..exceptions import KnowledgeError, SecurityAnalysisError
 from ..probability.dictionary import Dictionary
 from ..probability.events import (
@@ -47,8 +46,13 @@ from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import Schema
 from ..relational.tuples import Fact, facts_of_relation
-from .criticality import InstanceConstraint, common_critical_tuples, critical_tuples
-from .domain_bounds import analysis_domain, analysis_schema, untyped_schema
+from .criticality import (
+    InstanceConstraint,
+    common_critical_tuples,
+    critical_tuples,
+    default_cache,
+)
+from .domain_bounds import analysis_schema, untyped_schema
 
 __all__ = [
     "PriorKnowledge",
@@ -335,9 +339,8 @@ def decide_with_key_constraints(
     ``crit_D(V̄, K)``.
     """
     critical_fn = critical_fn or critical_tuples
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     working_schema = (
         analysis_schema(schema, [secret, *views]) if domain is None else untyped_schema(schema, domain)
     )
@@ -393,9 +396,8 @@ def decide_with_cardinality_constraint(
     instances, i.e. have no critical tuples).
     """
     critical_fn = critical_fn or critical_tuples
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     working_schema = (
         analysis_schema(schema, [secret, *views]) if domain is None else untyped_schema(schema, domain)
     )
@@ -436,9 +438,8 @@ def decide_with_tuple_status(
     ``K : S | V̄`` holds for every distribution.  When only some are
     covered the rule is inconclusive (``secure=None``).
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     working_schema = (
         analysis_schema(schema, [secret, *views]) if domain is None else untyped_schema(schema, domain)
     )
@@ -623,8 +624,8 @@ def decide_with_prior_view(
 
 
 def decide_with_knowledge(
-    secret: ConjunctiveQuery,
-    views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
+    secret: QueryLike,
+    views: Sequence[QueryLike] | Mapping[str, QueryLike] | QueryLike,
     knowledge: PriorKnowledge,
     schema: Schema,
     domain: Optional[Domain] = None,
@@ -636,17 +637,18 @@ def decide_with_knowledge(
     Falls back to an inconclusive decision (``secure=None``) for
     knowledge classes without a syntactic rule (use
     :func:`verify_with_knowledge` in that case).  Without an explicit
-    ``critical_fn`` the call delegates to the default
-    :class:`~repro.session.AnalysisSession` for critical-tuple caching.
+    ``critical_fn`` the process-wide
+    :func:`~repro.core.criticality.default_cache` memoizes the
+    critical tuples.
     """
-    if critical_fn is None:
-        from ..session.default import default_session
-
-        return (
-            default_session(schema)
-            .with_knowledge(secret, views, knowledge, domain=domain)
-            .decision
+    if not isinstance(knowledge, PriorKnowledge):
+        raise SecurityAnalysisError(
+            f"the knowledge must be a PriorKnowledge instance, "
+            f"got {type(knowledge).__name__}"
         )
+    critical_fn = critical_fn or default_cache().critical_tuples
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     if isinstance(knowledge, KeyConstraintKnowledge):
         return decide_with_key_constraints(
             secret, views, knowledge, schema, domain, critical_fn=critical_fn
@@ -665,19 +667,16 @@ def decide_with_knowledge(
             critical_fn=critical_fn,
         )
     if isinstance(knowledge, PriorViewKnowledge):
-        view_list = (
-            [views] if isinstance(views, (ConjunctiveQuery, UnionQuery)) else list(views)
-        )
         if (
             knowledge.view.is_boolean
-            and len(view_list) == 1
-            and view_list[0].is_boolean
+            and len(views) == 1
+            and views[0].is_boolean
             and secret.is_boolean
             and knowledge.answer == frozenset({()})
         ):
             return decide_with_prior_view(
                 secret,
-                view_list[0],
+                views[0],
                 knowledge.view,
                 schema,
                 domain,
@@ -712,11 +711,8 @@ def verify_with_knowledge(
     probability of Eq. (7) is then a marginal of it, where the seed
     implementation re-enumerated the support for each answer combination.
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     schema = dictionary.schema
     knowledge_event = (
         knowledge if isinstance(knowledge, Event) else knowledge.event(schema)

@@ -14,23 +14,28 @@ literally for a concrete dictionary: it enumerates every possible answer
 ``P[S=s ∧ V̄=v̄] = P[S=s]·P[V̄=v̄]`` (Eq. 4) with exact rational
 arithmetic.  It is exponential and meant for small domains — it is what
 the test-suite uses to validate Theorem 4.5 end-to-end.
+
+Both take query objects or datalog strings; :func:`decide_security`
+memoizes ``crit_D`` in :func:`~repro.core.criticality.default_cache`
+unless the caller passes its own ``critical_fn``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
+from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.query import ConjunctiveQuery
-from ..cq.union import UnionQuery
 from ..exceptions import SecurityAnalysisError
 from ..probability.dictionary import Dictionary
 from ..probability.kernel import ProbabilityKernel
 from ..relational.domain import Domain
 from ..relational.schema import Schema
 from ..relational.tuples import Fact
+from .criticality import default_cache
 from .domain_bounds import analysis_schema, required_domain_size, untyped_schema
 
 __all__ = [
@@ -102,26 +107,9 @@ class SecurityDecision:
         )
 
 
-def _require_query(value, role: str):
-    """Uniform type validation for secrets and views.
-
-    The legacy normalisation accepted a :class:`UnionQuery` secret only
-    implicitly (through an ``isinstance`` tuple meant for views); this
-    makes the contract explicit and the failure mode a clear
-    :class:`SecurityAnalysisError` rather than an ``AttributeError``
-    deep inside the critical-tuple search.
-    """
-    if isinstance(value, (ConjunctiveQuery, UnionQuery)):
-        return value
-    raise SecurityAnalysisError(
-        f"the {role} must be a ConjunctiveQuery or a UnionQuery, "
-        f"got {type(value).__name__}: {value!r}"
-    )
-
-
 def decide_security(
-    secret: ConjunctiveQuery,
-    views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
+    secret: QueryLike,
+    views: Sequence[QueryLike] | Mapping[str, QueryLike] | QueryLike,
     schema: Schema,
     domain: Optional[Domain] = None,
     *,
@@ -132,9 +120,10 @@ def decide_security(
     Parameters
     ----------
     secret:
-        The confidential query ``S``.
+        The confidential query ``S`` (a query object or a datalog string).
     views:
-        One view or a sequence of views ``V1, ..., Vk``.
+        One view, a sequence of views ``V1, ..., Vk`` or a mapping
+        ``recipient → view``.
     schema:
         The database schema the queries range over.
     domain:
@@ -143,22 +132,13 @@ def decide_security(
     critical_fn:
         Critical-tuple provider with the signature of
         :func:`~repro.core.criticality.critical_tuples`.  When omitted
-        the call delegates to the module-level default
-        :class:`~repro.session.AnalysisSession`, which memoizes every
-        ``crit_D(Q)`` in a shared LRU cache; sessions pass their own
-        cached provider here.
+        the process-wide :func:`~repro.core.criticality.default_cache`
+        memoizes every ``crit_D(Q)``; sessions pass their own cache's
+        provider here.
     """
-    if critical_fn is None:
-        from ..session.default import default_session
-
-        return default_session(schema).decide(secret, views, domain=domain).decision
-
-    _require_query(secret, "secret")
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = [_require_query(view, "view") for view in views]
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    critical_fn = critical_fn or default_cache().critical_tuples
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
 
     if domain is None:
         working_schema = analysis_schema(schema, [secret, *views])
@@ -220,11 +200,8 @@ def _independence_terms(
     :class:`SecurityAnalysisError` without views: Definition 4.1 needs
     at least one.
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-    views = list(views)
-    if not views:
-        raise SecurityAnalysisError("at least one view is required")
+    secret = as_query(secret, "secret")
+    views = as_queries(views)
     joint = ProbabilityKernel(dictionary).joint_answer_distribution(
         [secret, *views], max_support_size=max_support_size
     )

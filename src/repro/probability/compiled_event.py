@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterator, Optional, Sequence, Tuple
 
+from ..cq.canonical import canonical_query_key
 from ..cq.evaluation import answer_tuple, satisfying_assignments
 from ..exceptions import ProbabilityError
 from ..relational.instance import Instance
@@ -306,8 +307,6 @@ def event_key(event: Event) -> Optional[Hashable]:
     its mask table is not memoized, and its cost stays the seed's ``2^n``
     evaluation loop, which the kernel bounds more conservatively.
     """
-    from ..session.compile import canonical_query_key  # lazy: avoids an import cycle
-
     if isinstance(event, QueryAnswerIs):
         return ("answer-is", canonical_query_key(event.query), event.answer)
     if isinstance(event, QueryContains):

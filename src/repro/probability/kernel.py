@@ -26,7 +26,7 @@ instead of per-subset re-evaluation:
   joint answer distribution) is a pure function of the dictionary and of
   what the artifact says.  So each :class:`Dictionary` carries one
   bounded LRU of them, keyed by content — the canonical query key
-  (:func:`~repro.session.compile.canonical_query_key`), the event key
+  (:func:`~repro.cq.canonical.canonical_query_key`), the event key
   (:func:`~repro.probability.compiled_event.event_key`), the ordered
   support — and stored on the dictionary the way
   :func:`~repro.cq.compiled.plan_for` stores a plan on its query: it
@@ -43,6 +43,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
+from ..cq.canonical import canonical_query_key
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..obs import span
 from ..obs.counters import StatCounters
@@ -228,12 +229,6 @@ def _memo_of(dictionary: Dictionary) -> _MemoTable:
     return memo
 
 
-def _query_key(query) -> Tuple:
-    from ..session.compile import canonical_query_key  # lazy: avoids an import cycle
-
-    return canonical_query_key(query)
-
-
 class ProbabilityKernel:
     """Compiled exact probability engine over one dictionary.
 
@@ -364,7 +359,7 @@ class ProbabilityKernel:
                 return compile_query_table(query, facts)
 
         return self._memo.get(
-            ("query", _query_key(query), facts),
+            ("query", canonical_query_key(query), facts),
             build,
             "query_table_hits",
             "query_compilations",
@@ -549,7 +544,11 @@ class ProbabilityKernel:
         if None in keys:
             self.stats.bump("distributions")
             return build()
-        memo_key = ("distribution", tuple(_query_key(query) for query in queries), tuple(keys))
+        memo_key = (
+            "distribution",
+            tuple(canonical_query_key(query) for query in queries),
+            tuple(keys),
+        )
         return dict(self._memo.get(memo_key, build, "distribution_hits", "distributions"))
 
     def _joint_distribution_core(

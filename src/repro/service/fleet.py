@@ -260,7 +260,7 @@ class FleetServer(RequestPipeline):
         ``cooldown_seconds``).
     worker_options:
         Extra :class:`AuditServer` keyword arguments for every worker
-        (e.g. ``max_sessions``, ``session_cache_size``).
+        (e.g. ``max_live``).
     """
 
     root_span = "router.route"

@@ -32,7 +32,7 @@ the daemon healthy under heavy, repetitive traffic:
   answer lands in the result cache.
 
 The worker threads share sessions, which is safe because
-:class:`~repro.session.cache.CriticalTupleCache` is thread-safe and
+:class:`~repro.core.criticality.CriticalTupleCache` is thread-safe and
 session analyses are otherwise read-only over immutable queries.
 """
 
@@ -104,8 +104,9 @@ __all__ = ["AuditServer", "ServerThread", "run_server"]
 #: Default bound on concurrently pending analyses (load-shedding threshold).
 DEFAULT_QUEUE_LIMIT = 64
 
-#: Default number of shared sessions kept (LRU).
-DEFAULT_MAX_SESSIONS = 32
+#: Number of shared sessions kept (LRU); each keeps its own
+#: critical-tuple cache of ``AnalysisSession``'s default size.
+MAX_SESSIONS = 32
 
 #: Default number of live audit sessions kept (LRU; oldest is dropped).
 DEFAULT_MAX_LIVE = 32
@@ -199,11 +200,10 @@ class AuditServer(RequestPipeline):
     queue_limit:
         Maximum pending analyses before requests are shed with an
         ``overloaded`` error.
-    max_sessions / result_cache_size:
-        LRU bounds of the shared-session pool and the completed-result
-        memo (a fleet worker runs with ``result_cache_size=0``).
-    session_cache_size:
-        ``CriticalTupleCache`` size of each shared session.
+    result_cache_size:
+        LRU bound of the completed-result memo (a fleet worker runs with
+        ``result_cache_size=0``).  The shared-session pool keeps
+        :data:`MAX_SESSIONS` sessions.
     max_payload:
         Upper bound (bytes) on one request line.
     slow_ms:
@@ -224,9 +224,7 @@ class AuditServer(RequestPipeline):
         path: Optional[str] = None,
         workers: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        max_sessions: int = DEFAULT_MAX_SESSIONS,
         result_cache_size: int = DEFAULT_CACHE_SIZE,
-        session_cache_size: int = 512,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         slow_ms: Optional[float] = None,
         max_live: int = DEFAULT_MAX_LIVE,
@@ -246,8 +244,6 @@ class AuditServer(RequestPipeline):
         )
         self._workers = workers or min(8, os.cpu_count() or 1)
         self._queue_limit = queue_limit
-        self._max_sessions = max(1, max_sessions)
-        self._session_cache_size = session_cache_size
         self._sessions: "OrderedDict[str, AnalysisSession]" = OrderedDict()
         self._max_live = max(1, max_live)
         self._live: "OrderedDict[str, LiveAuditSession]" = OrderedDict()
@@ -453,7 +449,6 @@ class AuditServer(RequestPipeline):
             facts=facts,
             store=store,
             dictionary=dictionary,
-            cache_size=self._session_cache_size,
         )
         snapshot = live.snapshot()
         snapshot["created"] = True
@@ -516,13 +511,8 @@ class AuditServer(RequestPipeline):
         session = self._sessions.get(key)
         if session is None:
             schema, dictionary = _schema_and_dictionary(request)
-            session = AnalysisSession(
-                schema,
-                dictionary=dictionary,
-                engine=request.engine,
-                cache_size=self._session_cache_size,
-            )
-            while len(self._sessions) >= self._max_sessions:
+            session = AnalysisSession(schema, dictionary=dictionary, engine=request.engine)
+            while len(self._sessions) >= MAX_SESSIONS:
                 self._sessions.popitem(last=False)
             self._sessions[key] = session
         self._sessions.move_to_end(key)

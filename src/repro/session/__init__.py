@@ -4,11 +4,11 @@ The package separates query *compilation* (normal form, analysis-domain
 fingerprint, memoized critical tuples) from *analysis* (cheap set
 operations over the cached artifacts):
 
-* :class:`AnalysisSession` — the front door; one per schema.
+* :class:`AnalysisSession` — the front door; one per schema.  Its
+  methods call the free functions of :mod:`repro.core` with the
+  session's cache and add timing, spans and result wrapping.
 * :class:`CompiledQuery` — a prepared query with lazily-cached
   ``crit_D(Q)``.
-* :class:`CriticalTupleCache` / :class:`CacheStats` — the bounded LRU
-  sharing layer.
 * :class:`PublishingPlan` / ``AnalysisSession.audit_plan`` — batch
   audits of secrets × views × coalitions.
 * :class:`LiveAuditSession` — a pinned (schema, instance, views) state
@@ -19,11 +19,18 @@ operations over the cached artifacts):
   one production engine of :mod:`repro.core.criticality`.
 * :mod:`~repro.session.results` — the unified :class:`AnalysisResult`
   hierarchy every session method returns.
+
+The package sits on top of the analysis layers; none of them imports
+it.  It re-exports the ``crit_D`` cache (``CriticalTupleCache``,
+``CacheStats``, ``schema_fingerprint``, ``default_cache``) from
+:mod:`repro.core.criticality` and the query coercion and key
+(``as_query``, ``canonical_query_key``, ``query_fingerprint``) from
+:mod:`repro.cq.canonical`.
 """
 
-from .cache import CacheStats, CriticalTupleCache, schema_fingerprint
-from .compile import CompiledQuery, as_query, canonical_query_key, query_fingerprint
-from .default import default_cache, default_session, reset_default_sessions
+from ..core.criticality import CacheStats, CriticalTupleCache, default_cache, schema_fingerprint
+from ..cq.canonical import as_query, canonical_query_key, query_fingerprint
+from .compile import CompiledQuery
 from .live import LiveAuditSession, fact_from_document, fact_to_document, may_affect
 from .engines import (
     ExactVerificationEngine,
@@ -60,9 +67,7 @@ __all__ = [
     "query_fingerprint",
     "schema_fingerprint",
     "as_query",
-    "default_session",
     "default_cache",
-    "reset_default_sessions",
     "VerificationEngine",
     "ExactVerificationEngine",
     "SamplingVerificationEngine",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence, Tuple
 
+from ..core.security import verify_security_probabilistically
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
 from ..exceptions import SecurityAnalysisError
@@ -68,8 +69,6 @@ class ExactVerificationEngine(VerificationEngine):
     name = "exact"
 
     def verify(self, secret, views, dictionary, max_support_size=None, **_):
-        from ..core.security import verify_security_probabilistically
-
         return verify_security_probabilistically(
             secret, list(views), dictionary, max_support_size=max_support_size
         )

@@ -23,7 +23,7 @@ touch:
 * **View publishes / retracts**.  These *do* change the question, so
   the session re-decides only the new pairs; every untouched pair is a
   cache hit.  Nothing is invalidated: the
-  :class:`~repro.session.cache.CriticalTupleCache` and the kernel memos
+  :class:`~repro.core.criticality.CriticalTupleCache` and the kernel memos
   are keyed by the content of immutable inputs (canonical query, schema,
   domain, dictionary), so no publish or retract changes the value under
   an existing key, and entries leave only through the caches' LRU
@@ -45,6 +45,7 @@ from collections import OrderedDict
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..cq import evaluate, match_atom_to_fact
+from ..cq.canonical import as_query
 from ..cq.evaluation import delta_apply_many
 from ..exceptions import SecurityAnalysisError
 from ..obs import span
@@ -53,7 +54,6 @@ from ..probability.dictionary import Dictionary
 from ..relational.instance import Instance
 from ..relational.schema import Schema
 from ..relational.tuples import Fact
-from .compile import as_query
 from .session import AnalysisSession
 
 __all__ = [

@@ -10,7 +10,7 @@ callers always want regardless of the analysis flavour:
   full detail (``SecurityDecision``, ``CollusionReport``, ...);
 * ``elapsed_seconds`` — wall-clock time of the analysis;
 * ``cache_used`` — the critical-tuple cache activity this one call
-  caused (a :class:`~repro.session.cache.CacheStats` delta).
+  caused (a :class:`~repro.core.criticality.CacheStats` delta).
 
 The legacy objects remain the source of truth for their own fields, so
 code written against the pre-session API keeps working on
@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
+from ..core.asymptotic import PracticalSecurityReport
 from ..core.collusion import CollusionReport
+from ..core.criticality import CacheStats
 from ..core.leakage import LeakageResult
 from ..core.practical import PracticalVerdict
 from ..core.prior import KnowledgeDecision
 from ..core.security import SecurityDecision
 from ..exceptions import SecurityAnalysisError
-from .cache import CacheStats
 
 __all__ = [
     "AnalysisResult",
@@ -166,7 +167,7 @@ class PracticalResult(AnalysisResult):
     security, ``False`` for a practical disclosure.
     """
 
-    report: object = None  # PracticalSecurityReport; untyped to avoid an import cycle
+    report: PracticalSecurityReport = None  # type: ignore[assignment]
 
     @property
     def evidence(self):

@@ -13,11 +13,12 @@ the same schema — pays for each ``crit_D(Q)`` exactly once::
     session.collusion(cs, {"bob": v1, "carol": v2}).report.summary()
     session.audit_plan(PublishingPlan(secrets={...}, views={...})).render()
 
-The legacy free functions (``decide_security``, ``analyse_collusion``,
-``decide_with_knowledge``, ``positive_leakage``,
-``classify_practical_security``) remain available and now delegate to a
-module-level default session, so existing code inherits the caching
-without changes.
+The session sits on top of the analysis layers: each method calls the
+free function of :mod:`repro.core` it is named after, passing this
+session's cache as ``critical_fn``, and adds only timing, a span and
+the result wrapping.  Called without ``critical_fn``, the free
+functions share the process-wide
+:func:`~repro.core.criticality.default_cache` instead.
 """
 
 from __future__ import annotations
@@ -27,16 +28,20 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core import domain_bounds
-from ..core.criticality import critical_tuples
+from ..core.asymptotic import PracticalSecurityLevel, classify_practical_security
+from ..core.collusion import analyse_collusion
+from ..core.criticality import CacheStats, CriticalTupleCache
+from ..core.leakage import _positive_leakage
 from ..core.practical import practical_security_check
-from ..core.prior import PriorKnowledge
+from ..core.prior import PriorKnowledge, decide_with_knowledge
+from ..core.security import decide_security
+from ..cq.canonical import QueryLike, as_queries, as_query, canonical_query_key
 from ..exceptions import SecurityAnalysisError
 from ..obs import span
 from ..probability.dictionary import Dictionary
 from ..relational.domain import Domain
 from ..relational.schema import Schema
-from .cache import CacheStats, CriticalTupleCache, schema_fingerprint
-from .compile import AnyQuery, CompiledQuery, QueryLike, as_query, canonical_query_key
+from .compile import CompiledQuery
 from .engines import VerificationEngine, create_engine
 from .plan import PublishingPlan
 from .results import (
@@ -55,6 +60,27 @@ from .results import (
 __all__ = ["AnalysisSession"]
 
 ViewsLike = Union[QueryLike, CompiledQuery, Sequence, Mapping[str, QueryLike]]
+
+
+def _plain(value):
+    """A session input as a core input: compiled handles become their queries.
+
+    Handles are unwrapped alone or inside lists, tuples and mappings;
+    everything else passes through to the core functions' own
+    :func:`~repro.cq.canonical.as_queries` coercion.
+    """
+    if isinstance(value, CompiledQuery):
+        return value.query
+    if isinstance(value, Mapping):
+        return {name: _plain(item) for name, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _views(views: Tuple):
+    """``*views`` varargs as one core input: a lone argument as given."""
+    return _plain(views[0] if len(views) == 1 else views)
 
 
 class AnalysisSession:
@@ -77,9 +103,9 @@ class AnalysisSession:
         Share an existing :class:`CriticalTupleCache` or size a fresh
         one.
 
-    Every ``crit_D(Q)`` the session computes, including those behind
-    the legacy free functions, runs on the production engine
-    (:func:`repro.core.criticality.critical_tuples`).
+    Every ``crit_D(Q)`` the session computes runs on the production
+    engine (:func:`repro.core.criticality.critical_tuples`) through this
+    session's cache.
     """
 
     def __init__(
@@ -96,7 +122,6 @@ class AnalysisSession:
                 f"AnalysisSession needs a Schema, got {type(schema).__name__}"
             )
         self._schema = schema
-        self._schema_fp = schema_fingerprint(schema)
         self._dictionary = dictionary
         self._engine_name = engine
         self._engine: VerificationEngine = create_engine(engine)
@@ -148,7 +173,7 @@ class AnalysisSession:
         parameter, which is how the audit layer shares this session's
         cache.
         """
-        return self._critical_fn
+        return self._cache.critical_tuples
 
     # -- compilation -------------------------------------------------------------
     def compile(self, query: Union[QueryLike, CompiledQuery]) -> CompiledQuery:
@@ -177,45 +202,11 @@ class AnalysisSession:
         Proposition 4.9 domain.  The computation runs over the untyped
         analysis schema exactly as the decision procedures do.
         """
-        parsed = self._unwrap(query)
+        parsed = as_query(_plain(query))
         if domain is None:
             domain = self._domain or domain_bounds.analysis_domain([parsed])
         working_schema = domain_bounds.untyped_schema(self._schema, domain)
-        return self._critical_fn(parsed, working_schema, domain)
-
-    def _unwrap(self, query: Union[QueryLike, CompiledQuery], role: str = "query") -> AnyQuery:
-        if isinstance(query, CompiledQuery):
-            return query.query
-        return as_query(query, role)
-
-    def _critical_fn(self, query, schema, domain=None, constraint=None, **options):
-        """The cached drop-in for the engine's ``critical_tuples``.
-
-        Constraint-relative sets (``crit_D(Q, K)``) are computed directly:
-        constraints are opaque callables and cannot be part of a sound
-        cache key.
-
-        Cost-guard options such as ``max_valuations`` are deliberately
-        *not* part of the key: they bound the computation, not the
-        result, so a warm cache may serve a set that a colder cache
-        would have refused to compute under a tighter bound.
-        """
-        def compute(*args, **kwargs):
-            with span("criticality.compute"):
-                return critical_tuples(*args, **kwargs)
-
-        if constraint is not None:
-            return compute(query, schema, domain, constraint, **options)
-        if domain is None:
-            domain = schema.domain
-        key = (
-            schema_fingerprint(schema),
-            canonical_query_key(query),
-            tuple(domain.values),
-        )
-        return self._cache.get_or_compute(
-            key, lambda: compute(query, schema, domain, None, **options)
-        )
+        return self._cache.critical_tuples(parsed, working_schema, domain)
 
     # -- result plumbing ---------------------------------------------------------
     def _finish(self, result_cls, kind, verdict, started, before, **fields) -> AnalysisResult:
@@ -229,25 +220,6 @@ class AnalysisSession:
             **fields,
         )
 
-    @staticmethod
-    def _is_view_collection(item) -> bool:
-        """True for containers of views (legacy callers pass any iterable)."""
-        if isinstance(item, (str, CompiledQuery)):
-            return False
-        return isinstance(item, Mapping) or hasattr(item, "__iter__")
-
-    def _normalise_views(self, views: Tuple) -> List[AnyQuery]:
-        """Flatten ``*views`` varargs into a list of query objects."""
-        flattened: List[AnyQuery] = []
-        for item in views:
-            if isinstance(item, Mapping):
-                flattened.extend(self._unwrap(v, "view") for v in item.values())
-            elif self._is_view_collection(item):
-                flattened.extend(self._unwrap(v, "view") for v in item)
-            else:
-                flattened.append(self._unwrap(item, "view"))
-        return flattened
-
     # -- analyses ----------------------------------------------------------------
     def decide(
         self,
@@ -256,19 +228,15 @@ class AnalysisSession:
         domain: Optional[Domain] = None,
     ) -> DecisionResult:
         """Dictionary-independent security decision (Theorem 4.5)."""
-        from ..core.security import decide_security
-
-        secret_query = self._unwrap(secret, "secret")
-        view_list = self._normalise_views(views)
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.decide"):
             decision = decide_security(
-                secret_query,
-                view_list,
+                _plain(secret),
+                _views(views),
                 self._schema,
                 domain=domain or self._domain,
-                critical_fn=self._critical_fn,
+                critical_fn=self._cache.critical_tuples,
             )
         return self._finish(
             DecisionResult, "decide", decision.secure, started, before, decision=decision
@@ -284,22 +252,18 @@ class AnalysisSession:
         max_support_size: Optional[int] = None,
     ) -> LeakageAnalysis:
         """Measure the positive disclosure ``leak(S, V̄)`` (Section 6.1)."""
-        from ..core.leakage import _positive_leakage
-
         dictionary = dictionary or self._dictionary
         if dictionary is None:
             raise SecurityAnalysisError(
                 "measuring leakage requires a dictionary; pass one to the session "
                 "or to leakage()"
             )
-        secret_query = self._unwrap(secret, "secret")
-        view_list = self._normalise_views(views)
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.leakage"):
             measurement = _positive_leakage(
-                secret_query,
-                view_list,
+                _plain(secret),
+                _views(views),
                 dictionary,
                 max_secret_rows=max_secret_rows,
                 max_view_rows=max_view_rows,
@@ -321,26 +285,15 @@ class AnalysisSession:
         domain: Optional[Domain] = None,
     ) -> CollusionResult:
         """Multi-party collusion analysis; each ``crit_D`` computed once."""
-        from ..core.collusion import analyse_collusion
-
-        secret_query = self._unwrap(secret, "secret")
-        if isinstance(views, Mapping):
-            normalised: Union[Dict[str, AnyQuery], List[AnyQuery]] = {
-                name: self._unwrap(v, "view") for name, v in views.items()
-            }
-        elif self._is_view_collection(views):
-            normalised = [self._unwrap(v, "view") for v in views]
-        else:
-            normalised = [self._unwrap(views, "view")]
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.collusion"):
             report = analyse_collusion(
-                secret_query,
-                normalised,
+                _plain(secret),
+                _plain(views),
                 self._schema,
                 domain=domain or self._domain,
-                critical_fn=self._critical_fn,
+                critical_fn=self._cache.critical_tuples,
             )
         return self._finish(
             CollusionResult,
@@ -359,25 +312,16 @@ class AnalysisSession:
         domain: Optional[Domain] = None,
     ) -> KnowledgeResult:
         """Security under prior knowledge (Section 5 corollaries)."""
-        from ..core.prior import decide_with_knowledge
-
-        if not isinstance(knowledge, PriorKnowledge):
-            raise SecurityAnalysisError(
-                f"with_knowledge expects a PriorKnowledge instance, "
-                f"got {type(knowledge).__name__}"
-            )
-        secret_query = self._unwrap(secret, "secret")
-        view_list = self._normalise_views((views,))
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.with-knowledge"):
             decision = decide_with_knowledge(
-                secret_query,
-                view_list,
+                _plain(secret),
+                _plain(views),
                 knowledge,
                 self._schema,
                 domain=domain or self._domain,
-                critical_fn=self._critical_fn,
+                critical_fn=self._cache.critical_tuples,
             )
         return self._finish(
             KnowledgeResult,
@@ -396,20 +340,16 @@ class AnalysisSession:
         zero_threshold: float = 1e-12,
     ) -> PracticalResult:
         """Asymptotic ("practical") security classification (Section 6.2)."""
-        from ..core.asymptotic import PracticalSecurityLevel, classify_practical_security
-
-        secret_query = self._unwrap(secret, "secret")
-        view_query = self._unwrap(view, "view")
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.practical"):
             report = classify_practical_security(
-                secret_query,
-                view_query,
+                _plain(secret),
+                _plain(view),
                 self._schema,
                 expected_sizes=expected_sizes,
                 zero_threshold=zero_threshold,
-                critical_fn=self._critical_fn,
+                critical_fn=self._cache.critical_tuples,
             )
         verdict = report.level is not PracticalSecurityLevel.PRACTICAL_DISCLOSURE
         return self._finish(
@@ -420,12 +360,10 @@ class AnalysisSession:
         self, secret: Union[QueryLike, CompiledQuery], *views: ViewsLike
     ) -> QuickCheckResult:
         """The sound subgoal-unification screening (Section 4.2)."""
-        secret_query = self._unwrap(secret, "secret")
-        view_list = self._normalise_views(views)
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.quick-check"):
-            check = practical_security_check(secret_query, view_list)
+            check = practical_security_check(_plain(secret), _views(views))
         verdict = True if check.certainly_secure else None
         return self._finish(
             QuickCheckResult, "quick-check", verdict, started, before, check=check
@@ -445,10 +383,8 @@ class AnalysisSession:
                 "verification requires a dictionary; pass one to the session or "
                 "to verify()"
             )
-        secret_query = self._unwrap(secret, "secret")
-        view_list = self._normalise_views(views)
-        if not view_list:
-            raise SecurityAnalysisError("at least one view is required")
+        secret_query = as_query(_plain(secret), "secret")
+        view_list = as_queries(_views(views))
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.verify"):
@@ -475,18 +411,16 @@ class AnalysisSession:
         verdicts determine every coalition, so the result covers all
         secret × view-subset pairs.
         """
-        from ..core.security import decide_security
-
         if not isinstance(plan, PublishingPlan):
             raise SecurityAnalysisError(
                 f"audit_plan expects a PublishingPlan, got {type(plan).__name__}"
             )
         secrets = {
-            name: self._unwrap(query, f"secret {name!r}")
+            name: as_query(_plain(query), f"secret {name!r}")
             for name, query in plan.secrets.items()
         }
         views = {
-            recipient: self._unwrap(query, f"view for {recipient!r}")
+            recipient: as_query(_plain(query), f"view for {recipient!r}")
             for recipient, query in plan.views.items()
         }
         before = self._cache.thread_stats()
@@ -507,7 +441,7 @@ class AnalysisSession:
                         view_query,
                         self._schema,
                         domain=domain,
-                        critical_fn=self._critical_fn,
+                        critical_fn=self._cache.critical_tuples,
                     )
                 entries.append(
                     PlanEntry(

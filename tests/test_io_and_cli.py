@@ -24,7 +24,7 @@ from repro.io import (
     schema_to_json,
 )
 from repro.probability.dictionary import Dictionary
-from repro.session.cache import schema_fingerprint
+from repro.core.criticality import schema_fingerprint
 from repro.session.plan import PublishingPlan
 
 EMPLOYEE_DOCUMENT = {

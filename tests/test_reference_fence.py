@@ -6,6 +6,11 @@ tests and benchmarks may import it: a production module importing it
 would make an oracle a second engine again.  The sql engine is likewise
 loaded only when a store is evaluated, so in-memory analyses never pay
 for it.
+
+Imports also flow one way between the layers: the analysis layers
+(relations, queries, probability, the paper's decision procedures,
+storage, tracing, the oracles) never import the front doors built on
+them (sessions, the auditor, the service, workloads, the CLI).
 """
 
 import ast
@@ -50,18 +55,40 @@ def _is_reference(name: str) -> bool:
     return name == "repro.reference" or name.startswith("repro.reference.")
 
 
-def test_no_production_module_imports_the_reference_package():
-    offenders = []
+def _package_imports():
+    """``(path, imported name)`` for every import of every module of the package."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.relative_to(PACKAGE).parts[0] == "reference":
-            continue
         module = _module_name(path)
         package = module if path.name == "__init__.py" else module.rpartition(".")[0]
-        offenders += [
-            f"{path.relative_to(SRC)}: {name}"
-            for name in _imported_modules(path.read_text(encoding="utf8"), package)
-            if _is_reference(name)
-        ]
+        for name in _imported_modules(path.read_text(encoding="utf8"), package):
+            yield path, name
+
+
+def test_no_production_module_imports_the_reference_package():
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path, name in _package_imports()
+        if path.relative_to(PACKAGE).parts[0] != "reference" and _is_reference(name)
+    ]
+    assert not offenders, offenders
+
+
+#: The analysis layers (first path component under ``src/repro``) ...
+LOWER_LAYERS = (
+    "relational", "cq", "probability", "core", "storage", "obs", "reference",
+    "faults.py", "exceptions.py",
+)
+#: ... and the front doors built on them, which they must not import.
+UPPER_LAYERS = ("repro.session", "repro.audit", "repro.service", "repro.workload", "repro.cli")
+
+
+def test_lower_layers_never_import_the_layers_above_them():
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path, name in _package_imports()
+        if path.relative_to(PACKAGE).parts[0] in LOWER_LAYERS
+        and any(name == upper or name.startswith(upper + ".") for upper in UPPER_LAYERS)
+    ]
     assert not offenders, offenders
 
 

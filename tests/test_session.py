@@ -25,7 +25,10 @@ from repro.core import (
     classify_practical_security,
     decide_security,
     decide_with_knowledge,
+    independence_gap,
     positive_leakage,
+    practical_security_check,
+    verify_security_probabilistically,
 )
 from repro.exceptions import SecurityAnalysisError
 from repro.reference import critical_tuples
@@ -36,9 +39,9 @@ from repro.session import (
     SamplingVerificationEngine,
     canonical_query_key,
     create_engine,
+    default_cache,
     query_fingerprint,
 )
-from repro.session.default import default_session, reset_default_sessions
 
 
 @pytest.fixture
@@ -222,27 +225,38 @@ class TestLegacyParity:
 
 
 # ---------------------------------------------------------------------------
-# Shims: the legacy entry points run through the default session
+# Shims: the legacy entry points share the process-wide default cache
 # ---------------------------------------------------------------------------
 class TestDefaultSessionShims:
     def test_decide_security_uses_shared_default_cache(self, emp_schema):
-        reset_default_sessions()
+        cache = default_cache()
+        cache.clear()
         secret = q("S(n) :- Emp(n, HR, p)")
         view = q("V(n) :- Emp(n, Mgmt, p)")
+        before = cache.thread_stats()
         decide_security(secret, view, emp_schema)
-        session = default_session(emp_schema)
-        first = session.cache_stats
-        assert first.misses > 0
+        first = cache.thread_stats().delta(before)
+        assert first.misses == 2 and first.hits == 0
         decide_security(secret, view, emp_schema)
-        second = session.cache_stats
+        second = cache.thread_stats().delta(before)
         assert second.misses == first.misses
-        assert second.hits > first.hits
-        reset_default_sessions()
+        assert second.hits == first.hits + 2
+        # A session over the default cache shares the free functions' sets.
+        session = AnalysisSession(emp_schema, cache=cache)
+        assert session.decide(secret, view).cache_used.misses == 0
+        cache.clear()
 
-    def test_default_sessions_are_reused_per_schema(self, emp_schema):
-        reset_default_sessions()
-        assert default_session(emp_schema) is default_session(emp_schema)
-        reset_default_sessions()
+    def test_collusion_computes_the_secret_once_on_the_default_cache(self, emp_schema):
+        cache = default_cache()
+        cache.clear()
+        views = [q(f"V{i}(n) :- Emp(n, D{i}, p)") for i in range(4)]
+        before = cache.thread_stats()
+        analyse_collusion(q("S(n, p) :- Emp(n, HR, p)"), views, emp_schema)
+        used = cache.thread_stats().delta(before)
+        # k views: the secret once and each view once miss; the secret's
+        # k - 1 further lookups hit.
+        assert (used.misses, used.hits) == (len(views) + 1, len(views) - 1)
+        cache.clear()
 
     def test_legacy_error_behaviour_is_preserved(self, binary_ab_schema):
         with pytest.raises(SecurityAnalysisError):
@@ -277,6 +291,115 @@ class TestDefaultSessionShims:
             union_secret, q("V(d) :- Emp(n, d, p)"), emp_schema
         )
         assert decision.secure is False
+
+
+# ---------------------------------------------------------------------------
+# One input contract for the free entry points
+# ---------------------------------------------------------------------------
+CONTRACT_SECRET = "S(x) :- R(x, 'b')"
+CONTRACT_VIEWS = ("V(x) :- R(x, y)", "W(y) :- R('a', y)")
+
+#: name → (call(secret, views, schema, dictionary, **critical_fn), takes critical_fn)
+MULTI_VIEW_ENTRY_POINTS = {
+    "decide_security": (
+        lambda s, v, schema, dictionary, **o: decide_security(s, v, schema, **o), True
+    ),
+    "analyse_collusion": (
+        lambda s, v, schema, dictionary, **o: analyse_collusion(s, v, schema, **o), True
+    ),
+    "decide_with_knowledge": (
+        lambda s, v, schema, dictionary, **o: decide_with_knowledge(
+            s, v, KeyConstraintKnowledge({"R": (0,)}), schema, **o
+        ),
+        True,
+    ),
+    "positive_leakage": (
+        lambda s, v, schema, dictionary: positive_leakage(s, v, dictionary), False
+    ),
+    "practical_security_check": (
+        lambda s, v, schema, dictionary: practical_security_check(s, v), False
+    ),
+    "verify_security_probabilistically": (
+        lambda s, v, schema, dictionary: verify_security_probabilistically(s, v, dictionary),
+        False,
+    ),
+    "independence_gap": (
+        lambda s, v, schema, dictionary: independence_gap(s, v, dictionary), False
+    ),
+}
+
+VIEW_SHAPES = {
+    "one view": lambda views: views[0],
+    "list": list,
+    "mapping": lambda views: {f"recipient{i}": view for i, view in enumerate(views)},
+}
+
+def _comparable(result):
+    """``result``, minus the view atoms the quick check renames apart afresh."""
+    if hasattr(result, "unifiable_pairs"):
+        return (
+            result.certainly_secure,
+            result.secret,
+            result.views,
+            tuple((secret_atom, view) for secret_atom, _, view in result.unifiable_pairs),
+        )
+    return result
+
+
+CONTRACT_CASES = [
+    (name, shape, explicit)
+    for name, (_, takes_critical_fn) in MULTI_VIEW_ENTRY_POINTS.items()
+    for shape in VIEW_SHAPES
+    for explicit in ((False, True) if takes_critical_fn else (False,))
+]
+
+
+class TestInputContract:
+    """Every free entry point takes the same inputs, with or without ``critical_fn``."""
+
+    @pytest.mark.parametrize("name,shape,explicit", CONTRACT_CASES)
+    def test_datalog_strings_equal_the_query_object_call(
+        self, binary_ab_schema, half_dictionary, name, shape, explicit
+    ):
+        call, _ = MULTI_VIEW_ENTRY_POINTS[name]
+        options = {"critical_fn": critical_tuples} if explicit else {}
+        shaped = VIEW_SHAPES[shape]
+        from_strings = call(
+            CONTRACT_SECRET, shaped(CONTRACT_VIEWS), binary_ab_schema, half_dictionary, **options
+        )
+        from_objects = call(
+            q(CONTRACT_SECRET),
+            shaped([q(view) for view in CONTRACT_VIEWS]),
+            binary_ab_schema,
+            half_dictionary,
+            **options,
+        )
+        assert _comparable(from_strings) == _comparable(from_objects)
+
+    @pytest.mark.parametrize("name,explicit", sorted({(n, e) for n, _, e in CONTRACT_CASES}))
+    @pytest.mark.parametrize(
+        "secret,views",
+        [(CONTRACT_SECRET, []), (CONTRACT_SECRET, [42]), (42, CONTRACT_VIEWS)],
+        ids=["no views", "non-query view", "non-query secret"],
+    )
+    def test_no_views_and_non_queries_raise(
+        self, binary_ab_schema, half_dictionary, name, explicit, secret, views
+    ):
+        call, _ = MULTI_VIEW_ENTRY_POINTS[name]
+        options = {"critical_fn": critical_tuples} if explicit else {}
+        with pytest.raises(SecurityAnalysisError):
+            call(secret, views, binary_ab_schema, half_dictionary, **options)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_classify_practical_security_takes_strings(self, binary_ab_schema, explicit):
+        options = {"critical_fn": critical_tuples} if explicit else {}
+        secret, view = "S() :- R('a', 'b')", "V() :- R('a', x)"
+        assert classify_practical_security(
+            secret, view, binary_ab_schema, **options
+        ) == classify_practical_security(q(secret), q(view), binary_ab_schema, **options)
+        for bad_secret, bad_view in ((secret, []), (secret, 42), (42, view)):
+            with pytest.raises(SecurityAnalysisError):
+                classify_practical_security(bad_secret, bad_view, binary_ab_schema, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +547,11 @@ class TestCacheAccounting:
         # must still report only its own two lookups.
         import threading
 
-        import repro.session.session as session_module
+        import repro.core.criticality.cache as cache_module
 
         session = AnalysisSession(emp_schema)
         entered, release = threading.Event(), threading.Event()
-        original = session_module.critical_tuples
+        original = cache_module.critical_tuples
 
         def blocking(*args, **kwargs):
             if threading.current_thread().name == "blocked" and not entered.is_set():
@@ -436,7 +559,7 @@ class TestCacheAccounting:
                 release.wait(timeout=60)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(session_module, "critical_tuples", blocking)
+        monkeypatch.setattr(cache_module, "critical_tuples", blocking)
         results = {}
 
         def blocked_decide() -> None:
