@@ -31,7 +31,7 @@ from ..exceptions import IntractableAnalysisError
 from ..probability.dictionary import Dictionary
 from ..relational.domain import Domain
 from ..relational.schema import Schema
-from ..core.domain_bounds import analysis_schema, untyped_schema
+from ..core.domain_bounds import analysis_schema
 from ..core.leakage import LeakageResult, positive_leakage
 from ..core.security import SecurityDecision, decide_security
 
@@ -171,9 +171,7 @@ def classify_disclosure(
             leakage=None,
         )
 
-    working_schema = analysis_schema(schema, [secret, *views])
-    if domain is not None:
-        working_schema = untyped_schema(schema, domain)
+    working_schema = analysis_schema(schema, [secret, *views], domain)
 
     # Answerability is checked over a deliberately small domain: if the
     # secret is a function of the views over every domain then it is one

@@ -8,9 +8,11 @@ production engine is :class:`~repro.core.criticality.pruned.
 PrunedParallelEngine`.
 
 The helpers below decide which facts are homomorphic images of a
-query's subgoals.  The production engine and the reference oracles of
-:mod:`repro.reference` share them, so the engines can never diverge on
-what counts as a candidate critical tuple.
+query's subgoals; matching one subgoal to one fact is
+:func:`~repro.cq.unification.match_atom_to_fact`.  The production
+engine and the reference oracles of :mod:`repro.reference` share them,
+so the engines can never diverge on what counts as a candidate critical
+tuple.
 """
 
 from __future__ import annotations
@@ -136,32 +138,3 @@ def candidate_critical_facts(
     for atom in query.body:
         candidates.update(_subgoal_groundings(atom, domain, allowed))
     return frozenset(candidates)
-
-
-def _seed_valuation(atom: Atom, fact: Fact) -> Optional[Dict[Variable, object]]:
-    """The partial valuation mapping ``atom`` onto ``fact`` (None on mismatch).
-
-    Shared by every engine's subgoal-to-fact matching so the engines can
-    never diverge on what counts as a homomorphic image.
-    """
-    if atom.relation != fact.relation or atom.arity != fact.arity:
-        return None
-    seed: Dict[Variable, object] = {}
-    for term, value in zip(atom.terms, fact.values):
-        if is_constant(term):
-            if term.value != value:
-                return None
-        else:
-            bound = seed.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                seed[term] = value
-            elif bound != value:
-                return None
-    return seed
-
-
-class _Unbound:
-    __repr__ = lambda self: "<unbound>"  # noqa: E731  # pragma: no cover
-
-
-_UNBOUND = _Unbound()

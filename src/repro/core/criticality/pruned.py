@@ -35,6 +35,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ...cq.evaluation import answer_contains, answer_tuple
+from ...cq.unification import match_atom_to_fact
 from ...exceptions import IntractableAnalysisError
 from ...relational.domain import Domain
 from ...relational.instance import Instance
@@ -44,7 +45,6 @@ from .base import (
     DEFAULT_MAX_VALUATIONS,
     CriticalityEngine,
     InstanceConstraint,
-    _seed_valuation,
     _tuple_space_set,
     candidate_critical_facts,
 )
@@ -221,7 +221,7 @@ def _pruned_is_critical(
         ):
             continue  # a false constant comparison makes the disjunct unsatisfiable
         for atom in disjunct.body:
-            seed = _seed_valuation(atom, fact)
+            seed = match_atom_to_fact(atom, fact)
             if seed is None:
                 continue
             if _pruned_witness_search(

@@ -19,6 +19,7 @@ import itertools
 from typing import Iterable, List, Sequence, Tuple
 
 from ..cq.query import ConjunctiveQuery
+from ..exceptions import SecurityAnalysisError
 from ..relational.domain import Domain
 from ..relational.schema import Schema
 
@@ -133,14 +134,26 @@ def untyped_schema(schema: Schema, domain) -> Schema:
 
 
 def analysis_schema(
-    schema: Schema, queries: Sequence[ConjunctiveQuery], minimum_size: int | None = None
+    schema: Schema,
+    queries: Sequence[ConjunctiveQuery],
+    domain: Domain | None = None,
 ) -> Schema:
-    """The schema re-targeted at the analysis domain of the given queries.
+    """The untyped schema every decision procedure works over.
 
-    Per-attribute domains are dropped: the paper's domain-independence
-    argument is stated for a single global domain, and keeping attribute
-    restrictions could hide critical tuples that exist over the analysis
-    domain.
+    Without ``domain`` the schema is re-targeted at the queries'
+    synthesised :func:`analysis_domain`.  An explicit ``domain`` is kept,
+    but must meet Proposition 4.9's bound (:func:`required_domain_size`):
+    over a smaller one a verdict need not be domain-independent, so it
+    raises :class:`~repro.exceptions.SecurityAnalysisError`.  Either way
+    per-attribute domains are dropped (:func:`untyped_schema`).
     """
-    domain = analysis_domain(queries, minimum_size=minimum_size)
+    if domain is None:
+        domain = analysis_domain(queries)
+    else:
+        minimum = required_domain_size(queries)
+        if len(domain) < minimum:
+            raise SecurityAnalysisError(
+                f"analysis domain has {len(domain)} constants but Proposition 4.9 "
+                f"requires at least {minimum} for a domain-independent verdict"
+            )
     return untyped_schema(schema, domain)

@@ -25,6 +25,7 @@ Consequences reproduced here:
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -32,7 +33,6 @@ from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
 from ..exceptions import SecurityAnalysisError
 from ..probability.dictionary import Dictionary
-from ..probability.engine import ExactEngine
 from ..probability.events import Event, query_support
 from ..relational.instance import Instance
 from ..relational.schema import RelationSchema, Schema
@@ -95,11 +95,9 @@ class EncryptedView:
         rows: List[Tuple[object, ...]], values: List[object]
     ) -> FrozenSet[Tuple[int, ...]]:
         """Minimum encoding over every injective renaming of the values."""
-        import itertools as _it
-
         best: Optional[Tuple[Tuple[int, ...], ...]] = None
         indices = list(range(len(values)))
-        for permutation in _it.permutations(indices):
+        for permutation in itertools.permutations(indices):
             codes = {value: permutation[i] for i, value in enumerate(values)}
             encoded = tuple(
                 sorted(tuple(codes[v] for v in row) for row in rows)
@@ -216,7 +214,6 @@ def answerable_from_encrypted_view(
     inequalities) are answerable; queries mentioning constants are not.
     """
     schema = dictionary.schema
-    engine = ExactEngine(dictionary, max_support_size=max_support_size)
     relation = schema.relation(view.relation)
     # key=repr: analysis domains may mix numeric and string constants,
     # which Python refuses to order directly.
@@ -229,13 +226,9 @@ def answerable_from_encrypted_view(
         raise SecurityAnalysisError(
             f"support of {len(support)} facts is too large for the exact answerability check"
         )
-    del engine  # only used for its support-size convention
-
     groups: Dict[FrozenSet[Tuple[int, ...]], FrozenSet] = {}
-    import itertools as _it
-
     for r in range(len(support) + 1):
-        for combo in _it.combinations(support, r):
+        for combo in itertools.combinations(support, r):
             instance = Instance(combo)
             key = view.answer(instance)
             value = evaluate(query, instance)

@@ -23,9 +23,7 @@ paper analyses.  This module provides:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..cq.canonical import QueryLike, as_queries, as_query
@@ -41,7 +39,6 @@ from ..probability.events import (
     PredicateEvent,
     QueryAnswerIs,
 )
-from ..probability.kernel import ProbabilityKernel
 from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import Schema
@@ -52,7 +49,8 @@ from .criticality import (
     critical_tuples,
     default_cache,
 )
-from .domain_bounds import analysis_schema, untyped_schema
+from .domain_bounds import analysis_schema
+from .security import _independence_terms
 
 __all__ = [
     "PriorKnowledge",
@@ -341,9 +339,7 @@ def decide_with_key_constraints(
     critical_fn = critical_fn or critical_tuples
     secret = as_query(secret, "secret")
     views = as_queries(views)
-    working_schema = (
-        analysis_schema(schema, [secret, *views]) if domain is None else untyped_schema(schema, domain)
-    )
+    working_schema = analysis_schema(schema, [secret, *views], domain)
     domain = working_schema.domain
     constraint = knowledge.instance_constraint()
 
@@ -398,9 +394,7 @@ def decide_with_cardinality_constraint(
     critical_fn = critical_fn or critical_tuples
     secret = as_query(secret, "secret")
     views = as_queries(views)
-    working_schema = (
-        analysis_schema(schema, [secret, *views]) if domain is None else untyped_schema(schema, domain)
-    )
+    working_schema = analysis_schema(schema, [secret, *views], domain)
     domain = working_schema.domain
     secret_trivial = not critical_fn(secret, working_schema, domain)
     views_trivial = all(not critical_fn(v, working_schema, domain) for v in views)
@@ -440,9 +434,7 @@ def decide_with_tuple_status(
     """
     secret = as_query(secret, "secret")
     views = as_queries(views)
-    working_schema = (
-        analysis_schema(schema, [secret, *views]) if domain is None else untyped_schema(schema, domain)
-    )
+    working_schema = analysis_schema(schema, [secret, *views], domain)
     domain = working_schema.domain
     common = common_critical_tuples(
         secret,
@@ -561,9 +553,7 @@ def decide_with_prior_view(
                 f"{query.arity} (use verify_with_knowledge for the general numeric check)"
             )
     all_queries = [secret, view, prior]
-    working_schema = (
-        analysis_schema(schema, all_queries) if domain is None else untyped_schema(schema, domain)
-    )
+    working_schema = analysis_schema(schema, all_queries, domain)
     domain = working_schema.domain
 
     prior_components = _connected_components(prior)
@@ -701,55 +691,20 @@ def verify_with_knowledge(
 ) -> bool:
     """Literal Definition 5.1 / Eq. (7) check for one concrete dictionary.
 
-    For every answer ``s`` of the secret and ``v̄`` of the views (attained
-    with non-zero probability together with ``K``), check
+    For every answer ``s`` of the secret and ``v̄`` of the views, check
 
         P[S=s ∧ V̄=v̄ ∧ K]·P[K] = P[S=s ∧ K]·P[V̄=v̄ ∧ K].
 
-    The compiled kernel enumerates **one** joint distribution over the
-    secret's answers, the views' answers and the truth of ``K``; every
-    probability of Eq. (7) is then a marginal of it, where the seed
-    implementation re-enumerated the support for each answer combination.
+    This is Eq. (4) with ``K``: the one joint distribution over the
+    secret's answers, the views' answers and the truth of ``K`` gives
+    every probability, compared on integer numerators
+    (:func:`~repro.core.security._independence_terms`).  Raises
+    :class:`KnowledgeError` when ``P[K] = 0``.
     """
-    secret = as_query(secret, "secret")
-    views = as_queries(views)
-    schema = dictionary.schema
     knowledge_event = (
-        knowledge if isinstance(knowledge, Event) else knowledge.event(schema)
+        knowledge if isinstance(knowledge, Event) else knowledge.event(dictionary.schema)
     )
-    kernel = ProbabilityKernel(dictionary)
-    joint = kernel.joint_distribution(
-        [secret, *views], [knowledge_event], max_support_size=max_support_size
+    _, terms = _independence_terms(
+        secret, views, dictionary, max_support_size, knowledge_event
     )
-
-    zero = Fraction(0)
-    p_knowledge = zero
-    p_secret_k: Dict[FrozenSet, Fraction] = {}
-    p_views_k: Dict[Tuple, Fraction] = {}
-    p_all_k: Dict[Tuple, Fraction] = {}
-    for key, probability in joint.items():
-        if not key[-1]:  # K fails on this outcome class
-            continue
-        secret_answer, view_answers = key[0], key[1:-1]
-        p_knowledge += probability
-        p_secret_k[secret_answer] = p_secret_k.get(secret_answer, zero) + probability
-        p_views_k[view_answers] = p_views_k.get(view_answers, zero) + probability
-        p_all_k[(secret_answer, view_answers)] = (
-            p_all_k.get((secret_answer, view_answers), zero) + probability
-        )
-    if p_knowledge == 0:
-        raise KnowledgeError("the prior knowledge has probability zero under this dictionary")
-
-    secret_answers = kernel.possible_answers(secret, max_support_size=max_support_size)
-    view_answer_lists = [
-        kernel.possible_answers(view, max_support_size=max_support_size)
-        for view in views
-    ]
-    for secret_answer in secret_answers:
-        for view_answers in itertools.product(*view_answer_lists):
-            p_all = p_all_k.get((secret_answer, view_answers), zero)
-            if p_all * p_knowledge != p_secret_k.get(secret_answer, zero) * p_views_k.get(
-                view_answers, zero
-            ):
-                return False
-    return True
+    return all(joint == product for joint, product in terms)

@@ -29,14 +29,15 @@ from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.query import ConjunctiveQuery
-from ..exceptions import SecurityAnalysisError
+from ..exceptions import KnowledgeError
 from ..probability.dictionary import Dictionary
+from ..probability.events import Event
 from ..probability.kernel import ProbabilityKernel
 from ..relational.domain import Domain
 from ..relational.schema import Schema
 from ..relational.tuples import Fact
 from .criticality import default_cache
-from .domain_bounds import analysis_schema, required_domain_size, untyped_schema
+from .domain_bounds import analysis_schema
 
 __all__ = [
     "SecurityDecision",
@@ -140,17 +141,8 @@ def decide_security(
     secret = as_query(secret, "secret")
     views = as_queries(views)
 
-    if domain is None:
-        working_schema = analysis_schema(schema, [secret, *views])
-        domain = working_schema.domain
-    else:
-        working_schema = untyped_schema(schema, domain)
-        minimum = required_domain_size([secret, *views])
-        if len(domain) < minimum:
-            raise SecurityAnalysisError(
-                f"analysis domain has {len(domain)} constants but Proposition 4.9 "
-                f"requires at least {minimum} for a domain-independent verdict"
-            )
+    working_schema = analysis_schema(schema, [secret, *views], domain)
+    domain = working_schema.domain
 
     secret_critical = critical_fn(secret, working_schema, domain)
     view_critical = tuple(
@@ -187,29 +179,42 @@ def _independence_terms(
     views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
     dictionary: Dictionary,
     max_support_size: Optional[int],
+    knowledge: Optional[Event] = None,
 ) -> Tuple[int, Iterator[Tuple[int, int]]]:
-    """Eq. (4) in integers: ``d`` and ``(joint·d, s·v)`` for every answer pair.
+    """Eq. (4), or Eq. (7) under knowledge ``K``, in integers.
 
-    The joint answer distribution comes from the kernel, memoized in the
-    dictionary's table.  It is put once over ``d``, the least common multiple of
-    its denominators, so every probability is an integer numerator:
-    ``P[S=s ∧ V̄=v̄] = joint/d`` and the marginals ``P[S=s] = s/d`` and
-    ``P[V̄=v̄] = v/d`` are integer sums.  Then ``P[S=s ∧ V̄=v̄] −
-    P[S=s]·P[V̄=v̄] = (joint·d − s·v)/d²``, so the cross product runs on
-    ints and no :class:`~fractions.Fraction` is built per pair.  Raises
-    :class:`SecurityAnalysisError` without views: Definition 4.1 needs
-    at least one.
+    Returns ``d`` and ``(joint·k, s·v)`` for every answer pair.  The
+    joint distribution comes from the kernel, memoized in the
+    dictionary's table, with ``K`` as its one event; only ``K``-true
+    classes count.  It is put once over ``d``, the least common multiple
+    of its denominators, so every probability is an integer numerator:
+    ``P[S=s ∧ V̄=v̄ ∧ K] = joint/d``, ``P[S=s ∧ K] = s/d``,
+    ``P[V̄=v̄ ∧ K] = v/d`` and ``P[K] = k/d``.  Eq. (7),
+    ``P[S=s ∧ V̄=v̄ ∧ K]·P[K] = P[S=s ∧ K]·P[V̄=v̄ ∧ K]``, is then
+    ``joint·k = s·v`` on ints, and no :class:`~fractions.Fraction` is
+    built per pair.  Without ``K``, ``k`` is ``d`` and this is Eq. (4):
+    ``P[S=s ∧ V̄=v̄] − P[S=s]·P[V̄=v̄] = (joint·d − s·v)/d²``.  Only
+    answers attained with ``K`` are paired: a pair with a zero marginal
+    has a zero joint, so both sides are 0.  Raises
+    :class:`SecurityAnalysisError` without views (Definition 4.1 needs
+    at least one) and :class:`KnowledgeError` when ``P[K] = 0``.
     """
     secret = as_query(secret, "secret")
     views = as_queries(views)
-    joint = ProbabilityKernel(dictionary).joint_answer_distribution(
-        [secret, *views], max_support_size=max_support_size
+    events = () if knowledge is None else (knowledge,)
+    joint = ProbabilityKernel(dictionary).joint_distribution(
+        [secret, *views], events, max_support_size=max_support_size
     )
     denominator = math.lcm(*{probability.denominator for probability in joint.values()})
-    numerators = {
-        key: probability.numerator * (denominator // probability.denominator)
-        for key, probability in joint.items()
-    }
+    numerators: Dict[Tuple, int] = {}
+    for key, probability in joint.items():
+        if events and not key[-1]:  # K fails on this outcome class
+            continue
+        answers = key[: 1 + len(views)]
+        numerators[answers] = probability.numerator * (denominator // probability.denominator)
+    knowledge_mass = sum(numerators.values())
+    if knowledge_mass == 0:
+        raise KnowledgeError("the prior knowledge has probability zero under this dictionary")
 
     secret_marginal: Dict[FrozenSet, int] = {}
     views_marginal: Dict[Tuple, int] = {}
@@ -221,7 +226,7 @@ def _independence_terms(
     def terms() -> Iterator[Tuple[int, int]]:
         for secret_answer, s in secret_marginal.items():
             for view_answers, v in views_marginal.items():
-                yield numerators.get((secret_answer, *view_answers), 0) * denominator, s * v
+                yield numerators.get((secret_answer, *view_answers), 0) * knowledge_mass, s * v
 
     return denominator, terms()
 

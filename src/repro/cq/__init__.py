@@ -14,7 +14,6 @@ from .evaluation import (
     delta_apply,
     delta_apply_many,
     delta_changes,
-    delta_with,
     evaluate,
     evaluate_boolean,
     possible_answers,
@@ -29,7 +28,7 @@ from .homomorphism import (
 )
 from .parser import parse_atom, parse_query, parse_term, q
 from .query import ConjunctiveQuery
-from .terms import Constant, Term, Variable, fresh_variable
+from .terms import Constant, Term, Variable
 from .union import UnionQuery, union_of
 from .unification import (
     atoms_unifiable,
@@ -46,7 +45,6 @@ __all__ = [
     "Constant",
     "Term",
     "Variable",
-    "fresh_variable",
     "parse_query",
     "parse_atom",
     "parse_term",
@@ -57,7 +55,6 @@ __all__ = [
     "satisfying_assignments",
     "answer_contains",
     "delta_changes",
-    "delta_with",
     "delta_apply",
     "delta_apply_many",
     "CompiledPlan",

@@ -14,17 +14,16 @@
   bound, pruning the subtree below a failing candidate.
 
 On top of plain evaluation the plan answers the two restricted questions
-the criticality engines ask thousands of times per search:
+every delta and membership check of :mod:`repro.cq.evaluation` is built
+from:
 
-* :meth:`CompiledPlan.derives_row` — "is this one answer row still
+* :meth:`CompiledPlan.derives_row` — "is this one answer row
   derivable?" — seeds the head slots before planning, so the probes are
   keyed by the answer's constants;
-* :meth:`CompiledPlan.delta_without` — "does removing one fact change
-  the answer?" — the semi-naive delta: only derivations that *use* the
-  removed fact are re-derived (one plan variant per body atom unifying
-  with the fact, that atom pinned and excluded), and each candidate row
-  is then re-checked on the shrunken instance via ``derives_row``.  A
-  fact unifying with no subgoal costs nothing at all.
+* :meth:`CompiledPlan.delta_candidates` — "which answer rows have a
+  derivation using this fact?" — the semi-naive restriction: one plan
+  variant per body atom matching the fact, that atom pinned and
+  excluded.  A fact matching no subgoal costs nothing at all.
 
 Plans are cached on the query object itself (queries are immutable), so
 re-evaluating a query held by a session, kernel or engine never replans.
@@ -38,10 +37,10 @@ from ..exceptions import EvaluationError
 from ..obs.counters import StatCounters
 from ..relational.instance import INDEX_STATS, Instance
 from ..relational.tuples import Fact
-from .atoms import Atom
 from .plan import PlanSteps, build_steps, slot_assignment
 from .query import ConjunctiveQuery
 from .terms import Variable, is_constant
+from .unification import match_atom_to_fact
 
 __all__ = [
     "CompiledPlan",
@@ -132,7 +131,7 @@ class CompiledPlan:
 
         Variants are memoized: the seed *pattern* depends only on which
         head/atom slots are pre-bound, not on the bound values, so every
-        ``derives_row``/``delta_without`` call of a given shape reuses
+        ``derives_row``/``delta_candidates`` call of a given shape reuses
         one ordering.
         """
         key = (seeded, excluded)
@@ -248,7 +247,7 @@ class CompiledPlan:
         for s in self._run(self._steps(), instance, slots):
             yield {variable: s[i] for i, variable in enumerate(variables)}
 
-    # -- restricted questions (the criticality hot path) -------------------------
+    # -- restricted questions (membership and delta candidates) -----------------
     def derives_row(self, instance: Instance, row: Sequence[object]) -> bool:
         """Decide ``row ∈ Q(instance)`` by head-seeded evaluation.
 
@@ -277,30 +276,12 @@ class CompiledPlan:
             return True
         return False
 
-    def _fact_seed(self, atom: Atom, fact: Fact) -> Optional[Dict[int, object]]:
-        """Slot bindings mapping ``atom`` onto ``fact`` (None on mismatch)."""
-        if atom.relation != fact.relation or atom.arity != fact.arity:
-            return None
-        seed: Dict[int, object] = {}
-        for term, value in zip(atom.terms, fact.values):
-            if is_constant(term):
-                if term.value != value:
-                    return None
-            else:
-                slot = self.slot_of[term]
-                bound = seed.get(slot, _UNBOUND)
-                if bound is _UNBOUND:
-                    seed[slot] = value
-                elif bound != value:
-                    return None
-        return seed
-
     def delta_candidates(
         self, instance: Instance, fact: Fact
     ) -> Iterator[Tuple[object, ...]]:
         """Answer rows with some derivation over ``instance`` using ``fact``.
 
-        The semi-naive restriction: for each body atom unifying with the
+        The semi-naive restriction: for each body atom matching the
         fact, a plan variant pins that atom to the fact (its variables
         seeded, the atom itself excluded) and enumerates the remaining
         subgoals over the full instance.  Every row of
@@ -311,10 +292,11 @@ class CompiledPlan:
             return
         matched = False
         for j, atom in enumerate(self.query.body):
-            seed = self._fact_seed(atom, fact)
-            if seed is None:
+            valuation = match_atom_to_fact(atom, fact)
+            if valuation is None:
                 continue
             matched = True
+            seed = {self.slot_of[variable]: value for variable, value in valuation.items()}
             slots: List[object] = [_UNBOUND] * self.slot_count
             for slot, value in seed.items():
                 slots[slot] = value
@@ -323,53 +305,6 @@ class CompiledPlan:
                 yield self._head_row(s)
         if not matched:
             STATS.bump("delta_unification_skips")
-
-    def delta_without(self, instance: Instance, fact: Fact) -> bool:
-        """Decide ``Q(instance) ≠ Q(instance − fact)`` by delta evaluation.
-
-        Conjunctive queries are monotone, so the answer can only lose
-        rows: it changes iff some candidate row (a derivation using the
-        fact) is no longer derivable once the fact is removed.  Removing
-        a fact outside the instance, or one unifying with no subgoal,
-        returns ``False`` without evaluating anything.
-        """
-        STATS.bump("delta_calls")
-        without: Optional[Instance] = None
-        verdicts: Dict[Tuple[object, ...], bool] = {}
-        for row in self.delta_candidates(instance, fact):
-            vanished = verdicts.get(row)
-            if vanished is None:
-                if without is None:
-                    without = instance.remove(fact)
-                vanished = not self.derives_row(without, row)
-                verdicts[row] = vanished
-            if vanished:
-                return True
-        return False
-
-    def delta_with(self, instance: Instance, fact: Fact) -> bool:
-        """Decide ``Q(instance ∪ {fact}) ≠ Q(instance)`` by delta evaluation.
-
-        The insertion mirror of :meth:`delta_without`: monotone queries
-        can only *gain* rows when a fact is inserted, and every gained
-        row has a derivation using the new fact, so only the pinned-atom
-        candidates over the grown instance are re-checked against the
-        original.  Inserting a fact already present, or one unifying
-        with no subgoal, returns ``False`` without evaluating anything.
-        """
-        STATS.bump("delta_calls")
-        if fact in instance:
-            return False
-        with_fact = instance.add(fact)
-        verdicts: Dict[Tuple[object, ...], bool] = {}
-        for row in self.delta_candidates(with_fact, fact):
-            appeared = verdicts.get(row)
-            if appeared is None:
-                appeared = not self.derives_row(instance, row)
-                verdicts[row] = appeared
-            if appeared:
-                return True
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledPlan({self.query!r})"

@@ -10,10 +10,17 @@ picks between them (:func:`_sql_engine` is the only place that does):
   comfortably.
 * ``compiled`` — for every other target, :mod:`repro.cq.compiled` plans
   each query once (greedy join ordering, per-instance hash-index
-  probes, slot-array bindings, earliest-point comparison checks) and
-  also answers restricted *delta* questions: :func:`answer_contains`,
-  which the criticality engine asks, and :func:`delta_changes`, which
-  the reference enumeration in :mod:`repro.reference` asks.
+  probes, slot-array bindings, earliest-point comparison checks).
+
+Besides full evaluation, both engines answer row membership
+(:func:`answer_contains`, which the criticality engine asks) and fact
+deltas.  The batched delta of :func:`delta_apply_many` is the delta
+computation; :func:`delta_apply` is its one-query form.  Only these two
+write, and on a store they mutate it in place.  :func:`delta_changes`
+asks Definition 4.4's question (the reference enumeration in
+:mod:`repro.reference` asks it): on the compiled engine it is the lost
+half of the batched delta for one removal, and on the sql engine a
+read-only probe that excludes the fact with predicates.
 
 The compiled engine accepts any fact iterable by materialising it into
 an :class:`Instance` first — correct, but re-materialised per call.  The
@@ -28,12 +35,12 @@ when false (the two possible answers of an arity-0 query).
 from __future__ import annotations
 
 import sys
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
 from ..obs import span
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
-from .compiled import plan_for
+from .compiled import STATS, plan_for
 from .query import ConjunctiveQuery
 from .terms import Variable, is_constant
 
@@ -44,7 +51,6 @@ __all__ = [
     "answer_tuple",
     "answer_contains",
     "delta_changes",
-    "delta_with",
     "delta_apply",
     "delta_apply_many",
     "possible_answers",
@@ -179,76 +185,24 @@ def answer_contains(
 def delta_changes(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
     """Decide ``Q(instance) ≠ Q(instance − fact)`` (the criticality test).
 
-    Conjunctive queries and their unions are monotone, so the answer can
-    only lose rows when a fact is removed; the compiled engine therefore
-    re-derives only the answer rows whose derivations *use* the fact
-    (:meth:`~repro.cq.compiled.CompiledPlan.delta_without`) and checks
-    those against the shrunken instance.  A fact outside the instance,
-    or unifying with no subgoal, costs nothing.
+    Conjunctive queries and their unions are monotone, so removing a
+    fact can only lose rows: this is the lost half of the batched delta
+    (:func:`delta_apply`) for the one removal, and it never mutates the
+    target.  Only answer rows with a derivation using the fact are
+    re-checked, and the shrunken instance is built only once such a
+    candidate exists.  A fact outside the instance, or matching no
+    subgoal, costs nothing.
     """
     with span("cq.delta"):
-        return _delta_changes(query, instance, fact)
-
-
-def _delta_changes(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
-    sql = _sql_engine(instance)
-    if sql is not None:
-        return sql.delta_changes(query, instance, fact)
-    instance = _memory(instance)
-    if fact not in instance:
-        return False
-    disjuncts = getattr(query, "disjuncts", None)
-    if disjuncts is None:
-        return plan_for(query).delta_without(instance, fact)
-    # Union: a candidate row must vanish from the *whole* union's answer.
-    without = instance.remove(fact)
-    checked: set = set()
-    for disjunct in disjuncts:
-        for row in plan_for(disjunct).delta_candidates(instance, fact):
-            if row in checked:
-                continue
-            checked.add(row)
-            if not any(plan_for(d).derives_row(without, row) for d in disjuncts):
-                return True
-    return False
-
-
-def delta_with(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
-    """Decide ``Q(instance ∪ {fact}) ≠ Q(instance)`` (insertion delta).
-
-    The symmetric counterpart of :func:`delta_changes`: conjunctive
-    queries and their unions are monotone, so inserting a fact can only
-    *gain* answer rows, and every gained row has a derivation using the
-    new fact.  The compiled engine re-derives only the pinned-atom
-    candidates over the grown instance and checks each against the
-    original; a fact already present, or unifying with no subgoal,
-    costs nothing.
-    """
-    with span("cq.delta"):
-        return _delta_with(query, instance, fact)
-
-
-def _delta_with(query: ConjunctiveQuery, instance: Instance, fact: Fact) -> bool:
-    sql = _sql_engine(instance)
-    if sql is not None:
-        return sql.delta_with(query, instance, fact)
-    instance = _memory(instance)
-    if fact in instance:
-        return False
-    disjuncts = getattr(query, "disjuncts", None)
-    if disjuncts is None:
-        return plan_for(query).delta_with(instance, fact)
-    # Union: a candidate row must be new to the *whole* union's answer.
-    with_fact = instance.add(fact)
-    checked: set = set()
-    for disjunct in disjuncts:
-        for row in plan_for(disjunct).delta_candidates(with_fact, fact):
-            if row in checked:
-                continue
-            checked.add(row)
-            if not any(plan_for(d).derives_row(instance, row) for d in disjuncts):
-                return True
-    return False
+        sql = _sql_engine(instance)
+        if sql is not None:
+            return sql.delta_changes(query, instance, fact)
+        STATS.bump("delta_calls")
+        before = _memory(instance)
+        if fact not in before:
+            return False
+        _, lost = _compiled_change(query, before, lambda: before.remove(fact), (), (fact,))
+        return bool(lost)
 
 
 def delta_apply(
@@ -262,7 +216,8 @@ def delta_apply(
     The post-state is ``after = (instance − removed) ∪ added`` (a fact
     listed in both sets ends up present).  Returns ``(after, gained,
     lost)`` where ``gained = Q(after) − Q(instance)`` and ``lost =
-    Q(instance) − Q(after)``.  A
+    Q(instance) − Q(after)``: the one-query form of
+    :func:`delta_apply_many`.  A
     :class:`~repro.storage.sqlite.SQLiteFactStore` target is mutated
     *in place* and returned; for any other target ``after`` is a new
     :class:`~repro.relational.instance.Instance` (derived through the
@@ -272,25 +227,56 @@ def delta_apply(
     a derivation using a changed fact are ever re-checked — removal
     candidates over the pre-state, insertion candidates over the
     post-state — so an untouched query costs nothing beyond the
-    unification checks.
+    subgoal-to-fact matching.
     """
     with span("cq.delta"):
-        return _delta_apply(query, instance, tuple(added), tuple(removed))
+        after, ((gained, lost),) = _delta_apply_many(
+            (query,), instance, tuple(added), tuple(removed)
+        )
+        return after, gained, lost
 
 
-def _delta_apply(
-    query: ConjunctiveQuery,
+def delta_apply_many(
+    queries: Sequence[ConjunctiveQuery],
+    instance: Instance,
+    added: Sequence[Fact] = (),
+    removed: Sequence[Fact] = (),
+) -> Tuple[
+    object,
+    List[Tuple[FrozenSet[Tuple[object, ...]], FrozenSet[Tuple[object, ...]]]],
+]:
+    """Apply one batched fact delta shared by many queries.
+
+    The state advances exactly once — one patched instance chain, or one
+    in-place store mutation — and every query's ``(gained, lost)`` change
+    is computed against that single delta.  Returns ``(after, changes)``
+    with ``changes[i]`` the i-th query's answer change; the state
+    semantics (in-place store vs. patched instance) match
+    :func:`delta_apply`.  This is the primitive a live audit session
+    uses: it classifies which of its tracked queries a delta can touch
+    and passes only those here, so untouched queries cost nothing at all.
+    """
+    with span("cq.delta"):
+        return _delta_apply_many(tuple(queries), instance, tuple(added), tuple(removed))
+
+
+def _delta_apply_many(
+    queries: Tuple[ConjunctiveQuery, ...],
     instance: Instance,
     added: Tuple[Fact, ...],
     removed: Tuple[Fact, ...],
 ):
     sql = _sql_engine(instance)
     if sql is not None:
-        return sql.delta_apply(query, instance, added, removed)
+        return sql.delta_apply_many(queries, instance, added, removed)
+    STATS.bump("delta_calls")
     before = _memory(instance)
     after, truly_added, truly_removed = _memory_delta(before, added, removed)
-    gained, lost = _compiled_change(query, before, after, truly_added, truly_removed)
-    return after, gained, lost
+    changes = [
+        _compiled_change(query, before, lambda: after, truly_added, truly_removed)
+        for query in queries
+    ]
+    return after, changes
 
 
 def _memory_delta(
@@ -318,11 +304,16 @@ def _memory_delta(
 def _compiled_change(
     query: ConjunctiveQuery,
     before: Instance,
-    after: Instance,
+    post_state: Callable[[], Instance],
     truly_added: Sequence[Fact],
     truly_removed: Sequence[Fact],
 ) -> Tuple[FrozenSet[Tuple[object, ...]], FrozenSet[Tuple[object, ...]]]:
-    """``(gained, lost)`` of one query across a pre-computed delta."""
+    """``(gained, lost)`` of one query across a pre-computed delta.
+
+    ``post_state`` returns the instance after the delta.  It is called
+    only once a removal candidate or an added fact needs it, so a
+    removal no derivation uses never builds the post-state.
+    """
     disjuncts = getattr(query, "disjuncts", None) or (query,)
     # Removal candidates are in Q(before) by construction; they are lost
     # iff nothing re-derives them over the post-state.
@@ -330,6 +321,9 @@ def _compiled_change(
     for fact in truly_removed:
         for disjunct in disjuncts:
             lost_candidates.update(plan_for(disjunct).delta_candidates(before, fact))
+    if not lost_candidates and not truly_added:
+        return frozenset(), frozenset()
+    after = post_state()
     lost = frozenset(
         row
         for row in lost_candidates
@@ -349,42 +343,6 @@ def _compiled_change(
                 if not any(plan_for(d).derives_row(before, row) for d in disjuncts):
                     gained.add(row)
     return frozenset(gained), lost
-
-
-def delta_apply_many(
-    queries: Sequence[ConjunctiveQuery],
-    instance: Instance,
-    added: Sequence[Fact] = (),
-    removed: Sequence[Fact] = (),
-) -> Tuple[
-    object,
-    List[Tuple[FrozenSet[Tuple[object, ...]], FrozenSet[Tuple[object, ...]]]],
-]:
-    """Apply one batched fact delta shared by many queries.
-
-    The state advances exactly once — one patched instance chain, or one
-    in-place store mutation — and every query's ``(gained, lost)`` change
-    is computed against that single delta.  Returns ``(after, changes)``
-    with ``changes[i]`` the i-th query's answer change; the state
-    semantics (in-place store vs. patched instance) match
-    :func:`delta_apply`.  This is the primitive a live audit session
-    uses: it classifies which of its tracked queries a delta can touch
-    and passes only those here, so untouched queries cost nothing at all.
-    """
-    with span("cq.delta"):
-        queries = tuple(queries)
-        added = tuple(added)
-        removed = tuple(removed)
-        sql = _sql_engine(instance)
-        if sql is not None:
-            return sql.delta_apply_many(queries, instance, added, removed)
-        before = _memory(instance)
-        after, truly_added, truly_removed = _memory_delta(before, added, removed)
-        changes = [
-            _compiled_change(query, before, after, truly_added, truly_removed)
-            for query in queries
-        ]
-        return after, changes
 
 
 def possible_answers(

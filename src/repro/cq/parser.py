@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..exceptions import ParseError
 from .atoms import COMPARISON_OPS, Atom, Comparison
 from .query import ConjunctiveQuery
-from .terms import Constant, Term, Variable, fresh_variable
+from .terms import Constant, Term, Variable
 
 __all__ = ["parse_query", "parse_atom", "parse_term", "q"]
 
@@ -71,6 +71,20 @@ class _TokenStream:
         self._tokens = list(tokens)
         self._source = source
         self._index = 0
+        self._anonymous = 0
+
+    def anonymous(self) -> Variable:
+        """The next anonymous variable: ``_1``, ``_2``, ... per query.
+
+        Names the query spells itself are skipped, so ``R(x, -, _1)``
+        keeps two distinct variables, and parsing one text twice yields
+        equal queries.
+        """
+        while True:
+            self._anonymous += 1
+            variable = Variable(f"_{self._anonymous}")
+            if variable.name not in self._tokens:
+                return variable
 
     def peek(self) -> Optional[str]:
         if self._index < len(self._tokens):
@@ -96,9 +110,9 @@ class _TokenStream:
         return self._index >= len(self._tokens)
 
 
-def _term_from_token(token: str) -> Term:
+def _term_from_token(token: str, stream: _TokenStream) -> Term:
     if token in ("-", "_"):
-        return fresh_variable()
+        return stream.anonymous()
     if token.startswith(("'", '"')):
         return Constant(token[1:-1])
     if re.fullmatch(r"-?\d+", token):
@@ -117,7 +131,7 @@ def parse_term(text: str) -> Term:
     tokens = _tokenize(text.strip())
     if len(tokens) != 1:
         raise ParseError(f"expected a single term, got {text!r}")
-    return _term_from_token(tokens[0])
+    return _term_from_token(tokens[0], _TokenStream(tokens, text))
 
 
 def _parse_term_list(stream: _TokenStream) -> Tuple[Term, ...]:
@@ -125,7 +139,7 @@ def _parse_term_list(stream: _TokenStream) -> Tuple[Term, ...]:
     if stream.peek() == ")":
         return ()
     while True:
-        terms.append(_term_from_token(stream.next()))
+        terms.append(_term_from_token(stream.next(), stream))
         token = stream.peek()
         if token == ",":
             stream.next()
@@ -165,7 +179,7 @@ def _parse_body_item(stream: _TokenStream) -> Atom | Comparison:
     if op not in COMPARISON_OPS:
         raise ParseError(f"expected a comparison operator, found {op!r}")
     right = stream.next()
-    return Comparison(_term_from_token(first), op, _term_from_token(right))
+    return Comparison(_term_from_token(first, stream), op, _term_from_token(right, stream))
 
 
 def parse_query(text: str) -> ConjunctiveQuery:

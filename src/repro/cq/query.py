@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 from ..exceptions import QueryError
 from ..relational.tuples import Fact
 from .atoms import Atom, Comparison
-from .terms import Constant, Term, Variable, fresh_variable, is_constant, is_variable
+from .terms import Constant, Term, Variable, is_constant, is_variable
 
 __all__ = ["ConjunctiveQuery"]
 
@@ -171,12 +171,22 @@ class ConjunctiveQuery:
         return ConjunctiveQuery(head, body, comparisons, name=self.name)
 
     def rename_apart(self, taken: Iterable[Variable]) -> "ConjunctiveQuery":
-        """Rename variables so that none clashes with the ``taken`` set."""
+        """Rename variables so that none clashes with the ``taken`` set.
+
+        A clashing variable ``v`` becomes ``v_r<k>`` with the least ``k``
+        whose name is free both in ``taken`` and in this query, so the
+        result depends only on the inputs.
+        """
         taken_set = set(taken)
+        used = taken_set | self.variables
         mapping: Dict[Variable, Term] = {}
         for var in sorted(self.variables):
             if var in taken_set:
-                mapping[var] = fresh_variable(f"{var.name}_r")
+                k = 1
+                while Variable(f"{var.name}_r{k}") in used:
+                    k += 1
+                mapping[var] = Variable(f"{var.name}_r{k}")
+                used.add(mapping[var])
         if not mapping:
             return self
         return self.substitute(mapping)

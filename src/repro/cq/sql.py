@@ -49,6 +49,7 @@ from .atoms import COMPARISON_OPS
 from .plan import build_steps, slot_assignment
 from .query import ConjunctiveQuery
 from .terms import Variable, is_constant
+from .unification import match_atom_to_fact
 
 __all__ = [
     "SQLPlan",
@@ -59,8 +60,6 @@ __all__ = [
     "satisfying_assignments",
     "answer_contains",
     "delta_changes",
-    "delta_with",
-    "delta_apply",
     "delta_apply_many",
 ]
 
@@ -348,7 +347,7 @@ class SQLPlan:
         for row in _execute(store, sql, self.params):
             yield dict(zip(self.slot_variables, row))
 
-    # -- restricted questions (the criticality hot path) --------------------------
+    # -- restricted questions (membership and delta candidates) -----------------
     def _head_seed_conditions(
         self, row: Tuple[object, ...]
     ) -> Optional[Tuple[List[str], List[object]]]:
@@ -432,31 +431,16 @@ class SQLPlan:
         return bool(_execute(store, sql, list(self.params) + params))
 
     def _pin_conditions(self, fact: Fact) -> Iterator[Tuple[List[str], List[object]]]:
-        """One predicate set per body atom unifying with ``fact``.
+        """One predicate set per body atom matching ``fact``.
 
         Each pins its atom's alias to exactly the fact's row — the SQL
         form of the compiled engine's pinned-atom delta variants.
-        Python-side unification (constants, repeated variables) filters
+        Python-side matching (constants, repeated variables) filters
         atoms the fact can never bind.
         """
         arity = len(fact.values)
         for i, atom in enumerate(self.query.body):
-            if atom.relation != fact.relation or atom.arity != arity:
-                continue
-            bound: Dict[Variable, object] = {}
-            unifies = True
-            for term, value in zip(atom.terms, fact.values):
-                if is_constant(term):
-                    if term.value != value:
-                        unifies = False
-                        break
-                elif term in bound:
-                    if bound[term] != value:
-                        unifies = False
-                        break
-                else:
-                    bound[term] = value
-            if not unifies:
+            if match_atom_to_fact(atom, fact) is None:
                 continue
             if arity == 0:
                 yield [], []
@@ -501,18 +485,6 @@ class SQLPlan:
                     value if slot is None else next(values)
                     for slot, value in self.head_parts
                 )
-
-    def delta_without(self, store: SQLiteFactStore, fact: Fact) -> bool:
-        """Decide ``Q(store) ≠ Q(store − fact)`` with delta-seeded SQL."""
-        SQL_STATS.bump("sql_delta_calls")
-        checked: Set[Tuple[object, ...]] = set()
-        for row in self.delta_candidates(store, fact):
-            if row in checked:
-                continue
-            checked.add(row)
-            if not self.derives_row(store, row, excluding=fact):
-                return True
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SQLPlan({self.query!r})"
@@ -615,17 +587,17 @@ def answer_contains(query, store: SQLiteFactStore, row: Sequence[object]) -> boo
 def delta_changes(query, store: SQLiteFactStore, fact: Fact) -> bool:
     """Decide ``Q(store) ≠ Q(store − fact)`` with delta-seeded SQL.
 
-    For a union, a candidate row must vanish from the *whole* union's
-    answer — it is re-checked (with the fact excluded) against every
-    disjunct.
+    Read-only: the candidate rows are the pinned-atom derivations using
+    the fact, and each is re-checked against every disjunct (a
+    conjunctive query is a union of one) with the fact *excluded* by
+    predicates, so the store is never written.  A candidate that
+    vanishes from the whole union's answer means the answer changes.
     """
     try:
         if fact not in store:
             return False
-        disjuncts = getattr(query, "disjuncts", None)
-        if disjuncts is None:
-            return sql_plan_for(query).delta_without(store, fact)
         SQL_STATS.bump("sql_delta_calls")
+        disjuncts = getattr(query, "disjuncts", None) or (query,)
         plans = [sql_plan_for(disjunct) for disjunct in disjuncts]
         checked: Set[Tuple[object, ...]] = set()
         for plan in plans:
@@ -649,63 +621,6 @@ def delta_changes(query, store: SQLiteFactStore, fact: Fact) -> bool:
 def _storable_fact(fact: Fact) -> bool:
     """Can this fact live in a SQL store at all?"""
     return all(isinstance(v, (bool, int, float, str)) for v in fact.values)
-
-
-def delta_with(query, store: SQLiteFactStore, fact: Fact) -> bool:
-    """Decide ``Q(store ∪ {fact}) ≠ Q(store)`` with delta-seeded SQL.
-
-    The fact is inserted temporarily, the pinned-atom candidates are
-    enumerated over the grown store, and each is checked against the
-    original state by *excluding* the fact — then the insertion is
-    rolled back, so the store is restored.  Unstorable facts fall back
-    to the compiled engine: the question is pure, so the verdict is the
-    same.
-    """
-    try:
-        if not _storable_fact(fact):
-            raise UnstorableError(
-                f"fact {fact!r} holds values the sql engine cannot store"
-            )
-        if fact in store:
-            return False
-        SQL_STATS.bump("sql_delta_calls")
-        disjuncts = getattr(query, "disjuncts", None) or (query,)
-        plans = [sql_plan_for(disjunct) for disjunct in disjuncts]
-        store.add(fact)
-        try:
-            checked: Set[Tuple[object, ...]] = set()
-            for plan in plans:
-                for row in plan.delta_candidates(store, fact):
-                    if row in checked:
-                        continue
-                    checked.add(row)
-                    if not any(
-                        p.derives_row(store, row, excluding=fact) for p in plans
-                    ):
-                        return True
-            return False
-        finally:
-            store.remove(fact)
-    except UnstorableError:
-        return _fallback("delta_with", query, store, fact)
-    except sqlite3.OperationalError:
-        return _fallback(
-            "delta_with", query, store, fact, counter="sql_io_fallbacks"
-        )
-
-
-def delta_apply(query, store: SQLiteFactStore, added: Sequence[Fact] = (), removed: Sequence[Fact] = ()):
-    """Apply a batched fact delta in place and report the answer change.
-
-    Returns ``(store, gained, lost)``: the store is mutated in place.
-    The candidate enumeration is semi-naive: removal candidates over the
-    pre-state, insertion candidates over the grown mid-state (with their
-    pre-state membership answered by excluding every added fact), and
-    one final membership probe per candidate over the post-state.
-    """
-    after, changes = delta_apply_many((query,), store, added, removed)
-    gained, lost = changes[0]
-    return after, gained, lost
 
 
 def delta_apply_many(

@@ -8,16 +8,15 @@ where lowercase letters from the end of the alphabet are variables,
 ``-`` marks an anonymous variable (each occurrence distinct), and other
 symbols are constants.  :class:`Variable` and :class:`Constant` are the
 two term kinds; anonymous variables are ordinary variables with
-generated names (``_1``, ``_2``, ...).
+generated names (``_1``, ``_2``, ...), numbered per query by the parser.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
-__all__ = ["Variable", "Constant", "Term", "fresh_variable", "is_variable", "is_constant"]
+__all__ = ["Variable", "Constant", "Term", "is_variable", "is_constant"]
 
 
 @dataclass(frozen=True, order=True)
@@ -42,17 +41,6 @@ class Constant:
 
 #: A term is either a variable or a constant.
 Term = Union[Variable, Constant]
-
-_fresh_counter = itertools.count(1)
-
-
-def fresh_variable(prefix: str = "_") -> Variable:
-    """A new variable whose name cannot clash with user-written names.
-
-    Used for anonymous variables (``-`` in datalog notation) and for
-    renaming apart when comparing two queries.
-    """
-    return Variable(f"{prefix}{next(_fresh_counter)}")
 
 
 def is_variable(term: Term) -> bool:

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from ..relational.tuples import Fact
 from .atoms import Atom
 from .query import ConjunctiveQuery
-from .terms import Constant, Term, Variable, is_constant, is_variable
+from .terms import Term, Variable, is_constant, is_variable
 
 __all__ = [
     "unify_atoms",
@@ -72,12 +72,30 @@ def atoms_unifiable(left: Atom, right: Atom) -> bool:
     return unify_atoms(left, renamed_right) is not None
 
 
-def match_atom_to_fact(
-    atom: Atom, fact: Fact, substitution: Optional[Substitution] = None
-) -> Optional[Substitution]:
-    """Unify an atom with a ground fact (one-way matching)."""
-    ground_atom = Atom(fact.relation, tuple(Constant(v) for v in fact.values))
-    return unify_atoms(atom, ground_atom, substitution)
+def match_atom_to_fact(atom: Atom, fact: Fact) -> Optional[Dict[Variable, object]]:
+    """The valuation mapping ``atom`` onto the ground ``fact`` (None on mismatch).
+
+    One-way matching: relation, arity and every constant must agree, and
+    a repeated variable must meet equal values.  The result maps each of
+    the atom's variables to its raw value in the fact.  It is the one
+    subgoal-to-fact matcher: crit_D's engines, both delta engines and
+    the live delta classifier share it, so none of them can diverge on
+    what counts as a homomorphic image.
+    """
+    if atom.relation != fact.relation or atom.arity != fact.arity:
+        return None
+    valuation: Dict[Variable, object] = {}
+    for term, value in zip(atom.terms, fact.values):
+        if is_constant(term):
+            if term.value != value:
+                return None
+        else:
+            # setdefault hashes the variable once; a value it has just
+            # bound is not compared with itself.
+            bound = valuation.setdefault(term, value)
+            if bound is not value and bound != value:
+                return None
+    return valuation
 
 
 def unifiable_subgoal_pairs(

@@ -15,8 +15,9 @@ baselines for the ablation benchmarks:
   (:class:`NaiveExactEngine`).
 
 The reference engines share the production helpers that define what a
-homomorphic image is (``candidate_critical_facts``, ``_seed_valuation``),
-so the oracles cannot diverge from production on that.  Only tests and
+homomorphic image is (``candidate_critical_facts``,
+``repro.cq.match_atom_to_fact``), so the oracles cannot diverge from
+production on that.  Only tests and
 benchmarks import this package; no production module does.
 """
 

@@ -17,12 +17,12 @@ from typing import Dict, FrozenSet, Iterator, Optional
 from ..core.criticality.base import (
     DEFAULT_MAX_VALUATIONS,
     InstanceConstraint,
-    _seed_valuation,
     _tuple_space_set,
     candidate_critical_facts,
 )
 from ..cq.evaluation import answer_contains, answer_tuple
 from ..cq.query import ConjunctiveQuery
+from ..cq.unification import match_atom_to_fact
 from ..cq.terms import Variable
 from ..exceptions import IntractableAnalysisError
 from ..relational.domain import Domain
@@ -41,7 +41,7 @@ def _valuations_mapping_subgoal_to_fact(
     max_valuations: int,
 ) -> Iterator[Dict[Variable, object]]:
     """All total valuations of the query's variables that map one subgoal onto ``fact``."""
-    seed = _seed_valuation(query.body[atom_index], fact)
+    seed = match_atom_to_fact(query.body[atom_index], fact)
     if seed is None:
         return
     remaining = sorted(v for v in query.variables if v not in seed)

@@ -241,8 +241,9 @@ class SQLiteFactStore(FactStore):
 
         Returns the number of rows actually deleted.  This is the
         mutation half the incremental audit layer relies on: the sql
-        delta engine temporarily inserts/deletes single facts to
-        evaluate post-states in place.
+        engine's batched delta (``delta_apply_many``) advances a store
+        in place through :meth:`add` and this method.  No read writes a
+        store.
         """
         removed = 0
         with span("storage.remove") as sp, self._lock:

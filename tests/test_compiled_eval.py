@@ -4,8 +4,9 @@ The compiled planner/evaluator (`repro.cq.plan` + `repro.cq.compiled`)
 must be answer-identical to the seed backtracking evaluator (the oracle
 in `repro.reference`) on every query the library can express — random
 queries with comparisons, constants, repeated variables, mixed-type
-domains and empty relations — and `delta_without`/`answer_contains`
-must agree with full re-evaluation on random (instance, fact) pairs.
+domains and empty relations — and `delta_changes`/`delta_apply`/
+`answer_contains` must agree with full re-evaluation on random
+(instance, fact) pairs.
 """
 
 import gc
@@ -25,13 +26,13 @@ from repro.cq import (
     delta_apply,
     delta_apply_many,
     delta_changes,
-    delta_with,
     evaluate,
     evaluate_boolean,
     plan_atom_order,
     plan_for,
     q,
     satisfying_assignments,
+    union_of,
 )
 from repro.cq.compiled import STATS, evaluation_stats, reset_evaluation_stats
 from repro.cq.homomorphism import homomorphisms_into_instance
@@ -153,18 +154,22 @@ class TestCompiledMatchesNaive:
     @settings(max_examples=120, deadline=None)
     @given(
         query=_query_strategy(MIXED_VALUES, ["=", "!="]),
+        other=_query_strategy(MIXED_VALUES, ["=", "!="]),
         instance=_instance_strategy(MIXED_VALUES),
         fact=_fact_strategy(MIXED_VALUES),
     )
-    def test_delta_without_matches_full_reevaluation(self, query, instance, fact):
+    def test_delta_changes_matches_full_reevaluation(self, query, other, instance, fact):
         with_fact = instance.add(fact)
-        expected = naive_evaluate(query, with_fact) != naive_evaluate(
-            query, with_fact.remove(fact)
-        )
-        plan = plan_for(query)
-        assert plan.delta_without(with_fact, fact) == expected
-        # A fact absent from the instance never changes the answer.
-        assert plan.delta_without(instance.remove(fact), fact) is False
+        queries = [query]
+        if other.arity == query.arity:
+            queries.append(union_of(query, other))
+        for target in queries:
+            expected = naive_evaluate(target, with_fact) != naive_evaluate(
+                target, with_fact.remove(fact)
+            )
+            assert delta_changes(target, with_fact, fact) == expected
+            # A fact absent from the instance never changes the answer.
+            assert delta_changes(target, instance.remove(fact), fact) is False
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -172,15 +177,16 @@ class TestCompiledMatchesNaive:
         instance=_instance_strategy(MIXED_VALUES),
         fact=_fact_strategy(MIXED_VALUES),
     )
-    def test_delta_with_matches_full_reevaluation(self, query, instance, fact):
+    def test_single_insertion_gains_match_full_reevaluation(self, query, instance, fact):
         without = instance.remove(fact)
-        expected = naive_evaluate(query, without.add(fact)) != naive_evaluate(
+        _, gained, lost = delta_apply(query, without, added=[fact])
+        assert gained == naive_evaluate(query, without.add(fact)) - naive_evaluate(
             query, without
         )
-        plan = plan_for(query)
-        assert plan.delta_with(without, fact) == expected
+        assert lost == frozenset()
         # A fact already present never changes the answer.
-        assert plan.delta_with(instance.add(fact), fact) is False
+        _, gained, lost = delta_apply(query, instance.add(fact), added=[fact])
+        assert gained == lost == frozenset()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -309,7 +315,8 @@ class TestCompiledEdges:
         # A run that finishes, or stops at its first answer, must leave
         # no reference cycle behind: one would keep the instance and its
         # indexes alive until the next full collection.
-        plan = plan_for(q("Q(x, z) :- R(x, y), S(y, z)"))
+        query = q("Q(x, z) :- R(x, y), S(y, z)")
+        plan = plan_for(query)
         facts = [Fact("R", ("a", "b")), Fact("R", ("d", "b")), Fact("S", ("b", "c"))]
         gc.collect()
         was_enabled = gc.isenabled()
@@ -320,7 +327,7 @@ class TestCompiledEdges:
                 instance = Instance.of(*facts)
                 assert plan.evaluate(instance) == frozenset({("a", "c"), ("d", "c")})
                 assert plan.derives_row(instance, ("a", "c"))
-                assert plan.delta_without(instance, Fact("S", ("b", "c")))
+                assert delta_changes(query, instance, Fact("S", ("b", "c")))
             del instance
             gc.collect()
             leaked = [obj for obj in gc.garbage if isinstance(obj, Instance)]
@@ -427,9 +434,8 @@ class TestEngineSelection:
         assert delta_changes(query, instance, fact) is (
             answer != naive_evaluate(query, instance.remove(fact))
         )
-        assert delta_with(query, instance, Fact("R", ("e", "f"))) is (
-            naive_evaluate(query, instance.add(Fact("R", ("e", "f")))) != answer
-        )
+        _, gained, _ = delta_apply(query, instance, added=[Fact("R", ("e", "f"))])
+        assert gained == naive_evaluate(query, instance.add(Fact("R", ("e", "f")))) - answer
 
     def test_index_built_once_per_instance(self):
         query = q("Q(y) :- R('a', y)")

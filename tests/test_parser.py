@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cq import Constant, Variable, parse_atom, parse_query, parse_term, q
+from repro.core import practical_security_check
+from repro.cq import Constant, Variable, evaluate, parse_atom, parse_query, parse_term, q
 from repro.exceptions import ParseError
+from repro.relational import Fact, Instance
 
 
 class TestTermParsing:
@@ -95,3 +97,38 @@ class TestQueryParsing:
     def test_roundtrip_through_repr_mentions_subgoals(self):
         query = parse_query("Q(x) :- R(x, y), S(y)")
         assert "R" in repr(query) and "S" in repr(query)
+
+
+def _anonymous_variable_beside_a_spelled_generated_name():
+    # Spell the name a process-wide counter would hand the next anonymous
+    # variable: it must not capture that variable.
+    probe = parse_atom("R(-)").terms[0].name
+    spelled = f"_{int(probe[1:]) + 1}"
+    query = q(f"Q(x) :- R(x, -, {spelled})")
+    return evaluate(query, Instance.of(Fact("R", ("a", "b", "c")))) == {("a",)}
+
+
+def _reparsing_yields_an_equal_query():
+    text = "Q(x) :- R(x, -, -), S(x, _)"
+    return q(text) == q(text) and hash(q(text)) == hash(q(text))
+
+
+def _practical_verdicts_repeat():
+    secret, view = "S(n, p) :- Emp(n, d, p)", "V(n, d) :- Emp(n, d, p)"
+    return practical_security_check(secret, view) == practical_security_check(secret, view)
+
+
+class TestFreshNames:
+    """Generated variable names depend only on the query, never on the process."""
+
+    @pytest.mark.parametrize(
+        "holds",
+        [
+            _anonymous_variable_beside_a_spelled_generated_name,
+            _reparsing_yields_an_equal_query,
+            _practical_verdicts_repeat,
+        ],
+        ids=["anonymous-beside-spelled-name", "reparse-is-equal", "practical-repeats"],
+    )
+    def test_generated_names_are_deterministic(self, holds):
+        assert holds()

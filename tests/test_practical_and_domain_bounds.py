@@ -4,15 +4,23 @@ import pytest
 
 from repro import q
 from repro.core import (
+    CardinalityConstraintKnowledge,
+    KeyConstraintKnowledge,
+    TupleStatusKnowledge,
     analysis_domain,
     analysis_schema,
     decide_security,
+    decide_with_cardinality_constraint,
+    decide_with_key_constraints,
+    decide_with_knowledge,
+    decide_with_prior_view,
+    decide_with_tuple_status,
     max_symbol_count,
     practical_security_check,
     required_domain_size,
 )
 from repro.exceptions import SecurityAnalysisError
-from repro.relational import Domain
+from repro.relational import Domain, Fact
 
 
 class TestPracticalAlgorithm:
@@ -97,3 +105,38 @@ class TestDomainBounds:
         relation = stripped.relation("Emp")
         assert relation.attribute_domains == {}
         assert len(stripped.domain) >= required_domain_size(queries)
+
+
+
+_SECRET, _VIEW = q("S(n, p) :- Emp(n, d, p)"), q("V(n, d) :- Emp(n, d, p)")
+_KEYS = KeyConstraintKnowledge({"Emp": [0]})
+
+
+class TestExplicitDomainContract:
+    """Every decision procedure holds an explicit domain to Proposition 4.9."""
+
+    @pytest.mark.parametrize(
+        "rule,queries_and_knowledge",
+        [
+            (decide_with_key_constraints, (_SECRET, _VIEW, _KEYS)),
+            (
+                decide_with_cardinality_constraint,
+                (_SECRET, _VIEW, CardinalityConstraintKnowledge("exactly", 1, "Emp")),
+            ),
+            (
+                decide_with_tuple_status,
+                (_SECRET, _VIEW, TupleStatusKnowledge(present=[Fact("Emp", ("a", "a", "a"))])),
+            ),
+            (
+                decide_with_prior_view,
+                (q("S() :- Emp(n, d, p)"), q("V() :- Emp(n, d, d)"), q("U() :- Emp(n, n, p)")),
+            ),
+            (decide_with_knowledge, (_SECRET, _VIEW, _KEYS)),
+        ],
+        ids=["keys", "cardinality", "tuple-status", "prior-view", "dispatch"],
+    )
+    def test_undersized_explicit_domain_is_rejected(
+        self, emp_schema, rule, queries_and_knowledge
+    ):
+        with pytest.raises(SecurityAnalysisError, match="Proposition 4.9"):
+            rule(*queries_and_knowledge, emp_schema, Domain(["a"]))

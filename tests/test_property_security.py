@@ -12,6 +12,8 @@ generated boolean queries over a fixed small schema:
 * leakage is zero exactly for secure pairs and never negative.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,13 +21,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Dictionary, q
 from repro.core import (
+    CardinalityConstraintKnowledge,
+    ConjunctionKnowledge,
+    KeyConstraintKnowledge,
+    PriorKnowledge,
+    PriorViewKnowledge,
+    TupleStatusKnowledge,
     critical_tuples,
     positive_leakage,
     practical_security_check,
+    verify_with_knowledge,
 )
 from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, conjoin
-from repro.probability import ExactEngine, QueryTrue, query_polynomial
-from repro.reference import critical_tuples_naive
+from repro.exceptions import KnowledgeError
+from repro.probability import ExactEngine, QueryAnswerIs, QueryTrue, query_polynomial
+from repro.reference import NaiveExactEngine, critical_tuples_naive
 from repro.relational import Domain, Fact, RelationSchema, Schema, tuple_space
 
 DOMAIN_VALUES = ("a", "b")
@@ -151,3 +161,77 @@ class TestSecurityProperties:
             assert not verify_security_probabilistically(query, query, HALF)
         else:
             assert verify_security_probabilistically(query, query, HALF)
+
+
+# ---------------------------------------------------------------------------
+# Eq. (7): verify_with_knowledge against the definition, literally
+# ---------------------------------------------------------------------------
+PROBABILITY_POOL = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+
+
+def _random_query(rng: random.Random, name: str, boolean: bool = False) -> ConjunctiveQuery:
+    pool = [Variable(n) for n in VARIABLE_NAMES] + [Constant(v) for v in DOMAIN_VALUES]
+    body = [Atom("R", (rng.choice(pool), rng.choice(pool))) for _ in range(rng.randint(1, 2))]
+    variables = sorted({v for atom in body for v in atom.variables})
+    head = () if boolean or not variables else tuple(rng.sample(variables, 1))
+    return ConjunctiveQuery(head, body, name=name)
+
+
+def _random_knowledge(kind: str, rng: random.Random) -> PriorKnowledge:
+    if kind == "keys":
+        return KeyConstraintKnowledge({"R": [rng.randint(0, 1)]})
+    if kind == "cardinality":
+        comparison = rng.choice(["exactly", "at_most", "at_least"])
+        return CardinalityConstraintKnowledge(comparison, rng.randint(0, 3), "R")
+    if kind == "tuple-status":
+        present, absent = rng.sample(ALL_FACTS, 2)
+        return TupleStatusKnowledge(present=[present], absent=[absent])
+    if kind == "prior-view":
+        return PriorViewKnowledge(_random_query(rng, "U", boolean=True))
+    return ConjunctionKnowledge(
+        [_random_knowledge("keys", rng), _random_knowledge("tuple-status", rng)]
+    )
+
+
+def _literal_equation_7(secret, views, knowledge, dictionary):
+    """Eq. (7) for every answer pair, in ``Fraction``s; ``None`` when ``P[K] = 0``."""
+    naive = NaiveExactEngine(dictionary)
+    p_knowledge = naive.probability(knowledge)
+    if p_knowledge == 0:
+        return None
+    for secret_answer in naive.possible_answers(secret):
+        secret_is = QueryAnswerIs(secret, secret_answer)
+        view_answer_lists = [naive.possible_answers(view) for view in views]
+        for view_answers in itertools.product(*view_answer_lists):
+            views_are = [QueryAnswerIs(v, a) for v, a in zip(views, view_answers)]
+            joint = naive.joint_probability([secret_is, *views_are, knowledge])
+            marginals = naive.joint_probability([secret_is, knowledge]) * (
+                naive.joint_probability([*views_are, knowledge])
+            )
+            if joint * p_knowledge != marginals:
+                return False
+    return True
+
+
+class TestEquation7:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize(
+        "kind", ["keys", "cardinality", "tuple-status", "prior-view", "conjunction"]
+    )
+    def test_verify_with_knowledge_matches_the_literal_check(self, kind, seed):
+        rng = random.Random(seed)
+        dictionary = Dictionary(
+            SCHEMA, {fact: rng.choice(PROBABILITY_POOL) for fact in ALL_FACTS}
+        )
+        secret = _random_query(rng, "S")
+        views = [_random_query(rng, f"V{i}") for i in range(rng.randint(1, 2))]
+        knowledge = _random_knowledge(kind, rng)
+        event = knowledge.event(SCHEMA)
+        expected = _literal_equation_7(secret, views, event, dictionary)
+        # Either form of the knowledge is accepted.
+        for given in (knowledge, event):
+            if expected is None:
+                with pytest.raises(KnowledgeError):
+                    verify_with_knowledge(secret, views, given, dictionary)
+            else:
+                assert verify_with_knowledge(secret, views, given, dictionary) is expected

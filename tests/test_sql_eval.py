@@ -35,7 +35,6 @@ from repro.cq import (
     Constant,
     Variable,
     delta_apply,
-    delta_with,
     evaluate,
     q,
     satisfying_assignments,
@@ -53,6 +52,7 @@ from repro.relational import Fact, Instance
 from repro.service.protocol import parse_request, session_key
 from repro.session import AnalysisSession
 from repro.storage import SQLiteFactStore
+from repro.storage.sqlite import STORAGE_STATS
 
 #: Type-punning pool: every int appears alongside its string spelling
 #: (and a float with its own), so type-uniform columns meet constants,
@@ -77,9 +77,6 @@ REFERENCE = {
     ),
     "delta_changes": lambda query, instance, fact: (
         naive_evaluate(query, instance) != naive_evaluate(query, instance.remove(fact))
-    ),
-    "delta_with": lambda query, instance, fact: (
-        naive_evaluate(query, instance.add(fact)) != naive_evaluate(query, instance)
     ),
     "delta_apply": _reference_delta_apply,
     "delta_apply_many": lambda queries, instance, added=(), removed=(): (
@@ -193,7 +190,7 @@ class TestSqlMatchesOtherEngines:
         _unanimous("evaluate", union, instance)
         _unanimous("evaluate_boolean", union, instance)
         _unanimous("delta_changes", union, instance, fact)
-        _unanimous("delta_with", union, instance, fact)
+        _unanimous("delta_apply", union, instance, [fact])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -201,8 +198,8 @@ class TestSqlMatchesOtherEngines:
         instance=_instance_strategy(MIXED_VALUES),
         fact=_fact_strategy(MIXED_VALUES),
     )
-    def test_delta_with(self, query, instance, fact):
-        _unanimous("delta_with", query, instance, fact)
+    def test_delta_apply_single_insertion(self, query, instance, fact):
+        _unanimous("delta_apply", query, instance, [fact])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -319,6 +316,39 @@ class TestStoreBackedEvaluation:
         assert answers == {(3,), ("a",)}
 
 
+class TestReadsNeverWrite:
+    """Only the ``apply`` forms write a store; every read leaves it as it was."""
+
+    STORED = [Fact("R", (1, 2)), Fact("R", (2, 3)), Fact("R", (3, 3))]
+    QUERIES = [
+        q("Q(x, z) :- R(x, y), R(y, z)"),
+        q("Q(x) :- S(x, y)"),  # the store has no table for S
+        union_of(q("Q(x) :- R(x, y)"), q("Q(x) :- S(x, y)")),
+    ]
+    PROBES = [Fact("R", (1, 2)), Fact("R", (9, 9)), Fact("S", (3, 4))]
+    COUNTERS = ("facts_loaded", "facts_removed", "tables_created")
+
+    def test_reads_leave_facts_tables_and_counters_unchanged(self, tmp_path):
+        path = tmp_path / "facts.db"
+        with SQLiteFactStore(path) as store:
+            store.load_facts(self.STORED)
+            relations = store.relations()
+            counters = {name: STORAGE_STATS[name] for name in self.COUNTERS}
+            for query in self.QUERIES:
+                evaluation.evaluate(query, store)
+                evaluation.evaluate_boolean(query, store)
+                list(evaluation.satisfying_assignments(query, store))
+                evaluation.answer_contains(query, store, (1,))
+                for fact in self.PROBES:
+                    evaluation.delta_changes(query, store, fact)
+            assert {name: STORAGE_STATS[name] for name in self.COUNTERS} == counters
+            assert set(store) == set(self.STORED)
+            assert store.relations() == relations
+        with SQLiteFactStore(path) as reopened:
+            assert reopened.relations() == relations
+            assert set(reopened) == set(self.STORED)
+
+
 # ---------------------------------------------------------------------------
 # Engine choice by target type, and fallback
 # ---------------------------------------------------------------------------
@@ -346,19 +376,6 @@ class TestTargetDispatch:
 
 
 class TestFallback:
-    def test_unstorable_instance_values_fall_back_to_compiled(self):
-        # Symbolic values (the asymptotic engine's labeled nulls, or any
-        # non-scalar) cannot live in a sqlite column; asked about a
-        # store plus such a fact, the sql engine must still answer, via
-        # the compiled engine, and say so in its counters.
-        store = SQLiteFactStore.mirror([Fact("R", (4, 5))])
-        fact = Fact("R", ((1, 2), 3))
-        query = q("Q(x) :- R(x, y)")
-        before = SQL_STATS["sql_fallbacks"]
-        assert delta_with(query, store, fact) is True
-        assert SQL_STATS["sql_fallbacks"] == before + 1
-        assert fact not in store.to_instance()
-
     def test_unstorable_query_constant_falls_back(self):
         query = ConjunctiveQuery(
             (Variable("x"),),

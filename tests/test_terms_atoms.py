@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cq import Atom, Comparison, Constant, Variable, fresh_variable
+from repro.cq import Atom, Comparison, Constant, Variable
 from repro.exceptions import QueryError
 from repro.relational import Fact
 
@@ -15,9 +15,6 @@ class TestTerms:
     def test_constant_equality(self):
         assert Constant("a") == Constant("a")
         assert Constant(1) != Constant("1")
-
-    def test_fresh_variables_are_distinct(self):
-        assert fresh_variable() != fresh_variable()
 
     def test_variables_and_constants_never_equal(self):
         assert Variable("a") != Constant("a")

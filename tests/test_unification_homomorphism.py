@@ -61,7 +61,7 @@ class TestUnification:
 
     def test_match_atom_to_fact(self):
         result = match_atom_to_fact(Atom("R", (X, Constant("a"))), Fact("R", ("z", "a")))
-        assert result == {X: Constant("z")}
+        assert result == {X: "z"}
         assert match_atom_to_fact(Atom("R", (X, Constant("a"))), Fact("R", ("z", "b"))) is None
 
 
