@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..cq.canonical import QueryLike, as_queries, as_query
+from ..cq.compose import conjoin_all
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
 from ..exceptions import SecurityAnalysisError
@@ -107,6 +108,59 @@ def _row_combinations(
     return combos
 
 
+@dataclass(frozen=True)
+class _Statement:
+    """One atomic statement: ``s ⊆ S(I)``, or ``v̄ ⊆ V̄(I)`` over every view.
+
+    ``rows`` is ``s`` (a tuple of secret rows) or ``v̄`` (one tuple of
+    rows per view), ``event`` the statement as a monotone event, and
+    ``parts`` the ``(query, rows)`` pairs it asserts.
+    """
+
+    rows: Tuple
+    event: Event
+    parts: Tuple[Tuple[ConjunctiveQuery, Tuple[Tuple[object, ...], ...]], ...]
+
+    def critical_tuples(self, critical_fn, schema) -> FrozenSet[Fact]:
+        """``crit`` of the statement's boolean query: its rows' specialisations, conjoined.
+
+        Not the union of the specialisations' critical tuples, which can
+        be larger: in ``T(y) ∧ R(a, a) ∧ T(a)`` the fact ``T(b)`` is
+        critical for the first conjunct alone, not for the conjunction.
+        """
+        specialisations = [
+            query.boolean_specialisation(row) for query, rows in self.parts for row in rows
+        ]
+        return critical_fn(conjoin_all(specialisations), schema)
+
+
+def _atomic_statements(
+    secret: ConjunctiveQuery,
+    views: Sequence[ConjunctiveQuery],
+    dictionary: Dictionary,
+    max_secret_rows: int,
+    max_view_rows: int,
+) -> Tuple[List[_Statement], List[_Statement]]:
+    """Every secret statement ``s`` and every view statement ``v̄``, in search order."""
+    secret_rows = possible_answer_tuples(secret, dictionary)
+    view_rows = [possible_answer_tuples(view, dictionary) for view in views]
+    secrets = [
+        _Statement(combo, QueryContains(secret, combo), ((secret, combo),))
+        for combo in _row_combinations(secret_rows, max_secret_rows)
+    ]
+    view_statements = [
+        _Statement(
+            combo,
+            And(tuple(QueryContains(v, rows) for v, rows in zip(views, combo))),
+            tuple(zip(views, combo)),
+        )
+        for combo in itertools.product(
+            *(_row_combinations(rows, max_view_rows) for rows in view_rows)
+        )
+    ]
+    return secrets, view_statements
+
+
 def positive_leakage(
     secret: QueryLike,
     views: Sequence[QueryLike] | Mapping[str, QueryLike] | QueryLike,
@@ -139,13 +193,20 @@ def _positive_leakage(
     max_view_rows: int = 1,
     max_support_size: Optional[int] = None,
 ) -> LeakageResult:
-    """The Eq. (9) search behind :func:`positive_leakage` and the session."""
+    """The Eq. (9) search behind :func:`positive_leakage` and the session.
+
+    ``P[s]`` is computed once per secret statement, ``P[v̄]`` once per
+    view statement the first time a pair needs it, and only
+    ``P[s ∧ v̄]`` per pair: ``|S| + |V̄| + |S|·|V̄|`` kernel calls when
+    every probability is positive.
+    """
     secret = as_query(secret, "secret")
     views = as_queries(views)
 
     engine = ExactEngine(dictionary, max_support_size=max_support_size)
-    secret_rows = possible_answer_tuples(secret, dictionary)
-    view_rows = [possible_answer_tuples(view, dictionary) for view in views]
+    secrets, view_statements = _atomic_statements(
+        secret, views, dictionary, max_secret_rows, max_view_rows
+    )
 
     best = Fraction(0)
     best_secret: Optional[Tuple[Tuple[object, ...], ...]] = None
@@ -153,29 +214,27 @@ def _positive_leakage(
     best_prior: Optional[Fraction] = None
     best_posterior: Optional[Fraction] = None
     explored = 0
+    p_views: Dict[int, Fraction] = {}
 
-    secret_combos = _row_combinations(secret_rows, max_secret_rows)
-    view_combo_lists = [_row_combinations(rows, max_view_rows) for rows in view_rows]
-
-    for secret_combo in secret_combos:
-        secret_event = QueryContains(secret, secret_combo)
-        prior = engine.probability(secret_event)
+    for statement in secrets:
+        prior = engine.probability(statement.event)
         if prior == 0:
             continue
-        for view_combo in itertools.product(*view_combo_lists):
+        for index, view_statement in enumerate(view_statements):
             explored += 1
-            view_event: Event = And(
-                tuple(QueryContains(v, rows) for v, rows in zip(views, view_combo))
-            )
-            p_view = engine.probability(view_event)
+            if index not in p_views:
+                p_views[index] = engine.probability(view_statement.event)
+            p_view = p_views[index]
             if p_view == 0:
                 continue
-            posterior = engine.joint_probability([secret_event, view_event]) / p_view
+            posterior = (
+                engine.joint_probability([statement.event, view_statement.event]) / p_view
+            )
             gain = (posterior - prior) / prior
             if gain > best:
                 best = gain
-                best_secret = secret_combo
-                best_views = view_combo
+                best_secret = statement.rows
+                best_views = view_statement.rows
                 best_prior = prior
                 best_posterior = posterior
 
@@ -203,8 +262,9 @@ def epsilon_of_theorem_6_1(
 
     ``L_{s,v̄}`` is the event that the instance intersects
     ``T_{s,v̄} = crit(S_s) ∩ crit(V_v̄)`` — the common critical tuples of
-    the boolean specialisations.  The probabilities are computed over the
-    dictionary's own domain.
+    the statements' boolean queries.  The probabilities are computed over
+    the dictionary's own domain.  The statements are those of the Eq. (9)
+    search, and each one's critical tuples are computed once.
     """
     critical_fn = critical_fn or critical_tuples
     secret = as_query(secret, "secret")
@@ -212,37 +272,21 @@ def epsilon_of_theorem_6_1(
 
     schema = dictionary.schema
     engine = ExactEngine(dictionary, max_support_size=max_support_size)
-    secret_rows = possible_answer_tuples(secret, dictionary)
-    view_rows = [possible_answer_tuples(view, dictionary) for view in views]
+    secrets, view_statements = _atomic_statements(
+        secret, views, dictionary, max_secret_rows, max_view_rows
+    )
+    view_crits = [
+        statement.critical_tuples(critical_fn, schema) for statement in view_statements
+    ]
 
     epsilon = Fraction(0)
-    secret_combos = _row_combinations(secret_rows, max_secret_rows)
-    view_combo_lists = [_row_combinations(rows, max_view_rows) for rows in view_rows]
-
-    for secret_combo in secret_combos:
-        # Boolean specialisation S_s: "s ⊆ S(I)" as the conjunction of the
-        # per-row boolean queries; its critical tuples are the union.
-        secret_specs = [secret.boolean_specialisation(row) for row in secret_combo]
-        secret_crit: FrozenSet[Fact] = frozenset().union(
-            *(critical_fn(spec, schema) for spec in secret_specs)
-        )
-        secret_event = QueryContains(secret, secret_combo)
-        for view_combo in itertools.product(*view_combo_lists):
-            view_specs = [
-                view.boolean_specialisation(row)
-                for view, rows in zip(views, view_combo)
-                for row in rows
-            ]
-            view_crit: FrozenSet[Fact] = frozenset().union(
-                *(critical_fn(spec, schema) for spec in view_specs)
-            ) if view_specs else frozenset()
+    for statement in secrets:
+        secret_crit = statement.critical_tuples(critical_fn, schema)
+        for view_statement, view_crit in zip(view_statements, view_crits):
             common = secret_crit & view_crit
             if not common:
                 continue  # L_{s,v̄} is impossible: this pair adds nothing to ε
-            view_event: Event = And(
-                tuple(QueryContains(v, rows) for v, rows in zip(views, view_combo))
-            )
-            conditioning = And((secret_event, view_event))
+            conditioning = And((statement.event, view_statement.event))
             p_conditioning = engine.probability(conditioning)
             if p_conditioning == 0:
                 continue

@@ -658,7 +658,14 @@ def delta_apply_many(
             for query in queries
         ]
     except UnstorableError:
-        return _fallback("delta_apply_many", queries, store, added, removed)
+        # The changes come from the compiled engine; the delta still
+        # lands in the store, which stays the state the caller holds.
+        _, changes = _fallback("delta_apply_many", queries, store, added, removed)
+        if truly_added:
+            store.add(*truly_added)
+        if truly_removed:
+            store.remove(*truly_removed)
+        return store, changes
     # Phase 1: removal candidates over the pre-state (all of them are in
     # Q(before) by construction).
     lost_candidates: List[Set[Tuple[object, ...]]] = [set() for _ in per_query_plans]

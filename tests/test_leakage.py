@@ -1,10 +1,12 @@
 """Unit tests for the disclosure measure of Section 6.1."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from repro import Dictionary, q
+from repro import Dictionary, q, union_of
+from repro.bench import employee_schema, table1_pairs
 from repro.core import (
     decide_security,
     epsilon_of_theorem_6_1,
@@ -13,6 +15,7 @@ from repro.core import (
     possible_answer_tuples,
 )
 from repro.exceptions import SecurityAnalysisError
+from repro.probability.kernel import ProbabilityKernel
 from repro.relational import Domain, RelationSchema, Schema
 
 
@@ -95,12 +98,55 @@ class TestPositiveLeakage:
         with pytest.raises(SecurityAnalysisError):
             positive_leakage(q("S(y) :- R(x, y)"), [], binary_dictionary)
 
+    def test_each_statement_probability_is_computed_once(self, monkeypatch):
+        # Table 1 row 2 on 12 facts: P[s] once per secret statement, P[v̄]
+        # once per view statement and P[s ∧ v̄] per pair, all positive.
+        row = next(row for row in table1_pairs() if row.row == 2)
+        dictionary = Dictionary.uniform(employee_schema(2, 2, 3), Fraction(1, 4))
+        secrets = len(possible_answer_tuples(row.secret, dictionary))
+        view_statements = math.prod(
+            len(possible_answer_tuples(view, dictionary)) for view in row.views
+        )
+        calls = []
+        joint_probability = ProbabilityKernel.joint_probability
+
+        def counted(kernel, *args, **options):
+            calls.append(args)
+            return joint_probability(kernel, *args, **options)
+
+        monkeypatch.setattr(ProbabilityKernel, "joint_probability", counted)
+        result = positive_leakage(row.secret, row.views, dictionary)
+        assert result.explored == secrets * view_statements
+        assert len(calls) == secrets + view_statements + secrets * view_statements
+        assert len(calls) == 174
+
 
 class TestTheorem61:
     def test_epsilon_zero_for_secure_pair(self, binary_dictionary):
         secret = q("S(y) :- R(y, 'a')")
         view = q("V(x) :- R(x, 'b')")
         assert epsilon_of_theorem_6_1(secret, view, binary_dictionary) == 0
+
+    def test_epsilon_uses_the_critical_tuples_of_the_conjunction(self):
+        # v̄ ⊆ V̄(I) is T(y) ∧ R(a, a) ∧ T(a).  T(b) is critical for the
+        # first view alone, not for the conjunction, so the secret T(b)
+        # shares no critical tuple with the statement: ε is 0, not 1.
+        schema = Schema(
+            [RelationSchema("R", ("c1", "c2")), RelationSchema("T", ("c1",))],
+            domain=Domain(["a", "b"]),
+        )
+        dictionary = Dictionary.uniform(schema, Fraction(1, 2))
+        secret = q("S() :- T('b')")
+        views = [q("V0() :- T(y), R('a', 'a')"), q("V1() :- T('a')")]
+        assert positive_leakage(secret, views, dictionary).leakage == 0
+        assert epsilon_of_theorem_6_1(secret, views, dictionary) == 0
+
+    def test_epsilon_accepts_a_union_view(self, binary_dictionary):
+        # Two rows of a union view conjoin disjunct by disjunct.
+        secret = q("S(y) :- R(x, y)")
+        view = union_of(q("V(x) :- R(x, 'a')"), q("V(x) :- R(x, 'b')"))
+        assert epsilon_of_theorem_6_1(secret, view, binary_dictionary) == Fraction(4, 5)
+        assert epsilon_of_theorem_6_1(secret, view, binary_dictionary, max_view_rows=2) == 1
 
     def test_bound_dominates_measured_leakage(self, emp_dictionary):
         secret = q("S(n, p) :- Emp(n, d, p)")

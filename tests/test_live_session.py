@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from repro import Dictionary, q
-from repro.cq import union_of
+from repro.cq import Atom, Comparison, ConjunctiveQuery, Constant, Variable, union_of
 from repro.exceptions import SecurityAnalysisError
 from repro.probability import kernel as kernel_module
 from repro.probability.kernel import ProbabilityKernel
@@ -376,6 +376,28 @@ class TestStoreBacked:
         assert Fact("R", ("b", "a")) in store
         assert Fact("R", ("a", "b")) not in store
         assert note["fact_count"] == 1
+        assert live.snapshot()["store_backed"] is True
+        assert live.self_check()["consistent"]
+
+    def test_unstorable_query_keeps_the_store(self, binary_ab_schema):
+        # ``y != None`` cannot be bound to SQL, so the delta's changes
+        # come from the compiled engine; the delta still lands in the store.
+        view = ConjunctiveQuery(
+            (Variable("x"),),
+            (Atom("R", (Variable("x"), Variable("y"))),),
+            (Comparison(Variable("y"), "!=", Constant(None)),),
+            name="V",
+        )
+        store = SQLiteFactStore.mirror([Fact("R", ("a", "b"))])
+        live = LiveAuditSession(
+            binary_ab_schema,
+            secrets={"s": q("S(y) :- R(x, y)")},
+            views={"v": view},
+            store=store,
+        )
+        live.apply_delta(added=[Fact("R", ("b", "a"))])
+        assert live.state is store
+        assert Fact("R", ("b", "a")) in store
         assert live.snapshot()["store_backed"] is True
         assert live.self_check()["consistent"]
 

@@ -9,7 +9,9 @@ generated boolean queries over a fixed small schema:
   (Theorem 4.5) and with the FKG-style inequality being tight,
 * the production critical-tuple engine agrees with the naive
   enumeration oracle (Definition 4.4),
-* leakage is zero exactly for secure pairs and never negative.
+* leakage is zero exactly for secure pairs and never negative, and the
+  Eq. (9) search and Theorem 6.1's ε equal their definitions computed
+  pair by pair on the seed enumeration engine.
 """
 
 import itertools
@@ -28,13 +30,22 @@ from repro.core import (
     PriorViewKnowledge,
     TupleStatusKnowledge,
     critical_tuples,
+    epsilon_of_theorem_6_1,
     positive_leakage,
     practical_security_check,
     verify_with_knowledge,
 )
-from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, conjoin
+from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, conjoin, conjoin_all
 from repro.exceptions import KnowledgeError
-from repro.probability import ExactEngine, QueryAnswerIs, QueryTrue, query_polynomial
+from repro.probability import (
+    ExactEngine,
+    FactPresent,
+    Or,
+    QueryAnswerIs,
+    QueryContains,
+    QueryTrue,
+    query_polynomial,
+)
 from repro.reference import NaiveExactEngine, critical_tuples_naive
 from repro.relational import Domain, Fact, RelationSchema, Schema, tuple_space
 
@@ -169,9 +180,17 @@ class TestSecurityProperties:
 PROBABILITY_POOL = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
-def _random_query(rng: random.Random, name: str, boolean: bool = False) -> ConjunctiveQuery:
+def _random_query(
+    rng: random.Random, name: str, boolean: bool = False, relations=(("R", 2),)
+) -> ConjunctiveQuery:
+    """1–2 subgoals over ``(relation, arity)`` pairs, headed by one variable unless boolean."""
     pool = [Variable(n) for n in VARIABLE_NAMES] + [Constant(v) for v in DOMAIN_VALUES]
-    body = [Atom("R", (rng.choice(pool), rng.choice(pool))) for _ in range(rng.randint(1, 2))]
+
+    def atom() -> Atom:
+        relation, arity = relations[0] if len(relations) == 1 else rng.choice(relations)
+        return Atom(relation, tuple(rng.choice(pool) for _ in range(arity)))
+
+    body = [atom() for _ in range(rng.randint(1, 2))]
     variables = sorted({v for atom in body for v in atom.variables})
     head = () if boolean or not variables else tuple(rng.sample(variables, 1))
     return ConjunctiveQuery(head, body, name=name)
@@ -235,3 +254,124 @@ class TestEquation7:
                     verify_with_knowledge(secret, views, given, dictionary)
             else:
                 assert verify_with_knowledge(secret, views, given, dictionary) is expected
+
+
+# ---------------------------------------------------------------------------
+# Eq. (9) and Theorem 6.1's ε against the definitions, pair by pair
+# ---------------------------------------------------------------------------
+TWO_RELATIONS = Schema(
+    [RelationSchema("R", ("c1", "c2")), RelationSchema("T", ("c1",))],
+    domain=Domain(DOMAIN_VALUES),
+)
+TWO_RELATION_FACTS = tuple(tuple_space(TWO_RELATIONS))
+TWO_RELATION_ARITIES = (("R", 2), ("T", 1))
+#: Certain facts as well: a statement can then have prior 1.
+LEAKAGE_POOL = PROBABILITY_POOL + (Fraction(1),)
+
+
+def _statements(naive, query, max_rows):
+    """Every set of 1 to ``max_rows`` rows the query can answer."""
+    rows = sorted(set().union(*naive.possible_answers(query)), key=repr)
+    return [
+        combo
+        for size in range(1, max_rows + 1)
+        for combo in itertools.combinations(rows, size)
+    ]
+
+
+def _statement_crit(parts):
+    """crit of the boolean query ``rows ⊆ Q(I)`` for every ``(Q, rows)`` part."""
+    specialisations = [query.boolean_specialisation(row) for query, rows in parts for row in rows]
+    return critical_tuples_naive(conjoin_all(specialisations), TWO_RELATIONS)
+
+
+def _literal_leakage(secret, views, dictionary, max_secret_rows, max_view_rows):
+    """Eq. (9) and Theorem 6.1's ε, pair by pair on the seed engine.
+
+    Returns ``(gains, epsilon, disjoint, explored)``: the gain of every
+    pair with ``P[s] > 0`` and ``P[v̄] > 0``, ε, the pairs among those
+    whose critical tuples are disjoint, and the pairs with ``P[s] > 0``.
+    """
+    naive = NaiveExactEngine(dictionary)
+    view_statements = list(
+        itertools.product(*(_statements(naive, view, max_view_rows) for view in views))
+    )
+    gains, disjoint, explored, epsilon = {}, set(), 0, Fraction(0)
+    for s in _statements(naive, secret, max_secret_rows):
+        secret_event = QueryContains(secret, s)
+        for v in view_statements:
+            view_events = [QueryContains(view, rows) for view, rows in zip(views, v)]
+            common = _statement_crit([(secret, s)]) & _statement_crit(zip(views, v))
+            p_both = naive.joint_probability([secret_event, *view_events])
+            if common and p_both:
+                touches = Or(tuple(FactPresent(fact) for fact in common))
+                p_touches = naive.joint_probability([touches, secret_event, *view_events])
+                epsilon = max(epsilon, p_touches / p_both)
+            prior = naive.probability(secret_event)
+            p_view = naive.joint_probability(view_events)
+            explored += prior != 0
+            if prior and p_view:
+                gains[s, v] = (p_both / p_view - prior) / prior
+                if not common:
+                    disjoint.add((s, v))
+    return gains, epsilon, disjoint, explored
+
+
+def _check_against_the_definitions(secret, views, dictionary, **rows):
+    gains, epsilon, disjoint, explored = _literal_leakage(
+        secret, views, dictionary, rows["max_secret_rows"], rows["max_view_rows"]
+    )
+
+    result = positive_leakage(secret, views, dictionary, **rows)
+    assert result.leakage == max([Fraction(0), *gains.values()])
+    assert result.explored == explored
+    if result.worst_secret_rows is not None:
+        worst = (result.worst_secret_rows, result.worst_view_rows)
+        assert gains[worst] == result.leakage
+        assert result.posterior == result.prior * (1 + result.leakage)
+    assert epsilon_of_theorem_6_1(secret, views, dictionary, **rows) == epsilon
+    # Theorem 4.5 per atomic statement: disjoint critical tuples, no gain.
+    assert all(gains[pair] == 0 for pair in disjoint)
+    return result.leakage, epsilon
+
+
+class TestLeakageDefinitions:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_queries_match_the_definitions(self, seed):
+        rng = random.Random(seed)
+        dictionary = Dictionary(
+            TWO_RELATIONS, {fact: rng.choice(LEAKAGE_POOL) for fact in TWO_RELATION_FACTS}
+        )
+        secret = _random_query(rng, "S", relations=TWO_RELATION_ARITIES)
+        views = [
+            _random_query(rng, f"V{i}", relations=TWO_RELATION_ARITIES)
+            for i in range(rng.randint(1, 2))
+        ]
+        _check_against_the_definitions(
+            secret,
+            views,
+            dictionary,
+            max_secret_rows=rng.randint(1, 2),
+            max_view_rows=rng.randint(1, 2),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_example_4_2_matches_the_definitions(self, seed):
+        # The random queries' ε is nearly always 0 or 1: a ground subgoal,
+        # a certain or impossible fact, or a 2-row statement whose
+        # critical tuples cover the other side's forces L_{s,v̄}.  Single
+        # rows of Example 4.2 with no certain or impossible fact do not.
+        rng = random.Random(seed)
+        dictionary = Dictionary(
+            TWO_RELATIONS,
+            {fact: rng.choice(PROBABILITY_POOL[1:]) for fact in TWO_RELATION_FACTS},
+        )
+        leakage, epsilon = _check_against_the_definitions(
+            q("S(y) :- R(x, y)"),
+            [q("V(x) :- R(x, y)")],
+            dictionary,
+            max_secret_rows=1,
+            max_view_rows=1,
+        )
+        assert 0 < leakage
+        assert 0 < epsilon < 1

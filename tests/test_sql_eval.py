@@ -387,6 +387,26 @@ class TestFallback:
         assert evaluate(query, store) == {(1,), (2,)}
         assert SQL_STATS["sql_fallbacks"] > before
 
+    def test_unstorable_query_delta_lands_in_the_store(self):
+        # The changes come from the compiled engine, but the delta is
+        # still written to the store, and the store is what is returned.
+        query = ConjunctiveQuery(
+            (Variable("x"),),
+            (Atom("R", (Variable("x"), Variable("y"))),),
+            (Comparison(Variable("y"), "!=", Constant(None)),),
+        )
+        store = SQLiteFactStore.mirror([Fact("R", (1, 2)), Fact("R", (5, 6))])
+        before = SQL_STATS["sql_fallbacks"]
+        after, gained, lost = delta_apply(
+            query, store, added=[Fact("R", (3, 4))], removed=[Fact("R", (1, 2))]
+        )
+        assert after is store
+        assert (gained, lost) == ({(3,)}, {(1,)})
+        assert Fact("R", (3, 4)) in store
+        assert Fact("R", (1, 2)) not in store
+        assert evaluate(query, store) == {(3,), (5,)}
+        assert SQL_STATS["sql_fallbacks"] > before
+
     def test_union_fallback_does_not_duplicate_assignments(self):
         # A storable first disjunct followed by an unstorable one: the
         # whole call must fall back *before* the first yield, or the

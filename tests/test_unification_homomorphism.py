@@ -5,6 +5,7 @@ import pytest
 from repro.cq import (
     Atom,
     Constant,
+    UnionQuery,
     Variable,
     are_equivalent,
     atoms_unifiable,
@@ -12,6 +13,7 @@ from repro.cq import (
     conjoin,
     conjoin_all,
     determines,
+    evaluate_boolean,
     find_query_homomorphism,
     has_query_homomorphism,
     is_contained_in,
@@ -19,10 +21,11 @@ from repro.cq import (
     q,
     queries_share_unifiable_subgoals,
     unifiable_subgoal_pairs,
+    union_of,
     unify_atoms,
 )
 from repro.exceptions import QueryError
-from repro.relational import Domain, Fact, RelationSchema, Schema
+from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -160,6 +163,16 @@ class TestConjoin:
         combined = conjoin_all(queries, name="ABC")
         assert combined.name == "ABC"
         assert len(combined.body) == 3
+
+    def test_conjoin_distributes_over_a_union(self):
+        union = union_of(q("A() :- R(x, 'a')"), q("B() :- R(x, 'b')"))
+        combined = conjoin(union, q("C() :- S(x)"), name="UC")
+        assert isinstance(combined, UnionQuery)
+        assert combined.name == "UC"
+        assert [len(d.body) for d in combined.disjuncts] == [2, 2]
+        instance = Instance.of(Fact("R", ("c", "b")), Fact("S", ("c",)))
+        assert evaluate_boolean(combined, instance)
+        assert not evaluate_boolean(combined, Instance.of(Fact("R", ("c", "b"))))
 
     def test_conjoin_all_requires_queries(self):
         with pytest.raises(QueryError):
