@@ -146,12 +146,13 @@ def show_metrics(address) -> None:
         f"requests={totals['requests']}  computed={totals['computed']}  "
         f"duplicate_hit_rate={totals['duplicate_hit_rate']:.1%}"
     )
+    cache = stats["crit_cache"]
+    print(
+        "crit_D cache (shared by every session): "
+        f"{cache['hits']}h/{cache['misses']}m (hit rate {cache['hit_rate']:.1%})"
+    )
     for session in stats["sessions"]:
-        cache = session["cache"]
-        line = (
-            f"session {session['fingerprint']}: cache "
-            f"{cache['hits']}h/{cache['misses']}m (hit rate {cache['hit_rate']:.1%})"
-        )
+        line = f"session {session['fingerprint']}"
         if "kernels" in session:
             kernel = session["kernels"].get("exact", {})
             line += (

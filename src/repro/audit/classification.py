@@ -153,8 +153,9 @@ def classify_disclosure(
         minute.
     critical_fn:
         Optional cached critical-tuple provider (supplied by the
-        session-backed auditor); omitted, the underlying decision uses
-        the process-wide :func:`~repro.core.criticality.default_cache`.
+        session-backed auditor); the decision and the leakage search
+        use it, and omitted, both use the process-wide
+        :func:`~repro.core.criticality.default_cache`.
     """
     secret = as_query(secret, "secret")
     views = as_queries(views)
@@ -209,7 +210,7 @@ def classify_disclosure(
         dictionary = Dictionary.uniform(leakage_schema, DEFAULT_AUDIT_PROBABILITY)
     leakage: Optional[LeakageResult]
     try:
-        leakage = positive_leakage(secret, views, dictionary)
+        leakage = positive_leakage(secret, views, dictionary, critical_fn=critical_fn)
     except IntractableAnalysisError:
         leakage = None
 

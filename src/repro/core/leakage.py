@@ -28,13 +28,13 @@ from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.compose import conjoin_all
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
-from ..exceptions import SecurityAnalysisError
+from ..exceptions import IntractableAnalysisError, SecurityAnalysisError
 from ..probability.dictionary import Dictionary
 from ..probability.engine import ExactEngine
 from ..probability.events import And, Event, FactPresent, Or, QueryContains, query_support
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
-from .criticality import critical_tuples
+from .criticality import default_cache
 
 __all__ = [
     "LeakageResult",
@@ -168,6 +168,8 @@ def positive_leakage(
     max_secret_rows: int = 1,
     max_view_rows: int = 1,
     max_support_size: Optional[int] = None,
+    *,
+    critical_fn=None,
 ) -> LeakageResult:
     """Compute ``leak(S, V̄)`` of Eq. (9) by exhaustive search.
 
@@ -176,12 +178,21 @@ def positive_leakage(
     ``max_view_rows`` widen the search to larger inclusion statements.
 
     Accepts query objects or datalog strings, and one view, a sequence
-    of views or a ``recipient → view`` mapping.  The measurement needs
-    no critical tuples; :meth:`~repro.session.AnalysisSession.leakage`
-    runs the same search and adds timing.
+    of views or a ``recipient → view`` mapping.  ``critical_fn`` is the
+    critical-tuple provider the search uses to skip independent pairs;
+    omitted, it is the process-wide
+    :func:`~repro.core.criticality.default_cache`.
+    :meth:`~repro.session.AnalysisSession.leakage` runs the same search
+    on its session's cache and adds timing.
     """
     return _positive_leakage(
-        secret, views, dictionary, max_secret_rows, max_view_rows, max_support_size
+        secret,
+        views,
+        dictionary,
+        max_secret_rows,
+        max_view_rows,
+        max_support_size,
+        critical_fn=critical_fn or default_cache().critical_tuples,
     )
 
 
@@ -192,21 +203,40 @@ def _positive_leakage(
     max_secret_rows: int = 1,
     max_view_rows: int = 1,
     max_support_size: Optional[int] = None,
+    *,
+    critical_fn=None,
 ) -> LeakageResult:
     """The Eq. (9) search behind :func:`positive_leakage` and the session.
 
-    ``P[s]`` is computed once per secret statement, ``P[v̄]`` once per
-    view statement the first time a pair needs it, and only
-    ``P[s ∧ v̄]`` per pair: ``|S| + |V̄| + |S|·|V̄|`` kernel calls when
-    every probability is positive.
+    ``P[s]`` is computed once per secret statement and only ``P[s ∧ v̄]``
+    per pair.  With ``critical_fn``, a pair whose boolean statements
+    share no critical tuple is counted in ``explored`` but not computed:
+    by Theorem 4.5 the two statements are functions of disjoint tuples,
+    hence independent, and the pair's gain is exactly 0.  Each
+    statement's critical tuples are computed once; a statement whose
+    crit_D is refused as intractable has all its pairs computed.
+    ``P[v̄]`` is computed once per view statement, the first time a pair
+    that is not skipped needs it.  Without ``critical_fn`` no pair is
+    skipped: ``|S| + |V̄| + |S|·|V̄|`` kernel calls when every
+    probability is positive.
     """
     secret = as_query(secret, "secret")
     views = as_queries(views)
 
+    schema = dictionary.schema
     engine = ExactEngine(dictionary, max_support_size=max_support_size)
     secrets, view_statements = _atomic_statements(
         secret, views, dictionary, max_secret_rows, max_view_rows
     )
+
+    def crit(statement: _Statement) -> Optional[FrozenSet[Fact]]:
+        """The statement's critical tuples; ``None`` computes all its pairs."""
+        if critical_fn is None:
+            return None
+        try:
+            return statement.critical_tuples(critical_fn, schema)
+        except IntractableAnalysisError:
+            return None
 
     best = Fraction(0)
     best_secret: Optional[Tuple[Tuple[object, ...], ...]] = None
@@ -215,13 +245,21 @@ def _positive_leakage(
     best_posterior: Optional[Fraction] = None
     explored = 0
     p_views: Dict[int, Fraction] = {}
+    view_crits: Dict[int, Optional[FrozenSet[Fact]]] = {}
 
     for statement in secrets:
         prior = engine.probability(statement.event)
         if prior == 0:
             continue
+        secret_crit = crit(statement)
         for index, view_statement in enumerate(view_statements):
             explored += 1
+            if secret_crit is not None:
+                if index not in view_crits:
+                    view_crits[index] = crit(view_statement)
+                view_crit = view_crits[index]
+                if view_crit is not None and not secret_crit & view_crit:
+                    continue  # independent statements: the gain is exactly 0
             if index not in p_views:
                 p_views[index] = engine.probability(view_statement.event)
             p_view = p_views[index]
@@ -264,9 +302,11 @@ def epsilon_of_theorem_6_1(
     ``T_{s,v̄} = crit(S_s) ∩ crit(V_v̄)`` — the common critical tuples of
     the statements' boolean queries.  The probabilities are computed over
     the dictionary's own domain.  The statements are those of the Eq. (9)
-    search, and each one's critical tuples are computed once.
+    search, and each one's critical tuples are computed once, through
+    ``critical_fn`` or else the process-wide
+    :func:`~repro.core.criticality.default_cache`.
     """
-    critical_fn = critical_fn or critical_tuples
+    critical_fn = critical_fn or default_cache().critical_tuples
     secret = as_query(secret, "secret")
     views = as_queries(views)
 

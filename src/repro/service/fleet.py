@@ -854,6 +854,7 @@ class FleetServer(RequestPipeline):
                         "workers",
                         "connections",
                         "query_evaluation",
+                        "crit_cache",
                         "faults",
                         "live",
                     )

@@ -11,9 +11,13 @@ the daemon healthy under heavy, repetitive traffic:
 * **Session sharing.**  Requests are fingerprinted on (schema document,
   dictionary spec, verification engine); all requests with one
   fingerprint run on one shared
-  :class:`~repro.session.AnalysisSession`, so the critical-tuple cache
-  and the dictionary's memo table of compiled probability artifacts are
-  reused across clients and connections.  The pool is LRU-bounded.
+  :class:`~repro.session.AnalysisSession`, so the dictionary's memo
+  table of compiled probability artifacts is reused across clients and
+  connections.  The pool is LRU-bounded.  Every session runs on the
+  process-wide critical-tuple cache
+  (:func:`~repro.core.criticality.default_cache`): crit_D depends only
+  on the schema, the query and the domain, never on the dictionary, and
+  the cache key carries the schema fingerprint.
 
 * **Request coalescing.**  Identical analysis requests (same
   :func:`~repro.service.protocol.request_key`) that arrive while the
@@ -65,6 +69,7 @@ from ..session import (
     AnalysisSession,
     LiveAuditSession,
     PublishingPlan,
+    default_cache,
     fact_from_document,
 )
 from ..session.results import (
@@ -104,8 +109,8 @@ __all__ = ["AuditServer", "ServerThread", "run_server"]
 #: Default bound on concurrently pending analyses (load-shedding threshold).
 DEFAULT_QUEUE_LIMIT = 64
 
-#: Number of shared sessions kept (LRU); each keeps its own
-#: critical-tuple cache of ``AnalysisSession``'s default size.
+#: Number of shared sessions kept (LRU); all share the process-wide
+#: critical-tuple cache.
 MAX_SESSIONS = 32
 
 #: Default number of live audit sessions kept (LRU; oldest is dropped).
@@ -289,7 +294,6 @@ class AuditServer(RequestPipeline):
             entry: Dict[str, Any] = {
                 "fingerprint": hashlib.sha256(key.encode("utf8")).hexdigest()[:12],
                 "engine": session.engine_name,
-                "cache": session.cache_stats.to_dict(),
             }
             kernel_stats = SecurityAuditor.kernel_stats_for(session.dictionary)
             if kernel_stats is not None:
@@ -305,6 +309,7 @@ class AuditServer(RequestPipeline):
             "connections": self._connections,
             **self._table_stats(),
             "query_evaluation": evaluation_stats(),
+            "crit_cache": default_cache().stats().to_dict(),
             "sessions": sessions,
             "live": {
                 name: {
@@ -511,7 +516,9 @@ class AuditServer(RequestPipeline):
         session = self._sessions.get(key)
         if session is None:
             schema, dictionary = _schema_and_dictionary(request)
-            session = AnalysisSession(schema, dictionary=dictionary, engine=request.engine)
+            session = AnalysisSession(
+                schema, dictionary=dictionary, engine=request.engine, cache=default_cache()
+            )
             while len(self._sessions) >= MAX_SESSIONS:
                 self._sessions.popitem(last=False)
             self._sessions[key] = session

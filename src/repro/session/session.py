@@ -268,6 +268,7 @@ class AnalysisSession:
                 max_secret_rows=max_secret_rows,
                 max_view_rows=max_view_rows,
                 max_support_size=max_support_size,
+                critical_fn=self._cache.critical_tuples,
             )
         return self._finish(
             LeakageAnalysis,

@@ -1,6 +1,6 @@
 """Unit tests for the disclosure measure of Section 6.1."""
 
-import math
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,13 +8,16 @@ import pytest
 from repro import Dictionary, q, union_of
 from repro.bench import employee_schema, table1_pairs
 from repro.core import (
+    critical_tuples,
     decide_security,
     epsilon_of_theorem_6_1,
     leakage_bound_from_epsilon,
     positive_leakage,
     possible_answer_tuples,
 )
-from repro.exceptions import SecurityAnalysisError
+from repro.core.leakage import _positive_leakage
+from repro.cq import conjoin_all
+from repro.exceptions import IntractableAnalysisError, SecurityAnalysisError
 from repro.probability.kernel import ProbabilityKernel
 from repro.relational import Domain, RelationSchema, Schema
 
@@ -99,14 +102,36 @@ class TestPositiveLeakage:
             positive_leakage(q("S(y) :- R(x, y)"), [], binary_dictionary)
 
     def test_each_statement_probability_is_computed_once(self, monkeypatch):
-        # Table 1 row 2 on 12 facts: P[s] once per secret statement, P[v̄]
-        # once per view statement and P[s ∧ v̄] per pair, all positive.
+        # Table 1 row 2 on 12 facts, every probability positive: P[s] once
+        # per secret statement, P[v̄] once per view statement that shares
+        # a critical tuple with some secret statement, and P[s ∧ v̄] only
+        # for such sharing pairs.  Theorem 4.5 proves every other pair
+        # independent, so the search skips it.
         row = next(row for row in table1_pairs() if row.row == 2)
-        dictionary = Dictionary.uniform(employee_schema(2, 2, 3), Fraction(1, 4))
-        secrets = len(possible_answer_tuples(row.secret, dictionary))
-        view_statements = math.prod(
-            len(possible_answer_tuples(view, dictionary)) for view in row.views
-        )
+        schema = employee_schema(2, 2, 3)
+        dictionary = Dictionary.uniform(schema, Fraction(1, 4))
+
+        def crit(parts):
+            return critical_tuples(
+                conjoin_all([query.boolean_specialisation(r) for query, r in parts]), schema
+            )
+
+        secrets = [
+            crit([(row.secret, answer)])
+            for answer in possible_answer_tuples(row.secret, dictionary)
+        ]
+        view_statements = [
+            crit(zip(row.views, answers))
+            for answers in itertools.product(
+                *(possible_answer_tuples(view, dictionary) for view in row.views)
+            )
+        ]
+        sharing = [
+            (i, j)
+            for i, secret_crit in enumerate(secrets)
+            for j, view_crit in enumerate(view_statements)
+            if secret_crit & view_crit
+        ]
         calls = []
         joint_probability = ProbabilityKernel.joint_probability
 
@@ -116,9 +141,30 @@ class TestPositiveLeakage:
 
         monkeypatch.setattr(ProbabilityKernel, "joint_probability", counted)
         result = positive_leakage(row.secret, row.views, dictionary)
-        assert result.explored == secrets * view_statements
-        assert len(calls) == secrets + view_statements + secrets * view_statements
-        assert len(calls) == 174
+        assert result.explored == len(secrets) * len(view_statements)
+        assert len(calls) == len(secrets) + len({j for _, j in sharing}) + len(sharing)
+        assert len(calls) == 126
+
+    @pytest.mark.parametrize("refused", range(20))
+    def test_a_refused_critical_set_computes_its_pairs(self, refused):
+        # crit_D refused (the max_valuations guard) for the ``refused``-th
+        # of the 4 + 16 statements of row 2 on 8 facts: that statement's
+        # pairs are computed, and the result is the unskipped search's.
+        row = next(row for row in table1_pairs() if row.row == 2)
+        dictionary = Dictionary.uniform(employee_schema(2, 2, 2), Fraction(1, 3))
+        asked = []
+
+        def refusing(query, schema, *args, **options):
+            asked.append(query)
+            if len(asked) == refused + 1:
+                raise IntractableAnalysisError("refused")
+            return critical_tuples(query, schema, *args, **options)
+
+        unskipped = _positive_leakage(row.secret, row.views, dictionary)
+        result = positive_leakage(row.secret, row.views, dictionary, critical_fn=refusing)
+        assert len(asked) > refused
+        assert result == unskipped
+        assert result.leakage > 0
 
 
 class TestTheorem61:

@@ -10,8 +10,10 @@ generated boolean queries over a fixed small schema:
 * the production critical-tuple engine agrees with the naive
   enumeration oracle (Definition 4.4),
 * leakage is zero exactly for secure pairs and never negative, and the
-  Eq. (9) search and Theorem 6.1's ε equal their definitions computed
-  pair by pair on the seed enumeration engine.
+  Eq. (9) search (free, in a session and in the audit's grading),
+  Theorem 6.1's ε, Definition 4.1's ``verify`` and the independence gap
+  equal their definitions computed pair by pair on the seed enumeration
+  engine.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Dictionary, q
+from repro.audit import classify_disclosure
 from repro.core import (
     CardinalityConstraintKnowledge,
     ConjunctionKnowledge,
@@ -31,8 +34,10 @@ from repro.core import (
     TupleStatusKnowledge,
     critical_tuples,
     epsilon_of_theorem_6_1,
+    independence_gap,
     positive_leakage,
     practical_security_check,
+    verify_security_probabilistically,
     verify_with_knowledge,
 )
 from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, conjoin, conjoin_all
@@ -48,6 +53,7 @@ from repro.probability import (
 )
 from repro.reference import NaiveExactEngine, critical_tuples_naive
 from repro.relational import Domain, Fact, RelationSchema, Schema, tuple_space
+from repro.session import AnalysisSession
 
 DOMAIN_VALUES = ("a", "b")
 VARIABLE_NAMES = ("x", "y")
@@ -137,8 +143,6 @@ class TestSecurityProperties:
     @settings(max_examples=30, deadline=None)
     @given(boolean_queries(), boolean_queries())
     def test_theorem_4_5_for_boolean_queries(self, secret, view):
-        from repro.core import verify_security_probabilistically
-
         disjoint = not (critical_tuples(secret, SCHEMA) & critical_tuples(view, SCHEMA))
         for dictionary in (HALF, THIRD):
             assert verify_security_probabilistically(secret, view, dictionary) == disjoint
@@ -166,8 +170,6 @@ class TestSecurityProperties:
         # (symmetry + total disclosure), i.e. its critical set intersects
         # itself unless it is empty.
         crit = critical_tuples(query, SCHEMA)
-        from repro.core import verify_security_probabilistically
-
         if crit:
             assert not verify_security_probabilistically(query, query, HALF)
         else:
@@ -257,7 +259,7 @@ class TestEquation7:
 
 
 # ---------------------------------------------------------------------------
-# Eq. (9) and Theorem 6.1's ε against the definitions, pair by pair
+# Eq. (9), Theorem 6.1's ε and Eq. (4) against the definitions, literally
 # ---------------------------------------------------------------------------
 TWO_RELATIONS = Schema(
     [RelationSchema("R", ("c1", "c2")), RelationSchema("T", ("c1",))],
@@ -265,6 +267,15 @@ TWO_RELATIONS = Schema(
 )
 TWO_RELATION_FACTS = tuple(tuple_space(TWO_RELATIONS))
 TWO_RELATION_ARITIES = (("R", 2), ("T", 1))
+THREE_RELATIONS = Schema(
+    [
+        RelationSchema("R", ("c1", "c2")),
+        RelationSchema("T", ("c1",)),
+        RelationSchema("U", ("c1",)),
+    ],
+    domain=Domain(DOMAIN_VALUES),
+)
+THREE_RELATION_ARITIES = (("R", 2), ("T", 1), ("U", 1))
 #: Certain facts as well: a statement can then have prior 1.
 LEAKAGE_POOL = PROBABILITY_POOL + (Fraction(1),)
 
@@ -279,10 +290,10 @@ def _statements(naive, query, max_rows):
     ]
 
 
-def _statement_crit(parts):
+def _statement_crit(parts, schema):
     """crit of the boolean query ``rows ⊆ Q(I)`` for every ``(Q, rows)`` part."""
     specialisations = [query.boolean_specialisation(row) for query, rows in parts for row in rows]
-    return critical_tuples_naive(conjoin_all(specialisations), TWO_RELATIONS)
+    return critical_tuples_naive(conjoin_all(specialisations), schema)
 
 
 def _literal_leakage(secret, views, dictionary, max_secret_rows, max_view_rows):
@@ -292,6 +303,7 @@ def _literal_leakage(secret, views, dictionary, max_secret_rows, max_view_rows):
     pair with ``P[s] > 0`` and ``P[v̄] > 0``, ε, the pairs among those
     whose critical tuples are disjoint, and the pairs with ``P[s] > 0``.
     """
+    schema = dictionary.schema
     naive = NaiveExactEngine(dictionary)
     view_statements = list(
         itertools.product(*(_statements(naive, view, max_view_rows) for view in views))
@@ -301,7 +313,9 @@ def _literal_leakage(secret, views, dictionary, max_secret_rows, max_view_rows):
         secret_event = QueryContains(secret, s)
         for v in view_statements:
             view_events = [QueryContains(view, rows) for view, rows in zip(views, v)]
-            common = _statement_crit([(secret, s)]) & _statement_crit(zip(views, v))
+            common = _statement_crit([(secret, s)], schema) & _statement_crit(
+                zip(views, v), schema
+            )
             p_both = naive.joint_probability([secret_event, *view_events])
             if common and p_both:
                 touches = Or(tuple(FactPresent(fact) for fact in common))
@@ -317,21 +331,55 @@ def _literal_leakage(secret, views, dictionary, max_secret_rows, max_view_rows):
     return gains, epsilon, disjoint, explored
 
 
-def _check_against_the_definitions(secret, views, dictionary, **rows):
-    gains, epsilon, disjoint, explored = _literal_leakage(
-        secret, views, dictionary, rows["max_secret_rows"], rows["max_view_rows"]
+def _literal_gap(secret, views, dictionary):
+    """Eq. (4)'s largest violation ``|P[S=s ∧ V̄=v̄] − P[S=s]·P[V̄=v̄]|`` on the seed engine."""
+    naive = NaiveExactEngine(dictionary)
+    joint = naive.joint_answer_distribution([secret, *views])
+    secret_marginal = naive.answer_distribution(secret)
+    views_marginal = naive.joint_answer_distribution(views)
+    return max(
+        abs(joint.get((s, *v), Fraction(0)) - p_secret * p_views)
+        for s, p_secret in secret_marginal.items()
+        for v, p_views in views_marginal.items()
     )
 
-    result = positive_leakage(secret, views, dictionary, **rows)
+
+def _assert_is_the_literal_search(result, gains, explored):
     assert result.leakage == max([Fraction(0), *gains.values()])
     assert result.explored == explored
     if result.worst_secret_rows is not None:
         worst = (result.worst_secret_rows, result.worst_view_rows)
         assert gains[worst] == result.leakage
         assert result.posterior == result.prior * (1 + result.leakage)
-    assert epsilon_of_theorem_6_1(secret, views, dictionary, **rows) == epsilon
-    # Theorem 4.5 per atomic statement: disjoint critical tuples, no gain.
+
+
+def _check_against_the_definitions(secret, views, dictionary, **rows):
+    """Every leakage entry point, ε, ``verify`` and the gap against their definitions."""
+    gains, epsilon, disjoint, explored = _literal_leakage(
+        secret, views, dictionary, rows["max_secret_rows"], rows["max_view_rows"]
+    )
+    session = AnalysisSession(dictionary.schema, dictionary=dictionary)
+
+    result = positive_leakage(secret, views, dictionary, **rows)
+    _assert_is_the_literal_search(result, gains, explored)
+    assert session.leakage(secret, views, **rows).measurement == result
+    # Theorem 4.5 per atomic statement: disjoint critical tuples, no gain
+    # (the pairs the search skips).
     assert all(gains[pair] == 0 for pair in disjoint)
+    # The audit's grading searches single rows on the session's cache.
+    assessment = classify_disclosure(
+        secret, views, dictionary.schema, dictionary, critical_fn=session.critical_fn
+    )
+    if assessment.leakage is not None:
+        single_gains, _, _, single_explored = _literal_leakage(secret, views, dictionary, 1, 1)
+        _assert_is_the_literal_search(assessment.leakage, single_gains, single_explored)
+
+    assert epsilon_of_theorem_6_1(secret, views, dictionary, **rows) == epsilon
+
+    gap = _literal_gap(secret, views, dictionary)
+    assert independence_gap(secret, views, dictionary) == gap
+    assert verify_security_probabilistically(secret, views, dictionary) is (gap == 0)
+    assert session.verify(secret, views).verdict is (gap == 0)
     return result.leakage, epsilon
 
 
@@ -345,6 +393,26 @@ class TestLeakageDefinitions:
         secret = _random_query(rng, "S", relations=TWO_RELATION_ARITIES)
         views = [
             _random_query(rng, f"V{i}", relations=TWO_RELATION_ARITIES)
+            for i in range(rng.randint(1, 2))
+        ]
+        _check_against_the_definitions(
+            secret,
+            views,
+            dictionary,
+            max_secret_rows=rng.randint(1, 2),
+            max_view_rows=rng.randint(1, 2),
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_three_relations_match_the_definitions(self, seed):
+        rng = random.Random(seed)
+        dictionary = Dictionary(
+            THREE_RELATIONS,
+            {fact: rng.choice(LEAKAGE_POOL) for fact in tuple_space(THREE_RELATIONS)},
+        )
+        secret = _random_query(rng, "S", relations=THREE_RELATION_ARITIES)
+        views = [
+            _random_query(rng, f"V{i}", relations=THREE_RELATION_ARITIES)
             for i in range(rng.randint(1, 2))
         ]
         _check_against_the_definitions(

@@ -277,12 +277,36 @@ class TestOperations:
 
     def test_stats_reports_sessions(self, client):
         client.call("decide", schema=SCHEMA, secret=SECRET, views=VIEWS)
+        client.call("verify", schema=SCHEMA, secret=SECRET, views=VIEWS)
         stats = client.stats()
         assert stats["totals"]["requests"] > 0
         assert stats["queue_limit"] >= 1
         assert any(s["engine"] == "exact" for s in stats["sessions"])
         # quantitative ops ran on this schema, so kernel counters surface
         assert any("kernels" in s for s in stats["sessions"])
+        # one crit_D cache serves every session, and stats report it once
+        assert stats["crit_cache"]["misses"] > 0
+        assert all("cache" not in s for s in stats["sessions"])
+
+    def test_sessions_share_one_critical_tuple_cache(self, client):
+        # Two dictionaries over one schema are two sessions, but crit_D
+        # depends only on the schema, the query and the domain: the
+        # second decide finds every set the first one computed.  The
+        # relation name is this test's own, so the process-wide cache
+        # holds none of its sets before the first decide.
+        schema = {
+            "relations": [{"name": "Rota", "attributes": ["nurse", "ward"]}],
+            "domain": ["a", "b"],
+            "tuple_probability": "1/4",
+        }
+        fields = dict(secret="S(n) :- Rota(n, w)", views={"bob": "V(w) :- Rota(n, w)"})
+        first = client.request("decide", schema=schema, **fields)
+        schema = {**schema, "tuple_probability": "2/5"}
+        second = client.request("decide", schema=schema, **fields)
+        assert not first["server"]["cached"] and not second["server"]["cached"]
+        assert first["result"]["cache_used"]["misses"] > 0
+        assert second["result"]["cache_used"]["misses"] == 0
+        assert second["result"]["cache_used"]["hits"] > 0
 
     def test_repeat_request_hits_result_cache(self, client):
         fields = dict(schema=SCHEMA, secret=SECURE_SECRET, views=SECURE_VIEWS)
