@@ -215,48 +215,53 @@ def build_parser() -> argparse.ArgumentParser:
         "inherit it)",
     )
 
-    request = subparsers.add_parser(
-        "request", help="send one operation to a running audit daemon"
-    )
-    request.add_argument("--host", default="127.0.0.1", help="daemon address")
-    request.add_argument("--port", type=int, default=8765, help="daemon port")
-    request.add_argument(
+    # The flags ``request`` and ``trace`` share, declared once.
+    daemon_request = argparse.ArgumentParser(add_help=False)
+    daemon_request.add_argument("--host", default="127.0.0.1", help="daemon address")
+    daemon_request.add_argument("--port", type=int, default=8765, help="daemon port")
+    daemon_request.add_argument(
         "--payload",
         default=None,
         help="path to a JSON request document sent verbatim (overrides the flags below)",
     )
-    request.add_argument(
+    daemon_request.add_argument(
         "--op",
         default=None,
         help="operation: decide, quick, audit, leakage, collusion, with_knowledge, "
         "verify, plan, ping, stats, shutdown, live-create, apply-delta, "
         "live-audit, subscribe (subscribe streams notifications until EOF)",
     )
-    request.add_argument("--schema", default=None, help="path to the schema JSON file")
-    request.add_argument("--secret", default=None, help="the confidential query (datalog)")
-    request.add_argument(
+    daemon_request.add_argument("--schema", default=None, help="path to the schema JSON file")
+    daemon_request.add_argument("--secret", default=None, help="the confidential query (datalog)")
+    daemon_request.add_argument(
         "--view",
         action="append",
         default=None,
         help="a view, optionally prefixed recipient=QUERY; repeat for several",
     )
-    request.add_argument(
+    daemon_request.add_argument(
         "--probability", default=None, help="uniform tuple probability (e.g. 1/4)"
     )
-    request.add_argument("--engine", default=None, help="verification engine name")
-    request.add_argument(
+    daemon_request.add_argument("--engine", default=None, help="verification engine name")
+    daemon_request.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
         help="total time budget in milliseconds (queue wait + computation); "
         "an expired budget exits 5 with a 'deadline-exceeded' error",
     )
-    request.add_argument(
+    daemon_request.add_argument(
         "--retries",
         type=int,
         default=None,
         help="total attempts for retryable failures (overloaded, worker "
         "crash, dropped connection); default 1 = no retry",
+    )
+
+    request = subparsers.add_parser(
+        "request",
+        parents=[daemon_request],
+        help="send one operation to a running audit daemon",
     )
     request.add_argument(
         "--trace",
@@ -274,33 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = subparsers.add_parser(
         "trace",
+        parents=[daemon_request],
         help="send one traced operation and print its span waterfall",
     )
-    for flag_parser in (trace,):
-        flag_parser.add_argument("--host", default="127.0.0.1", help="daemon address")
-        flag_parser.add_argument("--port", type=int, default=8765, help="daemon port")
-        flag_parser.add_argument(
-            "--payload",
-            default=None,
-            help="path to a JSON request document sent verbatim (overrides the flags below)",
-        )
-        flag_parser.add_argument(
-            "--op", default=None, help="operation: decide, quick, audit, ..."
-        )
-        flag_parser.add_argument("--schema", default=None, help="path to the schema JSON file")
-        flag_parser.add_argument("--secret", default=None, help="the confidential query (datalog)")
-        flag_parser.add_argument(
-            "--view",
-            action="append",
-            default=None,
-            help="a view, optionally prefixed recipient=QUERY; repeat for several",
-        )
-        flag_parser.add_argument(
-            "--probability", default=None, help="uniform tuple probability (e.g. 1/4)"
-        )
-        flag_parser.add_argument("--engine", default=None, help="verification engine name")
-        flag_parser.add_argument("--deadline-ms", type=float, default=None, help=argparse.SUPPRESS)
-        flag_parser.add_argument("--retries", type=int, default=None, help=argparse.SUPPRESS)
     trace.add_argument(
         "--json",
         action="store_true",

@@ -17,11 +17,11 @@ datalog strings, and several views as one view, a sequence or a
 ``recipient → view`` mapping (:func:`repro.cq.canonical.as_queries`);
 no views, or a value that is not a query, raises
 :class:`~repro.exceptions.SecurityAnalysisError`.  Without an explicit
-``critical_fn``, ``decide_security``, ``analyse_collusion``,
-``decide_with_knowledge`` and ``classify_practical_security`` memoize
-``crit_D`` in the process-wide
-:func:`~repro.core.criticality.default_cache`; sessions built on this
-package pass their own cache's provider instead.
+``critical_fn``, every entry point that computes critical tuples
+memoizes ``crit_D`` in the process-wide
+:func:`~repro.core.criticality.default_cache`
+(:func:`~repro.core.criticality.resolve_critical_fn`); sessions built
+on this package pass their own cache's provider instead.
 """
 
 from .adversary import (

@@ -42,7 +42,6 @@ from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import RelationSchema, Schema
 from ..relational.tuples import Fact
-from .criticality import default_cache
 from .security import decide_security
 
 __all__ = [
@@ -381,7 +380,6 @@ def classify_practical_security(
     :func:`~repro.core.criticality.default_cache` caches the underlying
     Theorem 4.5 critical-tuple computation.
     """
-    critical_fn = critical_fn or default_cache().critical_tuples
     secret = as_query(secret, "secret")
     view = as_query(view, "view")
     if not secret.is_boolean or not view.is_boolean:

@@ -25,7 +25,6 @@ from ..cq.query import ConjunctiveQuery
 from ..exceptions import SecurityAnalysisError
 from ..relational.domain import Domain
 from ..relational.schema import Schema
-from .criticality import default_cache
 from .domain_bounds import analysis_domain
 from .security import SecurityDecision, decide_security
 
@@ -132,12 +131,11 @@ def analyse_collusion(
     ``views`` may be a sequence (recipients are auto-named ``user1..``)
     or a mapping ``recipient name → view``.
 
-    Without an explicit ``critical_fn`` the process-wide
-    :func:`~repro.core.criticality.default_cache` makes the per-view
-    loop compute the secret's critical tuples once instead of once per
-    view.
+    The per-view loop reads every critical-tuple set through
+    ``critical_fn`` (omitted, the process-wide
+    :func:`~repro.core.criticality.default_cache`), so the secret's set
+    is computed once, not once per view.
     """
-    critical_fn = critical_fn or default_cache().critical_tuples
     secret = as_query(secret, "secret")
     view_list = tuple(as_queries(views))
     if isinstance(views, Mapping):
@@ -171,20 +169,15 @@ def largest_safe_view_set(
     """The largest subset of candidate views that can be published safely.
 
     Because security is per-view (Theorem 4.5), the answer is simply the
-    set of individually-secure views; the function exists as a
-    publishing-plan convenience and to make that consequence explicit.
+    set of individually-secure views, read off :func:`analyse_collusion`;
+    the function exists as a publishing-plan convenience and to make
+    that consequence explicit.
     """
     if not candidate_views:
         return ()
-    domain = domain or analysis_domain([secret, *candidate_views])
+    report = analyse_collusion(secret, candidate_views, schema, domain, critical_fn=critical_fn)
     return tuple(
         view
-        for view in candidate_views
-        if decide_security(
-            secret,
-            view,
-            schema,
-            domain=domain,
-            critical_fn=critical_fn,
-        ).secure
+        for view, decision in zip(candidate_views, report.per_view)
+        if decision.secure
     )

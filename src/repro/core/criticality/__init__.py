@@ -9,8 +9,8 @@ run serially over the candidate facts.  :func:`critical_tuples` and
 :class:`CriticalTupleCache` memoizes its sets by (schema fingerprint,
 canonical query, domain); its :meth:`~CriticalTupleCache.critical_tuples`
 is the cached drop-in that sessions pass as ``critical_fn``, and
-:func:`default_cache` is the process-wide cache the free functions use
-when no ``critical_fn`` is given.
+:func:`default_cache` is the process-wide cache every decision procedure
+reads when no ``critical_fn`` is given (:func:`resolve_critical_fn`).
 
 The unpruned Appendix A search and the literal Definition 4.4
 enumeration live on as test oracles in :mod:`repro.reference`; the test
@@ -23,7 +23,13 @@ from .base import (
     InstanceConstraint,
     candidate_critical_facts,
 )
-from .cache import CacheStats, CriticalTupleCache, default_cache, schema_fingerprint
+from .cache import (
+    CacheStats,
+    CriticalTupleCache,
+    default_cache,
+    resolve_critical_fn,
+    schema_fingerprint,
+)
 from .common import common_critical_tuples
 from .pruned import PrunedParallelEngine, critical_tuples, is_critical
 
@@ -39,5 +45,6 @@ __all__ = [
     "CacheStats",
     "CriticalTupleCache",
     "default_cache",
+    "resolve_critical_fn",
     "schema_fingerprint",
 ]

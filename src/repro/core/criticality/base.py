@@ -61,14 +61,8 @@ class CriticalityEngine:
         domain: Optional[Domain] = None,
         constraint: Optional[InstanceConstraint] = None,
         max_valuations: int = DEFAULT_MAX_VALUATIONS,
-        *,
-        allowed: Optional[FrozenSet[Fact]] = None,
     ) -> bool:
-        """Decide ``fact ∈ crit_D(Q)`` (or ``crit_D(Q, K)``).
-
-        ``allowed`` optionally passes a pre-materialised ``tup(D)`` so
-        batch callers don't re-enumerate the tuple space per fact.
-        """
+        """Decide ``fact ∈ crit_D(Q)`` (or ``crit_D(Q, K)``)."""
         raise NotImplementedError
 
     def critical_tuples(
@@ -83,8 +77,24 @@ class CriticalityEngine:
         raise NotImplementedError
 
 
-def _tuple_space_set(schema: Schema, domain: Optional[Domain]) -> FrozenSet[Fact]:
-    return frozenset(tuple_space(schema, domain))
+#: Attribute of a :class:`Schema` holding its tuple spaces by domain.
+_TUPLE_SPACES_ATTRIBUTE = "_tuple_spaces"
+
+
+def _tuple_space_set(schema: Schema, domain: Domain) -> FrozenSet[Fact]:
+    """``tup(D)`` as a set, built once per (schema, domain) and kept on the schema.
+
+    Schemas are immutable, so the set lives exactly as long as the
+    schema does, as :func:`~repro.cq.compiled.plan_for` keeps a plan on
+    its query.
+    """
+    # setdefault is atomic: racing first uses agree on one dictionary.
+    spaces = vars(schema).setdefault(_TUPLE_SPACES_ATTRIBUTE, {})
+    key = tuple(domain.values)
+    space = spaces.get(key)
+    if space is None:
+        space = spaces.setdefault(key, frozenset(tuple_space(schema, domain)))
+    return space
 
 
 def _subgoal_groundings(
@@ -115,8 +125,6 @@ def candidate_critical_facts(
     query: ConjunctiveQuery,
     schema: Schema,
     domain: Optional[Domain] = None,
-    *,
-    allowed: Optional[FrozenSet[Fact]] = None,
 ) -> FrozenSet[Fact]:
     """Facts that are homomorphic images of some subgoal of the query.
 
@@ -127,13 +135,9 @@ def candidate_critical_facts(
     ``Q():-R(x,y,z,z,u),R(x,x,x,y,y)`` has the non-critical image
     ``R(a,a,b,b,c)`` — which is exactly why each candidate still needs
     the full witness check.
-
-    ``allowed`` lets a caller that already materialised the tuple space
-    pass it in instead of paying for a second enumeration.
     """
     domain = domain or schema.domain
-    if allowed is None:
-        allowed = _tuple_space_set(schema, domain)
+    allowed = _tuple_space_set(schema, domain)
     candidates: Set[Fact] = set()
     for atom in query.body:
         candidates.update(_subgoal_groundings(atom, domain, allowed))

@@ -13,8 +13,9 @@ domain.
 :meth:`CriticalTupleCache.critical_tuples` is the cached drop-in for
 :func:`~repro.core.criticality.critical_tuples` that the decision
 procedures take as ``critical_fn``.  Every session owns (or shares) one
-cache; :func:`default_cache` is the process-wide one the free functions
-use when no ``critical_fn`` is given.
+cache; :func:`default_cache` is the process-wide one, and
+:func:`resolve_critical_fn` makes it the provider of every decision
+procedure called without ``critical_fn``.
 
 The cache is bounded (LRU eviction) and keeps hit/miss/eviction
 statistics so callers can verify the sharing they expect actually
@@ -37,7 +38,13 @@ from ...relational.tuples import Fact
 from .base import InstanceConstraint
 from .pruned import critical_tuples
 
-__all__ = ["CacheStats", "CriticalTupleCache", "default_cache", "schema_fingerprint"]
+__all__ = [
+    "CacheStats",
+    "CriticalTupleCache",
+    "default_cache",
+    "resolve_critical_fn",
+    "schema_fingerprint",
+]
 
 #: Default number of critical-tuple sets kept by a session cache.
 DEFAULT_CACHE_SIZE = 512
@@ -289,3 +296,13 @@ def default_cache() -> CriticalTupleCache:
     relations reuse each other's sets.
     """
     return _DEFAULT_CACHE
+
+
+def resolve_critical_fn(critical_fn=None):
+    """The crit_D provider of a decision procedure: ``critical_fn``, else the process cache.
+
+    Every entry point of :mod:`repro.core` that computes critical tuples
+    resolves its ``critical_fn`` here, so a missing provider means
+    :func:`default_cache` everywhere.
+    """
+    return critical_fn or _DEFAULT_CACHE.critical_tuples

@@ -205,12 +205,10 @@ def _pruned_is_critical(
     domain: Domain,
     constraint: Optional[InstanceConstraint],
     max_valuations: int,
-    allowed: Optional[FrozenSet[Fact]] = None,
     full_space: Optional[bool] = None,
 ) -> bool:
     """Decide ``fact ∈ crit_D(Q)`` with the pruned backtracking search."""
-    if allowed is None:
-        allowed = _tuple_space_set(schema, domain)
+    allowed = _tuple_space_set(schema, domain)
     if fact not in allowed:
         return False
     if full_space is None:
@@ -296,13 +294,9 @@ class PrunedParallelEngine(CriticalityEngine):
         domain=None,
         constraint=None,
         max_valuations=DEFAULT_MAX_VALUATIONS,
-        *,
-        allowed=None,
     ):
         domain = domain or schema.domain
-        return _pruned_is_critical(
-            fact, query, schema, domain, constraint, max_valuations, allowed
-        )
+        return _pruned_is_critical(fact, query, schema, domain, constraint, max_valuations)
 
     def critical_tuples(
         self,
@@ -313,13 +307,10 @@ class PrunedParallelEngine(CriticalityEngine):
         max_valuations=DEFAULT_MAX_VALUATIONS,
     ):
         domain = domain or schema.domain
-        allowed = _tuple_space_set(schema, domain)
         # key=repr: Fact's native ordering compares raw values, which
         # raises TypeError on mixed-type analysis domains (e.g. a numeric
         # query constant padded with string fresh constants).
-        candidates = sorted(
-            candidate_critical_facts(query, schema, domain, allowed=allowed), key=repr
-        )
+        candidates = sorted(candidate_critical_facts(query, schema, domain), key=repr)
         if _symmetry_applies(query, schema, constraint):
             groups = _orbit_groups(candidates, frozenset(query.constants), domain)
         else:
@@ -328,8 +319,7 @@ class PrunedParallelEngine(CriticalityEngine):
         result = set()
         for representative, members in groups.items():
             if _pruned_is_critical(
-                representative, query, schema, domain, constraint, max_valuations,
-                allowed, full_space,
+                representative, query, schema, domain, constraint, max_valuations, full_space
             ):
                 result.update(members)
         return frozenset(result)
@@ -355,13 +345,8 @@ def is_critical(
     domain: Optional[Domain] = None,
     constraint: Optional[InstanceConstraint] = None,
     max_valuations: int = DEFAULT_MAX_VALUATIONS,
-    *,
-    allowed: Optional[FrozenSet[Fact]] = None,
 ) -> bool:
-    """Decide ``fact ∈ crit_D(Q)`` (or ``crit_D(Q, K)``).
-
-    ``allowed`` lets a batch caller pass a pre-materialised ``tup(D)``.
-    """
+    """Decide ``fact ∈ crit_D(Q)`` (or ``crit_D(Q, K)``)."""
     return PrunedParallelEngine().is_critical(
-        fact, query, schema, domain, constraint, max_valuations, allowed=allowed
+        fact, query, schema, domain, constraint, max_valuations
     )

@@ -37,7 +37,7 @@ from ..probability.events import Event, query_support
 from ..relational.instance import Instance
 from ..relational.schema import RelationSchema, Schema
 from ..relational.tuples import Fact, facts_of_relation
-from .criticality import critical_tuples
+from .criticality import resolve_critical_fn
 
 __all__ = [
     "EncryptedView",
@@ -168,8 +168,10 @@ def encrypted_view_security(
     The encrypted view reveals the cardinality of its relation, hence any
     secret with a critical tuple in that relation is insecure; secrets
     that do not depend on the encrypted relation at all remain secure.
+    The secret's critical tuples come from the process-wide
+    :func:`~repro.core.criticality.default_cache`.
     """
-    crit = critical_tuples(secret, schema)
+    crit = resolve_critical_fn()(secret, schema)
     touches_relation = any(fact.relation == view.relation for fact in crit)
     if not crit:
         return EncryptedSecurityReport(

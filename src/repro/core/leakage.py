@@ -34,7 +34,7 @@ from ..probability.engine import ExactEngine
 from ..probability.events import And, Event, FactPresent, Or, QueryContains, query_support
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
-from .criticality import default_cache
+from .criticality import resolve_critical_fn
 
 __all__ = [
     "LeakageResult",
@@ -176,50 +176,23 @@ def positive_leakage(
     By default atomic statements are single rows (``|s| = |v_i| = 1``),
     matching the paper's worked Examples 6.2/6.3; ``max_secret_rows`` /
     ``max_view_rows`` widen the search to larger inclusion statements.
-
     Accepts query objects or datalog strings, and one view, a sequence
-    of views or a ``recipient → view`` mapping.  ``critical_fn`` is the
-    critical-tuple provider the search uses to skip independent pairs;
-    omitted, it is the process-wide
-    :func:`~repro.core.criticality.default_cache`.
-    :meth:`~repro.session.AnalysisSession.leakage` runs the same search
-    on its session's cache and adds timing.
-    """
-    return _positive_leakage(
-        secret,
-        views,
-        dictionary,
-        max_secret_rows,
-        max_view_rows,
-        max_support_size,
-        critical_fn=critical_fn or default_cache().critical_tuples,
-    )
-
-
-def _positive_leakage(
-    secret: QueryLike,
-    views: Sequence[QueryLike] | QueryLike,
-    dictionary: Dictionary,
-    max_secret_rows: int = 1,
-    max_view_rows: int = 1,
-    max_support_size: Optional[int] = None,
-    *,
-    critical_fn=None,
-) -> LeakageResult:
-    """The Eq. (9) search behind :func:`positive_leakage` and the session.
+    of views or a ``recipient → view`` mapping.
 
     ``P[s]`` is computed once per secret statement and only ``P[s ∧ v̄]``
-    per pair.  With ``critical_fn``, a pair whose boolean statements
-    share no critical tuple is counted in ``explored`` but not computed:
-    by Theorem 4.5 the two statements are functions of disjoint tuples,
-    hence independent, and the pair's gain is exactly 0.  Each
-    statement's critical tuples are computed once; a statement whose
+    per pair.  A pair whose boolean statements share no critical tuple
+    is counted in ``explored`` but not computed: by Theorem 4.5 the two
+    statements are functions of disjoint tuples, hence independent, and
+    the pair's gain is exactly 0.  Each statement's critical tuples are
+    computed once, through ``critical_fn`` (omitted, the process-wide
+    :func:`~repro.core.criticality.default_cache`); a statement whose
     crit_D is refused as intractable has all its pairs computed.
     ``P[v̄]`` is computed once per view statement, the first time a pair
-    that is not skipped needs it.  Without ``critical_fn`` no pair is
-    skipped: ``|S| + |V̄| + |S|·|V̄|`` kernel calls when every
-    probability is positive.
+    that is not skipped needs it.
+    :meth:`~repro.session.AnalysisSession.leakage` runs this search on
+    its session's cache and adds timing.
     """
+    critical_fn = resolve_critical_fn(critical_fn)
     secret = as_query(secret, "secret")
     views = as_queries(views)
 
@@ -231,8 +204,6 @@ def _positive_leakage(
 
     def crit(statement: _Statement) -> Optional[FrozenSet[Fact]]:
         """The statement's critical tuples; ``None`` computes all its pairs."""
-        if critical_fn is None:
-            return None
         try:
             return statement.critical_tuples(critical_fn, schema)
         except IntractableAnalysisError:
@@ -286,6 +257,10 @@ def _positive_leakage(
     )
 
 
+#: ``perfbench/layers.py`` traces the search under this name: one function, two names.
+_positive_leakage = positive_leakage
+
+
 def epsilon_of_theorem_6_1(
     secret: ConjunctiveQuery,
     views: Sequence[ConjunctiveQuery] | ConjunctiveQuery,
@@ -306,7 +281,7 @@ def epsilon_of_theorem_6_1(
     ``critical_fn`` or else the process-wide
     :func:`~repro.core.criticality.default_cache`.
     """
-    critical_fn = critical_fn or default_cache().critical_tuples
+    critical_fn = resolve_critical_fn(critical_fn)
     secret = as_query(secret, "secret")
     views = as_queries(views)
 

@@ -43,12 +43,7 @@ from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import Schema
 from ..relational.tuples import Fact, facts_of_relation
-from .criticality import (
-    InstanceConstraint,
-    common_critical_tuples,
-    critical_tuples,
-    default_cache,
-)
+from .criticality import InstanceConstraint, common_critical_tuples, resolve_critical_fn
 from .domain_bounds import analysis_schema
 from .security import _independence_terms
 
@@ -336,7 +331,7 @@ def decide_with_key_constraints(
     ``crit_D(S, K)`` is key-equivalent (``≡_K``) to a tuple of
     ``crit_D(V̄, K)``.
     """
-    critical_fn = critical_fn or critical_tuples
+    critical_fn = resolve_critical_fn(critical_fn)
     secret = as_query(secret, "secret")
     views = as_queries(views)
     working_schema = analysis_schema(schema, [secret, *views], domain)
@@ -391,7 +386,7 @@ def decide_with_cardinality_constraint(
     fails unless the secret or the views are trivial (constant over all
     instances, i.e. have no critical tuples).
     """
-    critical_fn = critical_fn or critical_tuples
+    critical_fn = resolve_critical_fn(critical_fn)
     secret = as_query(secret, "secret")
     views = as_queries(views)
     working_schema = analysis_schema(schema, [secret, *views], domain)
@@ -436,13 +431,7 @@ def decide_with_tuple_status(
     views = as_queries(views)
     working_schema = analysis_schema(schema, [secret, *views], domain)
     domain = working_schema.domain
-    common = common_critical_tuples(
-        secret,
-        views,
-        working_schema,
-        domain,
-        critical_fn=critical_fn,
-    )
+    common = common_critical_tuples(secret, views, working_schema, domain, critical_fn=critical_fn)
     uncovered = frozenset(t for t in common if not knowledge.covers(t))
     if not common:
         return KnowledgeDecision(
@@ -545,7 +534,7 @@ def decide_with_prior_view(
     ``U2 ⇒ V2``.  Finding such splits certifies ``U : S | V`` for every
     distribution; exhausting them without success reports insecurity.
     """
-    critical_fn = critical_fn or critical_tuples
+    critical_fn = resolve_critical_fn(critical_fn)
     for query, label in ((secret, "secret"), (view, "view"), (prior, "prior view")):
         if not query.is_boolean:
             raise KnowledgeError(
@@ -626,17 +615,15 @@ def decide_with_knowledge(
 
     Falls back to an inconclusive decision (``secure=None``) for
     knowledge classes without a syntactic rule (use
-    :func:`verify_with_knowledge` in that case).  Without an explicit
-    ``critical_fn`` the process-wide
-    :func:`~repro.core.criticality.default_cache` memoizes the
-    critical tuples.
+    :func:`verify_with_knowledge` in that case).  ``critical_fn`` is
+    forwarded to the rule; like every rule, omitted, it reads the
+    process-wide :func:`~repro.core.criticality.default_cache`.
     """
     if not isinstance(knowledge, PriorKnowledge):
         raise SecurityAnalysisError(
             f"the knowledge must be a PriorKnowledge instance, "
             f"got {type(knowledge).__name__}"
         )
-    critical_fn = critical_fn or default_cache().critical_tuples
     secret = as_query(secret, "secret")
     views = as_queries(views)
     if isinstance(knowledge, KeyConstraintKnowledge):
@@ -649,12 +636,7 @@ def decide_with_knowledge(
         )
     if isinstance(knowledge, TupleStatusKnowledge):
         return decide_with_tuple_status(
-            secret,
-            views,
-            knowledge,
-            schema,
-            domain,
-            critical_fn=critical_fn,
+            secret, views, knowledge, schema, domain, critical_fn=critical_fn
         )
     if isinstance(knowledge, PriorViewKnowledge):
         if (
@@ -665,12 +647,7 @@ def decide_with_knowledge(
             and knowledge.answer == frozenset({()})
         ):
             return decide_with_prior_view(
-                secret,
-                views[0],
-                knowledge.view,
-                schema,
-                domain,
-                critical_fn=critical_fn,
+                secret, views[0], knowledge.view, schema, domain, critical_fn=critical_fn
             )
     return KnowledgeDecision(
         secure=None,

@@ -17,7 +17,8 @@ the test-suite uses to validate Theorem 4.5 end-to-end.
 
 Both take query objects or datalog strings; :func:`decide_security`
 memoizes ``crit_D`` in :func:`~repro.core.criticality.default_cache`
-unless the caller passes its own ``critical_fn``.
+unless the caller passes its own ``critical_fn``
+(:func:`~repro.core.criticality.resolve_critical_fn`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..probability.kernel import ProbabilityKernel
 from ..relational.domain import Domain
 from ..relational.schema import Schema
 from ..relational.tuples import Fact
-from .criticality import default_cache
+from .criticality import resolve_critical_fn
 from .domain_bounds import analysis_schema
 
 __all__ = [
@@ -137,7 +138,7 @@ def decide_security(
         memoizes every ``crit_D(Q)``; sessions pass their own cache's
         provider here.
     """
-    critical_fn = critical_fn or default_cache().critical_tuples
+    critical_fn = resolve_critical_fn(critical_fn)
     secret = as_query(secret, "secret")
     views = as_queries(views)
 
@@ -202,8 +203,8 @@ def _independence_terms(
     secret = as_query(secret, "secret")
     views = as_queries(views)
     events = () if knowledge is None else (knowledge,)
-    joint = ProbabilityKernel(dictionary).joint_distribution(
-        [secret, *views], events, max_support_size=max_support_size
+    joint = ProbabilityKernel(dictionary, max_support_size).joint_distribution(
+        [secret, *views], events
     )
     denominator = math.lcm(*{probability.denominator for probability in joint.values()})
     numerators: Dict[Tuple, int] = {}

@@ -74,8 +74,8 @@ DEFAULT_MAX_SUPPORT = 26
 #: Default bound for components containing an *opaque* event (a
 #: :class:`PredicateEvent` or third-party subclass).  Those fall back to
 #: the seed's per-mask evaluation loop and get none of the compiled
-#: speedup, so they keep the seed's bound; an explicit
-#: ``max_support_size`` still overrides it, as it did in the seed.
+#: speedup, so they keep the seed's bound; a kernel built with an
+#: explicit ``max_support_size`` still overrides it, as it did in the seed.
 PREDICATE_MAX_SUPPORT = 22
 
 #: Compiled artifacts one dictionary's memo table keeps before it evicts
@@ -237,12 +237,11 @@ class ProbabilityKernel:
     dictionary:
         The tuple-independent distribution (domain + tuple probabilities).
     max_support_size:
-        Default bound on the facts enumerated per connected component.
-        ``None`` means :data:`DEFAULT_MAX_SUPPORT` per structural
-        component and :data:`PREDICATE_MAX_SUPPORT` per component that
-        needs the opaque-predicate fallback; an explicit bound is
-        honoured verbatim.  Every method also accepts a per-call
-        override, honoured the same way.
+        Bound on the facts enumerated per connected component, set once
+        for every method.  ``None`` means :data:`DEFAULT_MAX_SUPPORT`
+        per structural component and :data:`PREDICATE_MAX_SUPPORT` per
+        component that needs the opaque-predicate fallback; an explicit
+        bound is honoured verbatim.
 
     A kernel is a plain object: its compiled artifacts live in the
     dictionary's memo table, which every kernel over that dictionary
@@ -323,22 +322,16 @@ class ProbabilityKernel:
         components.sort(key=lambda component: component[1])
         return components
 
-    def _check_component(
-        self,
-        facts: Sequence[Fact],
-        limit: Optional[int],
-        what: str,
-        opaque: bool = False,
-    ) -> None:
+    def _check_component(self, facts: Sequence[Fact], what: str, opaque: bool = False) -> None:
         """Refuse components too large to enumerate.
 
-        An explicit bound — the call's ``limit``, else the kernel's own —
-        is honoured verbatim (seed semantics).  With neither, structural
-        components get :data:`DEFAULT_MAX_SUPPORT` and components needing
-        the per-mask predicate fallback — which enjoys none of the
-        compiled speedup — keep the seed's :data:`PREDICATE_MAX_SUPPORT`.
+        The kernel's explicit bound is honoured verbatim (seed
+        semantics).  Without one, structural components get
+        :data:`DEFAULT_MAX_SUPPORT` and components needing the per-mask
+        predicate fallback — which enjoys none of the compiled speedup —
+        keep the seed's :data:`PREDICATE_MAX_SUPPORT`.
         """
-        bound = limit if limit is not None else self._max_support_size
+        bound = self._max_support_size
         if bound is None:
             bound = PREDICATE_MAX_SUPPORT if opaque else DEFAULT_MAX_SUPPORT
         if len(facts) > bound:
@@ -392,15 +385,11 @@ class ProbabilityKernel:
         )
 
     # -- event probabilities -----------------------------------------------------
-    def probability(
-        self, event: Event, *, max_support_size: Optional[int] = None
-    ) -> Fraction:
+    def probability(self, event: Event) -> Fraction:
         """``P[event]`` as an exact :class:`Fraction`."""
-        return self.joint_probability([event], max_support_size=max_support_size)
+        return self.joint_probability([event])
 
-    def joint_probability(
-        self, events: Sequence[Event], *, max_support_size: Optional[int] = None
-    ) -> Fraction:
+    def joint_probability(self, events: Sequence[Event]) -> Fraction:
         """``P[e1 ∧ e2 ∧ ...]`` with component factorization.
 
         Events whose supports live in disjoint components are independent
@@ -413,10 +402,7 @@ class ProbabilityKernel:
         total = Fraction(1)
         for facts, items in self._components(supports):
             self._check_component(
-                facts,
-                max_support_size,
-                "event support",
-                opaque=any(keys[i] is None for i in items),
+                facts, "event support", opaque=any(keys[i] is None for i in items)
             )
             bits = universe_mask(len(facts))
             for i in items:
@@ -428,27 +414,20 @@ class ProbabilityKernel:
                 return Fraction(0)
         return total
 
-    def conditional_probability(
-        self, event: Event, given: Event, *, max_support_size: Optional[int] = None
-    ) -> Fraction:
+    def conditional_probability(self, event: Event, given: Event) -> Fraction:
         """``P[event | given]``; raises when ``P[given] = 0``."""
-        joint = self.joint_probability([event, given], max_support_size=max_support_size)
-        marginal = self.probability(given, max_support_size=max_support_size)
+        joint = self.joint_probability([event, given])
+        marginal = self.probability(given)
         if marginal == 0:
             raise ProbabilityError(
                 f"cannot condition on event with probability zero: {given.describe()}"
             )
         return joint / marginal
 
-    def are_independent(
-        self, left: Event, right: Event, *, max_support_size: Optional[int] = None
-    ) -> bool:
+    def are_independent(self, left: Event, right: Event) -> bool:
         """Exact test of ``P[left ∧ right] = P[left]·P[right]``."""
-        joint = self.joint_probability([left, right], max_support_size=max_support_size)
-        product = self.probability(
-            left, max_support_size=max_support_size
-        ) * self.probability(right, max_support_size=max_support_size)
-        return joint == product
+        joint = self.joint_probability([left, right])
+        return joint == self.probability(left) * self.probability(right)
 
     # -- answer distributions ----------------------------------------------------
     def _query_support(self, query) -> Tuple[Fact, ...]:
@@ -503,11 +482,7 @@ class ProbabilityKernel:
         return classes
 
     def joint_distribution(
-        self,
-        queries: Sequence,
-        events: Sequence[Event] = (),
-        *,
-        max_support_size: Optional[int] = None,
+        self, queries: Sequence, events: Sequence[Event] = ()
     ) -> Dict[Tuple, Fraction]:
         """Joint distribution of query answers and event truth values.
 
@@ -530,7 +505,6 @@ class ProbabilityKernel:
         for facts, items in components:
             self._check_component(
                 facts,
-                max_support_size,
                 "joint support" if queries else "event support",
                 opaque=any(keys[i - query_count] is None for i in items if i >= query_count),
             )
@@ -587,21 +561,17 @@ class ProbabilityKernel:
         return distribution
 
     def joint_answer_distribution(
-        self, queries: Sequence, *, max_support_size: Optional[int] = None
+        self, queries: Sequence
     ) -> Dict[Tuple[FrozenSet[Tuple[object, ...]], ...], Fraction]:
         """Joint distribution of several queries' answers (Eq. 2, joint form)."""
-        return self.joint_distribution(queries, max_support_size=max_support_size)
+        return self.joint_distribution(queries)
 
-    def answer_distribution(
-        self, query, *, max_support_size: Optional[int] = None
-    ) -> Dict[FrozenSet[Tuple[object, ...]], Fraction]:
+    def answer_distribution(self, query) -> Dict[FrozenSet[Tuple[object, ...]], Fraction]:
         """The full distribution of ``Q(I)``: answer set → probability (Eq. 2)."""
-        joint = self.joint_distribution([query], max_support_size=max_support_size)
+        joint = self.joint_distribution([query])
         return {key[0]: probability for key, probability in joint.items()}
 
-    def possible_answers(
-        self, query, *, max_support_size: Optional[int] = None
-    ) -> List[FrozenSet[Tuple[object, ...]]]:
+    def possible_answers(self, query) -> List[FrozenSet[Tuple[object, ...]]]:
         """All answers attained with non-zero structural possibility.
 
         The order is deterministic: answers are listed by the smallest
@@ -610,7 +580,7 @@ class ProbabilityKernel:
         caller depends on that order, only on the set).
         """
         facts = tuple(sorted(self._query_support(query), key=repr))
-        self._check_component(facts, max_support_size, "query support")
+        self._check_component(facts, "query support")
         classes = self._component_classes(facts, [query], (), ())
         ordered = sorted(
             classes, key=lambda entry: (entry[0] & -entry[0]).bit_length()

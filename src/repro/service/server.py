@@ -15,9 +15,10 @@ the daemon healthy under heavy, repetitive traffic:
   table of compiled probability artifacts is reused across clients and
   connections.  The pool is LRU-bounded.  Every session runs on the
   process-wide critical-tuple cache
-  (:func:`~repro.core.criticality.default_cache`): crit_D depends only
-  on the schema, the query and the domain, never on the dictionary, and
-  the cache key carries the schema fingerprint.
+  (:func:`~repro.core.criticality.default_cache`), and so does every
+  live session: crit_D depends only on the schema, the query and the
+  domain, never on the dictionary, and the cache key carries the schema
+  fingerprint.
 
 * **Request coalescing.**  Identical analysis requests (same
   :func:`~repro.service.protocol.request_key`) that arrive while the
@@ -453,7 +454,7 @@ class AuditServer(RequestPipeline):
             views=views,
             facts=facts,
             store=store,
-            dictionary=dictionary,
+            session=AnalysisSession(schema, dictionary=dictionary, cache=default_cache()),
         )
         snapshot = live.snapshot()
         snapshot["created"] = True

@@ -128,7 +128,7 @@ class LiveAuditSession:
         store, facts live in an immutable
         :class:`~repro.relational.instance.Instance` advanced through the
         cache-patching single-fact deltas.
-    dictionary / session / cache_size:
+    dictionary / session:
         Forwarded to (or overriding) the underlying
         :class:`AnalysisSession`; pass ``session`` to share an existing
         one (and its critical-tuple cache) with other consumers.
@@ -144,15 +144,10 @@ class LiveAuditSession:
         store: Optional[Any] = None,
         dictionary: Optional[Dictionary] = None,
         session: Optional[AnalysisSession] = None,
-        cache_size: int = 512,
     ):
         if not secrets:
             raise SecurityAnalysisError("a live audit session needs at least one secret")
-        if session is None:
-            session = AnalysisSession(
-                schema, dictionary=dictionary, cache_size=cache_size
-            )
-        self._session = session
+        self._session = session or AnalysisSession(schema, dictionary=dictionary)
         self._lock = threading.RLock()
         facts = tuple(facts)
         if store is not None:

@@ -31,7 +31,7 @@ from ..core import domain_bounds
 from ..core.asymptotic import PracticalSecurityLevel, classify_practical_security
 from ..core.collusion import analyse_collusion
 from ..core.criticality import CacheStats, CriticalTupleCache
-from ..core.leakage import _positive_leakage
+from ..core.leakage import positive_leakage
 from ..core.practical import practical_security_check
 from ..core.prior import PriorKnowledge, decide_with_knowledge
 from ..core.security import decide_security
@@ -99,9 +99,10 @@ class AnalysisSession:
     domain:
         Optional analysis-domain override applied to every analysis
         (defaults to per-analysis Proposition 4.9 domains).
-    cache / cache_size:
-        Share an existing :class:`CriticalTupleCache` or size a fresh
-        one.
+    cache:
+        Share an existing :class:`CriticalTupleCache` (for example
+        :func:`~repro.core.criticality.default_cache`); without one the
+        session owns a fresh cache of 512 sets.
 
     Every ``crit_D(Q)`` the session computes runs on the production
     engine (:func:`repro.core.criticality.critical_tuples`) through this
@@ -115,7 +116,6 @@ class AnalysisSession:
         engine: str = "exact",
         domain: Optional[Domain] = None,
         cache: Optional[CriticalTupleCache] = None,
-        cache_size: int = 512,
     ):
         if not isinstance(schema, Schema):
             raise SecurityAnalysisError(
@@ -126,7 +126,7 @@ class AnalysisSession:
         self._engine_name = engine
         self._engine: VerificationEngine = create_engine(engine)
         self._domain = domain
-        self._cache = cache if cache is not None else CriticalTupleCache(cache_size)
+        self._cache = cache if cache is not None else CriticalTupleCache()
         self._compiled: Dict[Tuple, CompiledQuery] = {}
         # Sessions are shared across the audit service's worker threads;
         # the critical-tuple cache is thread-safe on its own and this lock
@@ -261,7 +261,7 @@ class AnalysisSession:
         before = self._cache.thread_stats()
         started = time.perf_counter()
         with span("session.leakage"):
-            measurement = _positive_leakage(
+            measurement = positive_leakage(
                 _plain(secret),
                 _views(views),
                 dictionary,
@@ -405,12 +405,13 @@ class AnalysisSession:
     ) -> PlanAuditResult:
         """Audit every secret × view pair of a publishing plan.
 
-        One analysis domain (Proposition 4.9, sized for the whole batch)
-        is shared by every decision, so each view's and each secret's
-        critical tuples are computed exactly once and every subsequent
-        pair is a cached set intersection.  By Theorem 4.5 the singleton
-        verdicts determine every coalition, so the result covers all
-        secret × view-subset pairs.
+        One :func:`~repro.core.collusion.analyse_collusion` per secret,
+        all over one analysis domain (Proposition 4.9, sized for the
+        whole batch), so each view's and each secret's critical tuples
+        are computed exactly once and every subsequent pair is a cached
+        set intersection.  By Theorem 4.5 the singleton verdicts
+        determine every coalition, so the result covers all secret ×
+        view-subset pairs.
         """
         if not isinstance(plan, PublishingPlan):
             raise SecurityAnalysisError(
@@ -434,23 +435,25 @@ class AnalysisSession:
             domain = self._domain
 
         entries: List[PlanEntry] = []
-        for secret_name, secret_query in secrets.items():
-            for recipient, view_query in views.items():
-                with span("session.audit-plan"):
-                    decision = decide_security(
-                        secret_query,
-                        view_query,
-                        self._schema,
-                        domain=domain,
-                        critical_fn=self._cache.critical_tuples,
-                    )
-                entries.append(
+        with span("session.audit-plan"):
+            for secret_name, secret_query in secrets.items():
+                report = analyse_collusion(
+                    secret_query,
+                    views,
+                    self._schema,
+                    domain=domain,
+                    critical_fn=self._cache.critical_tuples,
+                )
+                entries.extend(
                     PlanEntry(
                         secret_name=secret_name,
                         recipient=recipient,
                         view_name=view_query.name,
                         secure=decision.secure,
                         decision=decision,
+                    )
+                    for recipient, view_query, decision in zip(
+                        report.recipients, report.views, report.per_view
                     )
                 )
         verdict = all(entry.secure for entry in entries)

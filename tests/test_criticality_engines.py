@@ -21,14 +21,24 @@ from types import SimpleNamespace
 import pytest
 
 import repro
+import repro.audit
 from repro import (
     AnalysisSession,
     Dictionary,
     decide_security,
     q,
 )
+from repro.bench import employee_schema, table1_pairs
 from repro.cli import main
-from repro.core.criticality import PrunedParallelEngine, common_critical_tuples
+from repro.core.criticality import (
+    CriticalTupleCache,
+    PrunedParallelEngine,
+    common_critical_tuples,
+    critical_tuples,
+    default_cache,
+)
+from repro.core.criticality import base as criticality_base
+from repro.core.criticality.base import _tuple_space_set
 from repro.cq.atoms import Atom, Comparison
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
@@ -36,7 +46,7 @@ from repro.exceptions import IntractableAnalysisError, SecurityAnalysisError
 from repro.reference import critical_tuples as minimal_critical_tuples
 from repro.reference import critical_tuples_naive
 from repro.session.engines import SamplingVerificationEngine
-from repro.relational import Domain, RelationSchema, Schema
+from repro.relational import Domain, RelationSchema, Schema, tuple_space
 
 
 @pytest.fixture
@@ -88,6 +98,38 @@ class TestRegistry:
         )
         assert decision.secure
         assert Recording.calls == 2
+
+
+class TestTupleSpacePerSchema:
+    def test_two_domains_over_one_schema_get_their_own_sets(self, binary_ab_schema):
+        ab, abc = binary_ab_schema.domain, Domain.of("a", "b", "c")
+        narrow = _tuple_space_set(binary_ab_schema, ab)
+        wide = _tuple_space_set(binary_ab_schema, abc)
+        assert narrow == frozenset(tuple_space(binary_ab_schema, ab)) and len(narrow) == 4
+        assert wide == frozenset(tuple_space(binary_ab_schema, abc)) and len(wide) == 9
+        assert _tuple_space_set(binary_ab_schema, ab) is narrow
+        assert _tuple_space_set(binary_ab_schema, abc) is wide
+        view = q("V(x) :- R(x, y)")
+        assert critical_tuples(view, binary_ab_schema, ab) == narrow
+        assert critical_tuples(view, binary_ab_schema, abc) == wide
+
+    def test_the_leakage_search_builds_the_tuple_space_once(self, monkeypatch):
+        # Table 1 row 2 on 8 facts: 20 statements, each with its crit_D
+        # computed over the dictionary's one schema.
+        row = next(row for row in table1_pairs() if row.row == 2)
+        dictionary = Dictionary.uniform(employee_schema(2, 2, 2), Fraction(1, 3))
+        builds = []
+        build = criticality_base.tuple_space
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(criticality_base, "tuple_space", counted)
+        cache = CriticalTupleCache()
+        repro.positive_leakage(row.secret, row.views, dictionary, critical_fn=cache.critical_tuples)
+        assert cache.stats().misses > 1
+        assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +288,18 @@ class TestCrossValidation:
 # common_critical_tuples: max_valuations forwarding (regression)
 # ---------------------------------------------------------------------------
 class TestMaxValuationsForwarding:
-    def test_bound_reaches_per_view_recheck(self, binary_abc_schema):
+    # The bound reaches the provider.  These tests pass the uncached
+    # production engine: a cached provider keys its sets without the
+    # bound, so a warm process cache would serve them unchecked.
+    def test_bound_reaches_view_computation(self, binary_abc_schema):
         # The secret's own search binds every variable from the seed
-        # (total = 1 valuation), so only the per-view re-check can
-        # exceed the bound — exactly the path that used to drop it.
+        # (total = 1 valuation), so only the view's set can exceed the
+        # bound.
         secret = q("S(x, y) :- R(x, y)")
         view = q("V() :- R(x, y), R(y, z)")
         with pytest.raises(IntractableAnalysisError):
             common_critical_tuples(
-                secret, [view], binary_abc_schema, max_valuations=1
+                secret, [view], binary_abc_schema, critical_fn=critical_tuples, max_valuations=1
             )
 
     def test_bound_reaches_secret_computation(self, binary_abc_schema):
@@ -262,16 +307,18 @@ class TestMaxValuationsForwarding:
         view = q("V(x, y) :- R(x, y)")
         with pytest.raises(IntractableAnalysisError):
             common_critical_tuples(
-                secret, [view], binary_abc_schema, max_valuations=1
+                secret, [view], binary_abc_schema, critical_fn=critical_tuples, max_valuations=1
             )
 
     def test_generous_bound_unchanged(self, binary_abc_schema):
         secret = q("S(x, y) :- R(x, y)")
         view = q("V() :- R(x, y), R(y, z)")
         bounded = common_critical_tuples(
-            secret, [view], binary_abc_schema, max_valuations=10_000
+            secret, [view], binary_abc_schema, critical_fn=critical_tuples, max_valuations=10_000
         )
-        unbounded = common_critical_tuples(secret, [view], binary_abc_schema)
+        unbounded = common_critical_tuples(
+            secret, [view], binary_abc_schema, critical_fn=critical_tuples
+        )
         assert bounded == unbounded and bounded
 
     def test_engine_selection(self, binary_ab_schema):
@@ -375,19 +422,20 @@ class TestStackThreading:
             secret, views, knowledge, emp_schema
         ).secure
 
-    def test_session_engine_used_for_common_critical_rechecks(
-        self, recorded, binary_ab_schema
-    ):
-        # Regression: the per-view is_critical re-checks inside
-        # common_critical_tuples run on the production engine.
+    def test_tuple_status_rule_reads_the_session_cache(self, recorded, binary_ab_schema):
+        # Corollary 5.4's common critical set takes crit(S) and crit(V)
+        # from the session's cache: computed once, then served from it.
         from repro.core.prior import TupleStatusKnowledge
 
         session = AnalysisSession(binary_ab_schema)
-        outcome = session.with_knowledge(
-            "S(x, y) :- R(x, y)", "V(x) :- R(x, y)", TupleStatusKnowledge()
-        )
-        assert outcome.decision.secure is None  # insecure pair, nothing disclosed
-        assert recorded["is_critical"] > 0
+        pair = ("S(x, y) :- R(x, y)", "V(x) :- R(x, y)", TupleStatusKnowledge())
+        first = session.with_knowledge(*pair)
+        assert first.decision.secure is None  # insecure pair, nothing disclosed
+        assert (first.cache_used.misses, first.cache_used.hits) == (2, 0)
+        again = session.with_knowledge(*pair)
+        assert (again.cache_used.misses, again.cache_used.hits) == (0, 2)
+        assert again.decision.evidence == first.decision.evidence
+        assert recorded == {"critical_tuples": 2, "is_critical": 0}
 
     def test_positive_leakage_accepts_engine(self, binary_ab_schema):
         from repro import epsilon_of_theorem_6_1, positive_leakage
@@ -412,6 +460,82 @@ class TestStackThreading:
                 emp_schema,
                 criticality_engine="minimal",
             )
+
+
+# ---------------------------------------------------------------------------
+# One default provider: without critical_fn, every entry point reads
+# default_cache()
+# ---------------------------------------------------------------------------
+_SECRET = "S(y) :- R(x, y)"
+_VIEW = "V(x) :- R(x, y)"
+
+
+def _half(schema):
+    return Dictionary.uniform(schema, Fraction(1, 2))
+
+
+_ENTRY_POINTS = {
+    "decide_security": lambda schema: repro.decide_security(_SECRET, _VIEW, schema),
+    "is_secure": lambda schema: repro.core.security.is_secure(q(_SECRET), q(_VIEW), schema),
+    "analyse_collusion": lambda schema: repro.analyse_collusion(_SECRET, [_VIEW], schema),
+    "largest_safe_view_set": lambda schema: repro.core.largest_safe_view_set(
+        q(_SECRET), [q(_VIEW)], schema
+    ),
+    "decide_with_knowledge": lambda schema: repro.decide_with_knowledge(
+        _SECRET, _VIEW, repro.core.KeyConstraintKnowledge({"R": [0]}), schema
+    ),
+    "decide_with_key_constraints": lambda schema: repro.core.decide_with_key_constraints(
+        q(_SECRET), q(_VIEW), repro.core.KeyConstraintKnowledge({"R": [0]}), schema
+    ),
+    "decide_with_cardinality_constraint": (
+        lambda schema: repro.core.decide_with_cardinality_constraint(
+            q(_SECRET), q(_VIEW), repro.core.CardinalityConstraintKnowledge("exactly", 1), schema
+        )
+    ),
+    "decide_with_tuple_status": lambda schema: repro.core.decide_with_tuple_status(
+        q(_SECRET), q(_VIEW), repro.core.TupleStatusKnowledge(), schema
+    ),
+    "decide_with_prior_view": lambda schema: repro.core.decide_with_prior_view(
+        q("S() :- R('a', x)"), q("V() :- R(x, 'b')"), q("U() :- R('a', 'b')"), schema
+    ),
+    "common_critical_tuples": lambda schema: common_critical_tuples(
+        q(_SECRET), [q(_VIEW)], schema
+    ),
+    "positive_leakage": lambda schema: repro.positive_leakage(_SECRET, _VIEW, _half(schema)),
+    "epsilon_of_theorem_6_1": lambda schema: repro.epsilon_of_theorem_6_1(
+        q(_SECRET), q(_VIEW), _half(schema)
+    ),
+    "classify_practical_security": lambda schema: repro.classify_practical_security(
+        "S() :- R('a', x)", "V() :- R(x, 'b')", schema
+    ),
+    "classify_disclosure": lambda schema: repro.audit.classify_disclosure(
+        q(_SECRET), q(_VIEW), schema, _half(schema)
+    ),
+    "encrypted_view_security": lambda schema: repro.core.encrypted_view_security(
+        q(_SECRET), repro.core.EncryptedView("R"), schema
+    ),
+}
+
+
+class TestDefaultProvider:
+    @pytest.fixture
+    def readers(self, monkeypatch):
+        """The caches whose ``critical_tuples`` the call reads, in order."""
+        caches = []
+        original = CriticalTupleCache.critical_tuples
+
+        def spy(self, *args, **kwargs):
+            caches.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CriticalTupleCache, "critical_tuples", spy)
+        return caches
+
+    @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+    def test_a_missing_provider_is_the_process_cache(self, name, readers, binary_ab_schema):
+        _ENTRY_POINTS[name](binary_ab_schema)
+        assert readers
+        assert all(cache is default_cache() for cache in readers)
 
 
 class TestCLIFlag:

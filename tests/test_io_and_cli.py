@@ -561,6 +561,54 @@ class TestRequestCLI:
         response = json.loads(capsys.readouterr().out)
         assert response["result"]["all_secure"] is False
 
+    def test_trace_prints_the_waterfall(self, running_server, schema_file, capsys):
+        host, port = running_server.address
+        code = main(
+            [
+                "trace",
+                "--host", host,
+                "--port", str(port),
+                "--op", "decide",
+                "--schema", schema_file,
+                "--secret", "S(n) :- Emp(n, HR, p)",
+                "--view", "bob=V(n) :- Emp(n, Mgmt, p)",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("trace ")
+        for layer in ("server.handle", "server.execute", "session.decide"):
+            assert layer in out
+        assert out.rstrip().endswith("verdict: True")
+
+    def test_request_and_trace_share_their_flags(self):
+        from repro.cli import build_parser
+
+        shared = [
+            "--host", "10.0.0.1",
+            "--port", "9999",
+            "--payload", "request.json",
+            "--op", "leakage",
+            "--schema", "schema.json",
+            "--secret", "S(n) :- Emp(n, d, p)",
+            "--view", "bob=V(n) :- Emp(n, d, p)",
+            "--view", "W(d) :- Emp(n, d, p)",
+            "--probability", "1/4",
+            "--engine", "sampling",
+            "--deadline-ms", "250",
+            "--retries", "3",
+        ]
+        parser = build_parser()
+        names = (
+            "host", "port", "payload", "op", "schema", "secret", "view",
+            "probability", "engine", "deadline_ms", "retries",
+        )
+        for argv in (shared, []):
+            request = vars(parser.parse_args(["request", *argv]))
+            trace = vars(parser.parse_args(["trace", *argv]))
+            assert {n: request[n] for n in names} == {n: trace[n] for n in names}
+        assert request["port"] == 8765 and request["host"] == "127.0.0.1"
+
     def test_request_quick_inconclusive_exits_one(
         self, running_server, schema_file, capsys
     ):

@@ -101,6 +101,11 @@ class TestPositiveLeakage:
         with pytest.raises(SecurityAnalysisError):
             positive_leakage(q("S(y) :- R(x, y)"), [], binary_dictionary)
 
+    def test_one_search_function(self):
+        # ``perfbench/layers.py`` traces the search as ``_positive_leakage``;
+        # the public name is the same function, so each call is traced once.
+        assert _positive_leakage is positive_leakage
+
     def test_each_statement_probability_is_computed_once(self, monkeypatch):
         # Table 1 row 2 on 12 facts, every probability positive: P[s] once
         # per secret statement, P[v̄] once per view statement that shares
@@ -149,7 +154,8 @@ class TestPositiveLeakage:
     def test_a_refused_critical_set_computes_its_pairs(self, refused):
         # crit_D refused (the max_valuations guard) for the ``refused``-th
         # of the 4 + 16 statements of row 2 on 8 facts: that statement's
-        # pairs are computed, and the result is the unskipped search's.
+        # pairs are computed, and the result is the unskipped search's,
+        # which a provider refusing every statement gives.
         row = next(row for row in table1_pairs() if row.row == 2)
         dictionary = Dictionary.uniform(employee_schema(2, 2, 2), Fraction(1, 3))
         asked = []
@@ -160,7 +166,12 @@ class TestPositiveLeakage:
                 raise IntractableAnalysisError("refused")
             return critical_tuples(query, schema, *args, **options)
 
-        unskipped = _positive_leakage(row.secret, row.views, dictionary)
+        def refusing_all(query, schema, *args, **options):
+            raise IntractableAnalysisError("refused")
+
+        unskipped = positive_leakage(
+            row.secret, row.views, dictionary, critical_fn=refusing_all
+        )
         result = positive_leakage(row.secret, row.views, dictionary, critical_fn=refusing)
         assert len(asked) > refused
         assert result == unskipped

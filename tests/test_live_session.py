@@ -23,6 +23,7 @@ from repro.reference import critical_tuples as reference_critical_tuples
 from repro.relational import Domain, Fact, RelationSchema, Schema
 from repro.session import (
     AnalysisSession,
+    CriticalTupleCache,
     LiveAuditSession,
     fact_from_document,
     fact_to_document,
@@ -339,8 +340,7 @@ class TestPublishRetract:
         live = LiveAuditSession(
             schema,
             secrets=dict(zip("st", secrets)),
-            dictionary=dictionary,
-            cache_size=8,
+            session=AnalysisSession(schema, dictionary=dictionary, cache=CriticalTupleCache(8)),
         )
         kernel = ProbabilityKernel(dictionary)
         for cycle in range(1000):

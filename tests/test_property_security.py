@@ -8,7 +8,8 @@ generated boolean queries over a fixed small schema:
 * crit-disjointness coincides with exact statistical independence
   (Theorem 4.5) and with the FKG-style inequality being tight,
 * the production critical-tuple engine agrees with the naive
-  enumeration oracle (Definition 4.4),
+  enumeration oracle (Definition 4.4), and Theorem 4.5's common critical
+  set with its definition, with and without a key constraint,
 * leakage is zero exactly for secure pairs and never negative, and the
   Eq. (9) search (free, in a session and in the audit's grading),
   Theorem 6.1's ε, Definition 4.1's ``verify`` and the independence gap
@@ -32,7 +33,9 @@ from repro.core import (
     PriorKnowledge,
     PriorViewKnowledge,
     TupleStatusKnowledge,
+    common_critical_tuples,
     critical_tuples,
+    decide_security,
     epsilon_of_theorem_6_1,
     independence_gap,
     positive_leakage,
@@ -40,6 +43,7 @@ from repro.core import (
     verify_security_probabilistically,
     verify_with_knowledge,
 )
+from repro.core.domain_bounds import analysis_schema
 from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, conjoin, conjoin_all
 from repro.exceptions import KnowledgeError
 from repro.probability import (
@@ -443,3 +447,33 @@ class TestLeakageDefinitions:
         )
         assert 0 < leakage
         assert 0 < epsilon < 1
+
+
+# ---------------------------------------------------------------------------
+# Theorem 4.5's common critical set: one formula, three computations
+# ---------------------------------------------------------------------------
+class TestCommonCriticalTuples:
+    @pytest.mark.parametrize("keyed", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_common_set_matches_the_definition(self, seed, keyed):
+        rng = random.Random(seed)
+        secret = _random_query(rng, "S", relations=TWO_RELATION_ARITIES)
+        views = [
+            _random_query(rng, f"V{i}", relations=TWO_RELATION_ARITIES)
+            for i in range(rng.randint(1, 2))
+        ]
+        constraint = (
+            KeyConstraintKnowledge({"R": [0]}).instance_constraint() if keyed else None
+        )
+        # Definition 4.4, literally, over the fixed two-value schema.
+        view_critical = set()
+        for view in views:
+            view_critical |= critical_tuples_naive(view, TWO_RELATIONS, None, constraint)
+        literal = critical_tuples_naive(secret, TWO_RELATIONS, None, constraint) & view_critical
+        assert common_critical_tuples(secret, views, TWO_RELATIONS, None, constraint) == literal
+        if keyed:
+            return
+        # Over Proposition 4.9's analysis schema, the set Theorem 4.5 decides by.
+        working = analysis_schema(TWO_RELATIONS, [secret, *views])
+        decision = decide_security(secret, views, TWO_RELATIONS)
+        assert common_critical_tuples(secret, views, working) == decision.common_critical

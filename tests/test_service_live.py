@@ -125,6 +125,18 @@ class TestLiveLifecycle:
         assert snapshot["secrets"]["s"]["exposed"] is True
         assert snapshot["view_names"] == ["bob"]
 
+    def test_live_sessions_read_the_process_crit_cache(self):
+        # A decide puts crit(S) and crit(V) in the process cache; a live
+        # session over the same pair reads them there instead of
+        # recomputing them in a cache of its own.
+        with ServerThread(workers=1) as server, AuditServiceClient(*server.address) as fresh:
+            fresh.call("decide", schema=SCHEMA, secret=SECRET, views=VIEWS)
+            before = fresh.call("stats")["crit_cache"]
+            _create(fresh)
+            after = fresh.call("stats")["crit_cache"]
+        assert after["hits"] - before["hits"] >= 2
+        assert after["misses"] == before["misses"]
+
     def test_duplicate_create_is_an_analysis_error(self, client):
         name = _create(client)
         with pytest.raises(ServiceError) as excinfo:

@@ -438,7 +438,7 @@ class TestCacheAccounting:
             CriticalTupleCache(maxsize=0)
 
     def test_session_cache_eviction_keeps_answers_correct(self, emp_schema):
-        session = AnalysisSession(emp_schema, cache_size=2)
+        session = AnalysisSession(emp_schema, cache=CriticalTupleCache(2))
         verdicts = [
             session.decide("S(n) :- Emp(n, HR, p)", f"V{i}(n) :- Emp(n, D{i}, p)").secure
             for i in range(5)
