@@ -7,10 +7,11 @@ run serially over the candidate facts.  :func:`critical_tuples` and
 :func:`is_critical` are its per-query functions.
 
 :class:`CriticalTupleCache` memoizes its sets by (schema fingerprint,
-canonical query, domain); its :meth:`~CriticalTupleCache.critical_tuples`
-is the cached drop-in that sessions pass as ``critical_fn``, and
-:func:`default_cache` is the process-wide cache every decision procedure
-reads when no ``critical_fn`` is given (:func:`resolve_critical_fn`).
+canonical query, domain, instance constraint); its
+:meth:`~CriticalTupleCache.critical_tuples` is the cached drop-in that
+sessions pass as ``critical_fn``, and :func:`default_cache` is the
+process-wide cache every decision procedure reads when no
+``critical_fn`` is given (:func:`resolve_critical_fn`).
 
 The unpruned Appendix A search and the literal Definition 4.4
 enumeration live on as test oracles in :mod:`repro.reference`; the test

@@ -7,8 +7,8 @@ cache memoizes them under a key that is insensitive to everything that
 cannot change the result — query display names and variable spellings
 are normalised away by :func:`repro.cq.canonical.canonical_query_key`
 — while being fully sensitive to everything that can: the canonical
-query form, the tuple-space (schema fingerprint) and the analysis
-domain.
+query form, the tuple-space (schema fingerprint), the analysis domain
+and, for ``crit_D(Q, K)``, the instance constraint.
 
 :meth:`CriticalTupleCache.critical_tuples` is the cached drop-in for
 :func:`~repro.core.criticality.critical_tuples` that the decision
@@ -139,12 +139,12 @@ class CriticalTupleCache:
     """A thread-safe bounded LRU cache of ``crit_D(Q)`` sets.
 
     Keys are hashable tuples — :meth:`critical_tuples` assembles (schema
-    fingerprint, canonical query form, domain values); values are the
-    frozen critical-tuple sets.  ``get_or_compute`` is the only way
-    entries are created, which keeps the hit/miss accounting exact.
-    Each lookup is also tallied for the thread that made it
-    (:meth:`thread_stats`), so a call on a shared cache can report its
-    own activity.
+    fingerprint, canonical query form, domain values, instance
+    constraint); values are the frozen critical-tuple sets.
+    ``get_or_compute`` is the only way entries are created, which keeps
+    the hit/miss accounting exact.  Each lookup is also tallied for the
+    thread that made it (:meth:`thread_stats`), so a call on a shared
+    cache can report its own activity.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
@@ -258,22 +258,30 @@ class CriticalTupleCache:
     ) -> FrozenSet[Fact]:
         """``crit_D(Q)`` through this cache: a drop-in ``critical_fn``.
 
-        Constraint-relative sets (``crit_D(Q, K)``) are computed directly:
-        constraints are opaque callables and cannot be part of a sound
-        cache key.
+        A constraint-relative set (``crit_D(Q, K)``) is keyed by its
+        constraint too, so it never answers the unconstrained lookup of
+        the same query, nor the reverse.  A constraint compares as its
+        type says: the :class:`~repro.core.prior.KeyConstraint` values of
+        equal key declarations are equal, so they share one entry.  A
+        closure keys by identity, which is sound (the key keeps it alive)
+        but never hits: each call of a closure-building knowledge class
+        makes a new one.
 
         Cost-guard options such as ``max_valuations`` are deliberately
         *not* part of the key: they bound the computation, not the
         result, so a warm cache may serve a set that a colder cache
         would have refused to compute under a tighter bound.
         """
-        if constraint is not None:
-            return _compute(query, schema, domain, constraint, **options)
         if domain is None:
             domain = schema.domain
-        key = (schema_fingerprint(schema), canonical_query_key(query), tuple(domain.values))
+        key = (
+            schema_fingerprint(schema),
+            canonical_query_key(query),
+            tuple(domain.values),
+            constraint,
+        )
         return self.get_or_compute(
-            key, lambda: _compute(query, schema, domain, None, **options)
+            key, lambda: _compute(query, schema, domain, constraint, **options)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -16,12 +16,13 @@ constants up to the required size.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Sequence, Tuple
+import threading
+from typing import List, Sequence
 
 from ..cq.query import ConjunctiveQuery
 from ..exceptions import SecurityAnalysisError
 from ..relational.domain import Domain
-from ..relational.schema import Schema
+from ..relational.schema import RelationSchema, Schema
 
 __all__ = [
     "max_symbol_count",
@@ -115,7 +116,17 @@ def analysis_domain(
     return Domain(values, name="D_analysis")
 
 
-def untyped_schema(schema: Schema, domain) -> Schema:
+#: Bound on the analysis schemas kept on one input schema: a long-lived
+#: schema meets a new analysis domain for each new set of query constants.
+_UNTYPED_SCHEMA_LIMIT = 64
+
+#: Attribute of a :class:`Schema` holding its analysis schemas by domain.
+_UNTYPED_SCHEMAS_ATTRIBUTE = "_untyped_schemas"
+
+_untyped_lock = threading.Lock()
+
+
+def untyped_schema(schema: Schema, domain: Domain) -> Schema:
     """A copy of ``schema`` over ``domain`` with per-attribute domains dropped.
 
     The core security analysis always works over a single untyped domain
@@ -123,14 +134,32 @@ def untyped_schema(schema: Schema, domain) -> Schema:
     building dictionaries and example instances.  Keeping them during a
     critical-tuple computation could hide critical tuples that exist over
     the analysis domain, so every decision procedure strips them first.
-    """
-    from ..relational.schema import RelationSchema
 
-    stripped = [
-        RelationSchema(relation.name, relation.attributes, {}, relation.key)
-        for relation in schema
-    ]
-    return Schema(stripped, domain=domain)
+    Schemas are immutable, so the copy is built once per (schema, domain)
+    and kept on ``schema``, keyed by the domain's values and name (the
+    copy's domain is the one asked for), as
+    :func:`~repro.core.criticality.base._tuple_space_set` keeps
+    ``tup(D)``; the copy's own ``tup(D)`` memo then carries across
+    decisions.  At most :data:`_UNTYPED_SCHEMA_LIMIT` copies are kept,
+    oldest out first.
+    """
+    key = (domain.values, domain.name)
+    # setdefault is atomic: racing first uses agree on one dictionary.
+    copies = vars(schema).setdefault(_UNTYPED_SCHEMAS_ATTRIBUTE, {})
+    untyped = copies.get(key)
+    if untyped is None:
+        stripped = Schema(
+            [
+                RelationSchema(relation.name, relation.attributes, {}, relation.key)
+                for relation in schema
+            ],
+            domain=domain,
+        )
+        with _untyped_lock:
+            untyped = copies.setdefault(key, stripped)
+            while len(copies) > _UNTYPED_SCHEMA_LIMIT:
+                del copies[next(iter(copies))]
+    return untyped
 
 
 def analysis_schema(

@@ -49,6 +49,7 @@ from .security import _independence_terms
 
 __all__ = [
     "PriorKnowledge",
+    "KeyConstraint",
     "KeyConstraintKnowledge",
     "CardinalityConstraintKnowledge",
     "TupleStatusKnowledge",
@@ -88,6 +89,30 @@ class PriorKnowledge:
         return type(self).__name__
 
 
+@dataclass(frozen=True)
+class KeyConstraint:
+    """The instance constraint of key knowledge: no two facts share a key value.
+
+    A value rather than a closure: it holds the sorted ``(relation, key
+    positions)`` pairs, so equal key declarations give equal, equally
+    hashing constraints, and the critical-tuple cache keys
+    ``crit_D(Q, K)`` by it.
+    """
+
+    keys: Tuple[Tuple[str, Tuple[int, ...]], ...]
+
+    def __call__(self, instance: Instance) -> bool:
+        for relation, positions in self.keys:
+            seen: Dict[Tuple[object, ...], Fact] = {}
+            for fact in instance.relation(relation):
+                value = fact.project(positions)
+                other = seen.get(value)
+                if other is not None and other != fact:
+                    return False
+                seen[value] = fact
+        return True
+
+
 class KeyConstraintKnowledge(PriorKnowledge):
     """Knowledge that certain attribute positions form keys (Corollary 5.3).
 
@@ -120,30 +145,21 @@ class KeyConstraintKnowledge(PriorKnowledge):
         """Key positions of a relation (empty when it has no declared key)."""
         return self._keys.get(relation, ())
 
+    def key_class(self, fact: Fact) -> Tuple[str, Tuple[object, ...]]:
+        """The ``≡_K`` class of a fact: its relation and key value.
+
+        A relation without a declared key has singleton classes, so its
+        key value is the whole tuple.
+        """
+        positions = self.key_positions(fact.relation)
+        return (fact.relation, fact.project(positions) if positions else fact.values)
+
     def equivalent(self, left: Fact, right: Fact) -> bool:
         """The relation ``t ≡_K t'``: same relation and same key value."""
-        if left.relation != right.relation:
-            return False
-        positions = self.key_positions(left.relation)
-        if not positions:
-            return left == right
-        return left.project(positions) == right.project(positions)
+        return self.key_class(left) == self.key_class(right)
 
-    def instance_constraint(self) -> InstanceConstraint:
-        keys = self._keys
-
-        def satisfies(instance: Instance) -> bool:
-            for relation, positions in keys.items():
-                seen: Dict[Tuple[object, ...], Fact] = {}
-                for fact in instance.relation(relation):
-                    value = fact.project(positions)
-                    other = seen.get(value)
-                    if other is not None and other != fact:
-                        return False
-                    seen[value] = fact
-            return True
-
-        return satisfies
+    def instance_constraint(self) -> KeyConstraint:
+        return KeyConstraint(tuple(sorted(self._keys.items())))
 
     def event(self, schema: Schema) -> Event:
         support: set[Fact] = set()
@@ -343,11 +359,14 @@ def decide_with_key_constraints(
     for view in views:
         view_critical |= critical_fn(view, working_schema, domain, constraint)
 
+    # Each secret tuple meets only its own key class of view tuples.
+    view_classes: Dict[Tuple[str, Tuple[object, ...]], List[Fact]] = {}
+    for t2 in sorted(view_critical, key=repr):
+        view_classes.setdefault(knowledge.key_class(t2), []).append(t2)
     violating = [
         (t, t2)
         for t in sorted(secret_critical, key=repr)
-        for t2 in sorted(view_critical, key=repr)
-        if knowledge.equivalent(t, t2)
+        for t2 in view_classes.get(knowledge.key_class(t), ())
     ]
     secure = not violating
     explanation = (

@@ -4,7 +4,8 @@ Every analysis takes its secret and views in one of a few shapes, and
 every memo keys a query by what it says, not how it is spelled:
 
 * :func:`as_query` and :func:`as_queries` coerce the inputs: datalog
-  strings are parsed, query objects pass through, and one view, a
+  strings are parsed (once per text per process: equal texts share one
+  immutable query object), query objects pass through, and one view, a
   sequence of views or a ``recipient → view`` mapping all become one
   non-empty list;
 * :func:`canonical_query_key` drops display names and renames variables
@@ -19,6 +20,8 @@ every memo keys a query by what it says, not how it is spelled:
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from typing import Dict, List, Tuple, Union
 
@@ -41,18 +44,49 @@ AnyQuery = Union[ConjunctiveQuery, UnionQuery]
 QueryLike = Union[str, ConjunctiveQuery, UnionQuery]
 
 
+#: Bound on the parsed queries :func:`as_query` keeps, one per datalog text.
+_PARSED_LIMIT = 1024
+
+_parsed: "OrderedDict[str, AnyQuery]" = OrderedDict()
+_parsed_lock = threading.Lock()
+
+
+def _parse_once(text: str) -> AnyQuery:
+    """The parsed query of a datalog text, parsed once while it stays recent.
+
+    Queries are immutable, so every caller of one text shares one object,
+    and with it the canonical key and the compiled plan stored on it.  A
+    malformed text raises on every call and is never kept.
+    """
+    with _parsed_lock:
+        query = _parsed.get(text)
+        if query is not None:
+            _parsed.move_to_end(text)
+            return query
+    parsed = parse_query(text)
+    with _parsed_lock:
+        # Racing first parses of one text agree on the first one stored.
+        query = _parsed.setdefault(text, parsed)
+        _parsed.move_to_end(text)
+        while len(_parsed) > _PARSED_LIMIT:
+            _parsed.popitem(last=False)
+    return query
+
+
 def as_query(value: QueryLike, role: str = "query") -> AnyQuery:
     """Coerce a query-like value, with a clear error for unsupported types.
 
-    Strings are parsed as datalog; :class:`ConjunctiveQuery` and
-    :class:`UnionQuery` pass through.  Anything else raises a
-    :class:`SecurityAnalysisError` naming the offending role, rather
-    than an ``AttributeError`` deep inside an analysis.
+    Strings are parsed as datalog, once per text (an LRU of
+    :data:`_PARSED_LIMIT` texts): equal texts return one shared query
+    object.  :class:`ConjunctiveQuery` and :class:`UnionQuery` pass
+    through.  Anything else raises a :class:`SecurityAnalysisError`
+    naming the offending role, rather than an ``AttributeError`` deep
+    inside an analysis.
     """
     if isinstance(value, (ConjunctiveQuery, UnionQuery)):
         return value
     if isinstance(value, str):
-        return parse_query(value)
+        return _parse_once(value)
     raise SecurityAnalysisError(
         f"the {role} must be a ConjunctiveQuery, a UnionQuery or a datalog "
         f"string, got {type(value).__name__}: {value!r}"

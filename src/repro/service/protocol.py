@@ -459,31 +459,24 @@ def _parse_live_request(
     return AuditRequest(**fields)
 
 
-def _canonical(value: Any) -> Any:
-    """A JSON-stable view of a request field (mappings get sorted keys)."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def dictionary_spec(request: AuditRequest) -> Optional[Dict[str, Any]]:
-    """The dictionary-defining fields of a request, normalised.
+def dictionary_spec(request: AuditRequest) -> Optional[Mapping[str, Any]]:
+    """The dictionary-defining fields of a request.
 
     The per-request ``dictionary`` object wins; otherwise the schema
     document's ``tuple_probability`` / ``expected_size`` keys apply,
-    exactly as :func:`repro.io.dictionary_from_dict` reads them.
+    exactly as :func:`repro.io.dictionary_from_dict` reads them.  The
+    fingerprints serialise it as decoded, in one ``json.dumps`` whose
+    ``sort_keys`` orders nested keys too.
     """
     if request.dictionary is not None:
-        return _canonical(request.dictionary)
+        return request.dictionary
     schema = request.schema or {}
     spec = {
         key: schema[key]
         for key in ("tuple_probability", "expected_size")
         if key in schema
     }
-    return _canonical(spec) if spec else None
+    return spec or None
 
 
 def session_key(request: AuditRequest) -> str:
@@ -495,7 +488,7 @@ def session_key(request: AuditRequest) -> str:
     kernel's compiled artifacts).
     """
     payload = {
-        "schema": _canonical(request.schema),
+        "schema": request.schema,
         "dictionary": dictionary_spec(request),
         "engine": request.engine,
     }
@@ -515,14 +508,14 @@ def request_key(request: AuditRequest) -> str:
     """
     payload = {
         "op": request.op,
-        "schema": _canonical(request.schema),
+        "schema": request.schema,
         "secret": request.secret,
-        "views": _canonical(request.views),
-        "secrets": _canonical(request.secrets),
+        "views": request.views,
+        "secrets": request.secrets,
         "dictionary": dictionary_spec(request),
-        "knowledge": _canonical(request.knowledge),
+        "knowledge": request.knowledge,
         "engine": request.engine,
-        "options": _canonical(request.options),
+        "options": request.options,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 

@@ -30,6 +30,7 @@ from repro import (
 )
 from repro.bench import employee_schema, table1_pairs
 from repro.cli import main
+from repro.core import domain_bounds
 from repro.core.criticality import (
     CriticalTupleCache,
     PrunedParallelEngine,
@@ -130,6 +131,47 @@ class TestTupleSpacePerSchema:
         repro.positive_leakage(row.secret, row.views, dictionary, critical_fn=cache.critical_tuples)
         assert cache.stats().misses > 1
         assert len(builds) == 1
+
+    def test_a_collusion_builds_the_tuple_space_once(self, monkeypatch, emp_schema):
+        # One decide_security per view, each over the analysis schema of
+        # (emp_schema, domain): the copy, and its tup(D), carry across.
+        builds = []
+        build = criticality_base.tuple_space
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(criticality_base, "tuple_space", counted)
+        cache = CriticalTupleCache()
+        views = [f"V{i}(n) :- Emp(n, D{i}, p)" for i in range(5)]
+        report = repro.analyse_collusion(
+            "S(n, p) :- Emp(n, d, p)", views, emp_schema, critical_fn=cache.critical_tuples
+        )
+        assert len(report.per_view) == 5 and cache.stats().misses == 6
+        assert len(builds) == 1
+
+
+class TestAnalysisSchemaPerDomain:
+    def test_one_copy_per_schema_and_domain(self, emp_schema):
+        untyped_schema = domain_bounds.untyped_schema
+        domain = Domain.of("a", "b", "c")
+        copy = untyped_schema(emp_schema, domain)
+        assert untyped_schema(emp_schema, Domain.of("a", "b", "c")) is copy
+        assert copy.domain == domain
+        assert all(not relation.attribute_domains for relation in copy)
+        renamed = untyped_schema(emp_schema, Domain(["a", "b", "c"], name="other"))
+        assert renamed is not copy and renamed.domain.name == "other"
+        assert untyped_schema(employee_schema(), domain) is not copy
+
+    def test_the_copies_are_bounded(self, monkeypatch, emp_schema):
+        monkeypatch.setattr(domain_bounds, "_UNTYPED_SCHEMA_LIMIT", 3)
+        domains = [Domain.of("a", f"c{i}") for i in range(6)]
+        copies = [domain_bounds.untyped_schema(emp_schema, domain) for domain in domains]
+        kept = vars(emp_schema)[domain_bounds._UNTYPED_SCHEMAS_ATTRIBUTE]
+        assert len(kept) == 3
+        assert domain_bounds.untyped_schema(emp_schema, domains[-1]) is copies[-1]
+        assert domain_bounds.untyped_schema(emp_schema, domains[0]) is not copies[0]
 
 
 # ---------------------------------------------------------------------------

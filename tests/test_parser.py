@@ -1,9 +1,15 @@
 """Unit tests for the datalog query parser."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.core import practical_security_check
 from repro.cq import Constant, Variable, evaluate, parse_atom, parse_query, parse_term, q
+from repro.cq import canonical
+from repro.cq.canonical import as_queries, as_query
 from repro.exceptions import ParseError
 from repro.relational import Fact, Instance
 
@@ -132,3 +138,66 @@ class TestFreshNames:
     )
     def test_generated_names_are_deterministic(self, holds):
         assert holds()
+
+
+class TestParseOnce:
+    """``as_query`` parses each datalog text once and shares the query."""
+
+    def test_equal_texts_share_one_query(self):
+        text = "Q(x) :- R(x, y), S(y, 'c')"
+        query = as_query(text)
+        assert as_query(text) is query
+        assert as_query(query) is query
+        assert query == parse_query(text)
+        assert as_queries([text, text]) == [query, query]
+
+    def test_a_malformed_text_raises_every_time_and_is_never_kept(self):
+        text = "Q(x) :- R(x, y"
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                as_query(text)
+        assert text not in canonical._parsed
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(canonical, "_PARSED_LIMIT", 4)
+        texts = [f"Q{i}(x) :- R(x, 'c{i}')" for i in range(10)]
+        for text in texts:
+            as_query(text)
+        assert len(canonical._parsed) <= 4
+        assert list(canonical._parsed)[-1] == texts[-1]
+
+    def test_concurrent_first_parses_agree_on_one_query(self):
+        texts = [f"Q(x) :- R(x, y), T(y, 'k{i}')" for i in range(24)]
+        for text in texts:
+            canonical._parsed.pop(text, None)
+        barrier = threading.Barrier(8)
+        seen = [[] for _ in range(8)]
+        errors = []
+
+        def worker(slot):
+            try:
+                order = [text for text in texts for _ in range(3)]
+                random.Random(slot).shuffle(order)
+                barrier.wait(timeout=10)
+                seen[slot].extend((text, as_query(text)) for text in order)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so first parses race
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        objects = {}
+        for text, query in (pair for pairs in seen for pair in pairs):
+            objects.setdefault(text, set()).add(id(query))
+            assert query == parse_query(text)
+        assert sorted(objects) == sorted(texts)
+        assert all(len(ids) == 1 for ids in objects.values())

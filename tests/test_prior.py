@@ -1,10 +1,14 @@
 """Unit tests for security under prior knowledge (Section 5)."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from repro import Dictionary, q
+from repro import AnalysisSession, Dictionary, q
+from repro.bench import table1_pairs
 from repro.core import (
     CardinalityConstraintKnowledge,
     ConjunctionKnowledge,
@@ -20,6 +24,7 @@ from repro.core import (
     verify_security_probabilistically,
     verify_with_knowledge,
 )
+from repro.core.criticality import CriticalTupleCache, critical_tuples
 from repro.exceptions import KnowledgeError
 from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
 
@@ -304,3 +309,194 @@ class TestDispatchAndNumericCheck:
         prior = PriorViewKnowledge(q("U() :- R('a', 'a')"))
         assert not verify_security_probabilistically(secret, view, dictionary)
         assert verify_with_knowledge(secret, view, prior, dictionary)
+
+
+# ---------------------------------------------------------------------------
+# Corollary 5.3 through the critical-tuple cache
+# ---------------------------------------------------------------------------
+def _quadratic_violating_pairs(knowledge, secret_critical, view_critical):
+    """Corollary 5.3's violating pairs by the literal formula (the oracle).
+
+    Every (secret tuple, view tuple) pair in ``repr`` order, kept when the
+    two are key-equivalent by the definition of ``≡_K``.
+    """
+
+    def equivalent(left, right):
+        if left.relation != right.relation:
+            return False
+        positions = knowledge.key_positions(left.relation)
+        if not positions:
+            return left == right
+        return left.project(positions) == right.project(positions)
+
+    return tuple(
+        (t, t2)
+        for t in sorted(secret_critical, key=repr)
+        for t2 in sorted(view_critical, key=repr)
+        if equivalent(t, t2)
+    )
+
+
+class TestKeyConstraintCache:
+    @pytest.fixture
+    def row2(self):
+        return next(row for row in table1_pairs() if row.row == 2)
+
+    def test_a_repeated_decision_is_served_from_the_cache(self, emp_schema, row2):
+        session = AnalysisSession(emp_schema)
+        knowledge = KeyConstraintKnowledge({"Emp": (0,)})
+        first = session.with_knowledge(row2.secret, list(row2.views), knowledge)
+        second = session.with_knowledge(row2.secret, list(row2.views), knowledge)
+        assert first.cache_used.misses == 1 + len(row2.views)
+        assert second.cache_used.misses == 0
+        assert second.cache_used.hits >= 2
+        assert second.decision == first.decision
+        assert first.decision.evidence["violating_pairs"]
+
+    def test_equal_key_declarations_share_one_entry(self, emp_schema):
+        tuple_keys = KeyConstraintKnowledge({"Emp": (0,)}).instance_constraint()
+        list_keys = KeyConstraintKnowledge({"Emp": [0]}).instance_constraint()
+        assert tuple_keys == list_keys and hash(tuple_keys) == hash(list_keys)
+        other_keys = KeyConstraintKnowledge({"Emp": (1,)}).instance_constraint()
+        assert other_keys != tuple_keys
+
+        query = q("S(n, p) :- Emp(n, d, p)")
+        domain = emp_schema.domain
+        cache = CriticalTupleCache()
+        first = cache.critical_tuples(query, emp_schema, domain, tuple_keys)
+        assert first == critical_tuples(query, emp_schema, domain, tuple_keys)
+        assert cache.critical_tuples(query, emp_schema, domain, list_keys) is first
+        assert (cache.stats().hits, cache.stats().misses, len(cache)) == (1, 1, 1)
+        cache.critical_tuples(query, emp_schema, domain, other_keys)
+        assert (cache.stats().misses, len(cache)) == (2, 2)
+
+    def test_constrained_and_unconstrained_sets_never_answer_each_other(self, kv_schema):
+        # Two facts sharing a key value: no instance satisfying the key
+        # constraint witnesses the query, so crit_D(Q, K) is empty.
+        query = q("V() :- R(x, y), R(x, z), y != z")
+        keys = KeyConstraintKnowledge({"R": (0,)}).instance_constraint()
+        domain = kv_schema.domain
+        plain = critical_tuples(query, kv_schema, domain)
+        keyed = critical_tuples(query, kv_schema, domain, keys)
+        assert plain and not keyed
+        for order in ((None, keys), (keys, None)):
+            cache = CriticalTupleCache()
+            for constraint in order:
+                expected = keyed if constraint is not None else plain
+                assert cache.critical_tuples(query, kv_schema, domain, constraint) == expected
+            assert (cache.stats().hits, cache.stats().misses) == (0, 2)
+
+    def test_a_closure_constraint_keys_by_identity(self, kv_schema):
+        query = q("V() :- R('a', 'b')")
+        keys = KeyConstraintKnowledge({"R": (0,)}).instance_constraint()
+        cache = CriticalTupleCache()
+
+        def closure(instance):
+            return keys(instance)
+
+        expected = cache.critical_tuples(query, kv_schema, None, keys)
+        assert cache.critical_tuples(query, kv_schema, None, closure) == expected
+        assert cache.critical_tuples(query, kv_schema, None, closure) == expected
+        assert cache.critical_tuples(query, kv_schema, None, lambda i: keys(i)) == expected
+        assert (cache.stats().hits, cache.stats().misses) == (1, 3)
+
+    def test_violating_pairs_match_the_quadratic_pairing(self):
+        # R/3 keyed on 1–2 positions, T/2 keyed on 1, U/2 unkeyed; the
+        # critical sets come from a stub provider, so only the pairing of
+        # Corollary 5.3 is under test.
+        schema = Schema(
+            [
+                RelationSchema("R", ("a", "b", "c")),
+                RelationSchema("T", ("a", "b")),
+                RelationSchema("U", ("a", "b")),
+            ],
+            domain=Domain.of("x", "y", "z"),
+        )
+        arities = {"R": 3, "T": 2, "U": 2}
+        secret = q("S(x) :- R(x, y, z)")
+        views = [q("V1(x) :- T(x, y)"), q("V2(y) :- U(x, y)")]
+        rng = random.Random(53)
+        values = ("a", "b", "c")
+
+        def random_set():
+            return frozenset(
+                Fact(relation, [rng.choice(values) for _ in range(arities[relation])])
+                for relation in (rng.choice("RTU") for _ in range(rng.randint(0, 12)))
+            )
+
+        nonempty = 0
+        for _ in range(150):
+            keys = {
+                "R": tuple(sorted(rng.sample(range(3), rng.choice((1, 2))))),
+                "T": (rng.randrange(2),),
+            }
+            knowledge = KeyConstraintKnowledge(keys)
+            sets = {id(query): random_set() for query in (secret, *views)}
+
+            def provider(query, schema, domain, constraint=None, **options):
+                assert constraint is not None
+                return sets[id(query)]
+
+            decision = decide_with_key_constraints(
+                secret, views, knowledge, schema, critical_fn=provider
+            )
+            view_critical = sets[id(views[0])] | sets[id(views[1])]
+            expected = _quadratic_violating_pairs(knowledge, sets[id(secret)], view_critical)
+            assert decision.evidence["violating_pairs"] == expected
+            assert decision.secure is (not expected)
+            nonempty += bool(expected)
+        assert 20 < nonempty < 150
+
+    def test_concurrent_decisions_on_one_cache_match_the_uncached_engine(self, emp_schema):
+        cases = [
+            (row.secret, list(row.views), keys)
+            for row in table1_pairs()
+            for keys in ((0,), (1,), (0, 2))
+        ]
+        expected = [
+            decide_with_knowledge(
+                secret, views, KeyConstraintKnowledge({"Emp": keys}), emp_schema,
+                critical_fn=critical_tuples,
+            )
+            for secret, views, keys in cases
+        ]
+        cache = CriticalTupleCache()
+        barrier = threading.Barrier(8)
+        outcomes = {}
+        errors = []
+
+        def worker(slot):
+            try:
+                session = AnalysisSession(emp_schema, cache=cache)
+                order = list(range(len(cases)))
+                random.Random(slot).shuffle(order)
+                barrier.wait(timeout=10)
+                for index in order * 2:
+                    secret, views, keys = cases[index]
+                    knowledge = KeyConstraintKnowledge({"Emp": list(keys)})
+                    outcomes[slot, index] = session.with_knowledge(
+                        secret, views, knowledge
+                    ).decision
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so cold lookups race
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert len(outcomes) == 8 * len(cases)
+        for (_, index), decision in outcomes.items():
+            assert decision == expected[index]
+            assert (
+                decision.evidence["violating_pairs"]
+                == expected[index].evidence["violating_pairs"]
+            )
+        assert cache.stats().hits > cache.stats().misses

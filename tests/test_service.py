@@ -39,6 +39,7 @@ from repro.service.protocol import (
     encode_message,
     session_key,
 )
+from repro.workload import WorkloadSpec, generate_workload, table1_templates
 
 
 def _schema_doc(**sizes) -> dict:
@@ -152,6 +153,105 @@ class TestProtocol:
     def test_encode_round_trip(self):
         document = {"op": "ping", "id": 7}
         assert decode_message(encode_message(document)) == document
+
+
+def _canonical_walk(value):
+    """A reference normal form: mappings with ``str`` keys in sorted order,
+    sequences as lists (the oracle of the fingerprints' key order)."""
+    if isinstance(value, dict):
+        return {
+            str(k): _canonical_walk(v)
+            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
+        }
+    if isinstance(value, (list, tuple)):
+        return [_canonical_walk(v) for v in value]
+    return value
+
+
+def _reference_keys(request):
+    """``(request_key, session_key)`` built from the normalised fields."""
+    if request.dictionary is not None:
+        spec = _canonical_walk(request.dictionary)
+    else:
+        schema = request.schema or {}
+        spec = {k: schema[k] for k in ("tuple_probability", "expected_size") if k in schema}
+        spec = _canonical_walk(spec) if spec else None
+
+    def dumps(payload):
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+
+    request_payload = {
+        "op": request.op,
+        "schema": _canonical_walk(request.schema),
+        "secret": request.secret,
+        "views": _canonical_walk(request.views),
+        "secrets": _canonical_walk(request.secrets),
+        "dictionary": spec,
+        "knowledge": _canonical_walk(request.knowledge),
+        "engine": request.engine,
+        "options": _canonical_walk(request.options),
+    }
+    session_payload = {
+        "schema": _canonical_walk(request.schema),
+        "dictionary": spec,
+        "engine": request.engine,
+    }
+    return dumps(request_payload), dumps(session_payload)
+
+
+class TestFingerprints:
+    """A fingerprint is one ``json.dumps`` of the decoded fields, byte for
+    byte the string built from the normalised fields."""
+
+    def _documents(self):
+        documents = table1_templates() + table1_templates("1/2")
+        documents += generate_workload(
+            WorkloadSpec(seed=11, requests=120, random_fraction=0.5)
+        )
+        base = {"schema": SCHEMA, "secret": SECRET, "views": VIEWS}
+        nested = {"z": {"b": [1, {"y": 2, "x": [3, {"q": None}]}], "a": 1.5}, "m": "s"}
+        documents += [
+            {"op": "leakage", **base, "dictionary": {"uniform": "1/3", "z": nested}},
+            {"op": "leakage", **base, "options": {"max_view_rows": 2, "nested": nested}},
+            {
+                "op": "with_knowledge",
+                **base,
+                "knowledge": {
+                    "kind": "conjunction",
+                    "parts": [{"kind": "keys", "keys": {"Emp": [0, 2]}}, {"kind": "keys"}],
+                },
+            },
+            {
+                "op": "plan",
+                "schema": {**SCHEMA, "expected_size": 3, "extra": nested},
+                "secrets": {"s2": SECRET, "s1": SECURE_SECRET},
+                "views": ["V(n) :- Emp(n, d, p)", "W(p) :- Emp(n, d, p)"],
+                "engine": "sampling",
+            },
+        ]
+        return documents
+
+    def test_keys_match_the_canonical_walk(self):
+        documents = self._documents()
+        for document in documents:
+            # Decoded from the wire, as the server sees it.
+            request = parse_request(decode_message(encode_message(document)))
+            assert (request_key(request), session_key(request)) == _reference_keys(request)
+
+    def test_key_order_never_splits_a_fingerprint(self):
+        document = {
+            "op": "leakage",
+            "schema": SCHEMA,
+            "secret": SECRET,
+            "views": VIEWS,
+            "dictionary": {"uniform": "1/3", "z": {"b": 1, "a": 2}},
+        }
+        shuffled = json.loads(json.dumps(document))
+        shuffled["dictionary"] = {"z": {"a": 2, "b": 1}, "uniform": "1/3"}
+        shuffled = dict(reversed(list(shuffled.items())))
+        one, two = parse_request(document), parse_request(shuffled)
+        assert request_key(one) == request_key(two)
+        assert session_key(one) == session_key(two)
 
 
 class TestMetrics:
