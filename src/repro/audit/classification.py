@@ -144,10 +144,12 @@ def classify_disclosure(
     ----------
     dictionary:
         Dictionary used for the leakage measurement.  When omitted, a
-        uniform dictionary with per-tuple probability 1/8 over the
-        analysis domain is used (small enough to behave like the sparse
-        instances of the paper's examples while keeping exact arithmetic
-        cheap).
+        uniform dictionary with per-tuple probability
+        :data:`DEFAULT_AUDIT_PROBABILITY` (1/4) is used over the small
+        domain of the answerability probe (the queries' constants,
+        padded to two values), or over the analysis domain when that
+        probe's tuple space exceeds ``answerability_max_tuples``; the
+        small domain keeps the exact arithmetic cheap.
     minute_threshold:
         Relative-gain threshold below which a disclosure counts as
         minute.

@@ -18,12 +18,8 @@ enumeration live on as test oracles in :mod:`repro.reference`; the test
 suite cross-validates this engine against both.
 """
 
-from .base import (
-    DEFAULT_MAX_VALUATIONS,
-    CriticalityEngine,
-    InstanceConstraint,
-    candidate_critical_facts,
-)
+from ...cq.witness import candidate_critical_facts
+from .base import DEFAULT_MAX_VALUATIONS, CriticalityEngine, InstanceConstraint
 from .cache import (
     CacheStats,
     CriticalTupleCache,

@@ -36,18 +36,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ...cq.evaluation import answer_contains, answer_tuple
 from ...cq.unification import match_atom_to_fact
+from ...cq.witness import candidate_critical_facts
 from ...exceptions import IntractableAnalysisError
 from ...relational.domain import Domain
 from ...relational.instance import Instance
 from ...relational.schema import Schema
-from ...relational.tuples import Fact
-from .base import (
-    DEFAULT_MAX_VALUATIONS,
-    CriticalityEngine,
-    InstanceConstraint,
-    _tuple_space_set,
-    candidate_critical_facts,
-)
+from ...relational.tuples import Fact, _tuple_space_set
+from .base import DEFAULT_MAX_VALUATIONS, CriticalityEngine, InstanceConstraint
 
 __all__ = ["PrunedParallelEngine", "critical_tuples", "is_critical"]
 

@@ -138,7 +138,7 @@ def untyped_schema(schema: Schema, domain: Domain) -> Schema:
     Schemas are immutable, so the copy is built once per (schema, domain)
     and kept on ``schema``, keyed by the domain's values and name (the
     copy's domain is the one asked for), as
-    :func:`~repro.core.criticality.base._tuple_space_set` keeps
+    :func:`~repro.relational.tuples.relation_slice` keeps the slices of
     ``tup(D)``; the copy's own ``tup(D)`` memo then carries across
     decisions.  At most :data:`_UNTYPED_SCHEMA_LIMIT` copies are kept,
     oldest out first.

@@ -31,12 +31,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
+from ..cq.witness import query_support
 from ..exceptions import SecurityAnalysisError
 from ..probability.dictionary import Dictionary
-from ..probability.events import Event, query_support
+from ..probability.events import Event
 from ..relational.instance import Instance
 from ..relational.schema import RelationSchema, Schema
-from ..relational.tuples import Fact, facts_of_relation
+from ..relational.tuples import Fact, relation_slice
 from .criticality import resolve_critical_fn
 
 __all__ = [
@@ -141,8 +142,7 @@ class EncryptedViewAnswerIs(Event):
         return self.view.answer(instance) == self.answer
 
     def support(self, schema: Schema) -> FrozenSet[Fact]:
-        relation = schema.relation(self.view.relation)
-        return frozenset(facts_of_relation(relation, schema.domain))
+        return relation_slice(schema, self.view.relation)
 
     def describe(self) -> str:
         return f"Enc({self.view.relation})(I) = {sorted(self.answer)}"
@@ -216,12 +216,10 @@ def answerable_from_encrypted_view(
     inequalities) are answerable; queries mentioning constants are not.
     """
     schema = dictionary.schema
-    relation = schema.relation(view.relation)
     # key=repr: analysis domains may mix numeric and string constants,
     # which Python refuses to order directly.
     support = sorted(
-        set(facts_of_relation(relation, schema.domain))
-        | set(query_support(query, schema)),
+        relation_slice(schema, view.relation) | query_support(query, schema),
         key=repr,
     )
     if len(support) > max_support_size:

@@ -28,10 +28,11 @@ from ..cq.canonical import QueryLike, as_queries, as_query
 from ..cq.compose import conjoin_all
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
+from ..cq.witness import query_support
 from ..exceptions import IntractableAnalysisError, SecurityAnalysisError
 from ..probability.dictionary import Dictionary
 from ..probability.engine import ExactEngine
-from ..probability.events import And, Event, FactPresent, Or, QueryContains, query_support
+from ..probability.events import And, Event, FactPresent, Or, QueryContains
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
 from .criticality import resolve_critical_fn

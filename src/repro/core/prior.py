@@ -42,7 +42,7 @@ from ..probability.events import (
 from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import Schema
-from ..relational.tuples import Fact, facts_of_relation
+from ..relational.tuples import Fact, relation_slice
 from .criticality import InstanceConstraint, common_critical_tuples, resolve_critical_fn
 from .domain_bounds import analysis_schema
 from .security import _independence_terms
@@ -162,10 +162,7 @@ class KeyConstraintKnowledge(PriorKnowledge):
         return KeyConstraint(tuple(sorted(self._keys.items())))
 
     def event(self, schema: Schema) -> Event:
-        support: set[Fact] = set()
-        for relation_name in self._keys:
-            relation = schema.relation(relation_name)
-            support.update(facts_of_relation(relation, schema.domain))
+        support = frozenset().union(*(relation_slice(schema, name) for name in self._keys))
         return PredicateEvent(
             self.instance_constraint(), description=self.describe(), support=support
         )

@@ -16,7 +16,6 @@ from .evaluation import (
     delta_changes,
     evaluate,
     evaluate_boolean,
-    possible_answers,
     satisfying_assignments,
 )
 from .plan import plan_atom_order
@@ -51,7 +50,6 @@ __all__ = [
     "q",
     "evaluate",
     "evaluate_boolean",
-    "possible_answers",
     "satisfying_assignments",
     "answer_contains",
     "delta_changes",

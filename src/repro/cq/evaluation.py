@@ -53,7 +53,6 @@ __all__ = [
     "delta_changes",
     "delta_apply",
     "delta_apply_many",
-    "possible_answers",
 ]
 
 Assignment = Dict[Variable, object]
@@ -343,15 +342,3 @@ def _compiled_change(
                 if not any(plan_for(d).derives_row(before, row) for d in disjuncts):
                     gained.add(row)
     return frozenset(gained), lost
-
-
-def possible_answers(
-    query: ConjunctiveQuery, instances: Sequence[Instance]
-) -> FrozenSet[FrozenSet[Tuple[object, ...]]]:
-    """The set of distinct answers the query attains over the given instances.
-
-    Used by the engine to enumerate the events ``Q(I) = q`` for every
-    possible answer ``q`` (Definition 4.1 quantifies over all of them).
-    """
-    return frozenset(evaluate(query, instance) for instance in instances)
-

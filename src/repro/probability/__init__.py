@@ -6,7 +6,7 @@ enumeration engine (Eq. 1–2), Monte-Carlo sampling and the multilinear
 query polynomials ``f_Q`` of Section 4.3.
 """
 
-from .compiled_event import CompiledQueryTable, compile_query_table, query_truth_bits
+from ..cq.witness import CompiledQueryTable, compile_query_table, query_support
 from .dictionary import Dictionary, Probability
 from .engine import DEFAULT_MAX_SUPPORT, ExactEngine
 from .events import (
@@ -20,7 +20,6 @@ from .events import (
     QueryAnswerIs,
     QueryContains,
     QueryTrue,
-    query_support,
     views_answer_event,
 )
 from .kernel import MassTable, ProbabilityKernel
@@ -35,7 +34,6 @@ __all__ = [
     "MassTable",
     "CompiledQueryTable",
     "compile_query_table",
-    "query_truth_bits",
     "DEFAULT_MAX_SUPPORT",
     "Event",
     "And",

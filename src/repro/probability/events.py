@@ -5,7 +5,8 @@ An :class:`Event` is a boolean predicate on instances together with a
 on which of those facts are present.  Declaring the support lets the
 exact engine enumerate only ``2^|support|`` sub-instances instead of the
 full ``inst(D)``; events whose support is unknown fall back to the whole
-tuple space.
+tuple space.  A query event's support is
+:func:`~repro.cq.witness.query_support`.
 
 The events needed by the paper are provided:
 
@@ -23,9 +24,10 @@ from typing import Callable, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..cq.evaluation import evaluate, evaluate_boolean
 from ..cq.query import ConjunctiveQuery
+from ..cq.witness import query_support
 from ..relational.instance import Instance
 from ..relational.schema import Schema
-from ..relational.tuples import Fact, facts_of_relation
+from ..relational.tuples import Fact
 
 __all__ = [
     "Event",
@@ -39,22 +41,7 @@ __all__ = [
     "Not",
     "PredicateEvent",
     "views_answer_event",
-    "query_support",
 ]
-
-
-def query_support(query: ConjunctiveQuery, schema: Schema) -> FrozenSet[Fact]:
-    """All facts that could possibly influence the query's answer.
-
-    The answer of a conjunctive query only depends on the facts of the
-    relations it mentions, so the support is the union of those
-    relations' slices of the tuple space.
-    """
-    facts: set[Fact] = set()
-    for name in query.relation_names:
-        relation = schema.relation(name)
-        facts.update(facts_of_relation(relation, schema.domain))
-    return frozenset(facts)
 
 
 class Event:

@@ -5,10 +5,11 @@ event probabilities, conditionals, independence tests, answer
 distributions, joint answer distributions — from *compiled* artifacts
 instead of per-subset re-evaluation:
 
-* **Compile once, evaluate by bit ops** — queries and events become mask
-  tables (:mod:`~repro.probability.compiled_event`): one satisfying-
-  assignment enumeration against the full support plus a subset zeta
-  transform replaces ``2^n`` backtracking searches.
+* **Compile once, evaluate by bit ops** — queries become mask tables
+  (:mod:`~repro.cq.witness`) and events bit algebra over them
+  (:mod:`~repro.probability.compiled_event`): one satisfying-assignment
+  enumeration against the full support plus a subset zeta transform
+  replaces ``2^n`` backtracking searches.
 * **Mass precomputation** — the Eq. (1) probability of every sub-instance
   is served from a meet-in-the-middle table of half-mask products
   (``O(2^(n/2))`` space, one multiplication per mask) instead of an
@@ -44,19 +45,14 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from ..cq.canonical import canonical_query_key
+from ..cq.witness import CompiledQueryTable, compile_query_table, query_support, universe_mask
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..obs import span
 from ..obs.counters import StatCounters
 from ..relational.tuples import Fact
-from .compiled_event import (
-    CompiledQueryTable,
-    compile_event_bits,
-    compile_query_table,
-    event_key,
-    universe_mask,
-)
+from .compiled_event import compile_event_bits, event_key
 from .dictionary import Dictionary
-from .events import Event, query_support
+from .events import Event
 
 __all__ = [
     "ProbabilityKernel",
@@ -430,9 +426,6 @@ class ProbabilityKernel:
         return joint == self.probability(left) * self.probability(right)
 
     # -- answer distributions ----------------------------------------------------
-    def _query_support(self, query) -> Tuple[Fact, ...]:
-        return tuple(query_support(query, self._dictionary.schema))
-
     def _component_classes(
         self,
         facts: Tuple[Fact, ...],
@@ -498,7 +491,7 @@ class ProbabilityKernel:
         queries = list(queries)
         events = list(events)
         keys = [event_key(event) for event in events]
-        supports = [self._query_support(query) for query in queries]
+        supports = [tuple(query_support(query, self._dictionary.schema)) for query in queries]
         supports += [self._event_support(event) for event in events]
         components = self._components(supports)
         query_count = len(queries)
@@ -579,7 +572,7 @@ class ProbabilityKernel:
         first attainment along a size-then-combination enumeration; no
         caller depends on that order, only on the set).
         """
-        facts = tuple(sorted(self._query_support(query), key=repr))
+        facts = tuple(sorted(query_support(query, self._dictionary.schema), key=repr))
         self._check_component(facts, "query support")
         classes = self._component_classes(facts, [query], (), ())
         ordered = sorted(

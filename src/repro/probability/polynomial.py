@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..cq.query import ConjunctiveQuery
+from ..cq.witness import compile_query_table
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..relational.tuples import Fact
 
@@ -216,11 +217,9 @@ def truth_table(
     support plus a subset zeta transform, instead of ``2^n`` backtracking
     evaluations.
     """
-    from .compiled_event import query_truth_bits
-
     n = len(facts)
     size = 1 << n
-    bits = query_truth_bits(query, list(facts))
+    bits = compile_query_table(query, facts).true_bits
     # Unpack via one to_bytes pass: per-mask `bits >> mask & 1` would
     # re-copy the whole 2^n-bit integer for every mask (Θ(4^n) traffic).
     data = bits.to_bytes((size + 7) >> 3, "little")

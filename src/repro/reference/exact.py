@@ -15,9 +15,10 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from ..cq.evaluation import evaluate
 from ..cq.query import ConjunctiveQuery
+from ..cq.witness import query_support
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..probability.dictionary import Dictionary
-from ..probability.events import Event, query_support
+from ..probability.events import Event
 from ..relational.instance import Instance
 from ..relational.tuples import Fact
 

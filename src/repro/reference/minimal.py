@@ -14,21 +14,17 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterator, Optional
 
-from ..core.criticality.base import (
-    DEFAULT_MAX_VALUATIONS,
-    InstanceConstraint,
-    _tuple_space_set,
-    candidate_critical_facts,
-)
+from ..core.criticality.base import DEFAULT_MAX_VALUATIONS, InstanceConstraint
 from ..cq.evaluation import answer_contains, answer_tuple
 from ..cq.query import ConjunctiveQuery
 from ..cq.unification import match_atom_to_fact
 from ..cq.terms import Variable
+from ..cq.witness import candidate_critical_facts
 from ..exceptions import IntractableAnalysisError
 from ..relational.domain import Domain
 from ..relational.instance import Instance
 from ..relational.schema import Schema
-from ..relational.tuples import Fact
+from ..relational.tuples import Fact, _tuple_space_set
 
 __all__ = ["is_critical", "critical_tuples"]
 

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import SchemaError
 from .domain import Domain
 from .schema import RelationSchema, Schema
 
-__all__ = ["Fact", "tuple_space", "tuple_space_size", "facts_of_relation"]
+__all__ = ["Fact", "tuple_space", "tuple_space_size", "facts_of_relation", "relation_slice"]
+
+#: Attribute of a :class:`Schema` holding, per domain's values, each
+#: relation's slice of ``tup(D)`` by name and ``tup(D)`` under ``None``.
+_TUPLE_SPACES_ATTRIBUTE = "_tuple_spaces"
 
 
 @dataclass(frozen=True, order=True)
@@ -87,6 +91,52 @@ def tuple_space(schema: Schema, domain: Domain | None = None) -> List[Fact]:
     for relation in schema:
         facts.extend(facts_of_relation(relation, domain))
     return facts
+
+
+def _kept(schema: Schema, domain: Domain, key: Optional[str], build) -> FrozenSet[Fact]:
+    """The set under ``key`` for (schema, domain), made by ``build()`` on first use.
+
+    Schemas are immutable, so the set lives exactly as long as the schema
+    does, as :func:`~repro.cq.compiled.plan_for` keeps a plan on its query.
+    """
+    # setdefault is atomic: racing first uses agree on one set.
+    spaces = vars(schema).setdefault(_TUPLE_SPACES_ATTRIBUTE, {})
+    kept = spaces.get(domain.values)
+    if kept is None:
+        kept = spaces.setdefault(domain.values, {})
+    facts = kept.get(key)
+    if facts is None:
+        facts = kept.setdefault(key, build())
+    return facts
+
+
+def relation_slice(
+    schema: Schema, relation: str, domain: Domain | None = None
+) -> FrozenSet[Fact]:
+    """One relation's facts in ``tup(D)`` (``domain`` defaults to the schema's).
+
+    Built once per (schema, domain); attributes with a declared domain
+    range over it, as in :func:`facts_of_relation`.
+    """
+    domain = domain or schema.domain
+    return _kept(
+        schema,
+        domain,
+        relation,
+        lambda: frozenset(facts_of_relation(schema.relation(relation), domain)),
+    )
+
+
+def _tuple_space_set(schema: Schema, domain: Domain) -> FrozenSet[Fact]:
+    """``tup(D)`` as a set: the union of every relation's slice, kept with them."""
+    return _kept(
+        schema,
+        domain,
+        None,
+        lambda: frozenset().union(
+            *(relation_slice(schema, relation.name, domain) for relation in schema)
+        ),
+    )
 
 
 def tuple_space_size(schema: Schema, domain: Domain | None = None) -> int:

@@ -38,8 +38,6 @@ from repro.core.criticality import (
     critical_tuples,
     default_cache,
 )
-from repro.core.criticality import base as criticality_base
-from repro.core.criticality.base import _tuple_space_set
 from repro.cq.atoms import Atom, Comparison
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Constant, Variable
@@ -48,6 +46,8 @@ from repro.reference import critical_tuples as minimal_critical_tuples
 from repro.reference import critical_tuples_naive
 from repro.session.engines import SamplingVerificationEngine
 from repro.relational import Domain, RelationSchema, Schema, tuple_space
+from repro.relational import tuples as tuples_module
+from repro.relational.tuples import _tuple_space_set
 
 
 @pytest.fixture
@@ -117,16 +117,17 @@ class TestTupleSpacePerSchema:
     def test_the_leakage_search_builds_the_tuple_space_once(self, monkeypatch):
         # Table 1 row 2 on 8 facts: 20 statements, each with its crit_D
         # computed over the dictionary's one schema.
+        # The events' supports read the same schema's one slice of Emp.
         row = next(row for row in table1_pairs() if row.row == 2)
         dictionary = Dictionary.uniform(employee_schema(2, 2, 2), Fraction(1, 3))
         builds = []
-        build = criticality_base.tuple_space
+        build = tuples_module.facts_of_relation
 
         def counted(*args):
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(criticality_base, "tuple_space", counted)
+        monkeypatch.setattr(tuples_module, "facts_of_relation", counted)
         cache = CriticalTupleCache()
         repro.positive_leakage(row.secret, row.views, dictionary, critical_fn=cache.critical_tuples)
         assert cache.stats().misses > 1
@@ -136,13 +137,13 @@ class TestTupleSpacePerSchema:
         # One decide_security per view, each over the analysis schema of
         # (emp_schema, domain): the copy, and its tup(D), carry across.
         builds = []
-        build = criticality_base.tuple_space
+        build = tuples_module.facts_of_relation
 
         def counted(*args):
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(criticality_base, "tuple_space", counted)
+        monkeypatch.setattr(tuples_module, "facts_of_relation", counted)
         cache = CriticalTupleCache()
         views = [f"V{i}(n) :- Emp(n, D{i}, p)" for i in range(5)]
         report = repro.analyse_collusion(

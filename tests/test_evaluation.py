@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cq import evaluate, evaluate_boolean, possible_answers, q, satisfying_assignments
+from repro.cq import evaluate, evaluate_boolean, q, satisfying_assignments
 from repro.cq.evaluation import answer_tuple
 from repro.cq.terms import Variable
 from repro.relational import Fact, Instance
@@ -85,10 +85,3 @@ class TestAssignments:
         assignment = next(iter(satisfying_assignments(query, employee_instance)))
         row = answer_tuple(query, assignment)
         assert row == (assignment[Variable("p")], assignment[Variable("n")])
-
-    def test_possible_answers_over_instances(self):
-        query = q("Q(x) :- R(x)")
-        instances = [Instance.empty(), Instance.of(Fact("R", ("a",)))]
-        answers = possible_answers(query, instances)
-        assert frozenset() in answers
-        assert frozenset({("a",)}) in answers

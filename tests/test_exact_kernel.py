@@ -48,7 +48,7 @@ from repro.probability import (
     QueryTrue,
     truth_table,
 )
-from repro.probability.compiled_event import query_truth_bits, subset_zeta
+from repro.cq.witness import subset_zeta
 from repro.reference import NaiveExactEngine
 from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
 from repro.session.engines import SamplingVerificationEngine

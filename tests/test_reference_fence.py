@@ -10,7 +10,9 @@ for it.
 Imports also flow one way between the layers: the analysis layers
 (relations, queries, probability, the paper's decision procedures,
 storage, tracing, the oracles) never import the front doors built on
-them (sessions, the auditor, the service, workloads, the CLI).
+them (sessions, the auditor, the service, workloads, the CLI), and
+among them relations sit below queries, queries below probability, and
+probability below the decision procedures.
 """
 
 import ast
@@ -18,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "repro"
@@ -88,6 +92,29 @@ def test_lower_layers_never_import_the_layers_above_them():
         for path, name in _package_imports()
         if path.relative_to(PACKAGE).parts[0] in LOWER_LAYERS
         and any(name == upper or name.startswith(upper + ".") for upper in UPPER_LAYERS)
+    ]
+    assert not offenders, offenders
+
+
+#: Inside the analysis layers imports flow down as well: each package
+#: named here imports none of the packages listed with it.
+#: ``repro.cq.witness`` sits below the probability kernel that reads its
+#: tables, and ``tup(D)``'s slices below every layer that reads them.
+ANALYSIS_ORDER = {
+    "relational": ("repro.storage", "repro.cq", "repro.probability", "repro.core"),
+    "cq": ("repro.probability", "repro.core"),
+    "probability": ("repro.core",),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(ANALYSIS_ORDER))
+def test_the_analysis_layers_import_only_the_layers_below_them(layer):
+    above = ANALYSIS_ORDER[layer]
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path, name in _package_imports()
+        if path.relative_to(PACKAGE).parts[0] == layer
+        and any(name == upper or name.startswith(upper + ".") for upper in above)
     ]
     assert not offenders, offenders
 

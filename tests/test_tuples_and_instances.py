@@ -1,8 +1,23 @@
 """Unit tests for facts, the tuple space and instances."""
 
+import sys
+import threading
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
+from repro.bench import employee_schema
+from repro.core.encrypted import (
+    EncryptedView,
+    EncryptedViewAnswerIs,
+    answerable_from_encrypted_view,
+)
+from repro.core.prior import KeyConstraintKnowledge
+from repro.cq import q
+from repro.cq.witness import query_support
 from repro.exceptions import IntractableAnalysisError, SchemaError
+from repro.probability import Dictionary
 from repro.relational import (
     Domain,
     Fact,
@@ -15,7 +30,13 @@ from repro.relational import (
     tuple_space,
     tuple_space_size,
 )
-from repro.relational.tuples import facts_of_relation, validate_fact
+from repro.relational import tuples as tuples_module
+from repro.relational.tuples import (
+    _tuple_space_set,
+    facts_of_relation,
+    relation_slice,
+    validate_fact,
+)
 
 
 @pytest.fixture
@@ -24,6 +45,90 @@ def small_schema() -> Schema:
         [RelationSchema("R", ("x", "y")), RelationSchema("S", ("z",))],
         domain=Domain.of("a", "b"),
     )
+
+
+class TestRelationSlices:
+    """Each relation's slice of ``tup(D)`` is built once per (schema, domain)."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        counts = Counter()
+        build = tuples_module.facts_of_relation
+
+        def counted(relation, domain):
+            counts[relation.name, domain.values] += 1
+            return build(relation, domain)
+
+        monkeypatch.setattr(tuples_module, "facts_of_relation", counted)
+        return counts
+
+    def test_query_supports_enumerate_each_relation_once(self, small_schema, enumerations):
+        query = q("Q(x) :- R(x, y), S(y)")
+        supports = {query_support(query, small_schema) for _ in range(100)}
+        values = small_schema.domain.values
+        assert enumerations == {("R", values): 1, ("S", values): 1}
+        assert supports == {frozenset(tuple_space(small_schema))}
+
+    def test_a_second_domain_gets_its_own_slices(self, small_schema, enumerations):
+        ab, abc = small_schema.domain, Domain.of("a", "b", "c")
+        narrow = relation_slice(small_schema, "R")
+        wide = relation_slice(small_schema, "R", abc)
+        assert relation_slice(small_schema, "R", ab) is narrow
+        assert relation_slice(small_schema, "R", Domain.of("a", "b", "c")) is wide
+        assert _tuple_space_set(small_schema, abc) >= wide
+        assert enumerations == {("R", ab.values): 1, ("R", abc.values): 1, ("S", abc.values): 1}
+        assert len(narrow) == 4 and len(wide) == 9 and narrow < wide
+        assert wide == frozenset(tuple_space(small_schema, abc)[:9])
+
+    def test_knowledge_and_encrypted_views_read_the_slices(self, enumerations):
+        schema = employee_schema()
+        emp = relation_slice(schema, "Emp")
+        assert KeyConstraintKnowledge({"Emp": (0,)}).event(schema).support(schema) == emp
+        assert EncryptedViewAnswerIs(EncryptedView("Emp"), frozenset()).support(schema) is emp
+        assert query_support(q("S(n) :- Emp(n, d, p)"), schema) == emp
+        binary = Schema([RelationSchema("R", ("x", "y"))], domain=Domain.of("a", "b"))
+        dictionary = Dictionary.uniform(binary, Fraction(1, 2))
+        assert answerable_from_encrypted_view(q("Q() :- R(x, x)"), EncryptedView("R"), dictionary)
+        assert sum(enumerations.values()) == 2
+
+    def test_first_uses_from_eight_threads_agree_on_one_set(self):
+        schema = Schema(
+            [RelationSchema("R", ("x", "y", "z")), RelationSchema("S", ("x",))],
+            domain=Domain.of("a", "b", "c", "d", "e", "f"),
+        )
+        barrier = threading.Barrier(8)
+        seen = [None] * 8
+        errors = []
+
+        def worker(slot):
+            try:
+                barrier.wait(timeout=60)
+                seen[slot] = (
+                    relation_slice(schema, "R"),
+                    relation_slice(schema, "S"),
+                    _tuple_space_set(schema, schema.domain),
+                )
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so first builds race
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert all(all(a is b for a, b in zip(sets, seen[0])) for sets in seen)
+        fresh = tuple_space(schema)
+        r_slice, s_slice, space = seen[0]
+        assert r_slice == frozenset(fact for fact in fresh if fact.relation == "R")
+        assert s_slice == frozenset(fact for fact in fresh if fact.relation == "S")
+        assert space == frozenset(fresh) and len(space) == 6**3 + 6
 
 
 class TestFact:
