@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from ..cq.query import ConjunctiveQuery
 from ..cq.union import UnionQuery
 from ..exceptions import SecurityAnalysisError
 from ..probability.dictionary import Dictionary
 from ..probability.engine import ExactEngine
-from ..probability.events import And, Event, QueryAnswerIs, QueryContains
-from .leakage import possible_answer_tuples
+from ..probability.events import And, QueryAnswerIs
 
 __all__ = [
     "GuessingReport",
@@ -40,17 +39,40 @@ Query = Union[ConjunctiveQuery, UnionQuery]
 Row = Tuple[object, ...]
 
 
-def _observation_event(
-    views: Sequence[Query], view_answers: Sequence[Iterable[Row]]
-) -> Event:
+def _observed_distribution(
+    secret: Query,
+    views: Sequence[Query] | Query,
+    view_answers: Sequence[Iterable[Row]] | Iterable[Row],
+    dictionary: Dictionary,
+    max_support_size: Optional[int],
+) -> Tuple[Dict[Tuple[FrozenSet[Row], bool], Fraction], Fraction]:
+    """The joint distribution of ``S(I)`` and ``V̄(I) = v̄``, and ``P[V̄(I) = v̄]``.
+
+    One kernel distribution, keyed ``(secret answer, observed)``, gives
+    every prior and posterior the functions below report.
+    """
+    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
+        views = [views]
+        view_answers = [view_answers]  # type: ignore[list-item]
+    views = list(views)
+    view_answers = list(view_answers)
     if len(views) != len(view_answers):
         raise SecurityAnalysisError(
             "one published answer is required per view "
             f"({len(views)} views, {len(view_answers)} answers)"
         )
-    return And(
+    observation = And(
         tuple(QueryAnswerIs(view, answer) for view, answer in zip(views, view_answers))
     )
+    joint = ExactEngine(dictionary, max_support_size=max_support_size).joint_distribution(
+        [secret], [observation]
+    )
+    evidence = sum(probability for (_, observed), probability in joint.items() if observed)
+    if evidence == 0:
+        raise SecurityAnalysisError(
+            "the published view answers have probability zero under this dictionary"
+        )
+    return joint, evidence
 
 
 def posterior_answer_distribution(
@@ -67,23 +89,14 @@ def posterior_answer_distribution(
     secret to its posterior probability; answers with posterior zero are
     omitted.
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-        view_answers = [view_answers]  # type: ignore[list-item]
-    views = list(views)
-    observation = _observation_event(views, list(view_answers))
-    engine = ExactEngine(dictionary, max_support_size=max_support_size)
-    evidence = engine.probability(observation)
-    if evidence == 0:
-        raise SecurityAnalysisError(
-            "the published view answers have probability zero under this dictionary"
-        )
-    posterior: Dict[FrozenSet[Row], Fraction] = {}
-    for answer in engine.possible_answers(secret):
-        joint = engine.joint_probability([QueryAnswerIs(secret, answer), observation])
-        if joint:
-            posterior[answer] = joint / evidence
-    return posterior
+    joint, evidence = _observed_distribution(
+        secret, views, view_answers, dictionary, max_support_size
+    )
+    return {
+        answer: probability / evidence
+        for (answer, observed), probability in joint.items()
+        if observed and probability
+    }
 
 
 def row_posteriors(
@@ -98,25 +111,22 @@ def row_posteriors(
     This is the row-level view of the adversary's belief shift — the
     quantity behind the introduction's "guess the phone number with a 25%
     chance" argument and behind the leakage measure of Section 6.1.
+    Rows are listed in ``repr`` order.
     """
-    if isinstance(views, (ConjunctiveQuery, UnionQuery)):
-        views = [views]
-        view_answers = [view_answers]  # type: ignore[list-item]
-    views = list(views)
-    observation = _observation_event(views, list(view_answers))
-    engine = ExactEngine(dictionary, max_support_size=max_support_size)
-    evidence = engine.probability(observation)
-    if evidence == 0:
-        raise SecurityAnalysisError(
-            "the published view answers have probability zero under this dictionary"
-        )
-    result: Dict[Row, Tuple[Fraction, Fraction]] = {}
-    for row in possible_answer_tuples(secret, dictionary):
-        row_event = QueryContains(secret, [row])
-        prior = engine.probability(row_event)
-        posterior = engine.joint_probability([row_event, observation]) / evidence
-        result[row] = (prior, posterior)
-    return result
+    joint, evidence = _observed_distribution(
+        secret, views, view_answers, dictionary, max_support_size
+    )
+    prior: Dict[Row, Fraction] = {}
+    observed_mass: Dict[Row, Fraction] = {}
+    for (answer, observed), probability in joint.items():
+        for row in answer:
+            prior[row] = prior.get(row, Fraction(0)) + probability
+            if observed:
+                observed_mass[row] = observed_mass.get(row, Fraction(0)) + probability
+    return {
+        row: (prior[row], observed_mass.get(row, Fraction(0)) / evidence)
+        for row in sorted(prior, key=repr)
+    }
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ paper analyses.  This module provides:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,6 +37,8 @@ from ..probability.events import (
     Event,
     FactAbsent,
     FactPresent,
+    Not,
+    Or,
     PredicateEvent,
     QueryAnswerIs,
 )
@@ -162,10 +165,27 @@ class KeyConstraintKnowledge(PriorKnowledge):
         return KeyConstraint(tuple(sorted(self._keys.items())))
 
     def event(self, schema: Schema) -> Event:
-        support = frozenset().union(*(relation_slice(schema, name) for name in self._keys))
-        return PredicateEvent(
-            self.instance_constraint(), description=self.describe(), support=support
-        )
+        """No two present facts share a key value: ``¬ ⋁ (a ∈ I ∧ b ∈ I)``.
+
+        The disjunction runs over every pair ``a ≠ b`` of one relation's
+        facts (from :func:`~repro.relational.tuples.relation_slice`) with
+        equal values at the key positions, the classes
+        :meth:`instance_constraint` tests.  The event is structural, so
+        the kernel compiles it by bit algebra and memoizes its
+        distributions by content.
+        """
+        clashes: List[Event] = []
+        for relation, positions in self.instance_constraint().keys:
+            classes: Dict[Tuple[object, ...], List[Fact]] = {}
+            # Sorted by repr: equal declarations give equal event keys.
+            for fact in sorted(relation_slice(schema, relation), key=repr):
+                classes.setdefault(fact.project(positions), []).append(fact)
+            for members in classes.values():
+                clashes.extend(
+                    And((FactPresent(a), FactPresent(b)))
+                    for a, b in itertools.combinations(members, 2)
+                )
+        return Not(Or(tuple(clashes)))
 
     def describe(self) -> str:
         parts = [f"{rel}[{','.join(map(str, pos))}]" for rel, pos in sorted(self._keys.items())]
@@ -207,7 +227,9 @@ class CardinalityConstraintKnowledge(PriorKnowledge):
             size = len(instance.relation(relation)) if relation else len(instance)
             return self._matches(size)
 
-        return PredicateEvent(predicate, description=self.describe(), support=None)
+        # A count over one relation reads that relation's facts only.
+        support = relation_slice(schema, relation) if relation else None
+        return PredicateEvent(predicate, description=self.describe(), support=support)
 
     def describe(self) -> str:
         target = f"|{self.relation}|" if self.relation else "|I|"
@@ -238,8 +260,6 @@ class TupleStatusKnowledge(PriorKnowledge):
     def event(self, schema: Schema) -> Event:
         events: List[Event] = [FactPresent(f) for f in sorted(self.present)]
         events.extend(FactAbsent(f) for f in sorted(self.absent))
-        if not events:
-            return PredicateEvent(lambda _: True, description="trivial knowledge", support=[])
         return And(tuple(events))
 
     def describe(self) -> str:

@@ -11,23 +11,29 @@ exhaustive check.
 *Answerability* (Section 2.1 and the "Query answering" discussion in
 Section 4.1.1) asks whether the secret ``S`` is a function of the views
 ``V̄``: ``∀I, I'.  V̄(I) = V̄(I') ⇒ S(I) = S(I')``.  Over a fixed finite
-domain this is decided exactly by enumerating instances; answerability
-implies *total* disclosure and is used by the audit layer to recognise
-Table 1's first row.
+domain it is decided exactly from mask tables
+(:mod:`~repro.cq.witness`): the queries depend only on the facts of the
+relations they mention, so the sub-instances of that support stand for
+every instance; they are split into classes on which every view
+answers alike, and the secret must answer alike on each class.
+Answerability implies *total* disclosure and is used by the audit layer
+to recognise Table 1's first row.  The per-instance loop it replaced is
+kept as the oracle :func:`repro.reference.determines_naive`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..exceptions import IntractableAnalysisError, QueryError
 from ..relational.domain import Domain
-from ..relational.instance import Instance, enumerate_instances
 from ..relational.schema import Schema
-from .evaluation import answer_contains, evaluate
+from ..relational.tuples import relation_slice
+from .evaluation import answer_contains
 from .homomorphism import canonical_instance
 from .query import ConjunctiveQuery
 from .terms import is_constant
+from .witness import answer_classes, compile_query_table, universe_mask
 
 __all__ = [
     "is_contained_in",
@@ -82,18 +88,38 @@ def determines(
     ``V̄(I) = V̄(I')`` implies ``S(I) = S(I')`` — i.e. the views functionally
     determine the secret, which is a *total* disclosure.
 
-    Raises :class:`IntractableAnalysisError` when the tuple space is too
-    large to enumerate (bound by ``max_tuples``).
+    Only the facts of the relations the secret and the views mention
+    (their slices of ``tup(D)``) bear on the answers, so the test runs
+    over the sub-instances of that support: the views' mask tables split
+    them into :func:`~repro.cq.witness.answer_classes`, and the answer is
+    ``False`` as soon as one of the secret's rows is in its answer on
+    part of a class only.  ``max_tuples`` bounds that support (not all of
+    ``tup(D)``); :class:`IntractableAnalysisError` is raised above it.
     """
-    groups: Dict[Tuple[FrozenSet, ...], FrozenSet] = {}
-    for instance in enumerate_instances(schema, domain, max_tuples=max_tuples):
-        view_answers = tuple(evaluate(view, instance) for view in views)
-        secret_answer = evaluate(secret, instance)
-        previous = groups.get(view_answers)
-        if previous is None:
-            groups[view_answers] = secret_answer
-        elif previous != secret_answer:
-            return False
+    views = list(views)
+    domain = domain or schema.domain
+    mentioned = secret.relation_names.union(*(view.relation_names for view in views))
+    support = frozenset().union(
+        *(relation_slice(schema, name, domain) for name in mentioned if name in schema)
+    )
+    if len(support) > max_tuples:
+        raise IntractableAnalysisError(
+            f"cannot check 2^{len(support)} sub-instances for answerability "
+            f"(bound {max_tuples} facts); restrict the domain",
+            size_estimate=2 ** len(support),
+        )
+    # key=repr: analysis domains may mix numeric and string constants,
+    # which Python refuses to order directly.
+    facts = tuple(sorted(support, key=repr))
+    secret_table = compile_query_table(secret, facts)
+    view_classes = answer_classes(
+        [compile_query_table(view, facts) for view in views], universe_mask(len(facts))
+    )
+    for row in secret_table.answers:
+        row_bits = secret_table.row_tables[row]
+        for bits, _ in view_classes:
+            if bits & row_bits not in (0, bits):
+                return False
     return True
 
 

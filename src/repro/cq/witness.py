@@ -23,7 +23,10 @@ the sub-instance with mask ``m`` (bit ``j`` of ``m``: ``facts[j]`` is
 present), so big-int ``&``/``|``/``^`` evaluate it on all sub-instances
 at once.  A row is in ``Q``'s answer on ``m`` iff one of its witness
 masks ``w`` has ``w ⊆ m``: one subset zeta transform, ``O(n·2^n)`` bit
-operations instead of ``2^n`` backtracking searches.
+operations instead of ``2^n`` backtracking searches.  Splitting the
+masks by every query's answer set (:func:`answer_classes`) gives the
+classes the kernel's Eq. (2) distributions sum over and the ones
+answerability (:func:`~repro.cq.containment.determines`) compares.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "candidate_critical_facts",
     "CompiledQueryTable",
     "compile_query_table",
+    "answer_classes",
     "subset_zeta",
     "bit_clear_pattern",
     "universe_mask",
@@ -264,3 +268,37 @@ def compile_query_table(query, facts: Sequence[Fact]) -> CompiledQueryTable:
         true_bits |= bits
     answers = tuple(sorted(row_tables, key=repr))
     return CompiledQueryTable(facts, answers, row_tables, true_bits)
+
+
+def answer_classes(
+    tables: Sequence[CompiledQueryTable], universe: int
+) -> List[Tuple[int, Tuple[FrozenSet[Tuple[object, ...]], ...]]]:
+    """Split the masks of ``universe`` by every table's answer set.
+
+    Returns ``(mask table, key)`` pairs where ``key`` lists, in table
+    order, the answer set each query has on every mask of the class.  The
+    classes partition the set bits of ``universe``, so two sub-instances
+    share a class iff every query answers alike on them: the kernel sums
+    a class's mass for Eq. (2), and :func:`~repro.cq.containment.determines`
+    checks that the secret's answer is constant on each class.
+    """
+    classes: List[Tuple[int, Tuple]] = [(universe, ())]
+    for table in tables:
+        split: List[Tuple[int, Tuple, set]] = [
+            (bits, key, set()) for bits, key in classes
+        ]
+        for row in table.answers:
+            row_bits = table.row_tables[row]
+            next_split: List[Tuple[int, Tuple, set]] = []
+            for bits, key, included in split:
+                with_row = bits & row_bits
+                without_row = bits & ~row_bits
+                if with_row:
+                    next_split.append((with_row, key, included | {row}))
+                if without_row:
+                    next_split.append((without_row, key, included))
+            split = next_split
+        classes = [
+            (bits, key + (frozenset(included),)) for bits, key, included in split
+        ]
+    return classes

@@ -132,7 +132,7 @@ def event_key(event: Event) -> Optional[Hashable]:
 
 
 def _predicate_bits(event: Event, facts: Tuple[Fact, ...]) -> int:
-    """Per-mask fallback for opaque predicates (prior knowledge ``K``)."""
+    """Per-mask fallback for opaque predicates (e.g. cardinality knowledge ``K``)."""
     bits = 0
     n = len(facts)
     for mask in range(1 << n):

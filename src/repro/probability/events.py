@@ -15,7 +15,7 @@ The events needed by the paper are provided:
 * boolean query truth               — :class:`QueryTrue`
 * presence / absence of one fact    — :class:`FactPresent` / :class:`FactAbsent`
 * boolean combinations              — :class:`And`, :class:`Or`, :class:`Not`
-* arbitrary predicates              — :class:`PredicateEvent` (prior knowledge ``K``)
+* arbitrary predicates              — :class:`PredicateEvent` (e.g. a cardinality ``K``)
 """
 
 from __future__ import annotations
@@ -214,10 +214,10 @@ class Not(Event):
 class PredicateEvent(Event):
     """An event defined by an arbitrary predicate on instances.
 
-    Used for prior knowledge ``K`` that is not expressible as a
-    conjunctive query (key constraints, cardinality constraints, ...).
-    A support may be supplied when known; otherwise the engine
-    enumerates the full tuple space.
+    Used for prior knowledge ``K`` that has no structural form
+    (cardinality constraints, a caller's own predicate); key constraints
+    and tuple status are structural events.  A support may be supplied
+    when known; otherwise the engine enumerates the full tuple space.
     """
 
     def __init__(

@@ -45,7 +45,13 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from ..cq.canonical import canonical_query_key
-from ..cq.witness import CompiledQueryTable, compile_query_table, query_support, universe_mask
+from ..cq.witness import (
+    CompiledQueryTable,
+    answer_classes,
+    compile_query_table,
+    query_support,
+    universe_mask,
+)
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..obs import span
 from ..obs.counters import StatCounters
@@ -437,30 +443,16 @@ class ProbabilityKernel:
 
         Returns ``(mask table, key)`` pairs where ``key`` lists, in item
         order, the answer set of each query followed by the truth value
-        of each event.  The classes partition the non-empty portion of
+        of each event.  The queries split the masks through
+        :func:`~repro.cq.witness.answer_classes`; each event then halves
+        every class.  The classes partition the non-empty portion of
         the mask space; structurally attained outcomes with probability
         zero are kept (the seed enumeration also reported them).
         """
-        classes: List[Tuple[int, Tuple]] = [(universe_mask(len(facts)), ())]
-        for query in queries:
-            table = self.query_table(query, facts)
-            split: List[Tuple[int, Tuple, set]] = [
-                (bits, key, set()) for bits, key in classes
-            ]
-            for row in table.answers:
-                row_bits = table.row_tables[row]
-                next_split: List[Tuple[int, Tuple, set]] = []
-                for bits, key, included in split:
-                    with_row = bits & row_bits
-                    without_row = bits & ~row_bits
-                    if with_row:
-                        next_split.append((with_row, key, included | {row}))
-                    if without_row:
-                        next_split.append((without_row, key, included))
-                split = next_split
-            classes = [
-                (bits, key + (frozenset(included),)) for bits, key, included in split
-            ]
+        classes = answer_classes(
+            [self.query_table(query, facts) for query in queries],
+            universe_mask(len(facts)),
+        )
         for event, content in zip(events, keys):
             event_table = self._event_bits(event, content, facts)
             next_classes: List[Tuple[int, Tuple]] = []
@@ -567,15 +559,8 @@ class ProbabilityKernel:
     def possible_answers(self, query) -> List[FrozenSet[Tuple[object, ...]]]:
         """All answers attained with non-zero structural possibility.
 
-        The order is deterministic: answers are listed by the smallest
-        sub-instance bitmask attaining them (the seed engine ordered by
-        first attainment along a size-then-combination enumeration; no
-        caller depends on that order, only on the set).
+        The keys of :meth:`answer_distribution`, in its order: answers
+        attained only with probability zero are listed too.  No caller
+        depends on the order, only on the set.
         """
-        facts = tuple(sorted(query_support(query, self._dictionary.schema), key=repr))
-        self._check_component(facts, "query support")
-        classes = self._component_classes(facts, [query], (), ())
-        ordered = sorted(
-            classes, key=lambda entry: (entry[0] & -entry[0]).bit_length()
-        )
-        return [key[0] for _, key in ordered]
+        return list(self.answer_distribution(query))

@@ -1,24 +1,26 @@
-"""Definition 4.4, literally: enumerate every instance of ``inst(D)``.
+"""Definition 4.4 and answerability by enumerating every instance of ``inst(D)``.
 
 Enumerates ``2^|tup(D)|`` instances, so it is exponential in the
 tuple-space size; it exists for cross-validation in tests and for the
-ablation benchmarks, and supports arbitrary (subset-closed) instance
-constraints.
+ablation benchmarks.  The critical-tuple oracle supports arbitrary
+(subset-closed) instance constraints; :func:`determines_naive`, the
+oracle of :func:`repro.cq.containment.determines`, groups the instances
+by the views' answers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Optional
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..core.criticality.base import InstanceConstraint
-from ..cq.evaluation import delta_changes
+from ..cq.evaluation import delta_changes, evaluate
 from ..cq.query import ConjunctiveQuery
 from ..relational.domain import Domain
 from ..relational.instance import Instance, enumerate_instances
 from ..relational.schema import Schema
 from ..relational.tuples import Fact, tuple_space
 
-__all__ = ["is_critical_naive", "critical_tuples_naive"]
+__all__ = ["is_critical_naive", "critical_tuples_naive", "determines_naive"]
 
 #: The ``Q(I) ≠ Q(I − t)`` test: ``changes(query, instance, fact)``.
 ChangeTest = Callable[[ConjunctiveQuery, Instance, Fact], bool]
@@ -74,3 +76,29 @@ def critical_tuples_naive(
         )
     }
     return frozenset(result)
+
+
+def determines_naive(
+    views: Sequence[ConjunctiveQuery],
+    secret: ConjunctiveQuery,
+    schema: Schema,
+    domain: Optional[Domain] = None,
+    max_tuples: int = 20,
+) -> bool:
+    """Answerability by enumerating every instance over the domain.
+
+    ``True`` iff for every pair of instances over the domain,
+    ``V̄(I) = V̄(I')`` implies ``S(I) = S(I')``.  Raises
+    :class:`IntractableAnalysisError` when ``tup(D)`` has more than
+    ``max_tuples`` facts.
+    """
+    groups: Dict[Tuple[FrozenSet, ...], FrozenSet] = {}
+    for instance in enumerate_instances(schema, domain, max_tuples=max_tuples):
+        view_answers = tuple(evaluate(view, instance) for view in views)
+        secret_answer = evaluate(secret, instance)
+        previous = groups.get(view_answers)
+        if previous is None:
+            groups[view_answers] = secret_answer
+        elif previous != secret_answer:
+            return False
+    return True

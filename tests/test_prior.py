@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from repro import AnalysisSession, Dictionary, q
-from repro.bench import table1_pairs
+from repro.bench import employee_schema, table1_pairs
 from repro.core import (
     CardinalityConstraintKnowledge,
     ConjunctionKnowledge,
@@ -26,7 +26,10 @@ from repro.core import (
 )
 from repro.core.criticality import CriticalTupleCache, critical_tuples
 from repro.exceptions import KnowledgeError
-from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
+from repro.probability import PredicateEvent, ProbabilityKernel
+from repro.probability.compiled_event import event_key
+from repro.relational import Domain, Fact, Instance, RelationSchema, Schema, tuple_space
+from repro.relational.tuples import relation_slice
 
 
 @pytest.fixture
@@ -500,3 +503,92 @@ class TestKeyConstraintCache:
                 == expected[index].evidence["violating_pairs"]
             )
         assert cache.stats().hits > cache.stats().misses
+
+
+def _predicate_form(knowledge, schema):
+    """The oracle: the key constraint as an opaque predicate over the keyed relations."""
+    keys = knowledge.instance_constraint().keys
+    support = frozenset().union(*(relation_slice(schema, name) for name, _ in keys))
+    return PredicateEvent(knowledge.instance_constraint(), support=support)
+
+
+class TestStructuralKnowledgeEvents:
+    """Key, tuple-status and per-relation count knowledge, against predicate oracles."""
+
+    @pytest.mark.parametrize(
+        "dims, probability", [((2, 2, 2), Fraction(1, 3)), ((2, 2, 3), Fraction(2, 5))]
+    )
+    @pytest.mark.parametrize("keys", [(0,), (1,), (0, 2), (2,)])
+    def test_key_events_match_the_predicate_form(self, dims, probability, keys):
+        schema = employee_schema(*dims)
+        knowledge = KeyConstraintKnowledge({"Emp": keys})
+        structural = knowledge.event(schema)
+        oracle = _predicate_form(knowledge, schema)
+        assert event_key(structural) is not None and event_key(oracle) is None
+        dictionary = Dictionary.uniform(schema, probability)
+        kernel = ProbabilityKernel(dictionary)
+        for row in table1_pairs():
+            queries = [row.secret, *row.views]
+            assert kernel.joint_distribution(queries, [structural]) == (
+                kernel.joint_distribution(queries, [oracle])
+            )
+            assert verify_with_knowledge(
+                row.secret, list(row.views), knowledge, dictionary
+            ) is verify_with_knowledge(row.secret, list(row.views), oracle, dictionary)
+
+    def test_a_key_event_on_single_fact_classes_always_holds(self, kv_schema):
+        event = KeyConstraintKnowledge({"R": (0, 1)}).event(kv_schema)
+        assert event.support(kv_schema) == frozenset()
+        assert event.occurs(Instance(tuple_space(kv_schema)))
+
+    def test_a_repeated_key_check_reads_the_memoized_distribution(self, emp_schema):
+        row = next(row for row in table1_pairs() if row.row == 2)
+        dictionary = Dictionary.uniform(emp_schema, Fraction(1, 3))
+        knowledge = KeyConstraintKnowledge({"Emp": (0,)})
+
+        def hits():
+            return ProbabilityKernel(dictionary).stats["distribution_hits"]
+
+        first = verify_with_knowledge(row.secret, list(row.views), knowledge, dictionary)
+        before = hits()
+        assert verify_with_knowledge(row.secret, list(row.views), knowledge, dictionary) is first
+        assert hits() == before + 1
+        # The opaque predicate form is compiled again on every call.
+        oracle = _predicate_form(knowledge, emp_schema)
+        for _ in range(2):
+            assert verify_with_knowledge(row.secret, list(row.views), oracle, dictionary) is first
+        assert hits() == before + 1
+
+    def test_empty_tuple_status_is_the_trivial_structural_event(self, kv_schema):
+        event = TupleStatusKnowledge().event(kv_schema)
+        assert event_key(event) is not None
+        assert event.support(kv_schema) == frozenset()
+        dictionary = Dictionary.uniform(kv_schema, Fraction(1, 3))
+        secret, view = q("S(x) :- R(x, y)"), q("V(y) :- R(x, y)")
+        trivial = PredicateEvent(lambda _: True, support=[])
+        for given in (event, trivial):
+            assert verify_with_knowledge(secret, [view], given, dictionary) is (
+                verify_security_probabilistically(secret, [view], dictionary)
+            )
+
+    def test_a_count_over_one_relation_declares_that_relation(self):
+        schema = Schema(
+            [RelationSchema("R", ("x", "y")), RelationSchema("S", ("x",))],
+            domain=Domain.of("a", "b", "c"),
+        )  # 9 facts of R, 3 of S
+        assert CardinalityConstraintKnowledge("exactly", 1).event(schema).support(schema) is None
+        dictionary = Dictionary.uniform(schema, Fraction(1, 3))
+        cases = [
+            (q("Q(x) :- R(x, y)"), q("V(y) :- R(x, y)")),
+            (q("Q(x) :- R(x, 'a')"), q("V(x) :- S(x)")),
+        ]
+        for relation in ("R", "S"):
+            for comparison, count in (("exactly", 1), ("at_most", 2), ("at_least", 1)):
+                knowledge = CardinalityConstraintKnowledge(comparison, count, relation)
+                event = knowledge.event(schema)
+                assert event.support(schema) == relation_slice(schema, relation)
+                whole_space = PredicateEvent(event.occurs, support=None)
+                for secret, view in cases:
+                    assert verify_with_knowledge(
+                        secret, [view], event, dictionary
+                    ) is verify_with_knowledge(secret, [view], whole_space, dictionary)

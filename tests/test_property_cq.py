@@ -1,12 +1,25 @@
 """Property-based tests (hypothesis) for the relational and query substrates."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Dictionary, q
-from repro.cq import Atom, ConjunctiveQuery, Constant, Variable, evaluate, parse_query
+from repro.cq import (
+    Atom,
+    Comparison,
+    ConjunctiveQuery,
+    Constant,
+    Variable,
+    determines,
+    evaluate,
+    is_answerable_from,
+    parse_query,
+)
+from repro.exceptions import IntractableAnalysisError
+from repro.reference import determines_naive
 from repro.relational import Domain, Fact, Instance, RelationSchema, Schema, tuple_space
 
 # ---------------------------------------------------------------------------
@@ -126,3 +139,80 @@ class TestDictionaryProperties:
         dictionary = Dictionary.uniform(binary_schema, probability)
         value = dictionary.instance_probability(instance)
         assert 0 <= value <= 1
+
+
+# ---------------------------------------------------------------------------
+# Answerability: the mask-table test against the per-instance oracle
+# ---------------------------------------------------------------------------
+ANSWERABILITY_SCHEMA = Schema(
+    [RelationSchema("R", ("c1", "c2")), RelationSchema("T", ("c1",))],
+    domain=Domain(("a", "b")),
+)
+
+
+def _random_answerability_query(rng, name):
+    """1–3 subgoals over ``R``/``T`` with constants, an optional comparison and head."""
+    pool = [Variable(n) for n in VARIABLE_NAMES] + [Constant(v) for v in ("a", "b")]
+
+    def term():
+        # ``c`` lies outside the domain: such a subgoal is never grounded.
+        return Constant("c") if rng.random() < 0.01 else rng.choice(pool)
+
+    body = []
+    for _ in range(rng.randint(1, 3)):
+        relation, arity = rng.choice((("R", 2), ("R", 2), ("T", 1)))
+        body.append(Atom(relation, tuple(term() for _ in range(arity))))
+    variables = sorted({v for atom in body for v in atom.variables})
+    comparisons = []
+    if variables and rng.random() < 0.3:
+        left = rng.choice(variables)
+        right = rng.choice([v for v in variables if v != left] + pool[-2:])
+        comparisons.append(Comparison(left, rng.choice(("!=", "<", "=", ">=")), right))
+    head = tuple(rng.sample(variables, rng.randint(0, len(variables))))
+    return ConjunctiveQuery(head, body, comparisons, name=name)
+
+
+class TestAnswerability:
+    """``determines`` reads mask tables; ``determines_naive`` enumerates instances."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_determines_matches_the_instance_enumeration(self, seed):
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(300):
+            secret = _random_answerability_query(rng, "S")
+            views = [
+                _random_answerability_query(rng, f"V{i}") for i in range(rng.randint(1, 2))
+            ]
+            expected = determines_naive(views, secret, ANSWERABILITY_SCHEMA)
+            assert determines(views, secret, ANSWERABILITY_SCHEMA) is expected, (
+                secret,
+                views,
+            )
+            assert is_answerable_from(secret, views, ANSWERABILITY_SCHEMA) is expected
+            verdicts.append(expected)
+        # Both outcomes are exercised in every batch of 300.
+        assert 20 <= sum(verdicts) <= 280
+
+    def test_an_explicit_domain_is_the_one_decided_over(self):
+        schema = Schema([RelationSchema("R", ("c1", "c2"))], domain=Domain(("a",)))
+        view = q("V(x) :- R(x, y)")
+        secret = q("S(x, y) :- R(x, y)")
+        # Over one value the view's row fixes the only fact; over two it does not.
+        assert determines([view], secret, schema) is True
+        wider = Domain(("a", "b"))
+        assert determines([view], secret, schema, domain=wider) is False
+        assert determines_naive([view], secret, schema, domain=wider) is False
+
+    def test_max_tuples_bounds_the_mentioned_relations_only(self):
+        schema = Schema(
+            [RelationSchema("R", ("c1", "c2")), RelationSchema("U", ("c1", "c2", "c3"))],
+            domain=Domain(("a", "b")),
+        )  # 4 facts of R, 8 of U: 12 in tup(D)
+        views = [q("V(x, y) :- R(x, y)")]
+        secret = q("S(x) :- R(x, x)")
+        with pytest.raises(IntractableAnalysisError):
+            determines_naive(views, secret, schema, max_tuples=6)
+        assert determines(views, secret, schema, max_tuples=6) is True
+        with pytest.raises(IntractableAnalysisError):
+            determines([q("W(x) :- U(x, y, z)")], secret, schema, max_tuples=6)

@@ -119,6 +119,35 @@ def test_the_analysis_layers_import_only_the_layers_below_them(layer):
     assert not offenders, offenders
 
 
+def _identifiers(source: str):
+    """Every name one source file binds, reads, imports or defines."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_the_oracles_enumerate_instances():
+    # Answerability reads mask tables (repro.cq.containment.determines);
+    # enumerating inst(D) is left to the oracles in repro.reference.
+    allowed = {"repro.relational.instance", "repro.relational"}
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.relative_to(PACKAGE).parts[0] != "reference"
+        and _module_name(path) not in allowed
+        and "enumerate_instances" in _identifiers(path.read_text(encoding="utf8"))
+    ]
+    assert not offenders, offenders
+
+
 def test_the_scanner_sees_every_spelling_of_the_import():
     source = (
         "from ..reference import naive_evaluate\n"
